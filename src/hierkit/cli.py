@@ -167,18 +167,6 @@ def _point_json(x):
     return x.to_json() if hasattr(x, "to_json") else x
 
 
-def _cover_edges(poset):
-    edges = []
-    for i in range(poset.n):
-        for j in bits(poset.up[i]):
-            if j == i:
-                continue
-            if any(poset.lt(i, k) and poset.lt(k, j) for k in range(poset.n)):
-                continue
-            edges.append([i, j])
-    return edges
-
-
 # -- subcommands -------------------------------------------------------------
 
 
@@ -404,7 +392,7 @@ def _cmd_audit(args):
     for k in range(1, args.exhaustive + 1):
         for poset in all_posets_upto_iso(k):
             posets += 1
-            cover = _cover_edges(poset)
+            cover = poset.cover_pairs()
             has_least = any(poset.up[i] == poset.carrier for i in range(poset.n))
             report = ambiguity_audit(poset, depth)
             for mask in range(1 << poset.n):
@@ -456,7 +444,7 @@ def _cmd_gen(args):
     if args.kind == "poset":
         for _ in range(args.count):
             p = random_poset(args.n, rng)
-            items.append({"n": p.n, "cover": _cover_edges(p)})
+            items.append({"n": p.n, "cover": p.cover_pairs()})
     else:
         for _ in range(args.count):
             pick = rng.randrange(3)
@@ -467,7 +455,7 @@ def _cmd_gen(args):
             else:
                 p = random_poset(2 + rng.randrange(args.n - 1 or 1), rng)
                 items.append(
-                    {"kind": "poset", "poset": {"n": p.n, "cover": _cover_edges(p)}}
+                    {"kind": "poset", "poset": {"n": p.n, "cover": p.cover_pairs()}}
                 )
     inputs = {"kind": args.kind, "n": args.n, "count": args.count}
     return inputs, {"items": items}

@@ -7,10 +7,12 @@ approximation relation ``ll``):
 * ``PSpaceModel``: a subspace of P(N) with the Scott topology cut out
   by a clause system ``forall n (alpha_n <= X  =>  exists gamma in I_n,
   gamma <= X)``.  Basic opens are the cones O_beta = {X : beta <= X}
-  restricted to the subspace, indexed by the bitmask of beta.  The
-  trivial system (no rows) is P(N) itself, where ll is containment; the
-  "every tail is inhabited" system is P_inf(N), where ll works out to
-  A <= B and max(A) < max(B).
+  restricted to the subspace, indexed by the bitmask of beta.  A
+  ``ClauseSystem`` with no explicit rows is P(N) itself, where ll is
+  containment.  ``PinfSystem`` answers the "every tail is inhabited"
+  rows of P_inf(N) in closed form but examines only rows n < bound (a
+  finite point with max >= bound - 1 passes ``check_point``); within
+  the bound ll works out to A <= B and max(A) < max(B).
 
 * ``FinitePosetModel``: a finite poset's Scott topology with the whole
   (finite) open lattice as basis and ll(U, V) = V nonempty and V <= U.
@@ -28,6 +30,7 @@ a complete candidate cone (see the per-model ``least_containing``).
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import json
@@ -121,33 +124,44 @@ class CylPoint:
 
 
 class ClauseSystem:
-    """Rows (alpha_n, I_n) denoting {X : alpha_n <= X => some gamma in
-    I_n has gamma <= X}, intersected over n.
+    """Finitely many explicit rows (alpha_n, I_n), each denoting {X :
+    alpha_n <= X => some gamma in I_n has gamma <= X}, intersected over
+    n.  Every row is examined; a query's index i stands for the
+    descriptor beta = bits of i."""
 
-    Finitely many explicit rows, plus an optional generator for systems
-    that are infinite in spirit; ``bound`` caps how many generated rows
-    any query examines.  The generator takes (n, ceiling) and must
-    produce the row's witnesses exactly up to elements <= ceiling, so
-    truncation never causes a false negative at desk scale.
-    """
+    infinite = False
 
-    def __init__(self, rows, gen=None, bound=64):
+    def __init__(self, rows):
         self.rows = [
             (frozenset(a), tuple(frozenset(g) for g in gs)) for a, gs in rows
         ]
-        self.gen = gen
-        self.bound = bound
+        # statuses cost subset tests and n_u a pass over the rows
+        self.clause_status = functools.cache(self.clause_status)
+        self.n_u = functools.cache(self.n_u)
 
-    def n_rows(self):
-        return self.bound if self.gen is not None else len(self.rows)
+    def row(self, n):
+        return self.rows[n] if n < len(self.rows) else None
 
-    def row(self, n, ceiling=None):
-        if n < len(self.rows):
-            return self.rows[n]
-        if self.gen is not None and n < self.bound:
-            a, gs = self.gen(n, self.bound if ceiling is None else ceiling)
-            return frozenset(a), tuple(frozenset(g) for g in gs)
+    def clause_status(self, i, n):
+        beta = frozenset(bits(i))
+        row = self.row(n)
+        if row is None or not row[0] <= beta:
+            return NOT_A_CLAUSE
+        return SOLVED if any(g <= beta for g in row[1]) else UNSOLVED_CLAUSE
+
+    def n_u(self, i):
+        rows = range(len(self.rows))
+        return next((n for n in rows if self.clause_status(i, n) == UNSOLVED_CLAUSE), INF)
+
+    def check_point(self, x):
+        for n, (alpha, gammas) in enumerate(self.rows):
+            if x.includes(alpha) and not any(x.includes(g) for g in gammas):
+                return n
         return None
+
+    def witness(self, x, n):
+        """Index of the first witness of row n that x includes, or None."""
+        return next((mask_of(g) for g in self.row(n)[1] if x.includes(g)), None)
 
     def to_json(self):
         return {
@@ -166,11 +180,45 @@ class ClauseSystem:
         )
 
 
-def pinf_system(bound=64):
-    """Clause presentation of P_inf(N): row n says some j >= n is in X."""
-    def gen(n, ceiling):
-        return frozenset(), tuple(frozenset((j,)) for j in range(n, ceiling + 1))
-    return ClauseSystem([], gen=gen, bound=bound)
+class PinfSystem:
+    """The clause presentation of P_inf(N), answered in closed form.
+
+    Row n has alpha_n empty and I_n the singletons {j}, j >= n: X has
+    an element >= n.  Cone i solves row n iff its top element,
+    i.bit_length() - 1, is >= n.  Only rows n < ``bound`` are examined,
+    so a cone whose top is >= bound - 1 has no unsolved clause, and a
+    finite point whose max is >= bound - 1 passes ``check_point``.
+    """
+
+    infinite = True
+
+    def __init__(self, bound=64):
+        self.bound = bound
+
+    def clause_status(self, i, n):
+        if n >= self.bound:
+            return NOT_A_CLAUSE
+        return SOLVED if i.bit_length() > n else UNSOLVED_CLAUSE
+
+    def n_u(self, i):
+        n = i.bit_length()
+        return n if n < self.bound else INF
+
+    def check_point(self, x):
+        if x.cofinite_from is not None:
+            return None
+        n = max(x.core, default=-1) + 1
+        return n if n < self.bound else None
+
+    def witness(self, x, n):
+        """Index of {j} for the least j >= n in x, or None."""
+        js = [j for j in x.core if j >= n]
+        if x.cofinite_from is not None:
+            js.append(max(n, x.cofinite_from))
+        return 1 << min(js) if js else None
+
+    def to_json(self):
+        return {"bound": self.bound}
 
 
 def pinf_ll(a, b):
@@ -200,13 +248,14 @@ def _ascending_submasks(bit_positions, cap=4096):
 
 class PSpaceModel:
     """A clause-system subspace of P(N).  Basis index i denotes the cone
-    O_beta (cut to the subspace) where beta is the set of bits of i."""
+    O_beta (cut to the subspace) where beta is the set of bits of i.
+    The system (explicit ``ClauseSystem`` rows, or ``PinfSystem`` rows in
+    closed form up to its bound) answers the clause queries; ``ll`` is
+    written over its clause statuses."""
 
     def __init__(self, system, kind="clauses"):
         self.system = system
         self.kind = kind
-        self._status_memo = {}
-        self._nu_memo = {}
 
     # descriptors and membership
 
@@ -238,40 +287,12 @@ class PSpaceModel:
     # clause bookkeeping
 
     def clause_status(self, i, n):
-        try:
-            return self._status_memo[i, n]
-        except KeyError:
-            pass
-        beta = self.descriptor(i)
-        ceiling = max(beta, default=0) + 1
-        row = self.system.row(n, ceiling=ceiling)
-        if row is None:
-            out = NOT_A_CLAUSE
-        else:
-            alpha, gammas = row
-            if not alpha <= beta:
-                out = NOT_A_CLAUSE
-            elif any(g <= beta for g in gammas):
-                out = SOLVED
-            else:
-                out = UNSOLVED_CLAUSE
-        self._status_memo[i, n] = out
-        return out
+        return self.system.clause_status(i, n)
 
     def n_u(self, i):
         """Least index of an unsolved clause whose premiss the cone
         forces, or INF when none exists within the examination bound."""
-        try:
-            return self._nu_memo[i]
-        except KeyError:
-            pass
-        out = INF
-        for n in range(self.system.n_rows()):
-            if self.clause_status(i, n) == UNSOLVED_CLAUSE:
-                out = n
-                break
-        self._nu_memo[i] = out
-        return out
+        return self.system.n_u(i)
 
     def ll(self, i, j):
         if not self.basic_subset(j, i):
@@ -297,29 +318,19 @@ class PSpaceModel:
         nu = self.n_u(i)
         if nu == INF:
             return i
-        _, gammas = self.system.row(nu, ceiling=max(x.horizon(), nu) + 1)
-        for g in gammas:
-            if x.includes(g):
-                return i | self.index_of(g)
-        raise ValueError(
-            "point fails clause %d: not in the presented subspace" % nu
-        )
+        g = self.system.witness(x, nu)
+        if g is None:
+            raise ValueError(
+                "point fails clause %d: not in the presented subspace" % nu
+            )
+        return i | g
 
     # points
 
     def check_point(self, x):
         """Index of the first violated clause, or None if x satisfies
-        every examinable row.  The generation ceiling tracks both the
-        row number and the point's horizon so witnesses above either
-        are still produced."""
-        for n in range(self.system.n_rows()):
-            row = self.system.row(n, ceiling=max(x.horizon(), n) + 1)
-            if row is None:
-                break
-            alpha, gammas = row
-            if x.includes(alpha) and not any(x.includes(g) for g in gammas):
-                return n
-        return None
+        every examined row."""
+        return self.system.check_point(x)
 
     def completion(self, i):
         """Some point of the subspace inside basic i, or None.  Tries
@@ -348,7 +359,8 @@ class PSpaceModel:
             union |= i
         beta = self.descriptor(union)
         candidates = [SetPoint(beta)]
-        if self.system.gen is not None:
+        # infinitely many rows: the union point may need a cofinite tail
+        if self.system.infinite:
             candidates.append(
                 SetPoint(beta, cofinite_from=max(beta, default=-1) + 1)
             )
@@ -423,10 +435,8 @@ class PSpaceModel:
 
     def to_json(self):
         data = {"kind": self.kind}
-        if self.kind == "clauses":
+        if self.kind != "pn":
             data.update(self.system.to_json())
-        if self.kind == "pinf":
-            data["bound"] = self.system.bound
         return data
 
 
@@ -435,7 +445,7 @@ def pn_model():
 
 
 def pinf_model(bound=64):
-    return PSpaceModel(pinf_system(bound), kind="pinf")
+    return PSpaceModel(PinfSystem(bound), kind="pinf")
 
 
 # -- finite poset model -----------------------------------------------------

@@ -257,12 +257,29 @@ def test_audit_successor_level_counterexamples():
 
 
 def test_surgery_construction():
-    # two disjoint 2-chains: {1,2} is a clopen component, ambiguous at 3
+    # two disjoint 2-chains a0 < a1, b0 < b1: {1, 2} is {a1, b0}, the top
+    # of one chain and the bottom of the other.  It is neither open nor
+    # closed, at levels (2, 2); the surgery glues the new point 4 below
+    # both members and the levels stay (2, 2).
     p = FinitePoset.from_json({"n": 4, "cover": [[0, 1], [2, 3]]})
     a = 0b0110
+    assert a not in p.opens() and p.carrier & ~a not in p.opens()
+    assert sigma_pi_levels(p, a) == (2, 2)
     bigger, new_mask, (s, pi) = ambiguous_drop_surgery(p, a, 2)
-    assert bigger.n == 5 and new_mask == a | 0b10000
-    assert max(s, pi) <= 3  # still ambiguous at n+1
+    assert bigger.cover_pairs() == [(0, 1), (2, 3), (4, 1), (4, 2)]
+    assert new_mask == a | 0b10000
+    assert (s, pi) == sigma_pi_levels(bigger, new_mask) == (2, 2)
+
+    # level 3 above a least element: on the diamond 0 < 1, 2 < 3 the set
+    # {0, 3} of bottom and top has levels (3, 2).  The new point goes
+    # below 0, becomes the least element, and the levels stay (3, 2).
+    diamond = FinitePoset.from_json({"n": 4, "cover": [[0, 1], [0, 2], [1, 3], [2, 3]]})
+    a = 0b1001
+    assert sigma_pi_levels(diamond, a) == (3, 2)
+    bigger, new_mask, (s, pi) = ambiguous_drop_surgery(diamond, a, 2)
+    assert bigger.cover_pairs() == [(0, 1), (0, 2), (1, 3), (2, 3), (4, 0)]
+    assert bigger.least_element() == 4 and new_mask == a | 0b10000
+    assert (s, pi) == sigma_pi_levels(bigger, new_mask) == (3, 2)
 
 
 def test_surgery_drop_can_fail_without_least_element():

@@ -1,9 +1,12 @@
 """End-to-end checks of the command surface: exit codes, report shapes,
 byte-level determinism, and the error JSON contract."""
 
+import hashlib
 import json
 import subprocess
 import sys
+
+import pytest
 
 from hierkit.cli import main
 from hierkit.finite_space import FinitePoset
@@ -115,6 +118,59 @@ def test_play_point_free_game(capsys):
     assert t["game"] == "banach-mazur"
     assert all(r["empty"]["point"] is None for r in t["rounds"])
     assert t["outcome"] in ("NONEMPTY_WINS", "UNDECIDED")
+
+
+PLAY_MODELS = {
+    "pinf16": '{"kind": "pinf", "bound": 16}',
+    "pinf64": '{"kind": "pinf", "bound": 64}',
+    "pinf128": '{"kind": "pinf", "bound": 128}',
+    "pn": '{"kind": "pn"}',
+    "clauses": json.dumps({"kind": "clauses", "rows": [
+        {"alpha": [0], "witnesses": [[1], [2, 3]]},
+        {"alpha": [1], "witnesses": [[4]]},
+    ]}),
+}
+
+# SHA-256 of the stdout of `hier play --model M --rounds R --empty E
+# --game G --seed 7`, recorded while every P_inf row was still generated
+# as a list of singletons.  pinf16 at 20 rounds and pinf64 at 40 certify
+# a finite witness (the truncation at `bound`); they are pinned here
+# until membership is checked exactly, and then change on purpose.
+PLAY_DIGESTS = {
+    ("pinf16", 20, "random", "choquet"): "d8157e0c90612610113a83bec61ef9e5119d7116073b112b28d84249a999ec1c",
+    ("pinf16", 20, "random", "bm"): "76d666a5cf7fd49ccc5c8bf389322ceeef9931cae97cf96f0ae29e7942a1a703",
+    ("pinf16", 20, "deepening", "choquet"): "8bf300139b441a0a662f70d927f0ca5e089dafb4d9e0bb1156abe7755e39226b",
+    ("pinf16", 20, "deepening", "bm"): "89952c65e26a9c9299b157e37e61c3f3fceb8e7cda2cf45abfb7e4b6893e5562",
+    ("pinf64", 11, "random", "choquet"): "0ce5da0c801bec8825102d16b521f57e79e74b68238980843f94e5de85afe58b",
+    ("pinf64", 11, "random", "bm"): "cc4503cabbe3e42999a43ab90688fca4d26ed0c27356ea5bbfe5805319e904ab",
+    ("pinf64", 11, "deepening", "choquet"): "cfacb9207e283bca74de8c408eb662280f1e36b4448a56f3b18886c497cd2702",
+    ("pinf64", 11, "deepening", "bm"): "261fb1b06ad91bc5cd30816dcac8d082588155068425778258299f2574139858",
+    ("pinf64", 40, "random", "choquet"): "c19811b5f60f30d9150e8ca61dc180b4f5e2594fc913d65a2a974b98b36c1e47",
+    ("pinf64", 40, "random", "bm"): "7e7e77e0825e1565b30108dcd69922279011e644d983e5c8b5bdb21bf7ccfeb1",
+    ("pinf64", 40, "deepening", "choquet"): "3c03907fb7ee2dd4954fcf65874b0768ddc50ee0781bda0f4e7c2ff262bb7b91",
+    ("pinf64", 40, "deepening", "bm"): "6a44f5ef4d302be52900f2fa36350376e4d6ebef6c97862d7d219090fb1325aa",
+    ("pinf128", 24, "random", "choquet"): "b586559bba6371a60b1d6c017d9e6beb36baed7e8b5532bcee45306f721a98b1",
+    ("pinf128", 24, "random", "bm"): "7a2448afba061eee5e9e98e868ff163bc4a8cc77ca675ad56e5837ef10771c4a",
+    ("pinf128", 24, "deepening", "choquet"): "6bc1484ba74b27bb8bdaa136911811ce976f71a3e3775e27da6f01ba28a333f6",
+    ("pinf128", 24, "deepening", "bm"): "e569b93f0c2dd04b8cb7f7ef2651d91c0b27292543ab23ec62e48b5d9865492b",
+    ("pn", 12, "random", "choquet"): "91813538ca13902623e11a532b805005d54226a4152078c22743e85c80055f91",
+    ("pn", 12, "random", "bm"): "05d8b81199065d04c6024e10f23a91e6948a3db438c4cbd55458bf15a9bf910f",
+    ("pn", 12, "deepening", "choquet"): "d632a06d48ce6644314fb8d5278c7565b3852a4da03e95694c1e860ea1c967b0",
+    ("pn", 12, "deepening", "bm"): "7937255049e61a4e620d324f7cef610c3b8ec39ce099d8496c262ed8b3bea83f",
+    ("clauses", 12, "random", "choquet"): "482d0e02e9e1f0fa164ccbcb0ec0e90c90c6befe8a677dbaa462273558c6d737",
+    ("clauses", 12, "random", "bm"): "439a90c85fae0f71378703e3ac3e47a3a1dd8b659d43130c87e97c5aa65f590b",
+    ("clauses", 12, "deepening", "choquet"): "f1a00728c2547565649cd1ef4d8361f56020f9f0bb513aba9ddc7b48a01da095",
+    ("clauses", 12, "deepening", "bm"): "15ca69fe9c4e7e25a3d177146e50f5816a9e9ce96e96c6ee8d63ca15cf4e8197",
+}
+
+
+@pytest.mark.parametrize("model, rounds, empty, game", sorted(PLAY_DIGESTS))
+def test_play_reports_match_golden_digests(capsys, model, rounds, empty, game):
+    argv = ["play", "--model", PLAY_MODELS[model], "--rounds", str(rounds), "--empty", empty,
+            "--game", game, "--seed", "7"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PLAY_DIGESTS[model, rounds, empty, game]
 
 
 def test_baire_verified_density_and_budget_exits(capsys):

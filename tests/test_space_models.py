@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hierkit.finite_space import FinitePoset
+from hierkit.finite_space import FinitePoset, bits, mask_of
 from hierkit.space_models import (
     INF,
     NOT_A_CLAUSE,
@@ -79,6 +79,105 @@ def test_pinf_generic_clause_ll_matches_closed_form():
     for a in range(128):
         for b in range(128):
             assert m.ll(a, b) == pinf_ll(m.descriptor(a), m.descriptor(b))
+
+
+class _EnumeratedPinf:
+    """Reference P_inf(N) at a given bound: row n < bound is generated as
+    the explicit singleton witnesses {n}, ..., {ceiling}, with the
+    ceiling just above the descriptor or the point's horizon, and every
+    query reads those lists (rows >= bound do not exist)."""
+
+    def __init__(self, bound):
+        self.bound = bound
+
+    def row(self, n, ceiling):
+        if n >= self.bound:
+            return None
+        return frozenset(), [frozenset((j,)) for j in range(n, ceiling + 1)]
+
+    def clause_status(self, i, n):
+        beta = frozenset(bits(i))
+        row = self.row(n, max(beta, default=0) + 1)
+        if row is None or not row[0] <= beta:
+            return NOT_A_CLAUSE
+        return SOLVED if any(g <= beta for g in row[1]) else UNSOLVED_CLAUSE
+
+    def n_u(self, i):
+        unsolved = (n for n in range(self.bound)
+                    if self.clause_status(i, n) == UNSOLVED_CLAUSE)
+        return next(unsolved, INF)
+
+    def ll(self, i, j):
+        if i & ~j:
+            return False
+        nu = self.n_u(i)
+        if nu == INF or self.clause_status(j, nu) == SOLVED:
+            return True
+        return any(self.clause_status(i, m) == NOT_A_CLAUSE
+                   and self.clause_status(j, m) == SOLVED for m in range(nu))
+
+    def check_point(self, x):
+        for n in range(self.bound):
+            alpha, gammas = self.row(n, max(x.horizon(), n) + 1)
+            if x.includes(alpha) and not any(x.includes(g) for g in gammas):
+                return n
+        return None
+
+    def refine_witness(self, x, i):
+        if not x.includes(bits(i)):
+            raise ValueError("point is not in the open to refine")
+        nu = self.n_u(i)
+        if nu == INF:
+            return i
+        for g in self.row(nu, max(x.horizon(), nu) + 1)[1]:
+            if x.includes(g):
+                return i | mask_of(g)
+        raise ValueError("point fails clause %d: not in the presented subspace" % nu)
+
+    def completion(self, i):
+        beta = frozenset(bits(i))
+        for x in (SetPoint(beta), SetPoint(beta, max(beta, default=-1) + 1)):
+            if self.check_point(x) is None:
+                return x
+        return None
+
+
+def _refined(model, x, i):
+    try:
+        return model.refine_witness(x, i)
+    except ValueError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 8, 16, 64])
+def test_pinf_closed_form_matches_enumerated_rows(bound):
+    rng = random.Random(bound)
+    m, ref = pinf_model(bound), _EnumeratedPinf(bound)
+    # wide indices have top >= bound - 1: no examined row is unsolved,
+    # so the truncation alone decides their answers
+    wide = [1 << top | rng.getrandbits(top)
+            for top in range(bound - 1, bound + 4) for _ in range(3)]
+    indices = list(range(256)) + wide
+    statuses = range(bound + 2)
+    for i in indices:
+        assert [m.clause_status(i, n) for n in statuses] == [
+            ref.clause_status(i, n) for n in statuses
+        ]
+        assert m.n_u(i) == ref.n_u(i)
+        assert m.completion(i) == ref.completion(i)
+        for j in [i | 1 << k for k in range(10)] + rng.sample(indices, 6):
+            assert m.ll(i, j) == ref.ll(i, j)
+        beta = m.descriptor(i)
+        top = max(beta, default=-1)
+        points = [SetPoint(beta)] + [
+            SetPoint(beta, cofinite_from=c) for c in (0, top + 1, rng.randrange(top + 3))
+        ]
+        for x in points:
+            assert m.check_point(x) == ref.check_point(x)
+            for j in (0, i, i & rng.getrandbits(top + 1), rng.choice(indices)):
+                assert _refined(m, x, j) == _refined(ref, x, j)
+    # the truncated regime: a finite point whose max is bound - 1 passes
+    assert m.check_point(SetPoint(m.descriptor(wide[0]))) is None
 
 
 def test_pn_ll_is_containment():
