@@ -31,7 +31,7 @@ def mask_of(xs):
 
 
 def popcount(mask):
-    return bin(mask).count("1")
+    return mask.bit_count()
 
 
 class FinitePoset:
@@ -112,22 +112,24 @@ class FinitePoset:
             m |= self.down[i]
         return m
 
-    def up_closure(self, mask):
-        m = 0
-        for i in bits(mask):
-            m |= self.up[i]
-        return m
-
-    def interior(self, mask):
-        return self.carrier & ~self.closure(self.carrier & ~mask)
-
     def opens(self):
-        """All open sets, sorted by (size, mask).  Cached."""
+        """All open sets, sorted by (size, mask).  Cached.
+
+        A depth-first search decides the points 0..n-1 in turn, carrying
+        the points decided inside and outside.  Putting point i inside
+        adds up[i]; leaving it out adds down[i] to the outside.  Points
+        already decided are skipped.  Neither choice can clash with an
+        earlier one, since a point above i left out, or below i put in,
+        would have decided i.  So every leaf is an up-set, each up-set
+        is reached once, and the cost follows the number of opens, not
+        2^n.
+        """
         try:
             return self._opens
         except AttributeError:
             pass
-        found = [m for m in range(1 << self.n) if self.is_open(m)]
+        found = []
+        _grow_up_sets(self.up, self.down, 0, 0, 0, found)
         found.sort(key=lambda m: (popcount(m), m))
         self._opens = found
         return found
@@ -145,9 +147,6 @@ class FinitePoset:
             above = [memo[j] for j in bits(self.up[i]) if j != i]
             memo[i] = 1 + max(above, default=0)
         return max(memo, default=0)
-
-    def maximal_elements(self):
-        return [i for i in range(self.n) if self.up[i] == 1 << i]
 
     # -- surgery ----------------------------------------------------------
 
@@ -190,18 +189,26 @@ class FinitePoset:
     # -- identity ------------------------------------------------------------
 
     def canon(self):
-        """Canonical form under relabeling (min adjacency bits over all
-        permutations).  Only sane for small n."""
+        """Canonical form under relabeling: the least adjacency bits over
+        the relabelings that sort the points by (|up|, |down|), taking
+        every order within each class of equal sizes.  Isomorphisms keep
+        both sizes, so this is still a complete invariant.  The cost is
+        the product of the class sizes' factorials (n! on an antichain),
+        so it is only sane for small n."""
+        n = self.n
+        sizes = [(popcount(u), popcount(d)) for u, d in zip(self.up, self.down)]
+        order = sorted(range(n), key=sizes.__getitem__)
+        classes = [list(g) for _, g in itertools.groupby(order, key=sizes.__getitem__)]
+        pairs = [(i, j) for i in range(n) for j in bits(self.up[i])]
         best = None
-        for perm in itertools.permutations(range(self.n)):
-            key = 0
-            for i in range(self.n):
-                for j in range(self.n):
-                    if self.leq(i, j):
-                        key |= 1 << (perm[i] * self.n + perm[j])
+        for orders in itertools.product(*map(itertools.permutations, classes)):
+            label = [0] * n
+            for k, i in enumerate(itertools.chain.from_iterable(orders)):
+                label[i] = k
+            key = sum(1 << (label[i] * n + label[j]) for i, j in pairs)
             if best is None or key < best:
                 best = key
-        return (self.n, best)
+        return (n, best)
 
     def __eq__(self, other):
         return isinstance(other, FinitePoset) and self.n == other.n and self.up == other.up
@@ -227,24 +234,59 @@ def random_poset(n, rng_or_seed, edge_prob=0.35):
     return FinitePoset.from_cover(n, pairs)
 
 
+def _grow_up_sets(up, down, i, inside, outside, found):
+    """FinitePoset.opens' search from point i on.  A module function,
+    not a closure: a recursive closure is a reference cycle that keeps
+    its lists alive until the garbage collector runs."""
+    decided = inside | outside
+    while i < len(up) and (decided >> i) & 1:
+        i += 1
+    if i == len(up):
+        found.append(inside)
+        return
+    _grow_up_sets(up, down, i + 1, inside | up[i], outside, found)
+    _grow_up_sets(up, down, i + 1, inside, outside | down[i], found)
+
+
+def _decide_pairs(pairs, k, up, into, out):
+    """all_posets' search from pairs[k] on.  up[a] and into[b] hold the
+    pairs (a, b) decided present so far, by row and by column.  A module
+    function for the same reason as _grow_up_sets."""
+    if k == len(pairs):
+        out.append(FinitePoset(len(up), [u | 1 << i for i, u in enumerate(up)]))
+        return
+    a, b = pairs[k]
+    # Absent: no decided y with (a, y) and (y, b) present.
+    if not up[a] & into[b]:
+        _decide_pairs(pairs, k + 1, up, into, out)
+    # Present: every (x, a) present has (x, b), where x = b breaks
+    # antisymmetry; and, once row b is decided (b < a), every (b, c)
+    # present whose (a, c) is decided (c < b) has (a, c) present.
+    if not into[a] & ~into[b] and not (b < a and up[b] & ~up[a] & ((1 << b) - 1)):
+        up[a] |= 1 << b
+        into[b] |= 1 << a
+        _decide_pairs(pairs, k + 1, up, into, out)
+        up[a] ^= 1 << b
+        into[b] ^= 1 << a
+
+
 def all_posets(n):
-    """Every poset on n labeled points (brute force; n <= 4 intended)."""
+    """Every poset on n labeled points, in the order of a scan over all
+    strict relations: pairs (a, b) in row-major order, each absent
+    before present.
+
+    A depth-first search decides the pairs in that order and prunes a
+    branch as soon as a decided pair breaks antisymmetry or a
+    transitivity triple whose three pairs are all decided.  Pruned
+    branches hold no poset, so the order is the scan's, and the cost
+    follows the number of posets (130,023 at n = 6) rather than the
+    2^(n(n-1)) relations.
+    """
     if n == 0:
         return []
-    strict_pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
     out = []
-    for picks in itertools.product([0, 1], repeat=len(strict_pairs)):
-        rel = {p for p, b in zip(strict_pairs, picks) if b}
-        # transitive?
-        if any((a, c) not in rel for (a, b) in rel for (b2, c) in rel
-               if b == b2 and a != c):
-            continue
-        if any((b, a) in rel for (a, b) in rel):
-            continue
-        up = [1 << i for i in range(n)]
-        for a, b in rel:
-            up[a] |= 1 << b
-        out.append(FinitePoset(n, up))
+    _decide_pairs(pairs, 0, [0] * n, [0] * n, out)
     return out
 
 

@@ -3,13 +3,15 @@ byte-level determinism, and the error JSON contract."""
 
 import hashlib
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
+import hierkit.cli
 from hierkit.cli import main
-from hierkit.finite_space import FinitePoset
+from hierkit.finite_space import FinitePoset, random_poset
 from hierkit.space_models import model_from_json
 
 CHAIN3 = '{"n": 3, "cover": [[0, 1], [1, 2]]}'
@@ -308,6 +310,55 @@ def test_audit_is_clean_and_counts(capsys):
     # Clopen pieces of disconnected posets break the identity below a
     # missing least element; recorded, but not defects.
     assert out["no_least_element_inequalities"]
+
+
+@pytest.mark.parametrize("size", ["0", "7"])
+def test_audit_rejects_sizes_outside_the_limit(capsys, monkeypatch, size):
+    def refuse(k):
+        raise AssertionError("enumerated posets on %d points" % k)
+
+    monkeypatch.setattr(hierkit.cli, "all_posets_upto_iso", refuse)
+    code, rep = run_cli(capsys, "audit", "--exhaustive", size)
+    assert code == 1
+    assert rep["error"]["kind"] == "validation"
+    assert "between 1 and 6" in rep["error"]["message"]
+
+
+# SHA-256 of the stdout of `hier audit --exhaustive N` and of `hier
+# classify --method all` on seeded random posets, recorded while opens,
+# all_posets and canon still scanned every mask, relation and
+# permutation.  The classify cases are (n, seed, edge_prob): the poset
+# is random_poset(n, rng, edge_prob) and the set takes each point with
+# probability 1/2, both from random.Random(seed).
+AUDIT_DIGESTS = {
+    4: "632b7fb1ceaf28ad3a7331c070dce960d9c354f5d718bd1bd97b39cd21e1b06f",
+    5: "fb820574c29debbf8b0c0cdd4b0e852a7ee17ec6534d6cc9b1fe7c4d94d11ec0",
+}
+CLASSIFY_DIGESTS = {
+    (8, 0, 0.35): "1d2093f6db3c6e66c7ddf8e9f7c8e627bf5f30316a327fcbc1e5326b8908a1ee",
+    (12, 1, 0.35): "18e7935494582f089eb75d49dcc34de4937eee5abf40309beb40baa936a0aa71",
+    (16, 2, 0.35): "62adc0aa690e83b8405d614f659ba0bd33ae057a5c152a4724ab17f112f273a9",
+    (12, 3, 0.1): "e849d339ed2ccde4dd38e19692692ac49a9d83313e6e02b77e667e606d1723b1",
+    (16, 4, 0.1): "d61e0edffc46cc97290f25fcbd16592a51cfe3460220b3a2386bf8ecc0683037",
+    (16, 5, 0.1): "55bc05b1bb4b8c30f849f67fb7bcc497b05b9924cfba9da5632dbd290e1009ea",
+}
+
+
+@pytest.mark.parametrize("n", sorted(AUDIT_DIGESTS))
+def test_audit_reports_match_golden_digests(capsys, n):
+    assert main(["audit", "--exhaustive", str(n)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == AUDIT_DIGESTS[n]
+
+
+@pytest.mark.parametrize("n, seed, edge_prob", sorted(CLASSIFY_DIGESTS))
+def test_classify_reports_match_golden_digests(capsys, n, seed, edge_prob):
+    rng = random.Random(seed)
+    poset = random_poset(n, rng, edge_prob)
+    members = ",".join(str(v) for v in range(n) if rng.random() < 0.5)
+    assert main(["classify", "--poset", poset.to_json(), "--set", members, "--method", "all"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CLASSIFY_DIGESTS[n, seed, edge_prob]
 
 
 def test_gen_posets_are_valid_and_seed_sensitive(capsys):

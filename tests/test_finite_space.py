@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from hierkit.finite_space import (
     all_posets_upto_iso,
     bits,
     mask_of,
+    popcount,
     random_poset,
 )
 
@@ -69,9 +71,11 @@ def test_counts_up_to_iso():
     assert len(all_posets_upto_iso(2)) == 2
     assert len(all_posets_upto_iso(3)) == 5
     assert len(all_posets_upto_iso(4)) == 16
-    # and labeled: 1, 3, 19, 219
+    assert len(all_posets_upto_iso(5)) == 63
+    # and labeled: 1, 3, 19, 219, 4231
     assert len(all_posets(3)) == 19
     assert len(all_posets(4)) == 219
+    assert len(all_posets(5)) == 4231
 
 
 @given(rand_posets())
@@ -107,3 +111,91 @@ def test_closure_is_a_closure_operator(p, seed):
 
 def test_bits_mask_roundtrip():
     assert list(bits(mask_of([0, 3, 5]))) == [0, 3, 5]
+
+
+# -- the enumerations against brute-force references ---------------------------
+
+
+def scan_opens(p):
+    """Reference: test every mask, sort by (size, mask)."""
+    found = [m for m in range(1 << p.n) if p.is_open(m)]
+    found.sort(key=lambda m: (popcount(m), m))
+    return found
+
+
+def scan_all_posets(n):
+    """Reference: every strict relation in itertools.product order, kept
+    when transitive and antisymmetric."""
+    if n == 0:
+        return []
+    strict_pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    out = []
+    for picks in itertools.product([0, 1], repeat=len(strict_pairs)):
+        rel = {p for p, b in zip(strict_pairs, picks) if b}
+        if any((a, c) not in rel for (a, b) in rel for (b2, c) in rel
+               if b == b2 and a != c):
+            continue
+        if any((b, a) in rel for (a, b) in rel):
+            continue
+        up = [1 << i for i in range(n)]
+        for a, b in rel:
+            up[a] |= 1 << b
+        out.append(FinitePoset(n, up))
+    return out
+
+
+def permutation_canon(p):
+    """Reference: least adjacency bits over all n! relabelings."""
+    best = None
+    for perm in itertools.permutations(range(p.n)):
+        key = 0
+        for i in range(p.n):
+            for j in range(p.n):
+                if p.leq(i, j):
+                    key |= 1 << (perm[i] * p.n + perm[j])
+        if best is None or key < best:
+            best = key
+    return (p.n, best)
+
+
+def relabel(p, perm):
+    up = [0] * p.n
+    for i in range(p.n):
+        up[perm[i]] = mask_of(perm[j] for j in bits(p.up[i]))
+    return FinitePoset(p.n, up)
+
+
+@given(st.integers(0, 12), st.integers(0, 10**6), st.floats(0, 1))
+@settings(max_examples=80, deadline=None)
+def test_opens_match_mask_scan(n, seed, edge_prob):
+    p = random_poset(n, seed, edge_prob)
+    assert p.opens() == scan_opens(p)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 12])
+def test_opens_match_mask_scan_on_chains_and_antichains(n):
+    for p in (FinitePoset.chain(n), FinitePoset.antichain(n)):
+        assert p.opens() == scan_opens(p)
+    assert len(FinitePoset.chain(n).opens()) == n + 1
+    assert len(FinitePoset.antichain(n).opens()) == 1 << n
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_all_posets_match_relation_scan_in_order(n):
+    assert [p.up for p in all_posets(n)] == [p.up for p in scan_all_posets(n)]
+
+
+@given(rand_posets(), st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_canon_is_invariant_under_relabeling(p, rng):
+    perm = list(range(p.n))
+    rng.shuffle(perm)
+    assert relabel(p, perm).canon() == p.canon()
+
+
+def test_canon_separates_the_5_point_classes():
+    # Invariance (above) plus 63 distinct values over all 4231 labeled
+    # posets: canon neither splits nor merges an isomorphism class.
+    assert len({p.canon() for p in all_posets(5)}) == 63
+    reps = all_posets_upto_iso(5)
+    assert len({permutation_canon(p) for p in reps}) == 63
