@@ -70,10 +70,15 @@ def kb_less(s, t):
     return len(s) > len(t)
 
 
-def kb_sorted(nodes):
-    import functools
+def _kb_key(s):
+    # a node's closing (1,) sorts after any extension's next (0, x), so
+    # proper extensions come first and the root () comes last
+    return tuple((0, x) for x in s) + ((1,),)
 
-    return sorted(nodes, key=functools.cmp_to_key(lambda a, b: -1 if kb_less(a, b) else 1))
+
+def kb_sorted(nodes):
+    """Nodes in Kleene-Brouwer order, the order of `kb_less`."""
+    return sorted(nodes, key=_kb_key)
 
 
 # -- labeled alternating trees -------------------------------------------

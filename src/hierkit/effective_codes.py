@@ -504,9 +504,6 @@ class StagedTree:
     def wf(self):
         return WfTree(self.nodes.keys())
 
-    def type_of(self, seq):
-        return self.nodes[tuple(seq)][0]
-
     def leaves(self):
         prefixes = {seq[:-1] for seq in self.nodes}
         return [seq for seq in self.nodes if seq not in prefixes]
@@ -665,19 +662,17 @@ def effective_hausdorff_transform(pres, model, stage_budget, **kw):
     order = kb_sorted(tree.wf().nodes)
     if order[-1] != ():
         raise AssertionError("root is not Kleene-Brouwer-last")
-    for r in range(len(order)):
+    slots = []
+    for r, seq in enumerate(order):
         start = block_start(r)
         for gamma, want in _GAMMA_PROBES:
             if (start + gamma).parity() != want:
                 raise AssertionError("slot parity drifted in block %d" % r)
+        if seq:
+            eps = tree.nodes[seq][0]
+            rank = start + OMEGA + Ordinal.from_int(eps)
+            slots.append(Slot(seq, rank, eps, seq[-1][0]))
     xi = block_start(len(order))
-    slots = []
-    for r, seq in enumerate(order):
-        if not seq:
-            continue
-        eps = tree.nodes[seq][0]
-        rank = block_start(r) + OMEGA + Ordinal.from_int(eps)
-        slots.append(Slot(seq, rank, eps, seq[-1][0]))
     entries = tuple((s.rank, s.open_index) for s in slots)
     diff_code = DiffCode(xi, "D", entries)
     trees = tuple(BorelCode([(), (s.open_index,)]) for s in slots)

@@ -100,10 +100,6 @@ class Ordinal:
 
     # -- comparison ----------------------------------------------------
 
-    def _key(self):
-        # Pad comparison: longer term list wins among equal prefixes.
-        return self.terms
-
     def __eq__(self, other):
         if isinstance(other, int):
             other = Ordinal.from_int(other)

@@ -580,13 +580,21 @@ class CylinderModel:
     is covering-aware: [w] lies in a union if some member is a prefix
     of w, or every deep enough extension of w has one.  The relation
     ll(U, V) = "V nonempty and V <= U" is an approximation relation by
-    compactness of the product space."""
+    compactness of the product space.
+
+    Each instance memoizes the covering test `basic_subset(i, j)`, which
+    `ll`, `union_subset` and every caller of those go through, keyed by
+    the ordered pair (i, j), and the decoding `words(i)`, kept as a
+    tuple so that no caller can change a cached value.  Both are plain
+    dicts that live as long as the model and are never evicted."""
 
     def __init__(self, alphabet=2):
         if alphabet < 2:
             raise ValueError("alphabet needs at least two letters")
         self.alphabet = alphabet
         self.kind = "cylinder"
+        self._words_memo = {}
+        self._subset_memo = {}
 
     def word_code(self, word):
         return _word_code(tuple(word), self.alphabet)
@@ -595,7 +603,10 @@ class CylinderModel:
         return _code_word(c, self.alphabet)
 
     def words(self, i):
-        return [self.code_word(c) for c in bits(i)]
+        ws = self._words_memo.get(i)
+        if ws is None:
+            ws = self._words_memo[i] = tuple(self.code_word(c) for c in bits(i))
+        return ws
 
     def singleton(self, word):
         return 1 << self.word_code(word)
@@ -629,8 +640,13 @@ class CylinderModel:
         )
 
     def basic_subset(self, i, j):
-        cover = self.words(j)
-        return all(self._covered(w, cover) for w in self.words(i))
+        inside = self._subset_memo.get((i, j))
+        if inside is None:
+            cover = self.words(j)
+            inside = self._subset_memo[i, j] = all(
+                self._covered(w, cover) for w in self.words(i)
+            )
+        return inside
 
     def union_subset(self, i, indices):
         u = 0

@@ -77,6 +77,27 @@ def test_kb_is_total_and_antisymmetric(seqs):
             assert kb_less(a, b) != kb_less(b, a)
 
 
+_KB_PATHS = st.one_of(
+    st.lists(st.lists(st.integers(0, 3), max_size=4), max_size=10),
+    st.lists(
+        st.lists(st.tuples(st.integers(0, 5), st.integers(1, 4)), max_size=4),
+        max_size=10,
+    ),
+)
+
+
+@given(_KB_PATHS)
+def test_kb_sorted_agrees_with_kb_less(paths):
+    # prefix-closed trees with int entries or with (m, t) entries, as
+    # the staged transform builds them
+    nodes = WfTree({tuple(p[:d]) for p in paths for d in range(len(p) + 1)}).nodes
+    order = kb_sorted(nodes)
+    assert order[-1] == ()
+    rank = {node: r for r, node in enumerate(order)}
+    for a, b in itertools.product(nodes, repeat=2):
+        assert kb_less(a, b) == (rank[a] < rank[b])
+
+
 def test_labeled_tree_validation():
     p = FinitePoset.chain(3)
     t = WfTree([(0,)])

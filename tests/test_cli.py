@@ -2,6 +2,7 @@
 byte-level determinism, and the error JSON contract."""
 
 import hashlib
+import itertools
 import json
 import random
 import subprocess
@@ -294,6 +295,63 @@ def test_transform_budget_exit_carries_partial_report(capsys):
     assert rep["error"]["kind"] == "budget"
     assert rep["report"]["verification"]["status"] == "INCOMPLETE"
     assert rep["report"]["verification"]["mismatches"]
+
+
+def _cylinder_points(k, length):
+    """Every word of the given length with every constant tail."""
+    return json.dumps([
+        {"prefix": list(p), "cycle": [t]}
+        for p in itertools.product(range(k), repeat=length)
+        for t in range(k)
+    ])
+
+
+FIRST_ONE = '{"kind": "first-one"}'
+TWO_CHAINS = '{"kind": "poset", "poset": {"n": 4, "cover": [[0, 1], [2, 3]]}}'
+TRANSFORM_ARGV = {
+    **{
+        "first-one-2-%d" % b: (
+            "--model", '{"kind": "cylinder", "alphabet": 2}', "--presentation", FIRST_ONE,
+            "--budget", str(b), "--max-budget", str(b), "--points", _cylinder_points(2, 3),
+        )
+        for b in (16, 64, 256)
+    },
+    # the criterion-8 ladder: 243 points, budgets 16 up to 256
+    "first-one-3-ladder": (
+        "--model", '{"kind": "cylinder", "alphabet": 3}', "--presentation", FIRST_ONE,
+        "--budget", "16", "--max-budget", "256", "--points", _cylinder_points(3, 4),
+    ),
+    # opens 3 and 5 are the two components {0, 1} and {2, 3}
+    "poset-clopen": (
+        "--model", TWO_CHAINS, "--presentation", '{"kind": "clopen", "inside": 3, "outside": 5}',
+        "--budget", "8", "--max-budget", "64", "--points", "[0, 1, 2, 3]",
+    ),
+    "poset-rows": (
+        "--model", TWO_CHAINS,
+        "--presentation", '{"kind": "rows", "rows1": [[1, 2], [4]], "rows0": [[3], [5, 6]]}',
+        "--budget", "16",
+    ),
+}
+
+# (exit code, SHA-256 of stdout) of `hier transform` on TRANSFORM_ARGV,
+# recorded while every covering test and word decoding was recomputed
+# on each call.  At budget 16 the binary word 0001 is not yet visible,
+# so that report is an honest budget exit.
+TRANSFORM_DIGESTS = {
+    "first-one-2-16": (2, "f9dab883b3462e1418603941f7b64af7e76cf19af6bd0ac19fedbd935e94a0ca"),
+    "first-one-2-64": (0, "f4a52a3169b6418ad3a74e0a0ce4a8f5e4c838a912d6df0f787743a0a19da486"),
+    "first-one-2-256": (0, "dd2653e7702f870c6f6e615de81e48232555abe13258b5155b54fc3b7cfa95a0"),
+    "first-one-3-ladder": (0, "4f7fc52a1819f9d270e4907bedb2f81d2db598847155ac351bdbb83b53ac61a3"),
+    "poset-clopen": (0, "78bc7085d15800f4d6a4003d8e5b17245b52ffb5503a45874e538cb6274614cd"),
+    "poset-rows": (0, "90344d586e6f850abdc4dad0dc5b77086fe3c0377f6be11c65f61644e01aa214"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRANSFORM_DIGESTS))
+def test_transform_reports_match_golden_digests(capsys, case):
+    code = main(["transform", *TRANSFORM_ARGV[case]])
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == TRANSFORM_DIGESTS[case]
 
 
 # -- audit and gen -------------------------------------------------------------

@@ -6,7 +6,10 @@ Baire construction on cylinder spaces.  Property tests then confirm the
 approximation-relation conditions on every shipped model.
 """
 
+import functools
+import itertools
 import json
+import operator
 import random
 
 import pytest
@@ -348,6 +351,111 @@ def test_cylinder_covering_awareness():
     three = CylinderModel(3)
     both = three.singleton((0,)) | three.singleton((1,))
     assert not three.basic_subset(three.singleton(()), both)
+
+
+# Reference copies of the covering code as it stood before the model
+# memoized it: every call decodes both indices and re-runs the test.
+
+
+def _ref_words(k, i):
+    out = []
+    for c in bits(i):
+        length, start, block = 0, 0, 1
+        while start + block <= c:
+            start, block, length = start + block, block * k, length + 1
+        v, word = c - start, []
+        for _ in range(length):
+            word.append(v % k)
+            v //= k
+        out.append(tuple(reversed(word)))
+    return out
+
+
+def _ref_covered(k, word, cover):
+    if any(word[: len(v)] == v for v in cover):
+        return True
+    depth = max((len(v) for v in cover), default=0)
+    if len(word) >= depth:
+        return False
+    need = k ** (depth - len(word))
+    have = sum(k ** (depth - len(v)) for v in cover if v[: len(word)] == word)
+    if have < need:
+        return False
+    exts = itertools.product(range(k), repeat=depth - len(word))
+    return all(any((word + e)[: len(v)] == v for v in cover) for e in exts)
+
+
+def _ref_subset(k, i, j):
+    cover = _ref_words(k, j)
+    return all(_ref_covered(k, w, cover) for w in _ref_words(k, i))
+
+
+def _ref_answer(k, query):
+    name, i, j = query
+    if name == "basic_subset":
+        return _ref_subset(k, i, j)
+    if name == "ll":
+        return j != 0 and _ref_subset(k, j, i)
+    if name == "union_subset":
+        return _ref_subset(k, i, functools.reduce(operator.or_, j, 0))
+    return tuple(_ref_words(k, i))
+
+
+def _ask(model, query):
+    name, i, j = query
+    return model.words(i) if name == "words" else getattr(model, name)(i, j)
+
+
+def _cylinder_indices(k, rng, count):
+    """Indices of up to 256 bits: sparse and dense masks, whole levels
+    (covers of the root found only by the leaf count), levels with one
+    word missing, and bitwise subsets of earlier indices."""
+    levels, start = [], 0
+    while start + k ** len(levels) <= 256:
+        size = k ** len(levels)
+        levels.append(((1 << size) - 1) << start)
+        start += size
+    out = [0, 1]
+    while len(out) < count:
+        shape = rng.randrange(5)
+        width = rng.randint(1, 256)
+        if shape == 0:
+            i = functools.reduce(
+                operator.or_, (1 << rng.randrange(width) for _ in range(rng.randint(1, 4)))
+            )
+        elif shape == 1:
+            i = rng.getrandbits(width)
+        elif shape == 2:
+            i = rng.choice(levels) | (1 << rng.randrange(width))
+        elif shape == 3:
+            level = rng.choice(levels[1:])
+            i = level & ~(1 << rng.choice(list(bits(level))))
+        else:
+            prev = rng.choice(out)
+            i = prev & rng.getrandbits(max(prev.bit_length(), 1))
+        out.append(i)
+    return out
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_cylinder_memo_matches_uncached_covering(k):
+    rng = random.Random(k)
+    pool = _cylinder_indices(k, rng, 40)
+    memo = CylinderModel(k)
+    for _ in range(150):
+        a, b, c = (rng.choice(pool) for _ in range(3))
+        queries = [
+            ("basic_subset", a, b), ("basic_subset", b, a),
+            ("ll", a, b), ("ll", b, a),
+            ("union_subset", a, (b, c)), ("union_subset", c, (b, a)),
+            ("words", a, None), ("words", b, None),
+        ]
+        rng.shuffle(queries)
+        for query in queries:
+            got = _ask(memo, query)
+            assert got == _ask(CylinderModel(k), query) == _ref_answer(k, query), query
+    assert all(type(memo.words(i)) is tuple for i in pool)
+    assert memo.words(0) == ()
 
 
 def test_cylinder_points_and_searches():
