@@ -44,7 +44,6 @@ from hierkit.effective_codes import (
     eval_hausdorff_code,
     presentation_from_json,
     verify_transform,
-    whole_space_index,
 )
 from hierkit.finite_space import FinitePoset, all_posets_upto_iso, bits, random_poset
 from hierkit.games import (
@@ -57,12 +56,7 @@ from hierkit.games import (
     stationary_from_relation,
 )
 from hierkit.residues import hausdorff_decompose, residue_levels
-from hierkit.space_models import (
-    SearchExhausted,
-    baire_witness,
-    model_from_json,
-    point_from_json,
-)
+from hierkit.space_models import SearchExhausted, baire_witness, model_from_json
 
 VALIDATION = 1
 BUDGET = 2
@@ -139,7 +133,7 @@ def _set_arg(text, poset):
 
 def _point_arg(model, text):
     try:
-        return point_from_json(model, _arg_json(text, "point"))
+        return model.point_from_json(_arg_json(text, "point"))
     except (KeyError, TypeError, ValueError) as e:
         raise CliError(VALIDATION, "bad point: %s" % e)
 
@@ -164,10 +158,6 @@ def _tree_json(lt):
             {"node": list(n), "label": lt.labels[n]} for n in sorted(lt.tree.nodes)
         ],
     }
-
-
-def _point_json(x):
-    return x.to_json() if hasattr(x, "to_json") else x
 
 
 # -- subcommands -------------------------------------------------------------
@@ -248,7 +238,8 @@ def _cmd_play(args):
     model, mdata = _model_arg(args.model)
     rng = random.Random(args.seed)
     mover = {"random": RandomEmpty, "deepening": DeepeningEmpty}[args.empty]
-    empty = mover(model, rng, first=args.first)
+    first = None if args.first is None else model.check_index(args.first)
+    empty = mover(model, rng, first=first)
     tau = stationary_from_relation(model)
     game = CHOQUET if args.game == "choquet" else BANACH_MAZUR
     nonempty = tau if game == CHOQUET else BMFromChoquet(tau, model)
@@ -260,10 +251,10 @@ def _cmd_play(args):
         "empty": args.empty,
         "first": args.first,
     }
-    return inputs, {"transcript": transcript.to_json()}
+    return inputs, {"transcript": transcript.to_json(model)}
 
 
-def _normalize_dense(data):
+def _normalize_dense(data, model):
     dense = []
     for i, entry in enumerate(data):
         if isinstance(entry, dict):
@@ -275,7 +266,7 @@ def _normalize_dense(data):
                 VALIDATION,
                 "dense constraint %d must be {u, f} or a [u, f] pair" % i,
             )
-        dense.append((tuple(int(j) for j in u), tuple(int(j) for j in f)))
+        dense.append(tuple(tuple(model.check_index(int(j)) for j in part) for part in (u, f)))
     if not dense:
         raise CliError(VALIDATION, "need at least one dense constraint")
     return dense
@@ -283,8 +274,8 @@ def _normalize_dense(data):
 
 def _cmd_baire(args):
     model, mdata = _model_arg(args.model)
-    dense = _normalize_dense(_arg_json(args.dense, "dense"))
-    target = whole_space_index(model) if args.target is None else int(args.target)
+    dense = _normalize_dense(_arg_json(args.dense, "dense"), model)
+    target = model.whole_index() if args.target is None else model.check_index(args.target)
     result = baire_witness(model, dense, target, budget=args.budget)
     inputs = {
         "model": _digest(mdata),
@@ -295,15 +286,15 @@ def _cmd_baire(args):
     if result.outcome == "BUDGET_EXCEEDED":
         raise CliError(
             BUDGET, "chain search exhausted budget %d" % args.budget,
-            result=result.to_json(),
+            result=result.to_json(model),
         )
     if result.outcome == "DENSITY_VIOLATION":
         raise CliError(
             VALIDATION,
             "constraint %s is not dense along the chain" % result.failed_index,
-            result=result.to_json(),
+            result=result.to_json(model),
         )
-    return inputs, result.to_json()
+    return inputs, result.to_json(model)
 
 
 def _cmd_eval_code(args):
@@ -322,7 +313,7 @@ def _cmd_eval_code(args):
         value = eval_hausdorff_code(code, model, x)
     else:
         try:
-            entries = tuple((int(r), int(h)) for r, h in data["entries"])
+            entries = tuple((int(r), model.check_index(int(h))) for r, h in data["entries"])
             code = DiffCode(int(data["alpha"]), data.get("polarity", "D"), entries)
         except (KeyError, TypeError) as e:
             raise CliError(VALIDATION, "bad diff code: %s" % e)
@@ -331,7 +322,7 @@ def _cmd_eval_code(args):
         "model": _digest(mdata),
         "code": _digest(data),
         "kind": kind,
-        "point": _digest(_point_json(x)),
+        "point": _digest(model.point_to_json(x)),
         "side": args.side if kind == "borel" else None,
     }
     return inputs, {"value": value}
@@ -352,14 +343,14 @@ def _cmd_transform(args):
         return inputs, {"result": result.to_json(), "verification": None}
 
     pts_data = _arg_json(args.points, "points")
-    points = [point_from_json(model, p) for p in pts_data]
-    inputs["points"] = _digest([_point_json(x) for x in points])
+    points = [model.point_from_json(p) for p in pts_data]
+    inputs["points"] = _digest([model.point_to_json(x) for x in points])
     report = verify_transform(
         pres, model, points, args.budget, max_budget=args.max_budget
     )
     table = [
         {
-            "point": _point_json(x),
+            "point": model.point_to_json(x),
             "transform": report.result.eval_point(model, x),
             "oracle": bool(pres.member(x)),
         }
@@ -373,7 +364,7 @@ def _cmd_transform(args):
             "status": report.status,
             "budgets": list(report.budgets),
             "first_change": report.first_change,
-            "mismatches": [_point_json(x) for x in report.mismatches],
+            "mismatches": [model.point_to_json(x) for x in report.mismatches],
             "table": table,
         },
     }

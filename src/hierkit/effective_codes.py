@@ -33,14 +33,8 @@ from dataclasses import dataclass
 
 from hierkit.alt_trees import WfTree, kb_sorted
 from hierkit.diff_hierarchy import DiffCode, SearchBudgetExceeded, embed_co
-from hierkit.finite_space import bits
 from hierkit.ordinals import OMEGA, Ordinal
-from hierkit.space_models import (
-    CylinderModel,
-    FinitePosetModel,
-    index_visible,
-    staged_ll,
-)
+from hierkit.space_models import index_visible, staged_ll
 
 SIGMA = "sigma"
 PI = "pi"
@@ -262,16 +256,6 @@ class StagedPresentation:
         return dict(self.json_form)
 
 
-def whole_space_index(model):
-    if isinstance(model, UnionClosureAdapter):
-        return 1 << whole_space_index(model.base)
-    if hasattr(model, "singleton"):
-        return model.singleton(())
-    if hasattr(model, "opens"):
-        return len(model.opens) - 1
-    return 0
-
-
 def clopen_presentation(model, inside, outside, member=None):
     """Constant rows: every row of side 1 is {inside}, of side 0 is
     {outside}.  Correct exactly when the two opens partition the space,
@@ -287,7 +271,7 @@ def clopen_presentation(model, inside, outside, member=None):
 
 
 def empty_presentation(model):
-    whole = whole_space_index(model)
+    whole = model.whole_index()
     return StagedPresentation(
         lambda eps, n, t: (whole,) if eps == 0 else (),
         member=lambda x: False,
@@ -303,8 +287,8 @@ def first_one_presentation(model):
     is a genuine countable intersection: row n is [0^n] together with
     every [0^k j], k < n, j >= 2.
     """
-    if not isinstance(model, CylinderModel):
-        raise TypeError("this presentation lives on a cylinder model")
+    if model.kind != "cylinder":
+        raise ValueError("the first-one presentation lives on a cylinder model")
     k = model.alphabet
 
     def visible_singleton(word, t):
@@ -386,55 +370,6 @@ def presentation_from_json(model, data):
     if kind == "first-one":
         return first_one_presentation(model)
     raise ValueError("unknown presentation kind %r" % kind)
-
-
-class UnionClosureAdapter:
-    """Finite-union closure for bases without a union operator.
-
-    Adapter indices are bitmasks over base indices, so the union map is
-    bitwise or and the empty mask is the empty union.  The containment
-    reading of ll is kept; for cone-like bases, where a basic open
-    inside a finite union always sits inside a single member, this
-    preserves the approximation-relation conditions.
-    """
-
-    def __init__(self, base):
-        self.base = base
-        self.kind = "union-closure"
-
-    def lam(self, indices):
-        u = 0
-        for i in indices:
-            u |= i
-        return u
-
-    def point_in_basic(self, x, i):
-        return any(self.base.point_in_basic(x, a) for a in bits(i))
-
-    def point_in_union(self, x, indices):
-        return any(self.point_in_basic(x, i) for i in indices)
-
-    def basic_nonempty(self, i):
-        return any(self.base.basic_nonempty(a) for a in bits(i))
-
-    def basic_subset(self, i, j):
-        members = tuple(bits(j))
-        return all(self.base.union_subset(a, members) for a in bits(i))
-
-    def union_subset(self, i, indices):
-        return self.basic_subset(i, self.lam(indices))
-
-    def ll(self, i, j):
-        return self.basic_nonempty(j) and self.basic_subset(j, i)
-
-    def some_point_in(self, i):
-        for a in bits(i):
-            if self.base.basic_nonempty(a):
-                return self.base.some_point_in(a)
-        return None
-
-    def candidate_indices(self, limit):
-        return (1 << a for a in range(limit))
 
 
 # -- the F counter and the alternating tree ----------------------------------

@@ -16,7 +16,10 @@ import random
 
 def bits(mask):
     """Indices of set bits, ascending.  Sparse-friendly: cost scales
-    with the number of set bits, not the mask width."""
+    with the number of set bits, not the mask width.  A negative mask
+    has infinitely many set bits and is refused."""
+    if mask < 0:
+        raise ValueError("bit mask %d is negative" % mask)
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1

@@ -1,17 +1,19 @@
 """Strong Choquet and Banach-Mazur game engines.
 
-Plays run against any model exposing the shared basis surface
-(point membership, containment, ll).  Empty's moves are pairs
-(point, open-as-tuple-of-basis-indices); Nonempty answers with a single
-basis index.  The Banach-Mazur variant drops the points.
+Plays run against any ``space_models.SpaceModel`` (point membership,
+containment, ll, and the indices and JSON forms of its points).  Empty's
+moves are pairs (point, open-as-tuple-of-basis-indices); Nonempty
+answers with a single basis index.  The Banach-Mazur variant drops the
+points: Nonempty sees only the open of Empty's move.
 
-Verdicts are honest about finiteness: a bounded play on a finite
-carrier has an exact winner (legal opens only ever shrink, and a finite
-lattice cannot shrink forever, so the final intersection decides the
-whole infinite play).  On symbolic models the engine certifies a
-Nonempty win only when the played opens form a ll-increasing chain
-whose limit point it can actually construct and verify; otherwise the
-transcript says UNDECIDED and keeps the partial chain.
+Verdicts are honest about finiteness: a bounded play on a model whose
+``finite`` flag is set has an exact winner (legal opens only ever
+shrink, and a finite lattice cannot shrink forever, so the final
+intersection decides the whole infinite play).  On the other models the
+engine certifies a Nonempty win only when the played opens form a
+ll-increasing chain whose limit point it can actually construct and
+verify; otherwise the transcript says UNDECIDED and keeps the partial
+chain.
 
 The two constructions tying relations to stationary strategies both
 live here: a relation yields the two-nested-least-searches strategy,
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from hierkit.space_models import FinitePosetModel, SearchExhausted
+from hierkit.space_models import SearchExhausted
 
 NONEMPTY_WINS = "NONEMPTY_WINS"
 EMPTY_WINS = "EMPTY_WINS"
@@ -48,24 +50,21 @@ class Transcript:
     def opens_played(self):
         return [v for _, _, v in self.rounds]
 
-    def to_json(self):
+    def to_json(self, model):
         def enc_point(x):
-            return x.to_json() if hasattr(x, "to_json") else x
+            return None if x is None else model.point_to_json(x)
 
         return {
             "game": self.game,
             "rounds": [
                 {
-                    "empty": {
-                        "point": None if x is None else enc_point(x),
-                        "open": list(u),
-                    },
+                    "empty": {"point": enc_point(x), "open": list(u)},
                     "nonempty": v,
                 }
                 for x, u, v in self.rounds
             ],
             "outcome": self.outcome,
-            "witness": enc_point(self.witness) if self.witness is not None else None,
+            "witness": enc_point(self.witness),
             "reason": self.reason,
         }
 
@@ -110,7 +109,7 @@ def relation_from_strategy(tau, model):
     """Read a relation off a stationary strategy on a finite carrier:
     B ll C iff some basic D <= B and some x in D have x in C and
     C <= tau(x, D).  Returns the set of index pairs."""
-    if not isinstance(model, FinitePosetModel):
+    if not model.finite:
         raise TypeError("strategy-to-relation reading needs a finite carrier")
     idx = list(model.candidate_indices())
     rel = set()
@@ -149,21 +148,7 @@ class RandomEmpty:
     def _opening(self):
         if self.first is not None:
             return self.first
-        m = self.model
-        if isinstance(m, FinitePosetModel):
-            return self.rng.choice(
-                [i for i in m.candidate_indices() if m.basic_nonempty(i)]
-            )
-        if hasattr(m, "singleton"):
-            w = tuple(
-                self.rng.randrange(m.alphabet) for _ in range(self.rng.randrange(3))
-            )
-            return m.singleton(w)
-        return m.index_of(
-            frozenset(
-                self.rng.sample(range(6), self.rng.randrange(3))
-            )
-        )
+        return self.model.random_open(self.rng)
 
     def move(self, v_prev):
         u = self._opening() if v_prev is None else v_prev
@@ -189,7 +174,7 @@ class DeepeningEmpty:
         if v_prev is None:
             u = self.first
             if u is None:
-                u = RandomEmpty(self.model, self.rng)._opening()
+                u = self.model.random_open(self.rng)
         else:
             u = self.model.random_ll_successor(v_prev, self.rng)
         x = self.model.some_point_in(u)
@@ -243,9 +228,7 @@ def play(model, empty, nonempty, rounds, game=CHOQUET):
             legal = model.point_in_basic(x, v) and model.union_subset(v, u)
         else:
             x = None
-            u = move
-            if isinstance(move, tuple) and len(move) == 2 and isinstance(move[1], tuple):
-                u = move[1]  # a point-and-open mover reused point-free
+            _, u = move
             if any(not model.basic_nonempty(i) for i in u) or (
                 v_prev is not None and not _union_inside(model, u, v_prev)
             ):
@@ -271,7 +254,7 @@ def _decide(model, t):
     if not opens:
         t.outcome, t.reason = UNDECIDED, "no rounds played"
         return t
-    if isinstance(model, FinitePosetModel):
+    if model.finite:
         # legal opens only shrink, so the bounded intersection equals
         # the last open, and on a finite lattice the infinite play
         # stabilizes there: the verdict is exact

@@ -1,8 +1,9 @@
 """Symbolic presentations of infinite spaces.
 
-Three families of models share a small duck-typed surface (basis by
-integer index, decidable point membership, decidable containment, an
-approximation relation ``ll``):
+Three families of models subclass ``SpaceModel``, the one surface that
+callers use (basis by non-negative integer index, decidable point
+membership and containment, an approximation relation ``ll``, JSON
+forms of points; its docstring lists every member):
 
 * ``PSpaceModel``: a subspace of P(N) with the Scott topology cut out
   by a clause system ``forall n (alpha_n <= X  =>  exists gamma in I_n,
@@ -48,6 +49,72 @@ SOLVED = "solved"
 
 class SearchExhausted(Exception):
     """A bounded least-search ran out of candidates."""
+
+
+# -- the model surface ------------------------------------------------------
+
+
+class SpaceModel:
+    """An approximation space: a basis of opens indexed by non-negative
+    integers and a relation ``ll`` from which Nonempty gets a stationary
+    winning strategy in the Choquet game.  Every model has
+
+    * ``kind``, its JSON tag, and ``finite``, True only on a finite
+      carrier (where a bounded play has an exact verdict);
+    * ``point_in_basic``, ``point_in_union``, ``basic_subset``,
+      ``union_subset``, ``basic_nonempty``, ``ll``, and ``lam``, the
+      index of a finite union (ValueError where there is none);
+    * ``some_point_in``, ``chain_limit``, ``least_containing``,
+      ``least_ll_above`` and ``random_ll_successor``;
+    * ``candidate_indices``, ``whole_index``, ``random_open`` (Empty's
+      random opening) and ``check_index``;
+    * ``point_to_json``, ``point_from_json`` and ``to_json``.
+
+    The methods below are shared; a model overrides those that differ.
+    """
+
+    finite = False
+
+    def point_in_union(self, x, indices):
+        return any(self.point_in_basic(x, i) for i in indices)
+
+    def union_subset(self, i, indices):
+        return self.basic_subset(i, self.lam(indices))
+
+    def ll(self, i, j):
+        return self.basic_nonempty(j) and self.basic_subset(j, i)
+
+    def check_chain(self, chain):
+        """Raise ValueError unless the chain is ll-increasing."""
+        for k in range(len(chain) - 1):
+            if not self.ll(chain[k], chain[k + 1]):
+                raise ValueError("chain is not ll-increasing at step %d" % k)
+
+    def chain_limit(self, chain):
+        """A point of every member of a ll-increasing chain: any point
+        of its last member."""
+        self.check_chain(chain)
+        x = self.some_point_in(chain[-1])
+        if x is None:
+            raise ValueError("chain ends in the empty open")
+        for i in chain:  # pragma: no branch
+            if not self.point_in_basic(x, i):  # pragma: no cover
+                raise AssertionError("limit point escaped a chain member")
+        return x
+
+    def check_index(self, i):
+        """The index itself if it names a basic open, else ValueError."""
+        if i < 0:
+            raise ValueError("basis index %d is negative" % i)
+        return i
+
+    def point_to_json(self, x):
+        return x.to_json()
+
+    def point_from_json(self, data):
+        """Decode with the model's ``point_type`` (``SetPoint`` or
+        ``CylPoint``), which also takes JSON text."""
+        return self.point_type.from_json(data)
 
 
 # -- symbolic points --------------------------------------------------------
@@ -246,12 +313,15 @@ def _ascending_submasks(bit_positions, cap=4096):
                 heapq.heappush(heap, m2)
 
 
-class PSpaceModel:
+class PSpaceModel(SpaceModel):
     """A clause-system subspace of P(N).  Basis index i denotes the cone
     O_beta (cut to the subspace) where beta is the set of bits of i.
     The system (explicit ``ClauseSystem`` rows, or ``PinfSystem`` rows in
     closed form up to its bound) answers the clause queries; ``ll`` is
-    written over its clause statuses."""
+    written over its clause statuses.  Cones are not closed under
+    finite unions, so ``lam`` refuses."""
+
+    point_type = SetPoint
 
     def __init__(self, system, kind="clauses"):
         self.system = system
@@ -268,9 +338,6 @@ class PSpaceModel:
     def point_in_basic(self, x, i):
         return x.includes(self.descriptor(i))
 
-    def point_in_union(self, x, indices):
-        return any(self.point_in_basic(x, i) for i in indices)
-
     def basic_subset(self, i, j):
         # O_beta(i) <= O_beta(j) iff beta(j) <= beta(i)
         return j & ~i == 0
@@ -282,7 +349,13 @@ class PSpaceModel:
         return any(self.basic_subset(i, j) for j in indices)
 
     def basic_nonempty(self, i):
-        return self.completion(i) is not None
+        return self.some_point_in(i) is not None
+
+    def lam(self, indices):
+        raise ValueError(
+            "%s cones are not closed under finite unions; "
+            "use a cylinder or poset model" % self.kind
+        )
 
     # clause bookkeeping
 
@@ -332,7 +405,7 @@ class PSpaceModel:
         every examined row."""
         return self.system.check_point(x)
 
-    def completion(self, i):
+    def some_point_in(self, i):
         """Some point of the subspace inside basic i, or None.  Tries
         the descriptor itself, then the descriptor with a cofinite
         tail."""
@@ -345,15 +418,10 @@ class PSpaceModel:
                 return x
         return None
 
-    def some_point_in(self, i):
-        return self.completion(i)
-
     def chain_limit(self, chain):
         """The union-of-descriptors point of a ll-increasing chain,
         verified against every member and every examinable clause."""
-        for k in range(len(chain) - 1):
-            if not self.ll(chain[k], chain[k + 1]):
-                raise ValueError("chain is not ll-increasing at step %d" % k)
+        self.check_chain(chain)
         union = 0
         for i in chain:
             union |= i
@@ -419,7 +487,7 @@ class PSpaceModel:
         raise SearchExhausted("no ll-successor found around the point")
 
     def random_ll_successor(self, i, rng):
-        x = self.completion(i)
+        x = self.some_point_in(i)
         if x is None:
             raise ValueError("cannot extend an empty basic open")
         j = self.refine_witness(x, i)
@@ -432,6 +500,12 @@ class PSpaceModel:
 
     def candidate_indices(self, limit):
         return range(limit)
+
+    def whole_index(self):
+        return 0
+
+    def random_open(self, rng):
+        return self.index_of(frozenset(rng.sample(range(6), rng.randrange(3))))
 
     def to_json(self):
         data = {"kind": self.kind}
@@ -451,10 +525,13 @@ def pinf_model(bound=64):
 # -- finite poset model -----------------------------------------------------
 
 
-class FinitePosetModel:
+class FinitePosetModel(SpaceModel):
     """The open lattice of a finite poset as an indexed basis.  Opens
     are enumerated smallest-first (by size, then mask), so index 0 is
-    the empty set and the last index the whole carrier."""
+    the empty set and the last index the whole carrier.  Points are
+    element ids."""
+
+    finite = True
 
     def __init__(self, poset):
         self.poset = poset
@@ -474,23 +551,11 @@ class FinitePosetModel:
     def point_in_basic(self, x, i):
         return bool((self.opens[i] >> x) & 1)
 
-    def point_in_union(self, x, indices):
-        return any(self.point_in_basic(x, i) for i in indices)
-
     def basic_subset(self, i, j):
         return self.opens[i] & ~self.opens[j] == 0
 
-    def union_subset(self, i, indices):
-        u = 0
-        for j in indices:
-            u |= self.opens[j]
-        return self.opens[i] & ~u == 0
-
     def basic_nonempty(self, i):
         return self.opens[i] != 0
-
-    def ll(self, i, j):
-        return self.opens[j] != 0 and self.basic_subset(j, i)
 
     def lam(self, indices):
         u = 0
@@ -503,15 +568,6 @@ class FinitePosetModel:
         if not m:
             return None
         return next(bits(m))
-
-    def chain_limit(self, chain):
-        for k in range(len(chain) - 1):
-            if not self.ll(chain[k], chain[k + 1]):
-                raise ValueError("chain is not ll-increasing at step %d" % k)
-        x = self.some_point_in(chain[-1])
-        if x is None:
-            raise ValueError("chain ends in the empty open")
-        return x
 
     def least_containing(self, x, within=None):
         for i in range(len(self.opens)):
@@ -539,6 +595,29 @@ class FinitePosetModel:
 
     def candidate_indices(self, limit=None):
         return range(len(self.opens))
+
+    def whole_index(self):
+        return len(self.opens) - 1
+
+    def random_open(self, rng):
+        return rng.choice([i for i in self.candidate_indices() if self.basic_nonempty(i)])
+
+    def check_index(self, i):
+        if not 0 <= i < len(self.opens):
+            raise ValueError("basis index %d outside 0..%d" % (i, len(self.opens) - 1))
+        return i
+
+    def point_to_json(self, x):
+        return x
+
+    def point_from_json(self, data):
+        if isinstance(data, str):
+            data = json.loads(data)
+        if type(data) is not int or not 0 <= data < self.poset.n:
+            raise ValueError(
+                "a point is an element id in 0..%d, got %r" % (self.poset.n - 1, data)
+            )
+        return data
 
     def to_json(self):
         return {"kind": "poset", "poset": json.loads(self.poset.to_json())}
@@ -574,7 +653,7 @@ def _code_word(c, k):
     return tuple(reversed(word))
 
 
-class CylinderModel:
+class CylinderModel(SpaceModel):
     """Infinite words over {0..k-1}; basic opens are finite unions of
     cylinders [w], indexed by a bitmask over word codes.  Containment
     is covering-aware: [w] lies in a union if some member is a prefix
@@ -587,6 +666,8 @@ class CylinderModel:
     the ordered pair (i, j), and the decoding `words(i)`, kept as a
     tuple so that no caller can change a cached value.  Both are plain
     dicts that live as long as the model and are never evicted."""
+
+    point_type = CylPoint
 
     def __init__(self, alphabet=2):
         if alphabet < 2:
@@ -613,9 +694,6 @@ class CylinderModel:
 
     def point_in_basic(self, x, i):
         return any(x.starts_with(w) for w in self.words(i))
-
-    def point_in_union(self, x, indices):
-        return any(self.point_in_basic(x, i) for i in indices)
 
     def _covered(self, word, cover_words):
         """[word] inside the union of the cover's cylinders."""
@@ -648,17 +726,8 @@ class CylinderModel:
             )
         return inside
 
-    def union_subset(self, i, indices):
-        u = 0
-        for j in indices:
-            u |= j
-        return self.basic_subset(i, u)
-
     def basic_nonempty(self, i):
         return i != 0
-
-    def ll(self, i, j):
-        return j != 0 and self.basic_subset(j, i)
 
     def lam(self, indices):
         u = 0
@@ -671,18 +740,6 @@ class CylinderModel:
             return None
         w = self.code_word(next(bits(i)))
         return CylPoint(w, (0,))
-
-    def chain_limit(self, chain):
-        for k in range(len(chain) - 1):
-            if not self.ll(chain[k], chain[k + 1]):
-                raise ValueError("chain is not ll-increasing at step %d" % k)
-        x = self.some_point_in(chain[-1])
-        if x is None:
-            raise ValueError("chain ends in the empty open")
-        for i in chain:  # pragma: no branch
-            if not self.point_in_basic(x, i):  # pragma: no cover
-                raise AssertionError("limit point escaped a chain member")
-        return x
 
     def least_containing(self, x, within=None, max_depth=36):
         # among indices that fit, a singleton on a prefix of x is
@@ -716,6 +773,13 @@ class CylinderModel:
     def candidate_indices(self, limit):
         return (1 << c for c in range(limit))
 
+    def whole_index(self):
+        return self.singleton(())
+
+    def random_open(self, rng):
+        w = tuple(rng.randrange(self.alphabet) for _ in range(rng.randrange(3)))
+        return self.singleton(w)
+
     def to_json(self):
         return {"kind": "cylinder", "alphabet": self.alphabet}
 
@@ -738,16 +802,6 @@ def model_from_json(data):
             FinitePoset.from_cover(p["n"], [tuple(e) for e in p["cover"]])
         )
     raise ValueError("unknown model kind %r" % kind)
-
-
-def point_from_json(model, data):
-    if isinstance(data, str):
-        data = json.loads(data)
-    if isinstance(model, CylinderModel):
-        return CylPoint.from_json(data)
-    if isinstance(model, FinitePosetModel):
-        return int(data)
-    return SetPoint.from_json(data)
 
 
 # -- staging ----------------------------------------------------------------
@@ -853,18 +907,14 @@ class BaireResult:
     point: object = None
     failed_index: int | None = None
 
-    def to_json(self):
+    def to_json(self, model):
         data = {
             "outcome": self.outcome,
             "chain": list(self.chain),
             "failed_index": self.failed_index,
         }
         if self.point is not None:
-            data["point"] = (
-                self.point.to_json()
-                if hasattr(self.point, "to_json")
-                else self.point
-            )
+            data["point"] = model.point_to_json(self.point)
         return data
 
 

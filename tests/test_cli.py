@@ -354,6 +354,114 @@ def test_transform_reports_match_golden_digests(capsys, case):
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == TRANSFORM_DIGESTS[case]
 
 
+# -- reports across the three model families ------------------------------------
+
+CYL2 = '{"kind": "cylinder", "alphabet": 2}'
+CYL3 = '{"kind": "cylinder", "alphabet": 3}'
+DIAMOND = '{"kind": "poset", "poset": {"n": 4, "cover": [[0, 1], [0, 2], [1, 3], [2, 3]]}}'
+PN = '{"kind": "pn"}'
+SURFACE_ARGV = {
+    **{
+        "play-%s-%s-%s" % (name, empty, game): (
+            "play", "--model", model, "--rounds", "8", "--empty", empty, "--game", game,
+            "--seed", "7",
+        )
+        for name, model in (("cyl2", CYL2), ("cyl3", CYL3), ("diamond", DIAMOND))
+        for empty in ("random", "deepening")
+        for game in ("choquet", "bm")
+    },
+    "play-cyl2-first": ("play", "--model", CYL2, "--rounds", "8", "--first", "4", "--seed", "7"),
+    "play-cyl3-first-bm": (
+        "play", "--model", CYL3, "--rounds", "6", "--first", "2", "--game", "bm",
+        "--empty", "deepening", "--seed", "7",
+    ),
+    "play-diamond-first": (
+        "play", "--model", DIAMOND, "--rounds", "8", "--first", "3", "--seed", "7",
+    ),
+    "baire-cyl2": ("baire", "--dense", '[{"u": [2], "f": []}, {"u": [24], "f": [1]}]'),
+    "baire-cyl2-violation": ("baire", "--dense", '[{"u": [], "f": [1]}]'),
+    "baire-pn": ("baire", "--model", PN, "--dense", '[{"u": [2], "f": []}, {"u": [4, 8], "f": []}]'),
+    "baire-pinf": (
+        "baire", "--model", '{"kind": "pinf", "bound": 16}', "--dense", '[{"u": [4], "f": []}]',
+    ),
+    "baire-diamond": (
+        "baire", "--model", DIAMOND, "--dense", '[{"u": [2], "f": []}, {"u": [1], "f": [3]}]',
+    ),
+    **{
+        "eval-%s-%s" % (name, kind): (
+            "eval-code", "--model", model, "--point", point, "--" + kind, code,
+        )
+        for name, model, point, codes in (
+            ("cyl2", CYL2, '{"prefix": [1, 0], "cycle": [1]}', {
+                "borel": '{"nodes": [[], [0], [0, 4], [0, 8], [1], [1, 2]]}',
+                "hausdorff": '{"order": [1, 0], "parity_set": [1], "trees": '
+                             '[{"nodes": [[], [4]]}, {"nodes": [[], [2]]}]}',
+                "diff": '{"alpha": 3, "entries": [[0, 2], [1, 4], [2, 8]]}',
+            }),
+            ("pn", PN, '{"core": [1, 3], "cofinite_from": 9}', {
+                "borel": '{"nodes": [[], [0], [0, 10], [1], [1, 4]]}',
+                "hausdorff": '{"order": [0, 1], "parity_set": [1], "trees": '
+                             '[{"nodes": [[], [4]]}, {"nodes": [[], [1024]]}]}',
+                "diff": '{"alpha": 2, "entries": [[0, 2], [1, 4096]]}',
+            }),
+            ("diamond", DIAMOND, "3", {
+                "borel": '{"nodes": [[], [0], [0, 4], [0, 2], [1], [1, 0]]}',
+                "hausdorff": '{"order": [0, 1], "parity_set": [0], "trees": '
+                             '[{"nodes": [[], [1]]}, {"nodes": [[], [5]]}]}',
+                "diff": '{"alpha": 2, "entries": [[0, 4], [1, 2]]}',
+            }),
+        )
+        for kind, code in codes.items()
+    },
+    "gen-model": ("gen", "--kind", "model", "--count", "12", "--seed", "3"),
+    "gen-model-large": ("gen", "--kind", "model", "--n", "7", "--count", "8", "--seed", "11"),
+}
+
+# (exit code, SHA-256 of stdout) of `hier` on SURFACE_ARGV, recorded
+# while games, the Baire witness and the CLI told the three model
+# families apart by type checks.
+SURFACE_DIGESTS = {
+    "baire-cyl2": (0, "e8f2c23e3316d53cd6bc98371d36c623a239a69f42b68867db9537e09b35947f"),
+    "baire-cyl2-violation": (1, "edea55dde04a81e8c9cd6d0f5c0506e2ec5a89b8edd95343eea7a2fd922392d8"),
+    "baire-diamond": (0, "ccd1db5a26a4775aad69136d5f024e771c37da031455fca96039c44aeb792b65"),
+    "baire-pinf": (0, "2f420403feaf2353ac2561a786608d75f592312c9edbb81bc94e5f243ac8bddf"),
+    "baire-pn": (0, "56c451f8db93c526c6fa57eabfa8c1d0575c54eb8a0ea6e8f63360ab7db60c4f"),
+    "eval-cyl2-borel": (0, "16348b6ac0ebcc9e552b88927c23a3537473cfac8e10eb8d055b35954976405e"),
+    "eval-cyl2-diff": (0, "c9f78f01f6b7047c14c68b5c7fa36a6e9206d860c42a0f521ae4aba40d60d364"),
+    "eval-cyl2-hausdorff": (0, "01fe37960fea789bd309b07af6d645389fe5cb3e94cfccc3bb8fa3a4e04f2b65"),
+    "eval-diamond-borel": (0, "0386591377cca921974e80591b2bef3e8bae5b5b319bff36924ce7064131386e"),
+    "eval-diamond-diff": (0, "1b92c0be1a96121f8a535533e82f7f9e1cbc9955309166a3182ab60c3bf160c9"),
+    "eval-diamond-hausdorff": (0, "bb860109f26303deb1a4611484223611ecfa2258e7b5b3579d5492482b5e73d4"),
+    "eval-pn-borel": (0, "647b2c5bb9328d754308f934651b1d0e97b183b02559b5ec908d7df4fe360b05"),
+    "eval-pn-diff": (0, "b4276b3097eff1703b9dc090b8a3a621b41874043ca24b20f3eb228bdc88fa95"),
+    "eval-pn-hausdorff": (0, "5fb79d7cfae80320eb6e64ff7acd2eae16d89f564280666c663c2ecf79bc3244"),
+    "gen-model": (0, "0398a43f3af53ce58834a608dcd719367f439461ebcabdef2b35654e7b618e8e"),
+    "gen-model-large": (0, "21b34fe912c3f3b7b2444c374b8bff0c14d476d638e6e7926d5d9d20368a1631"),
+    "play-cyl2-deepening-bm": (0, "e3f58c7277de0cf1342b167aa686c51f285dd6a533174357b422cac30afb00b5"),
+    "play-cyl2-deepening-choquet": (0, "0165f46a27c411d290d1338f5b99b8edbbecc203c2e21c13963c0474fecbad1e"),
+    "play-cyl2-first": (0, "350b854b81d00b4544defd6a6e183821eb983a193083d4ea20c6d919bffe092e"),
+    "play-cyl2-random-bm": (0, "41c30089e0823230bdf7e60b72be56bebb77196add8fe2cffacb32fb7bca5107"),
+    "play-cyl2-random-choquet": (0, "c4bb198649cea0b4743b193ff1d871319e1f8dcad950abd4ff9fef353c0fe309"),
+    "play-cyl3-deepening-bm": (0, "091c8a20062f38335368760fa1b6efd4385ff9a5078c50f3dfc87a38b98da3d1"),
+    "play-cyl3-deepening-choquet": (0, "18c9e19dc8755a9656488cd39cbd6b0ca8f41877462f1208d6e76539c2084977"),
+    "play-cyl3-first-bm": (0, "df243574524336fbb633d7179d34c13b18bb9628e98cf76fedd178dad70fed61"),
+    "play-cyl3-random-bm": (0, "d496b93de0678a1b991c4d3ca9ee11bcc491ae9d39aa1445b2de4f431a16e460"),
+    "play-cyl3-random-choquet": (0, "0675e6a10a692890d49d812d4193a57f075427b4a37ecf38d5ea167bc18f9c79"),
+    "play-diamond-deepening-bm": (0, "358f0d67189976c22ad672812e1cba3ecab402cb6c46da70c5c8e4a253969c32"),
+    "play-diamond-deepening-choquet": (0, "1e2fd8594897633e949444db294edc85050353bf2bcb4e0b5e3f6aa3a4f89078"),
+    "play-diamond-first": (0, "c1b9484bb9a472fd7806c28374772c59cc86600c107e42c1464cff3fe31be42b"),
+    "play-diamond-random-bm": (0, "89bccfab740dd09a7af3b14be55686a607c0c215704d26fbf6a083a7c26f2211"),
+    "play-diamond-random-choquet": (0, "ead0d5bc5f0cb15cfc072ae77b5860c814e7790593a62b0a3a4652acac1b3dfe"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SURFACE_DIGESTS))
+def test_model_surface_reports_match_golden_digests(capsys, case):
+    code = main(list(SURFACE_ARGV[case]))
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == SURFACE_DIGESTS[case]
+
+
 # -- audit and gen -------------------------------------------------------------
 
 
@@ -460,3 +568,44 @@ def test_console_entry_point_separates_report_from_timing():
     rep = json.loads(proc.stdout)
     assert rep["outputs"]["sigma"] == 2
     assert "hier classify" in proc.stderr
+
+
+# -- inputs outside the model ----------------------------------------------------
+
+CHAIN2 = '{"kind": "poset", "poset": {"n": 2, "cover": [[0, 1]]}}'
+REFUSED_ARGV = {
+    # a negative index has infinitely many bits: these ran forever
+    "cylinder-first-negative": ("play", "--first", "-1"),
+    "pinf-first-negative": ("play", "--model", '{"kind": "pinf"}', "--first", "-1"),
+    "cylinder-dense-negative": ("baire", "--dense", '[{"u": [-2]}]'),
+    "cylinder-borel-leaf-negative": (
+        "eval-code", "--borel", '{"nodes": [[], [-1]]}', "--point", '{"prefix": [0]}',
+    ),
+    # a 2-chain has 2 points and 3 opens
+    "poset-point-outside": ("eval-code", "--model", CHAIN2, "--point", "7", "--borel", '{"nodes": [[]]}'),
+    "poset-point-bool": ("eval-code", "--model", CHAIN2, "--point", "true", "--borel", '{"nodes": [[]]}'),
+    "poset-first-negative": ("play", "--model", CHAIN2, "--first", "-1"),
+    "poset-first-outside": ("play", "--model", CHAIN2, "--first", "99"),
+    "poset-dense-outside": ("baire", "--model", CHAIN2, "--dense", '[{"u": [5]}]'),
+    "poset-target-outside": ("baire", "--model", CHAIN2, "--dense", '[{"u": [1]}]', "--target", "3"),
+    "poset-diff-handle-outside": (
+        "eval-code", "--model", CHAIN2, "--point", "1", "--diff", '{"alpha": 2, "entries": [[0, 3]]}',
+    ),
+    # transform needs a basis closed under finite unions
+    **{
+        "transform-on-%s" % name: ("transform", "--model", model, "--presentation", '{"kind": "empty"}')
+        for name, model in (
+            ("pn", PN),
+            ("pinf", '{"kind": "pinf", "bound": 16}'),
+            ("clauses", PLAY_MODELS["clauses"]),
+        )
+    },
+    "first-one-on-poset": ("transform", "--model", CHAIN2, "--presentation", FIRST_ONE),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_ARGV))
+def test_inputs_outside_the_model_are_validation_errors(capsys, case):
+    code, rep = run_cli(capsys, *REFUSED_ARGV[case])
+    assert code == 1
+    assert rep["error"]["kind"] == "validation"

@@ -22,7 +22,6 @@ from hierkit.effective_codes import (
     BorelCode,
     HausdorffCode,
     StagedPresentation,
-    UnionClosureAdapter,
     block_start,
     build_alt_tree,
     claim2_gaps,
@@ -38,18 +37,11 @@ from hierkit.effective_codes import (
     rows_presentation,
     stage_ladder,
     verify_transform,
-    whole_space_index,
 )
 from hierkit.alt_trees import kb_sorted
 from hierkit.finite_space import FinitePoset
 from hierkit.ordinals import OMEGA, Ordinal
-from hierkit.space_models import (
-    CylinderModel,
-    CylPoint,
-    FinitePosetModel,
-    SetPoint,
-    pinf_model,
-)
+from hierkit.space_models import CylinderModel, CylPoint, FinitePosetModel
 
 
 def fork_model():
@@ -509,7 +501,7 @@ def test_empty_transform_denotes_nothing():
 
 def test_whole_space_transform_denotes_everything():
     m = fork_model()
-    pres = clopen_presentation(m, whole_space_index(m), 0)
+    pres = clopen_presentation(m, m.whole_index(), 0)
     res = effective_hausdorff_transform(pres, m, 8)
     assert all(res.eval_point(m, x) for x in m.points())
 
@@ -575,22 +567,3 @@ def test_transform_is_deterministic():
     one = effective_hausdorff_transform(first_one_presentation(c3), c3, 16)
     two = effective_hausdorff_transform(first_one_presentation(c3), c3, 16)
     assert json.dumps(one.to_json()) == json.dumps(two.to_json())
-
-
-def test_adapter_carries_union_free_bases_through_the_pipeline():
-    ad = UnionClosureAdapter(pinf_model())
-    assert ad.lam([1 << 1, 1 << 2]) == (1 << 1) | (1 << 2)
-    assert ad.point_in_basic(SetPoint(frozenset({0, 2})), 1 << 1)
-    assert ad.basic_subset(1 << 3, (1 << 1) | (1 << 3))
-    assert not ad.basic_nonempty(0)
-    pts = [
-        SetPoint(frozenset()),
-        SetPoint(frozenset({0})),
-        SetPoint(frozenset({1, 2}), cofinite_from=5),
-    ]
-    nothing = effective_hausdorff_transform(empty_presentation(ad), ad, 6)
-    assert all(not nothing.eval_point(ad, x) for x in pts)
-    everything = effective_hausdorff_transform(
-        clopen_presentation(ad, whole_space_index(ad), 0), ad, 6
-    )
-    assert all(everything.eval_point(ad, x) for x in pts)

@@ -207,7 +207,7 @@ def test_undecided_without_certificate():
     class Stubborn:
         def move(self, v_prev):
             u = m.index_of({0}) if v_prev is None else v_prev
-            return m.completion(u), (u,)
+            return m.some_point_in(u), (u,)
 
     t = play(m, Stubborn(), identity_refinement(m), rounds=5)
     assert t.outcome == UNDECIDED
@@ -251,7 +251,7 @@ def test_transcript_serialization():
     m = CylinderModel(2)
     s = stationary_from_relation(m)
     t = play(m, DeepeningEmpty(m, random.Random(2)), s, rounds=4)
-    data = t.to_json()
+    data = t.to_json(m)
     assert data["game"] == CHOQUET
     assert data["outcome"] == NONEMPTY_WINS
     assert len(data["rounds"]) == 4

@@ -10,12 +10,15 @@ import functools
 import itertools
 import json
 import operator
+import pathlib
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hierkit
 from hierkit.finite_space import FinitePoset, bits, mask_of
 from hierkit.space_models import (
     INF,
@@ -38,7 +41,6 @@ from hierkit.space_models import (
     pinf_ll,
     pinf_model,
     pn_model,
-    point_from_json,
     staged_ll,
 )
 
@@ -167,7 +169,7 @@ def test_pinf_closed_form_matches_enumerated_rows(bound):
             ref.clause_status(i, n) for n in statuses
         ]
         assert m.n_u(i) == ref.n_u(i)
-        assert m.completion(i) == ref.completion(i)
+        assert m.some_point_in(i) == ref.completion(i)
         for j in [i | 1 << k for k in range(10)] + rng.sample(indices, 6):
             assert m.ll(i, j) == ref.ll(i, j)
         beta = m.descriptor(i)
@@ -528,7 +530,7 @@ def test_baire_budget_exhaustion():
 
 def test_baire_result_serialization():
     r = BaireResult("VERIFIED", [1, 2], CylPoint((0,), (0,)))
-    data = r.to_json()
+    data = r.to_json(CylinderModel(2))
     assert data["outcome"] == "VERIFIED" and data["point"]["prefix"] == [0]
 
 
@@ -563,10 +565,10 @@ def test_model_json_roundtrip():
         assert m2.kind == m.kind
         assert m2.to_json() == m.to_json()
     m = CylinderModel(2)
-    x = point_from_json(m, '{"prefix": [0, 1], "cycle": [1]}')
+    x = m.point_from_json('{"prefix": [0, 1], "cycle": [1]}')
     assert x == CylPoint((0, 1), (1,))
-    assert point_from_json(pn_model(), '{"core": [2]}') == SetPoint({2})
-    assert point_from_json(models[-1], "2") == 2
+    assert pn_model().point_from_json('{"core": [2]}') == SetPoint({2})
+    assert models[-1].point_from_json("2") == 2
 
 
 def test_poset_model_least_searches():
@@ -576,3 +578,98 @@ def test_poset_model_least_searches():
     assert fm.mask(fm.least_containing(1)) == 0b110
     assert fm.mask(fm.least_ll_above(fm.index_of(0b110), 1)) == 0b110
     assert fm.some_point_in(fm.index_of(0)) is None
+
+
+# -- the shared model surface -----------------------------------------------
+
+
+def _surface_models():
+    return {
+        "pn": pn_model(),
+        "pinf16": pinf_model(16),
+        "clauses": PSpaceModel(ClauseSystem([({0}, [{1}, {2, 3}]), ({1}, [{4}])])),
+        "cyl2": CylinderModel(2),
+        "cyl3": CylinderModel(3),
+        "diamond": FinitePosetModel(
+            FinitePoset.from_cover(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+        ),
+    }
+
+
+def _reference_opening(m, rng):
+    """Empty's random opening as the games module drew it while it told
+    the model families apart by their types."""
+    if isinstance(m, FinitePosetModel):
+        return rng.choice([i for i in m.candidate_indices() if m.basic_nonempty(i)])
+    if hasattr(m, "singleton"):
+        w = tuple(rng.randrange(m.alphabet) for _ in range(rng.randrange(3)))
+        return m.singleton(w)
+    return m.index_of(frozenset(rng.sample(range(6), rng.randrange(3))))
+
+
+@pytest.mark.parametrize("name", sorted(_surface_models()))
+def test_models_share_one_surface(name):
+    m = _surface_models()[name]
+    assert m.finite == (name == "diamond")
+    whole = m.whole_index()
+    assert m.check_index(whole) == whole
+    with pytest.raises(ValueError):
+        m.check_index(-1)
+    for seed in range(200):
+        u = m.random_open(random.Random(seed))
+        ref_rng = random.Random(seed)
+        assert u == _reference_opening(m, ref_rng)
+        # the same draws were consumed, so later moves stay in step
+        rng = random.Random(seed)
+        m.random_open(rng)
+        assert rng.random() == ref_rng.random()
+        x = m.some_point_in(u)
+        if x is None:
+            continue
+        assert m.point_in_basic(x, u) and m.point_in_basic(x, whole)
+        data = json.dumps(m.point_to_json(x))
+        assert m.point_from_json(json.loads(data)) == x
+        assert m.point_from_json(data) == x
+
+
+def test_only_union_closed_models_have_lam():
+    for name, m in _surface_models().items():
+        if name in ("pn", "pinf16", "clauses"):
+            with pytest.raises(ValueError, match="not closed under finite unions"):
+                m.lam([1, 2])
+        else:
+            u, v = m.random_open(random.Random(1)), m.random_open(random.Random(2))
+            w = m.lam([u, v])
+            assert m.union_subset(w, [u, v])
+            assert m.basic_subset(u, w) and m.basic_subset(v, w)
+
+
+def test_poset_points_and_indices_stay_in_range():
+    m = FinitePosetModel(FinitePoset.from_cover(2, [(0, 1)]))
+    assert [m.point_from_json(d) for d in (0, 1, "1")] == [0, 1, 1]
+    for bad in (2, -1, True, 1.0, "x", None):
+        with pytest.raises(ValueError):
+            m.point_from_json(bad)
+    assert m.check_index(2) == 2
+    for bad in (3, 99, -1):
+        with pytest.raises(ValueError):
+            m.check_index(bad)
+
+
+def test_bits_refuses_a_negative_mask():
+    with pytest.raises(ValueError, match="negative"):
+        list(bits(-1))
+    assert list(bits(0b1011)) == [0, 1, 3]
+
+
+def test_no_model_type_checks_in_the_sources():
+    banned = re.compile(
+        r"hasattr\(|isinstance\([^)]*\b(PSpaceModel|FinitePosetModel|CylinderModel)\b"
+    )
+    found = [
+        "%s:%d" % (path.name, n)
+        for path in sorted(pathlib.Path(hierkit.__file__).parent.glob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if banned.search(line)
+    ]
+    assert found == []
