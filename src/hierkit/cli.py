@@ -20,6 +20,7 @@ list of element ids.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import random
@@ -131,11 +132,22 @@ def _set_arg(text, poset):
     return mask
 
 
-def _point_arg(model, text):
+def _decode_point(model, data):
     try:
-        return model.point_from_json(_arg_json(text, "point"))
+        return model.point_from_json(data)
     except (KeyError, TypeError, ValueError) as e:
         raise CliError(VALIDATION, "bad point: %s" % e)
+
+
+def _point_arg(model, text):
+    return _decode_point(model, _arg_json(text, "point"))
+
+
+def _check_code_indices(model, codes):
+    """Refuse a code that reads a basis index the model does not have."""
+    for code in codes:
+        for i in code.basis_indices():
+            model.check_index(i)
 
 
 # -- JSON renderings ---------------------------------------------------------
@@ -307,9 +319,11 @@ def _cmd_eval_code(args):
     data = _arg_json(getattr(args, kind), kind + " code")
     if kind == "borel":
         code = BorelCode.from_json(data)
+        _check_code_indices(model, [code])
         value = eval_borel(code, model, SIGMA if args.side == "sigma" else PI, x)
     elif kind == "hausdorff":
         code = HausdorffCode.from_json(data)
+        _check_code_indices(model, code.trees)
         value = eval_hausdorff_code(code, model, x)
     else:
         try:
@@ -343,7 +357,9 @@ def _cmd_transform(args):
         return inputs, {"result": result.to_json(), "verification": None}
 
     pts_data = _arg_json(args.points, "points")
-    points = [model.point_from_json(p) for p in pts_data]
+    if not isinstance(pts_data, list):
+        raise CliError(VALIDATION, "--points must be a JSON list of points")
+    points = [_decode_point(model, p) for p in pts_data]
     inputs["points"] = _digest([model.point_to_json(x) for x in points])
     report = verify_transform(
         pres, model, points, args.budget, max_budget=args.max_budget
@@ -463,7 +479,10 @@ def _cmd_gen(args):
 # -- wiring ------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser():
+    # built once per process: parse_args leaves the parser unchanged and
+    # returns a fresh namespace on every call
     top = argparse.ArgumentParser(
         prog="hier",
         description="difference-hierarchy levels, games, and staged transforms",

@@ -33,13 +33,12 @@ from dataclasses import dataclass
 
 from hierkit.alt_trees import WfTree, kb_sorted
 from hierkit.diff_hierarchy import DiffCode, SearchBudgetExceeded, embed_co
-from hierkit.ordinals import OMEGA, Ordinal
+from hierkit.ordinals import Ordinal
 from hierkit.space_models import index_visible, staged_ll
 
 SIGMA = "sigma"
 PI = "pi"
 
-ONE = Ordinal.from_int(1)
 TWO = Ordinal.from_int(2)
 
 
@@ -71,6 +70,13 @@ class BorelCode:
 
     def rank(self):
         return self.tree.rank()
+
+    def basis_indices(self):
+        """The basis indices the code reads: the last entry of each
+        non-root leaf, which covers every child of a rank-1 node.  The
+        labels of inner nodes under rank->=2 nodes are pair numbers."""
+        inner = {n[:-1] for n in self.tree.nodes}
+        return sorted({n[-1] for n in self.tree.nodes if n and n not in inner})
 
     def __eq__(self, other):
         return isinstance(other, BorelCode) and self.tree.nodes == other.tree.nodes
@@ -358,13 +364,19 @@ def rows_presentation(model, rows1, rows0, member=None, tail="repeat"):
 
 
 def presentation_from_json(model, data):
+    """Decode a presentation; every basis index it lists must pass
+    `model.check_index`."""
     kind = data["kind"]
     if kind == "rows":
-        return rows_presentation(
-            model, data["rows1"], data["rows0"], tail=data.get("tail", "repeat")
+        rows1, rows0 = (
+            [[model.check_index(i) for i in row] for row in data[side]]
+            for side in ("rows1", "rows0")
         )
+        return rows_presentation(model, rows1, rows0, tail=data.get("tail", "repeat"))
     if kind == "clopen":
-        return clopen_presentation(model, data["inside"], data["outside"])
+        return clopen_presentation(
+            model, model.check_index(data["inside"]), model.check_index(data["outside"])
+        )
     if kind == "empty":
         return empty_presentation(model)
     if kind == "first-one":
@@ -457,6 +469,10 @@ def build_alt_tree(pres, model, stage_budget, pool=None, stages=None, node_cap=5
     could not gain children inside the budget but might beyond it.  The
     counter-growth bound F_type(m_l, t_l) >= l // 2 is re-checked on
     every node rather than trusted.
+
+    A node's children depend only on its last pair and type, so each
+    such key's child list is searched once and the tree is the unfolding
+    of that keyed DAG; `node_cap` counts unfolded nodes.
     """
     if stages is None:
         stages = stage_ladder(stage_budget)
@@ -484,9 +500,15 @@ def build_alt_tree(pres, model, stage_budget, pool=None, stages=None, node_cap=5
                 entries.append((m, 1 if f1 > f0 else 0))
         typed[t] = tuple(entries)
 
-    nodes = {}
+    kid_memo = {}
 
-    def extend(prefix, last_m, last_t, last_eps):
+    def kids(key):
+        # children of any node whose last pair and type form `key`, as
+        # (pair, node value) in the order the tree lists them
+        if key in kid_memo:
+            return kid_memo[key]
+        last_m, last_t, last_eps = key
+        out = []
         for t in stages:
             if last_t is not None and t <= last_t:
                 continue
@@ -496,20 +518,28 @@ def build_alt_tree(pres, model, stage_budget, pool=None, stages=None, node_cap=5
                         continue
                     if not staged_ll(model, last_m, m, t):
                         continue
-                if len(nodes) >= node_cap:
-                    raise SearchBudgetExceeded(
-                        "alternating tree exceeded %d nodes" % node_cap
-                    )
-                seq = prefix + ((m, t),)
-                f0, f1 = fvals(m, t)
-                nodes[seq] = (eps, f0, f1)
-                extend(seq, m, t, eps)
+                out.append(((m, t), (eps,) + fvals(m, t)))
+        kid_memo[key] = out = tuple(out)
+        return out
 
-    extend((), None, None, None)
+    nodes = {}
 
-    prefixes = {seq[:-1] for seq in nodes}
+    def extend(prefix, key):
+        for pair, value in kids(key):
+            if len(nodes) >= node_cap:
+                raise SearchBudgetExceeded(
+                    "alternating tree exceeded %d nodes" % node_cap
+                )
+            seq = prefix + (pair,)
+            nodes[seq] = value
+            extend(seq, pair + value[:1])
+
+    extend((), (None, None, None))
+
     frontier = frozenset(
-        seq for seq in nodes if seq not in prefixes and seq[-1][1] == stages[-1]
+        seq
+        for seq, value in nodes.items()
+        if seq[-1][1] == stages[-1] and not kid_memo[seq[-1] + value[:1]]
     )
     violations = []
     for seq, (eps, f0, f1) in nodes.items():
@@ -529,12 +559,23 @@ def block_start(r):
     return Ordinal.omega(1, r) + TWO
 
 
-_GAMMA_PROBES = (
-    (Ordinal.from_int(0), 0),
-    (ONE, 1),
-    (OMEGA, 0),
-    (OMEGA + ONE, 1),
-)
+# the probe offsets 0, 1, omega, omega+1 of a block, each as
+# omega*a + b with the parity its slot must have
+_GAMMA_PROBES = ((0, 0, 0), (0, 1, 1), (1, 0, 0), (1, 1, 1))
+
+
+def _block_offset(r, a, b):
+    """block_start(r) + omega*a + b, for a in {0, 1}, as the pair
+    (omega coefficient, finite part); integer arithmetic only."""
+    if a:
+        return r + a, b
+    return r, (2 if r else 0) + b
+
+
+def _omega_plus(coeff, fin):
+    """The ordinal omega*coeff + fin."""
+    terms = ((1, coeff),) if coeff else ()
+    return Ordinal(terms + ((0, fin),) if fin else terms)
 
 
 @dataclass(frozen=True)
@@ -558,9 +599,13 @@ class TransformResult:
     budget: int
 
     def eval_point(self, model, x):
+        missed = set()  # opens already found not to contain x
         for s in self.slots:
+            if s.open_index in missed:
+                continue
             if model.point_in_basic(x, s.open_index):
                 return s.eps == 1
+            missed.add(s.open_index)
         return False
 
     def to_json(self):
@@ -589,9 +634,11 @@ def effective_hausdorff_transform(pres, model, stage_budget, **kw):
     node's open at offset omega + type.
 
     Slot parity equals the type by construction; this is asserted for
-    the probe offsets 0, 1, omega, omega+1 of every block rather than
-    trusted.  Evaluation of the result is exact for this budget: a
-    point in no slot's open is reported outside, never guessed.
+    the probe offsets 0, 1, omega, omega+1 of every block, and for every
+    slot rank, rather than trusted.  Block r starts at omega*r + 2 (0
+    for r = 0), so ranks and probes are worked out in integers.
+    Evaluation of the result is exact for this budget: a point in no
+    slot's open is reported outside, never guessed.
     """
     tree = build_alt_tree(pres, model, stage_budget, **kw)
     order = kb_sorted(tree.wf().nodes)
@@ -599,18 +646,20 @@ def effective_hausdorff_transform(pres, model, stage_budget, **kw):
         raise AssertionError("root is not Kleene-Brouwer-last")
     slots = []
     for r, seq in enumerate(order):
-        start = block_start(r)
-        for gamma, want in _GAMMA_PROBES:
-            if (start + gamma).parity() != want:
+        for a, b, want in _GAMMA_PROBES:
+            if _block_offset(r, a, b)[1] % 2 != want:
                 raise AssertionError("slot parity drifted in block %d" % r)
         if seq:
             eps = tree.nodes[seq][0]
-            rank = start + OMEGA + Ordinal.from_int(eps)
+            rank = _omega_plus(*_block_offset(r, 1, eps))
+            if rank.parity() != eps:
+                raise AssertionError("slot rank %s does not carry type %d" % (rank, eps))
             slots.append(Slot(seq, rank, eps, seq[-1][0]))
     xi = block_start(len(order))
     entries = tuple((s.rank, s.open_index) for s in slots)
     diff_code = DiffCode(xi, "D", entries)
-    trees = tuple(BorelCode([(), (s.open_index,)]) for s in slots)
+    leaf_codes = {o: BorelCode([(), (o,)]) for o in {s.open_index for s in slots}}
+    trees = tuple(leaf_codes[s.open_index] for s in slots)
     parity_set = frozenset(i for i, s in enumerate(slots) if s.eps == 1)
     hausdorff = HausdorffCode(tuple(range(len(slots))), parity_set, trees)
     return TransformResult(

@@ -519,12 +519,40 @@ def test_audit_reports_match_golden_digests(capsys, n):
 
 @pytest.mark.parametrize("n, seed, edge_prob", sorted(CLASSIFY_DIGESTS))
 def test_classify_reports_match_golden_digests(capsys, n, seed, edge_prob):
+    assert main(_classify_argv(n, seed, edge_prob)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CLASSIFY_DIGESTS[n, seed, edge_prob]
+
+
+def _classify_argv(n, seed, edge_prob):
     rng = random.Random(seed)
     poset = random_poset(n, rng, edge_prob)
     members = ",".join(str(v) for v in range(n) if rng.random() < 0.5)
-    assert main(["classify", "--poset", poset.to_json(), "--set", members, "--method", "all"]) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == CLASSIFY_DIGESTS[n, seed, edge_prob]
+    return ["classify", "--poset", poset.to_json(), "--set", members, "--method", "all"]
+
+
+def test_cached_parser_survives_a_usage_error(capsys):
+    hierkit.cli._build_parser.cache_clear()
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--poset", CHAIN3])  # --set is missing
+    assert exc.value.code == 2
+    capsys.readouterr()
+    golden = [
+        (_classify_argv(16, 2, 0.35), (0, CLASSIFY_DIGESTS[16, 2, 0.35])),
+        (
+            ["play", "--model", PLAY_MODELS["pinf64"], "--rounds", "11", "--empty", "deepening",
+             "--game", "bm", "--seed", "7"],
+            (0, PLAY_DIGESTS["pinf64", 11, "deepening", "bm"]),
+        ),
+        (["transform", *TRANSFORM_ARGV["poset-rows"]], TRANSFORM_DIGESTS["poset-rows"]),
+        (["transform", *TRANSFORM_ARGV["first-one-2-16"]], TRANSFORM_DIGESTS["first-one-2-16"]),
+    ]
+    for argv, want in golden:
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == want, argv[0]
+    info = hierkit.cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(golden))
 
 
 def test_gen_posets_are_valid_and_seed_sensitive(capsys):
@@ -601,6 +629,30 @@ REFUSED_ARGV = {
         )
     },
     "first-one-on-poset": ("transform", "--model", CHAIN2, "--presentation", FIRST_ONE),
+    # basis indices inside codes and presentations: 7 and 9 raised
+    # IndexError, and -1 read the whole carrier and exited 0
+    "poset-borel-leaf-outside": (
+        "eval-code", "--model", CHAIN2, "--point", "1", "--borel", '{"nodes": [[], [7]]}',
+    ),
+    "poset-hausdorff-leaf-negative": (
+        "eval-code", "--model", CHAIN2, "--point", "1", "--hausdorff",
+        '{"order": [0], "parity_set": [0], "trees": [{"nodes": [[], [-1]]}]}',
+    ),
+    "poset-clopen-inside-outside": (
+        "transform", "--model", CHAIN2, "--presentation", '{"kind": "clopen", "inside": 9, "outside": 0}',
+    ),
+    "poset-rows-entry-negative": (
+        "transform", "--model", CHAIN2,
+        "--presentation", '{"kind": "rows", "rows1": [[-1]], "rows0": [[1]]}',
+    ),
+    # malformed --points ended in a TypeError traceback
+    "transform-point-not-an-object": (
+        "transform", "--presentation", FIRST_ONE, "--budget", "4", "--points", "[1]",
+    ),
+    "transform-point-prefix-not-a-list": (
+        "transform", "--presentation", FIRST_ONE, "--budget", "4",
+        "--points", '[{"prefix": 1, "cycle": [0]}]',
+    ),
 }
 
 

@@ -15,13 +15,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hierkit import effective_codes
 from hierkit.diff_hierarchy import DiffCode, SearchBudgetExceeded, eval_diff
 from hierkit.effective_codes import (
+    _GAMMA_PROBES,
     PI,
     SIGMA,
     BorelCode,
     HausdorffCode,
     StagedPresentation,
+    _block_offset,
+    _default_pool,
+    _omega_plus,
     block_start,
     build_alt_tree,
     claim2_gaps,
@@ -38,10 +43,16 @@ from hierkit.effective_codes import (
     stage_ladder,
     verify_transform,
 )
-from hierkit.alt_trees import kb_sorted
+from hierkit.alt_trees import WfTree, kb_sorted
 from hierkit.finite_space import FinitePoset
 from hierkit.ordinals import OMEGA, Ordinal
-from hierkit.space_models import CylinderModel, CylPoint, FinitePosetModel
+from hierkit.space_models import (
+    CylinderModel,
+    CylPoint,
+    FinitePosetModel,
+    index_visible,
+    staged_ll,
+)
 
 
 def fork_model():
@@ -567,3 +578,242 @@ def test_transform_is_deterministic():
     one = effective_hausdorff_transform(first_one_presentation(c3), c3, 16)
     two = effective_hausdorff_transform(first_one_presentation(c3), c3, 16)
     assert json.dumps(one.to_json()) == json.dumps(two.to_json())
+
+
+# -- keyed tree build and closed-form ranks, against the unkeyed code -------------
+
+
+def _reference_tree(pres, model, stage_budget, node_cap=50_000, log=None):
+    """build_alt_tree as it was before child lists were keyed by (last
+    pair, type): every unfolded node searches its own children.  With
+    `log`, the staged_ll calls of each key's first search are recorded
+    under that key, in the order the keys are first reached."""
+    stages = stage_ladder(stage_budget)
+    pool = _default_pool(pres, model, stage_budget, stages)
+    f_memo = {}
+
+    def fvals(m, t):
+        if (m, t) not in f_memo:
+            f_memo[(m, t)] = (
+                compute_F(m, t, 0, pres, model),
+                compute_F(m, t, 1, pres, model),
+            )
+        return f_memo[(m, t)]
+
+    typed = {}
+    for t in stages:
+        entries = []
+        for m in pool:
+            if not index_visible(m, t):
+                continue
+            f0, f1 = fvals(m, t)
+            if f0 != f1:
+                entries.append((m, 1 if f1 > f0 else 0))
+        typed[t] = tuple(entries)
+
+    nodes = {}
+
+    def extend(prefix, last_m, last_t, last_eps):
+        key = (last_m, last_t, last_eps)
+        calls = None
+        if log is not None and key not in log:
+            calls = log[key] = []
+        for t in stages:
+            if last_t is not None and t <= last_t:
+                continue
+            for m, eps in typed[t]:
+                if last_m is not None:
+                    if m <= last_m or eps == last_eps:
+                        continue
+                    if calls is not None:
+                        calls.append((last_m, m, t))
+                    if not staged_ll(model, last_m, m, t):
+                        continue
+                if len(nodes) >= node_cap:
+                    raise SearchBudgetExceeded(
+                        "alternating tree exceeded %d nodes" % node_cap
+                    )
+                seq = prefix + ((m, t),)
+                f0, f1 = fvals(m, t)
+                nodes[seq] = (eps, f0, f1)
+                extend(seq, m, t, eps)
+
+    extend((), None, None, None)
+
+    prefixes = {seq[:-1] for seq in nodes}
+    frontier = frozenset(
+        seq for seq in nodes if seq not in prefixes and seq[-1][1] == stages[-1]
+    )
+    violations = tuple(
+        seq
+        for seq, (eps, f0, f1) in nodes.items()
+        if (f1 if eps else f0) < (len(seq) - 1) // 2
+    )
+    return nodes, frontier, violations
+
+
+_REFERENCE_PROBES = (
+    (Ordinal.from_int(0), 0),
+    (Ordinal.from_int(1), 1),
+    (OMEGA, 0),
+    (OMEGA + Ordinal.from_int(1), 1),
+)
+
+
+def _reference_slots(nodes):
+    """The slot loop as it was, in Ordinal arithmetic throughout:
+    (kb_order, xi, ((seq, rank, type, open), ...))."""
+    order = kb_sorted(WfTree(nodes.keys()).nodes)
+    slots = []
+    for r, seq in enumerate(order):
+        start = block_start(r)
+        for gamma, want in _REFERENCE_PROBES:
+            assert (start + gamma).parity() == want
+        if seq:
+            eps = nodes[seq][0]
+            slots.append((seq, start + OMEGA + Ordinal.from_int(eps), eps, seq[-1][0]))
+    return tuple(order), block_start(len(order)), tuple(slots)
+
+
+def _reference_eval(slots, model, x):
+    for _, _, eps, open_index in slots:
+        if model.point_in_basic(x, open_index):
+            return eps == 1
+    return False
+
+
+def two_chains_model():
+    return FinitePosetModel(FinitePoset.from_cover(4, [(0, 1), (2, 3)]))
+
+
+def _equivalence_cases():
+    for k in (2, 3):
+        for budget in (16, 32, 64, 128, 256):
+            yield "first-one-%d-%d" % (k, budget), CylinderModel(k), first_one_presentation, budget
+    posets = {
+        "clopen": lambda m: clopen_presentation(m, 3, 5),
+        "empty": empty_presentation,
+        "rows": lambda m: rows_presentation(m, [[1, 2], [4]], [[3], [5, 6]]),
+    }
+    for name, make in posets.items():
+        for budget in (8, 16, 64):
+            yield "poset-%s-%d" % (name, budget), two_chains_model(), make, budget
+
+
+EQUIVALENCE_CASES = {name: rest for name, *rest in _equivalence_cases()}
+
+
+@pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+def test_keyed_transform_matches_the_unkeyed_reference(case):
+    model, make, budget = EQUIVALENCE_CASES[case]
+    nodes, frontier, violations = _reference_tree(make(model), model, budget)
+    order, xi, slots = _reference_slots(nodes)
+    res = effective_hausdorff_transform(make(model), model, budget)
+    assert list(res.tree.nodes.items()) == list(nodes.items())
+    assert res.tree.frontier == frontier
+    assert res.tree.growth_violations == violations
+    assert res.kb_order == order
+    assert res.xi == xi
+    assert tuple((s.seq, s.rank, s.eps, s.open_index) for s in res.slots) == slots
+    assert res.diff_code.entries == tuple((rank, o) for _, rank, _, o in slots)
+    assert res.hausdorff.trees == tuple(BorelCode([(), (o,)]) for *_, o in slots)
+
+
+@pytest.mark.parametrize("cap", [10, 100, 1000])
+def test_node_cap_stops_keyed_and_unkeyed_builds_alike(cap):
+    c3 = CylinderModel(3)
+    with pytest.raises(SearchBudgetExceeded) as want:
+        _reference_tree(first_one_presentation(c3), c3, 128, node_cap=cap)
+    with pytest.raises(SearchBudgetExceeded) as got:
+        build_alt_tree(first_one_presentation(c3), c3, 128, node_cap=cap)
+    assert str(got.value) == str(want.value) == "alternating tree exceeded %d nodes" % cap
+
+
+def test_node_cap_counts_unfolded_nodes():
+    c3 = CylinderModel(3)
+    tree = build_alt_tree(first_one_presentation(c3), c3, 64)
+    size = len(tree)
+    # far fewer keys than nodes, so a cap on keys would be too lax
+    assert 2 * len({seq[-1] + value[:1] for seq, value in tree.nodes.items()}) < size
+    assert len(build_alt_tree(first_one_presentation(c3), c3, 64, node_cap=size)) == size
+    with pytest.raises(SearchBudgetExceeded):
+        build_alt_tree(first_one_presentation(c3), c3, 64, node_cap=size - 1)
+
+
+@pytest.mark.parametrize("k, budget", [(2, 256), (3, 128)])
+def test_each_key_searches_its_children_once(monkeypatch, k, budget):
+    model = CylinderModel(k)
+    log = {}
+    _reference_tree(first_one_presentation(model), model, budget, log=log)
+    want = [call for calls in log.values() for call in calls]
+
+    calls, in_f = [], []
+
+    def counting_F(*args):
+        in_f.append(True)
+        try:
+            return compute_F(*args)
+        finally:
+            in_f.pop()
+
+    def logging_ll(model, i, j, t):
+        if not in_f:
+            calls.append((i, j, t))
+        return staged_ll(model, i, j, t)
+
+    monkeypatch.setattr(effective_codes, "compute_F", counting_F)
+    monkeypatch.setattr(effective_codes, "staged_ll", logging_ll)
+    tree = build_alt_tree(first_one_presentation(model), model, budget)
+    assert calls == want
+    assert 2 * len(log) < len(tree)
+
+
+def test_closed_form_block_offsets_match_ordinal_arithmetic():
+    assert [(_omega_plus(a, b), want) for a, b, want in _GAMMA_PROBES] == list(
+        _REFERENCE_PROBES
+    )
+    for r in range(2000):
+        start = block_start(r)
+        for a, b, want in _GAMMA_PROBES:
+            offset = _block_offset(r, a, b)
+            assert _omega_plus(*offset) == start + _omega_plus(a, b), (r, a, b)
+            assert offset[1] % 2 == want
+        for eps in (0, 1):
+            rank = _omega_plus(*_block_offset(r, 1, eps))
+            assert rank == start + OMEGA + Ordinal.from_int(eps), (r, eps)
+            assert rank.parity() == eps
+
+
+class _CountingModel:
+    """A model proxy that records every point_in_basic query."""
+
+    def __init__(self, model):
+        self.model = model
+        self.queries = []
+
+    def point_in_basic(self, x, i):
+        self.queries.append((x, i))
+        return self.model.point_in_basic(x, i)
+
+
+@pytest.mark.parametrize("budget", [16, 64, 256])
+def test_eval_point_matches_reference_on_criterion_8_points(budget):
+    c3 = CylinderModel(3)
+    res = effective_hausdorff_transform(first_one_presentation(c3), c3, budget)
+    slots = tuple((s.seq, s.rank, s.eps, s.open_index) for s in res.slots)
+    points = cyl_points(c3, 4)
+    assert len(points) == 243
+    counting = _CountingModel(c3)
+    for x in points:
+        assert res.eval_point(counting, x) == _reference_eval(slots, c3, x), x
+    assert len(counting.queries) == len(set(counting.queries))
+    assert len({s.open_index for s in res.slots}) < len(res.slots)
+
+
+def test_transform_shares_one_leaf_code_per_open():
+    c3 = CylinderModel(3)
+    res = effective_hausdorff_transform(first_one_presentation(c3), c3, 64)
+    by_open = {}
+    for s, code in zip(res.slots, res.hausdorff.trees):
+        assert by_open.setdefault(s.open_index, code) is code
+    assert len(by_open) < len(res.slots)
