@@ -98,6 +98,87 @@ def _canon(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+_quote = json.encoder.encode_basestring_ascii
+_int_text = int.__repr__
+
+
+def _scalar_text(x):
+    """The JSON text of a non-container value, in json's type order
+    (so that subclasses of str, int and float come out as json's do)."""
+    if isinstance(x, str):
+        return _quote(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return _int_text(x)
+    if isinstance(x, float):
+        if x != x:
+            return "NaN"
+        if x in (float("inf"), float("-inf")):
+            return "Infinity" if x > 0 else "-Infinity"
+        return float.__repr__(x)
+    raise TypeError(f"Object of type {x.__class__.__name__} is not JSON serializable")
+
+
+def _key_text(key):
+    """A dict key coerced to a string exactly as json does."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return _scalar_text(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _emit(x, lead, indent, out):
+    """Append x's text to out, `lead` (separator, newline, indent and
+    key) joined onto its first piece."""
+    t = type(x)
+    if t is str:
+        out.append(lead + _quote(x))
+    elif t is int:
+        out.append(lead + _int_text(x))
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            out.append(lead + "[]")
+            return
+        inner = indent + "  "
+        out.append(lead + "[")
+        sep = "\n" + inner
+        for item in x:
+            _emit(item, sep, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "]")
+    elif isinstance(x, dict):
+        if not x:
+            out.append(lead + "{}")
+            return
+        inner = indent + "  "
+        out.append(lead + "{")
+        sep = "\n" + inner
+        for key, value in sorted(x.items()):
+            _emit(value, sep + _quote(_key_text(key)) + ": ", inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    else:
+        out.append(lead + _scalar_text(x))
+
+
+def _report_text(obj):
+    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte.
+
+    With ``indent`` set, json runs its generator-based pure-Python
+    encoder; this builds one piece per scalar (its separator and key
+    joined on) into a single list, quoting strings with json's C
+    routine, and joins once.  Circular structures are not detected."""
+    out = []
+    _emit(obj, "", "", out)
+    return "".join(out)
+
+
 def _digest(obj):
     return hashlib.sha256(_canon(obj).encode()).hexdigest()
 
@@ -148,6 +229,24 @@ def _check_code_indices(model, codes):
     for code in codes:
         for i in code.basis_indices():
             model.check_index(i)
+
+
+def _code_arg(model, kind, text):
+    """The decoded --borel/--hausdorff/--diff code and its JSON."""
+    data = _arg_json(text, kind + " code")
+    try:
+        if kind == "borel":
+            code = BorelCode.from_json(data)
+            _check_code_indices(model, [code])
+        elif kind == "hausdorff":
+            code = HausdorffCode.from_json(data)
+            _check_code_indices(model, code.trees)
+        else:
+            entries = tuple((int(r), model.check_index(int(h))) for r, h in data["entries"])
+            code = DiffCode(int(data["alpha"]), data.get("polarity", "D"), entries)
+    except (KeyError, TypeError, ValueError) as e:
+        raise CliError(VALIDATION, "bad %s code: %s" % (kind, e))
+    return code, data
 
 
 # -- JSON renderings ---------------------------------------------------------
@@ -316,21 +415,12 @@ def _cmd_eval_code(args):
     model, mdata = _model_arg(args.model)
     x = _point_arg(model, args.point)
     kind = given[0]
-    data = _arg_json(getattr(args, kind), kind + " code")
+    code, data = _code_arg(model, kind, getattr(args, kind))
     if kind == "borel":
-        code = BorelCode.from_json(data)
-        _check_code_indices(model, [code])
         value = eval_borel(code, model, SIGMA if args.side == "sigma" else PI, x)
     elif kind == "hausdorff":
-        code = HausdorffCode.from_json(data)
-        _check_code_indices(model, code.trees)
         value = eval_hausdorff_code(code, model, x)
     else:
-        try:
-            entries = tuple((int(r), model.check_index(int(h))) for r, h in data["entries"])
-            code = DiffCode(int(data["alpha"]), data.get("polarity", "D"), entries)
-        except (KeyError, TypeError) as e:
-            raise CliError(VALIDATION, "bad diff code: %s" % e)
         value = eval_diff(code, x, lambda h, y: model.point_in_basic(y, h))
     inputs = {
         "model": _digest(mdata),
@@ -345,7 +435,10 @@ def _cmd_eval_code(args):
 def _cmd_transform(args):
     model, mdata = _model_arg(args.model)
     pdata = _arg_json(args.presentation, "presentation")
-    pres = presentation_from_json(model, pdata)
+    try:
+        pres = presentation_from_json(model, pdata)
+    except (KeyError, TypeError, ValueError) as e:
+        raise CliError(VALIDATION, "bad presentation: %s" % e)
     inputs = {
         "model": _digest(mdata),
         "presentation": _digest(pdata),
@@ -571,7 +664,7 @@ def main(argv=None):
             }
         }
         payload.update(e.extra)
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(_report_text(payload) + "\n")
         return e.code
     report = {
         "command": args.command,
@@ -579,7 +672,7 @@ def main(argv=None):
         "inputs": inputs,
         "outputs": outputs,
     }
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    text = _report_text(report) + "\n"
     sys.stdout.write(text)
     if args.json_out:
         with open(args.json_out, "w") as fh:

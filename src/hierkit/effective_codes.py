@@ -204,6 +204,8 @@ class StagedPresentation:
     of side eps as basis indices.  The class filters each row down to
     the indices visible at stage t and checks -- against every row it
     has already handed out -- that rows only grow with the stage.
+    `union(model, eps, n, t)` is the row's union as a basic open, kept
+    per model so that the F counter reads each one once.
     `member`, when provided, is the ground-truth membership oracle used
     by verification; the presentation itself never consults it.
     """
@@ -215,6 +217,7 @@ class StagedPresentation:
         self.json_form = json_form
         self._seen = {}
         self._memo = {}
+        self._unions = {}
 
     def row(self, eps, n, t):
         if eps not in (0, 1):
@@ -235,6 +238,16 @@ class StagedPresentation:
         out = tuple(sorted(got))
         self._memo[key] = out
         return out
+
+    def union(self, model, eps, n, t):
+        """`model.lam(self.row(eps, n, t))`, worked out once per model
+        and row: the key holds the model itself, so no union built by
+        one model is handed to another."""
+        key = (model, eps, n, t)
+        u = self._unions.get(key)
+        if u is None:
+            u = self._unions[key] = model.lam(self.row(eps, n, t))
+        return u
 
     def check_points(self, model, points, depth=6, stage=32):
         """Disjoint-and-covering sanity at finite resolution: a point is
@@ -395,8 +408,7 @@ def compute_F(m, t, eps, pres, model):
     to be."""
     p = 0
     while p < t:
-        row = pres.row(eps, p, t)
-        if not staged_ll(model, model.lam(row), m, t):
+        if not staged_ll(model, pres.union(model, eps, p, t), m, t):
             break
         p += 1
     return p
@@ -422,9 +434,8 @@ def _default_pool(pres, model, budget, stages):
     for eps in (0, 1):
         for t in stages:
             for q in range(t):
-                row = pres.row(eps, q, t)
-                cand.update(row)
-                u = model.lam(row)
+                cand.update(pres.row(eps, q, t))
+                u = pres.union(model, eps, q, t)
                 if u:
                     cand.add(u)
     return tuple(

@@ -104,6 +104,8 @@ class SpaceModel:
 
     def check_index(self, i):
         """The index itself if it names a basic open, else ValueError."""
+        if type(i) is not int:
+            raise ValueError("a basis index is an int, got %r" % (i,))
         if i < 0:
             raise ValueError("basis index %d is negative" % i)
         return i
@@ -603,7 +605,8 @@ class FinitePosetModel(SpaceModel):
         return rng.choice([i for i in self.candidate_indices() if self.basic_nonempty(i)])
 
     def check_index(self, i):
-        if not 0 <= i < len(self.opens):
+        super().check_index(i)
+        if i >= len(self.opens):
             raise ValueError("basis index %d outside 0..%d" % (i, len(self.opens) - 1))
         return i
 
@@ -779,6 +782,15 @@ class CylinderModel(SpaceModel):
     def random_open(self, rng):
         w = tuple(rng.randrange(self.alphabet) for _ in range(rng.randrange(3)))
         return self.singleton(w)
+
+    def point_from_json(self, data):
+        x = super().point_from_json(data)
+        for a in x.prefix + x.cycle:
+            if type(a) is not int or not 0 <= a < self.alphabet:
+                raise ValueError(
+                    "a letter is an int in 0..%d, got %r" % (self.alphabet - 1, a)
+                )
+        return x
 
     def to_json(self):
         return {"kind": "cylinder", "alphabet": self.alphabet}

@@ -1,14 +1,18 @@
 """End-to-end checks of the command surface: exit codes, report shapes,
 byte-level determinism, and the error JSON contract."""
 
+import ast
 import hashlib
 import itertools
 import json
+import pathlib
 import random
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hierkit.cli
 from hierkit.cli import main
@@ -586,6 +590,78 @@ def test_reports_are_byte_identical_across_runs_and_sinks(tmp_path, capsys):
     assert first == second == path.read_text()
 
 
+_json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**400), max_value=10**400)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text()
+    | st.text(st.characters(max_codepoint=0x1F))
+    | st.text(st.characters(min_codepoint=0x80))
+)
+
+
+def _json_dicts(values):
+    # one key type per dict coerces as json does; mixed key types make
+    # both encoders fail in the sort
+    return (
+        st.dictionaries(st.text(), values)
+        | st.dictionaries(st.integers(), values)
+        | st.dictionaries(st.floats(allow_nan=True, allow_infinity=True), values)
+        | st.dictionaries(st.booleans(), values)
+        | st.dictionaries(st.none(), values)
+        | st.dictionaries(st.one_of(st.text(), st.integers(), st.none()), values)
+    )
+
+
+_json_nests = st.recursive(
+    _json_scalars,
+    lambda values: st.lists(values) | st.lists(values).map(tuple) | _json_dicts(values),
+    max_leaves=40,
+)
+
+
+def _outcome(encode, obj):
+    try:
+        return encode(obj)
+    except (TypeError, ValueError) as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_json_nests)
+def test_report_text_is_json_dumps_byte_for_byte(obj):
+    want = _outcome(lambda o: json.dumps(o, sort_keys=True, indent=2), obj)
+    assert _outcome(hierkit.cli._report_text, obj) == want
+
+
+def test_report_text_keeps_the_integer_digit_limit():
+    # an index past 4,300 digits still fails the way json fails; the
+    # deepest cylinder plays depend on it (see ROADMAP)
+    for obj in (10**4400, {"index": [1, -(10**4400)]}):
+        with pytest.raises(ValueError, match="4300"):
+            json.dumps(obj, sort_keys=True, indent=2)
+        with pytest.raises(ValueError, match="4300"):
+            hierkit.cli._report_text(obj)
+
+
+def test_no_indented_json_dumps_in_the_sources():
+    # indent= sends json to its pure-Python encoder; reports go through
+    # cli._report_text instead
+    found = []
+    for path in sorted(pathlib.Path(hierkit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("dump", "dumps")
+                and any(k.arg == "indent" for k in node.keywords)
+            ):
+                found.append("%s:%d" % (path.name, node.lineno))
+    assert found == []
+
+
 def test_console_entry_point_separates_report_from_timing():
     proc = subprocess.run(
         [sys.executable, "-m", "hierkit.cli", "classify", "--poset", CHAIN3, "--set", "1"],
@@ -653,6 +729,39 @@ REFUSED_ARGV = {
         "transform", "--presentation", FIRST_ONE, "--budget", "4",
         "--points", '[{"prefix": 1, "cycle": [0]}]',
     ),
+    # letters outside the alphabet were evaluated as if in the space
+    "cylinder-point-letter-outside": (
+        "eval-code", "--point", '{"prefix": [5]}', "--borel", '{"nodes": [[], [2]]}',
+    ),
+    "cylinder-point-letter-bool": (
+        "eval-code", "--point", '{"prefix": [true]}', "--borel", '{"nodes": [[], [2]]}',
+    ),
+    "cylinder-point-cycle-letter-string": (
+        "eval-code", "--point", '{"prefix": [0], "cycle": ["1"]}', "--borel", '{"nodes": [[], [2]]}',
+    ),
+    "transform-point-letter-outside": (
+        "transform", "--presentation", FIRST_ONE, "--budget", "4", "--points", '[{"prefix": [5]}]',
+    ),
+    # wrongly typed codes and presentations ended in a TypeError traceback
+    "borel-nodes-not-a-list": (
+        "eval-code", "--point", '{"prefix": [0]}', "--borel", '{"nodes": 5}',
+    ),
+    "borel-leaf-string": (
+        "eval-code", "--point", '{"prefix": [0]}', "--borel", '{"nodes": [[], ["a"]]}',
+    ),
+    "hausdorff-order-mixed-types": (
+        "eval-code", "--point", '{"prefix": [0]}', "--hausdorff",
+        '{"order": ["a", 0], "parity_set": [], "trees": [{"nodes": [[]]}, {"nodes": [[]]}]}',
+    ),
+    "rows-entry-string": (
+        "transform", "--model", CHAIN2,
+        "--presentation", '{"kind": "rows", "rows1": [["a"]], "rows0": [[1]]}',
+    ),
+    "rows-row-string": (
+        "transform", "--model", CHAIN2,
+        "--presentation", '{"kind": "rows", "rows1": ["a"], "rows0": [[1]]}',
+    ),
+    "presentation-not-an-object": ("transform", "--presentation", "[1]"),
 }
 
 

@@ -768,6 +768,63 @@ def test_each_key_searches_its_children_once(monkeypatch, k, budget):
     assert 2 * len(log) < len(tree)
 
 
+def _reference_F(m, t, eps, pres, model):
+    """compute_F as it was before row unions were shared: a fresh row
+    and union on every step."""
+    p = 0
+    while p < t:
+        if not staged_ll(model, model.lam(pres.row(eps, p, t)), m, t):
+            break
+        p += 1
+    return p
+
+
+F_CASES = {
+    "first-one-2-256": (lambda: CylinderModel(2), first_one_presentation, 256),
+    "first-one-3-128": (lambda: CylinderModel(3), first_one_presentation, 128),
+    "poset-rows-64": (
+        two_chains_model,
+        lambda m: rows_presentation(m, [[1, 2], [4]], [[3], [5, 6]]),
+        64,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(F_CASES))
+def test_shared_row_unions_match_the_per_step_F_counter(case):
+    make_model, make_pres, budget = F_CASES[case]
+    model = make_model()
+    pres = make_pres(model)
+    requested, unions = [], []
+    row, lam = pres.row, model.lam
+    pres.row = lambda eps, n, t: requested.append((eps, n, t)) or row(eps, n, t)
+    model.lam = lambda indices: unions.append(indices) or lam(indices)
+    tree = build_alt_tree(pres, model, budget)
+    # one union per row the build reads, not one per F step
+    assert len(unions) == len(set(requested))
+    assert len(requested) <= 2 * len(unions)
+    ref_model = make_model()
+    ref_pres = make_pres(ref_model)
+    pairs = {seq[-1]: value[1:] for seq, value in tree.nodes.items()}
+    assert len(pairs) > 10
+    for (m, t), got in pairs.items():
+        want = tuple(_reference_F(m, t, eps, ref_pres, ref_model) for eps in (0, 1))
+        assert got == want, (m, t)
+
+
+def test_row_unions_are_kept_apart_per_model():
+    # one rows presentation read on two posets, whose opens are listed
+    # differently: each row's union has another index on each
+    pres = rows_presentation(None, [[2, 3]], [[4, 5]])
+    chains, fork = two_chains_model(), fork_model()
+    for eps in (0, 1):
+        row = pres.row(eps, 0, 4)
+        assert chains.lam(row) != fork.lam(row)
+    for m in (chains, fork, chains):
+        for eps in (0, 1):
+            assert pres.union(m, eps, 0, 4) == m.lam(pres.row(eps, 0, 4))
+
+
 def test_closed_form_block_offsets_match_ordinal_arithmetic():
     assert [(_omega_plus(a, b), want) for a, b, want in _GAMMA_PROBES] == list(
         _REFERENCE_PROBES

@@ -613,8 +613,9 @@ def test_models_share_one_surface(name):
     assert m.finite == (name == "diamond")
     whole = m.whole_index()
     assert m.check_index(whole) == whole
-    with pytest.raises(ValueError):
-        m.check_index(-1)
+    for bad in (-1, "1", True, 1.0, None, [1]):
+        with pytest.raises(ValueError):
+            m.check_index(bad)
     for seed in range(200):
         u = m.random_open(random.Random(seed))
         ref_rng = random.Random(seed)
@@ -654,6 +655,26 @@ def test_poset_points_and_indices_stay_in_range():
     for bad in (3, 99, -1):
         with pytest.raises(ValueError):
             m.check_index(bad)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_cylinder_points_stay_in_the_alphabet(k):
+    m = CylinderModel(k)
+    top = k - 1
+    assert m.point_from_json({"prefix": [top, 0], "cycle": [top]}) == CylPoint((top, 0), (top,))
+    for bad in (
+        {"prefix": [k]},
+        {"prefix": [-1]},
+        {"prefix": [0], "cycle": [k]},
+        {"prefix": [True]},
+        {"prefix": [0], "cycle": [False]},
+        {"prefix": [1.0]},
+        {"prefix": ["0"]},
+        {"prefix": "01"},
+        {"prefix": [None]},
+    ):
+        with pytest.raises(ValueError):
+            m.point_from_json(bad)
 
 
 def test_bits_refuses_a_negative_mask():
