@@ -37,18 +37,30 @@ class WfTree:
         self.nodes = frozenset(nodes)
 
     def children(self, node):
-        node = tuple(node)
-        return [m for m in self.nodes if len(m) == len(node) + 1 and m[: len(node)] == node]
+        """The children of node, in the order of iteration over nodes."""
+        return list(self._index()[0].get(tuple(node), ()))
 
     def node_rank(self, node):
+        return self._index()[1][tuple(node)]
+
+    def _index(self):
+        """(child lists, ranks) of every node, built in one pass over
+        the nodes, longest first.  Sorting is stable, so siblings keep
+        their order of iteration over nodes, and every child's rank is
+        final before its parent's is read."""
         try:
-            memo = self._ranks
+            return self._kids, self._ranks
         except AttributeError:
-            memo = self._ranks = {}
-            for m in sorted(self.nodes, key=len, reverse=True):
-                kids = [memo[k] for k in self.children(m)]
-                memo[m] = max(kids) + 1 if kids else 0
-        return memo[tuple(node)]
+            pass
+        kids = {m: [] for m in self.nodes}
+        ranks = dict.fromkeys(self.nodes, 0)
+        for m in sorted(self.nodes, key=len, reverse=True):
+            if m:
+                parent = m[:-1]
+                kids[parent].append(m)
+                ranks[parent] = max(ranks[parent], ranks[m] + 1)
+        self._kids, self._ranks = kids, ranks
+        return kids, ranks
 
     def rank(self):
         return self.node_rank(())

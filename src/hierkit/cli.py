@@ -231,6 +231,14 @@ def _check_code_indices(model, codes):
             model.check_index(i)
 
 
+def _json_int(value, what):
+    """A JSON integer as it is; a float, a bool or a string is refused,
+    not truncated or parsed."""
+    if type(value) is not int:
+        raise ValueError("%s must be an int, got %r" % (what, value))
+    return value
+
+
 def _code_arg(model, kind, text):
     """The decoded --borel/--hausdorff/--diff code and its JSON."""
     data = _arg_json(text, kind + " code")
@@ -242,8 +250,10 @@ def _code_arg(model, kind, text):
             code = HausdorffCode.from_json(data)
             _check_code_indices(model, code.trees)
         else:
-            entries = tuple((int(r), model.check_index(int(h))) for r, h in data["entries"])
-            code = DiffCode(int(data["alpha"]), data.get("polarity", "D"), entries)
+            entries = tuple(
+                (_json_int(r, "rank"), model.check_index(h)) for r, h in data["entries"]
+            )
+            code = DiffCode(_json_int(data["alpha"], "alpha"), data.get("polarity", "D"), entries)
     except (KeyError, TypeError, ValueError) as e:
         raise CliError(VALIDATION, "bad %s code: %s" % (kind, e))
     return code, data
@@ -366,6 +376,8 @@ def _cmd_play(args):
 
 
 def _normalize_dense(data, model):
+    if not isinstance(data, list):
+        raise CliError(VALIDATION, "--dense must be a JSON list of constraints")
     dense = []
     for i, entry in enumerate(data):
         if isinstance(entry, dict):
@@ -377,7 +389,9 @@ def _normalize_dense(data, model):
                 VALIDATION,
                 "dense constraint %d must be {u, f} or a [u, f] pair" % i,
             )
-        dense.append(tuple(tuple(model.check_index(int(j)) for j in part) for part in (u, f)))
+        if not (isinstance(u, list) and isinstance(f, list)):
+            raise CliError(VALIDATION, "dense constraint %d: u and f must be lists" % i)
+        dense.append(tuple(tuple(model.check_index(j) for j in part) for part in (u, f)))
     if not dense:
         raise CliError(VALIDATION, "need at least one dense constraint")
     return dense

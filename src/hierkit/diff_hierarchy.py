@@ -142,46 +142,66 @@ def level_bruteforce(poset, target_mask, cap=None, max_nodes=2_000_000):
     default cap.  Only monotone sequences are searched; that loses no
     generality because cumulative unions preserve the denotation.
 
+    The search runs over states (r, U): r slots are left to fill and U
+    is the union of the slots filled so far.  A point first covered by
+    a slot with r slots left (that one included) lies in the coded set
+    iff r is odd, whatever n is, and after the last slot the target
+    must lie in U.  So whether a state can finish depends on (r, U)
+    alone, not on n or on the path that reached it, and one set of
+    dead states serves every n from 0 to cap.  A node is one expanded
+    state, r = 0 leaves included; no state is expanded twice, so a
+    call uses at most (cap + 1) * |opens| nodes.
+
+    Candidate opens are tried largest first, so a feasible level
+    succeeds on its first branch, while an infeasible one is still
+    explored state by state: there is no pruning by "if the largest
+    allowed next open fails, every smaller one fails".  That argument
+    would turn the search into the greedy residue chain, and this
+    classifier would stop being an independent check on `residues`.
+
     Raises SearchBudgetExceeded past max_nodes search states.
     """
     if cap is None:
         cap = poset.height() + 1
-    opens = poset.opens()
-    carrier = poset.carrier
-    counter = [0]
-
-    def feasible(n):
-        # Choose U_0 <= U_1 <= ... <= U_{n-1}; points first covered at
-        # slot i are "in" iff parity(i) != parity(n).
-        def rec(i, prev_union):
-            counter[0] += 1
-            if counter[0] > max_nodes:
-                raise SearchBudgetExceeded(counter[0])
-            if i == n:
-                return (carrier & ~prev_union) & target_mask == 0
-            want_in = (i % 2) != (n % 2)
-            for u in opens:
-                if u & prev_union != prev_union:
-                    continue
-                fresh = u & ~prev_union
-                hit = fresh & target_mask
-                if want_in and hit != fresh:
-                    continue
-                if not want_in and hit:
-                    continue
-                if rec(i + 1, u):
-                    return True
-            return False
-
-        return rec(0, 0)
-
+    larger_first = poset.opens()[::-1]
+    dead = [set() for _ in range(cap + 1)]
+    budget = [0, max_nodes]
+    target = target_mask & poset.carrier
     for n in range(cap + 1):
-        if feasible(n):
+        if _finishes(n, 0, target, larger_first, dead, budget):
             return n
     raise RuntimeError(
         "no representation up to cap=%d; this should be impossible on a finite poset"
         % cap
     )
+
+
+def _finishes(r, union, target, larger_first, dead, budget):
+    """Whether r more slots above `union` can complete a code of
+    `target`; if not, `union` joins dead[r].  budget[0] counts expanded
+    states against the limit budget[1].  A module function, not a
+    closure, so that no reference cycle keeps `dead` alive."""
+    budget[0] += 1
+    if budget[0] > budget[1]:
+        raise SearchBudgetExceeded(budget[0])
+    if r == 0:
+        if not target & ~union:
+            return True
+    else:
+        # the next slot's fresh points u - union lie inside target iff r
+        # is odd, so u must avoid `banned`
+        banned = ~(union | target) if r % 2 else target & ~union
+        below = dead[r - 1]
+        for u in larger_first:
+            if (
+                u & union == union
+                and not u & banned
+                and u not in below
+                and _finishes(r - 1, u, target, larger_first, dead, budget)
+            ):
+                return True
+    dead[r].add(union)
+    return False
 
 
 def sigma_pi_levels(poset, mask, **kw):

@@ -144,12 +144,17 @@ class FinitePoset:
         return None
 
     def height(self):
-        """Number of elements in a longest chain."""
+        """Number of elements in a longest chain.  Cached."""
+        try:
+            return self._height
+        except AttributeError:
+            pass
         memo = [0] * self.n
         for i in sorted(range(self.n), key=lambda i: popcount(self.up[i])):
             above = [memo[j] for j in bits(self.up[i]) if j != i]
             memo[i] = 1 + max(above, default=0)
-        return max(memo, default=0)
+        self._height = max(memo, default=0)
+        return self._height
 
     # -- surgery ----------------------------------------------------------
 

@@ -53,6 +53,23 @@ def test_rank_conventions():
     assert t.node_rank((0,)) == 0 and t.node_rank((1,)) == 2
 
 
+@given(st.lists(st.lists(st.integers(0, 3), max_size=4), max_size=12))
+def test_children_and_ranks_match_their_definitions(seqs):
+    # children in the order of iteration over nodes, as prune_to_rank's
+    # first match relies on; ranks by the recursive definition
+    t = WfTree(s[:k] for s in seqs for k in range(len(s) + 1))
+
+    def rank(node):
+        kids = [m for m in t.nodes if m[:-1] == node and len(m) == len(node) + 1]
+        return max((rank(k) + 1 for k in kids), default=0)
+
+    for node in t.nodes:
+        want = [m for m in t.nodes if len(m) == len(node) + 1 and m[: len(node)] == node]
+        assert t.children(node) == want
+        assert t.node_rank(node) == rank(node)
+    assert t.children((9, 9)) == []
+
+
 def test_prefix_closure_enforced():
     with pytest.raises(ValueError):
         WfTree([(0, 1)])

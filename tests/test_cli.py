@@ -762,6 +762,26 @@ REFUSED_ARGV = {
         "--presentation", '{"kind": "rows", "rows1": ["a"], "rows0": [[1]]}',
     ),
     "presentation-not-an-object": ("transform", "--presentation", "[1]"),
+    # int() turned a float or a bool into another index or rank and exited 0
+    "diff-handle-float": (
+        "eval-code", "--point", '{"prefix": [1]}', "--diff", '{"alpha": 1, "entries": [[0, 4.9]]}',
+    ),
+    "diff-handle-bool": (
+        "eval-code", "--point", '{"prefix": [1]}', "--diff", '{"alpha": 1, "entries": [[0, true]]}',
+    ),
+    "dense-index-float": ("baire", "--dense", '[{"u": [2.9], "f": []}]'),
+    "diff-rank-float": (
+        "eval-code", "--point", '{"prefix": [1]}', "--diff", '{"alpha": 2, "entries": [[1.0, 4]]}',
+    ),
+    "diff-rank-bool": (
+        "eval-code", "--point", '{"prefix": [1]}', "--diff", '{"alpha": 2, "entries": [[true, 4]]}',
+    ),
+    "diff-alpha-float": (
+        "eval-code", "--point", '{"prefix": [1]}', "--diff", '{"alpha": 2.5, "entries": [[1, 4]]}',
+    ),
+    # iterating a non-list ended in a TypeError traceback
+    "dense-not-a-list": ("baire", "--dense", "5"),
+    "dense-u-not-a-list": ("baire", "--dense", '[{"u": 5}]'),
 }
 
 
