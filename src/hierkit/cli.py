@@ -186,7 +186,7 @@ def _digest(obj):
 def _poset_arg(text):
     data = _arg_json(text, "poset")
     try:
-        poset = FinitePoset.from_cover(int(data["n"]), [tuple(e) for e in data["cover"]])
+        poset = FinitePoset.from_cover(data["n"], [tuple(e) for e in data["cover"]])
     except (KeyError, TypeError, ValueError) as e:
         raise CliError(VALIDATION, "bad poset: %s" % e)
     return poset, data
@@ -586,11 +586,20 @@ def _cmd_gen(args):
 # -- wiring ------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are validation errors, so
+    they end as JSON with exit 1 like every other refused input; exit 2
+    stays the budget verdict.  Subparsers inherit the class."""
+
+    def error(self, message):
+        raise CliError(VALIDATION, "%s: %s" % (self.prog, message))
+
+
 @functools.cache
 def _build_parser():
     # built once per process: parse_args leaves the parser unchanged and
     # returns a fresh namespace on every call
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="hier",
         description="difference-hierarchy levels, games, and staged transforms",
     )
@@ -659,9 +668,9 @@ def _build_parser():
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
     started = time.monotonic()
     try:
+        args = _build_parser().parse_args(argv)
         try:
             inputs, outputs = args.handler(args)
         except (SearchBudgetExceeded, SearchExhausted) as e:

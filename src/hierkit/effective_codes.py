@@ -205,7 +205,10 @@ class StagedPresentation:
     the indices visible at stage t and checks -- against every row it
     has already handed out -- that rows only grow with the stage.
     `union(model, eps, n, t)` is the row's union as a basic open, kept
-    per model so that the F counter reads each one once.
+    per model so that no row's union is built twice.  `union_runs(model,
+    eps, t)` lists the unions of rows 0..t-1 at stage t as runs of equal
+    values, `(union, end)` with `end` the first row past the run, also
+    kept per model: the F counter answers a whole run with one test.
     `member`, when provided, is the ground-truth membership oracle used
     by verification; the presentation itself never consults it.
     """
@@ -218,6 +221,7 @@ class StagedPresentation:
         self._seen = {}
         self._memo = {}
         self._unions = {}
+        self._runs = {}
 
     def row(self, eps, n, t):
         if eps not in (0, 1):
@@ -248,6 +252,20 @@ class StagedPresentation:
         if u is None:
             u = self._unions[key] = model.lam(self.row(eps, n, t))
         return u
+
+    def union_runs(self, model, eps, t):
+        key = (model, eps, t)
+        runs = self._runs.get(key)
+        if runs is None:
+            runs = []
+            for q in range(t):
+                u = self.union(model, eps, q, t)
+                if runs and runs[-1][0] == u:
+                    runs[-1] = (u, q + 1)
+                else:
+                    runs.append((u, q + 1))
+            runs = self._runs[key] = tuple(runs)
+        return runs
 
     def check_points(self, model, points, depth=6, stage=32):
         """Disjoint-and-covering sanity at finite resolution: a point is
@@ -305,10 +323,25 @@ def first_one_presentation(model):
     The set is the open union of the cylinders [0^k 1]; its complement
     is a genuine countable intersection: row n is [0^n] together with
     every [0^k j], k < n, j >= 2.
+
+    Only words short enough to be visible at the stage are encoded.  A
+    word of length L has code at least 1 + k + ... + k^(L-1), the code
+    of 0^L, and [w] is visible at stage t iff code(w) < t; so no word
+    longer than the longest visible 0^L can be visible, and skipping
+    those words leaves every filtered row unchanged.
     """
     if model.kind != "cylinder":
         raise ValueError("the first-one presentation lives on a cylinder model")
     k = model.alphabet
+
+    def longest_visible(t):
+        # the largest L whose first code 1 + k + ... + k^(L-1) is < t
+        length, first, block = 0, 0, 1
+        while first + block < t:
+            first += block
+            block *= k
+            length += 1
+        return length
 
     def visible_singleton(word, t):
         # test the code before shifting: word codes grow exponentially
@@ -326,10 +359,12 @@ def first_one_presentation(model):
                     return out
                 out.append(idx)
                 depth += 1
-        idx = visible_singleton((0,) * n, t)
-        if idx is not None:
-            out.append(idx)
-        for d in range(n):
+        longest = longest_visible(t)
+        if n <= longest:
+            idx = visible_singleton((0,) * n, t)
+            if idx is not None:
+                out.append(idx)
+        for d in range(min(n, longest)):
             for j in range(2, k):
                 idx = visible_singleton((0,) * d + (j,), t)
                 if idx is not None:
@@ -405,12 +440,18 @@ def compute_F(m, t, eps, pres, model):
     approximates O_m from above at stage t, i.e. the stage-t union of
     row q is nonempty-refined by O_m.  Not monotone in t in general
     (rows grow, but so does the row count to survive) and never assumed
-    to be."""
+    to be.
+
+    The visibility of m is tested once, and the rows are walked as runs
+    of equal unions (`StagedPresentation.union_runs`): equal unions get
+    equal answers, so a run that passes adds its whole length."""
+    if not index_visible(m, t):
+        return 0
     p = 0
-    while p < t:
-        if not staged_ll(model, pres.union(model, eps, p, t), m, t):
+    for u, end in pres.union_runs(model, eps, t):
+        if not (index_visible(u, t) and model.ll(u, m)):
             break
-        p += 1
+        p = end
     return p
 
 

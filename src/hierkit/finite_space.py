@@ -70,9 +70,15 @@ class FinitePoset:
     @staticmethod
     def from_cover(n, cover_pairs):
         """Build from a Hasse-style edge list [(lo, hi), ...] (any DAG
-        edges work; the transitive closure is taken)."""
+        edges work; the transitive closure is taken).  The size and every
+        endpoint must be ints; a float or a bool is refused, not read as
+        another element."""
+        if type(n) is not int:
+            raise ValueError("poset size must be an int, got %r" % (n,))
         up = [1 << i for i in range(n)]
         for lo, hi in cover_pairs:
+            if type(lo) is not int or type(hi) is not int:
+                raise ValueError("cover pair endpoints must be ints: (%r, %r)" % (lo, hi))
             if not (0 <= lo < n and 0 <= hi < n):
                 raise ValueError("cover pair out of range: (%r, %r)" % (lo, hi))
             up[lo] |= 1 << hi
@@ -192,7 +198,7 @@ class FinitePoset:
     @staticmethod
     def from_json(text):
         data = text if isinstance(text, dict) else json.loads(text)
-        return FinitePoset.from_cover(int(data["n"]), [tuple(p) for p in data["cover"]])
+        return FinitePoset.from_cover(data["n"], [tuple(p) for p in data["cover"]])
 
     # -- identity ------------------------------------------------------------
 

@@ -5,6 +5,7 @@ import ast
 import hashlib
 import itertools
 import json
+import os
 import pathlib
 import random
 import subprocess
@@ -537,10 +538,12 @@ def _classify_argv(n, seed, edge_prob):
 
 def test_cached_parser_survives_a_usage_error(capsys):
     hierkit.cli._build_parser.cache_clear()
-    with pytest.raises(SystemExit) as exc:
-        main(["classify", "--poset", CHAIN3])  # --set is missing
-    assert exc.value.code == 2
-    capsys.readouterr()
+    code, rep = run_cli(capsys, "classify", "--poset", CHAIN3)  # --set is missing
+    assert code == 1
+    assert rep["error"] == {
+        "kind": "validation",
+        "message": "hier classify: the following arguments are required: --set",
+    }
     golden = [
         (_classify_argv(16, 2, 0.35), (0, CLASSIFY_DIGESTS[16, 2, 0.35])),
         (
@@ -557,6 +560,13 @@ def test_cached_parser_survives_a_usage_error(capsys):
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == want, argv[0]
     info = hierkit.cli._build_parser.cache_info()
     assert (info.misses, info.hits) == (1, len(golden))
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["play", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: hier play")
 
 
 def test_gen_posets_are_valid_and_seed_sensitive(capsys):
@@ -663,10 +673,15 @@ def test_no_indented_json_dumps_in_the_sources():
 
 
 def test_console_entry_point_separates_report_from_timing():
+    # the child finds hierkit where this process found it, also when only
+    # pytest's pythonpath setting put it there
+    src = str(pathlib.Path(hierkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
         [sys.executable, "-m", "hierkit.cli", "classify", "--poset", CHAIN3, "--set", "1"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     rep = json.loads(proc.stdout)
@@ -782,6 +797,15 @@ REFUSED_ARGV = {
     # iterating a non-list ended in a TypeError traceback
     "dense-not-a-list": ("baire", "--dense", "5"),
     "dense-u-not-a-list": ("baire", "--dense", '[{"u": 5}]'),
+    # int() and tuple unpacking read a float size or a bool endpoint as a
+    # poset and exited 0
+    "poset-size-float": ("classify", "--poset", '{"n": 3.7, "cover": [[0, 1]]}', "--set", "1"),
+    "poset-edge-bool": ("classify", "--poset", '{"n": 3, "cover": [[true, 2]]}', "--set", "1"),
+    "poset-model-edge-bool": (
+        "play", "--model", '{"kind": "poset", "poset": {"n": 2, "cover": [[true, 0]]}}',
+    ),
+    # argparse usage errors printed usage and exited 2, the budget status
+    "usage-first-float": ("play", "--first", "4.9"),
 }
 
 

@@ -825,6 +825,121 @@ def test_row_unions_are_kept_apart_per_model():
             assert pres.union(m, eps, 0, 4) == m.lam(pres.row(eps, 0, 4))
 
 
+# -- the F counter over runs of equal row unions -------------------------------
+
+
+def test_a_failing_run_stops_F_before_a_later_passing_run():
+    model = CylinderModel(3)
+    a, b = model.singleton((1,)), model.singleton((2,))
+    m = model.singleton((1, 0))  # inside [1], not inside [2]
+    pres = rows_presentation(model, [[a], [a], [b], [a]], [[b]])
+    assert pres.union_runs(model, 1, 10) == ((a, 2), (b, 3), (a, 10))
+    assert compute_F(m, 10, 1, pres, model) == 2 == _reference_F(m, 10, 1, pres, model)
+
+
+def test_an_invisible_union_mid_sequence_stops_F():
+    # {0,1} and {2,3} are visible at stage 3 (indices 3 and 5); their
+    # union, the whole space, has index 8, which is not
+    model = two_chains_model()
+    assert model.lam([3, 5]) == 8
+    pres = rows_presentation(model, [[4], [3, 5], [4]], [[2]])
+    m = 1  # the open {1}, inside every union above
+    assert pres.union_runs(model, 1, 3) == ((4, 1), (8, 2), (4, 3))
+    assert compute_F(m, 3, 1, pres, model) == 1 == _reference_F(m, 3, 1, pres, model)
+    assert compute_F(m, 4, 1, pres, model) == 4 == _reference_F(m, 4, 1, pres, model)
+
+
+def test_one_run_of_constant_rows_counts_every_stage():
+    model = CylinderModel(3)
+    a = model.singleton((1,))
+    pres = rows_presentation(model, [[a]], [[model.singleton((0,))]])
+    m = model.singleton((1, 2))  # visible from stage 10
+    for t in (10, 11, 31, 64):
+        assert pres.union_runs(model, 1, t) == ((a, t),)
+        assert compute_F(m, t, 1, pres, model) == t == _reference_F(m, t, 1, pres, model)
+
+
+def test_union_runs_are_kept_apart_per_model():
+    pres = rows_presentation(None, [[2, 3]], [[4, 5]])
+    chains, fork = two_chains_model(), fork_model()
+    for m in (chains, fork, chains):
+        for eps in (0, 1):
+            assert pres.union_runs(m, eps, 4) == ((m.lam(pres.row(eps, 0, 4)), 4),)
+    assert pres.union_runs(chains, 1, 4) != pres.union_runs(fork, 1, 4)
+
+
+# -- first-one rows bounded by the longest visible word -------------------------
+
+
+def _reference_rows(model):
+    """first_one_presentation's rows as they were before the length
+    bound: every row q encodes 0^q and each 0^d j, d < q."""
+    k = model.alphabet
+
+    def visible_singleton(word, t):
+        code = model.word_code(word)
+        return 1 << code if code + 1 <= t else None
+
+    def rows(eps, n, t):
+        out = []
+        if eps == 1:
+            depth = 0
+            while True:
+                idx = visible_singleton((0,) * depth + (1,), t)
+                if idx is None:
+                    return out
+                out.append(idx)
+                depth += 1
+        idx = visible_singleton((0,) * n, t)
+        if idx is not None:
+            out.append(idx)
+        for d in range(n):
+            for j in range(2, k):
+                idx = visible_singleton((0,) * d + (j,), t)
+                if idx is not None:
+                    out.append(idx)
+        return out
+
+    return rows
+
+
+def _longest_visible(k, t):
+    # the code of 0^L is 1 + k + ... + k^(L-1) = (k^L - 1) / (k - 1)
+    length = 0
+    while (k ** (length + 1) - 1) // (k - 1) < t:
+        length += 1
+    return length
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_bounded_first_one_rows_match_the_unbounded_rows(k):
+    model = CylinderModel(k)
+    pres = first_one_presentation(model)
+    ref = _reference_rows(model)
+    stages = sorted(set(stage_ladder(256)) | {3, 5, 13, 40, 100, 200})
+    for t in stages:
+        for eps in (0, 1):
+            for n in range(t + 2):
+                want = tuple(sorted(i for i in ref(eps, n, t) if index_visible(i, t)))
+                assert pres.row(eps, n, t) == want, (eps, n, t)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_first_one_rows_encode_only_visible_lengths(k):
+    model = CylinderModel(k)
+    pres = first_one_presentation(model)
+    calls = []
+    word_code = model.word_code
+    model.word_code = lambda word: calls.append(word) or word_code(word)
+    t = 1024
+    longest = _longest_visible(k, t)
+    for eps, n in ((0, t), (0, longest), (1, t)):
+        calls.clear()
+        pres.row(eps, n, t)
+        assert len(calls) <= (longest + 1) * k, (eps, n)
+        assert all(len(word) <= longest + 1 for word in calls)
+
+
 def test_closed_form_block_offsets_match_ordinal_arithmetic():
     assert [(_omega_plus(a, b), want) for a, b, want in _GAMMA_PROBES] == list(
         _REFERENCE_PROBES
