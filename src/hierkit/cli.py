@@ -12,9 +12,9 @@ identical inputs, seed and budget produce byte-identical output, so
 wall-clock timing goes to stderr only.  Failures also emit JSON, to
 stdout: validation problems exit 1, exhausted search budgets exit 2.
 
-Structured arguments (--poset, --model, --presentation, ...) take either
-inline JSON or ``@path`` to a JSON file.  --set takes a comma-separated
-list of element ids.
+Structured arguments (--poset, --model, --presentation, ...) take inline
+JSON or ``@path`` to a JSON file, parsed once here and decoded with
+``hierkit.jsonin``.  --set takes a comma-separated list of element ids.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import random
 import sys
 import time
 
+from hierkit import jsonin
 from hierkit.alt_trees import (
     ambiguity_audit,
     classify_by_trees,
@@ -63,9 +64,6 @@ VALIDATION = 1
 BUDGET = 2
 
 _DEFAULT_MODEL = '{"kind": "cylinder", "alphabet": 2}'
-# Largest `audit --exhaustive`: the 130,023 labeled posets on 6 points
-# are enumerated in seconds; 7 points would build 6,129,859 of them.
-_AUDIT_MAX_POINTS = 6
 
 
 class CliError(Exception):
@@ -81,7 +79,9 @@ class CliError(Exception):
 # -- argument decoding -------------------------------------------------------
 
 
-def _arg_json(text, what):
+def _arg_json(text, what, decode):
+    """(decode(parsed JSON), parsed JSON) of an inline-JSON or @file
+    argument; a value that decode refuses is a `bad <what>:` error."""
     if text.startswith("@"):
         try:
             with open(text[1:]) as fh:
@@ -89,9 +89,25 @@ def _arg_json(text, what):
         except OSError as e:
             raise CliError(VALIDATION, "cannot read %s file: %s" % (what, e))
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as e:
+        data = json.loads(text)
+    except ValueError as e:
         raise CliError(VALIDATION, "bad %s JSON: %s" % (what, e))
+    try:
+        return decode(data), data
+    except ValueError as e:
+        raise CliError(VALIDATION, "bad %s: %s" % (what, e))
+
+
+def _int_in(limits):
+    """An argparse type: a decimal integer within the (lo, hi) limits."""
+
+    def parse(text):
+        try:
+            return jsonin.integer(int(text), "value", *limits)
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(str(e))
+
+    return parse
 
 
 def _canon(obj):
@@ -183,23 +199,6 @@ def _digest(obj):
     return hashlib.sha256(_canon(obj).encode()).hexdigest()
 
 
-def _poset_arg(text):
-    data = _arg_json(text, "poset")
-    try:
-        poset = FinitePoset.from_cover(data["n"], [tuple(e) for e in data["cover"]])
-    except (KeyError, TypeError, ValueError) as e:
-        raise CliError(VALIDATION, "bad poset: %s" % e)
-    return poset, data
-
-
-def _model_arg(text):
-    data = _arg_json(text, "model")
-    try:
-        return model_from_json(data), data
-    except (KeyError, TypeError, ValueError) as e:
-        raise CliError(VALIDATION, "bad model: %s" % e)
-
-
 def _set_arg(text, poset):
     mask = 0
     for part in filter(None, (p.strip() for p in text.split(","))):
@@ -213,50 +212,28 @@ def _set_arg(text, poset):
     return mask
 
 
-def _decode_point(model, data):
-    try:
-        return model.point_from_json(data)
-    except (KeyError, TypeError, ValueError) as e:
-        raise CliError(VALIDATION, "bad point: %s" % e)
-
-
-def _point_arg(model, text):
-    return _decode_point(model, _arg_json(text, "point"))
-
-
-def _check_code_indices(model, codes):
-    """Refuse a code that reads a basis index the model does not have."""
-    for code in codes:
-        for i in code.basis_indices():
-            model.check_index(i)
-
-
-def _json_int(value, what):
-    """A JSON integer as it is; a float, a bool or a string is refused,
-    not truncated or parsed."""
-    if type(value) is not int:
-        raise ValueError("%s must be an int, got %r" % (what, value))
-    return value
-
-
 def _code_arg(model, kind, text):
-    """The decoded --borel/--hausdorff/--diff code and its JSON."""
-    data = _arg_json(text, kind + " code")
-    try:
-        if kind == "borel":
-            code = BorelCode.from_json(data)
-            _check_code_indices(model, [code])
-        elif kind == "hausdorff":
-            code = HausdorffCode.from_json(data)
-            _check_code_indices(model, code.trees)
-        else:
-            entries = tuple(
-                (_json_int(r, "rank"), model.check_index(h)) for r, h in data["entries"]
+    """The decoded --borel/--hausdorff/--diff code and its JSON; every
+    basis index the code reads must pass `model.check_index`."""
+
+    def decode(data):
+        if kind == "diff":
+            alpha, entries, polarity = jsonin.fields(
+                data, "diff code", ("alpha", "entries"), {"polarity": "D"}
             )
-            code = DiffCode(_json_int(data["alpha"], "alpha"), data.get("polarity", "D"), entries)
-    except (KeyError, TypeError, ValueError) as e:
-        raise CliError(VALIDATION, "bad %s code: %s" % (kind, e))
-    return code, data
+            entries = [jsonin.list_of(e, "entry", size=2) for e in jsonin.list_of(entries, "entries")]
+            return DiffCode(
+                jsonin.integer(alpha, "alpha"),
+                polarity,
+                tuple((jsonin.integer(r, "rank"), model.check_index(h)) for r, h in entries),
+            )
+        code = (BorelCode if kind == "borel" else HausdorffCode).from_json(data)
+        for tree in [code] if kind == "borel" else code.trees:
+            for i in tree.basis_indices():
+                model.check_index(i)
+        return code
+
+    return _arg_json(text, kind + " code", decode)
 
 
 # -- JSON renderings ---------------------------------------------------------
@@ -285,7 +262,7 @@ def _tree_json(lt):
 
 
 def _cmd_classify(args):
-    poset, pdata = _poset_arg(args.poset)
+    poset, pdata = _arg_json(args.poset, "poset", FinitePoset.from_json)
     mask = _set_arg(args.set, poset)
     methods = {}
     if args.method in ("residues", "all"):
@@ -318,7 +295,7 @@ def _cmd_classify(args):
 
 
 def _cmd_residues(args):
-    poset, pdata = _poset_arg(args.poset)
+    poset, pdata = _arg_json(args.poset, "poset", FinitePoset.from_json)
     mask = _set_arg(args.set, poset)
     d = hausdorff_decompose(poset, mask)
     sigma, pi = residue_levels(poset, mask)
@@ -337,7 +314,7 @@ def _cmd_residues(args):
 
 
 def _cmd_alt(args):
-    poset, pdata = _poset_arg(args.poset)
+    poset, pdata = _arg_json(args.poset, "poset", FinitePoset.from_json)
     mask = _set_arg(args.set, poset)
     r1 = max_alt_rank(poset, mask, 1)
     r0 = max_alt_rank(poset, mask, 0)
@@ -356,7 +333,7 @@ def _cmd_alt(args):
 
 
 def _cmd_play(args):
-    model, mdata = _model_arg(args.model)
+    model, mdata = _arg_json(args.model, "model", model_from_json)
     rng = random.Random(args.seed)
     mover = {"random": RandomEmpty, "deepening": DeepeningEmpty}[args.empty]
     first = None if args.first is None else model.check_index(args.first)
@@ -375,31 +352,26 @@ def _cmd_play(args):
     return inputs, {"transcript": transcript.to_json(model)}
 
 
-def _normalize_dense(data, model):
-    if not isinstance(data, list):
-        raise CliError(VALIDATION, "--dense must be a JSON list of constraints")
-    dense = []
-    for i, entry in enumerate(data):
-        if isinstance(entry, dict):
-            u, f = entry.get("u", []), entry.get("f", [])
-        elif isinstance(entry, (list, tuple)) and len(entry) == 2:
-            u, f = entry
+def _dense_from_json(model, data):
+    """A non-empty list of constraints, each {"u": [...], "f": [...]}
+    or a [u, f] pair of basis index lists."""
+
+    def constraint(entry):
+        if isinstance(entry, list):
+            parts = jsonin.list_of(entry, "dense constraint", size=2)
         else:
-            raise CliError(
-                VALIDATION,
-                "dense constraint %d must be {u, f} or a [u, f] pair" % i,
-            )
-        if not (isinstance(u, list) and isinstance(f, list)):
-            raise CliError(VALIDATION, "dense constraint %d: u and f must be lists" % i)
-        dense.append(tuple(tuple(model.check_index(j) for j in part) for part in (u, f)))
+            parts = jsonin.fields(entry, "dense constraint", (), {"u": [], "f": []})
+        return tuple(tuple(jsonin.list_of(p, "u or f", model.check_index)) for p in parts)
+
+    dense = jsonin.list_of(data, "dense constraints", constraint)
     if not dense:
-        raise CliError(VALIDATION, "need at least one dense constraint")
+        raise ValueError("need at least one dense constraint")
     return dense
 
 
 def _cmd_baire(args):
-    model, mdata = _model_arg(args.model)
-    dense = _normalize_dense(_arg_json(args.dense, "dense"), model)
+    model, mdata = _arg_json(args.model, "model", model_from_json)
+    dense, _ = _arg_json(args.dense, "dense", lambda data: _dense_from_json(model, data))
     target = model.whole_index() if args.target is None else model.check_index(args.target)
     result = baire_witness(model, dense, target, budget=args.budget)
     inputs = {
@@ -426,8 +398,8 @@ def _cmd_eval_code(args):
     given = [k for k in ("borel", "hausdorff", "diff") if getattr(args, k) is not None]
     if len(given) != 1:
         raise CliError(VALIDATION, "need exactly one of --borel/--hausdorff/--diff")
-    model, mdata = _model_arg(args.model)
-    x = _point_arg(model, args.point)
+    model, mdata = _arg_json(args.model, "model", model_from_json)
+    x, _ = _arg_json(args.point, "point", model.point_from_json)
     kind = given[0]
     code, data = _code_arg(model, kind, getattr(args, kind))
     if kind == "borel":
@@ -447,12 +419,10 @@ def _cmd_eval_code(args):
 
 
 def _cmd_transform(args):
-    model, mdata = _model_arg(args.model)
-    pdata = _arg_json(args.presentation, "presentation")
-    try:
-        pres = presentation_from_json(model, pdata)
-    except (KeyError, TypeError, ValueError) as e:
-        raise CliError(VALIDATION, "bad presentation: %s" % e)
+    model, mdata = _arg_json(args.model, "model", model_from_json)
+    pres, pdata = _arg_json(
+        args.presentation, "presentation", lambda data: presentation_from_json(model, data)
+    )
     inputs = {
         "model": _digest(mdata),
         "presentation": _digest(pdata),
@@ -463,14 +433,13 @@ def _cmd_transform(args):
         result = effective_hausdorff_transform(pres, model, args.budget)
         return inputs, {"result": result.to_json(), "verification": None}
 
-    pts_data = _arg_json(args.points, "points")
-    if not isinstance(pts_data, list):
-        raise CliError(VALIDATION, "--points must be a JSON list of points")
-    points = [_decode_point(model, p) for p in pts_data]
-    inputs["points"] = _digest([model.point_to_json(x) for x in points])
-    report = verify_transform(
-        pres, model, points, args.budget, max_budget=args.max_budget
+    points, _ = _arg_json(
+        args.points, "points", lambda data: jsonin.list_of(data, "points", model.point_from_json)
     )
+    inputs["points"] = _digest([model.point_to_json(x) for x in points])
+    # the doubling stays inside the declared budget range
+    max_budget = args.max_budget or min(8 * args.budget, jsonin.STAGE_BUDGET[1])
+    report = verify_transform(pres, model, points, args.budget, max_budget=max_budget)
     table = [
         {
             "point": model.point_to_json(x),
@@ -501,11 +470,6 @@ def _cmd_transform(args):
 
 
 def _cmd_audit(args):
-    if not 1 <= args.exhaustive <= _AUDIT_MAX_POINTS:
-        raise CliError(
-            VALIDATION,
-            "--exhaustive must be between 1 and %d, got %d" % (_AUDIT_MAX_POINTS, args.exhaustive),
-        )
     depth = args.nmax
     disagreements = []
     ambiguity_violations = []
@@ -565,8 +529,7 @@ def _cmd_gen(args):
     items = []
     if args.kind == "poset":
         for _ in range(args.count):
-            p = random_poset(args.n, rng)
-            items.append({"n": p.n, "cover": p.cover_pairs()})
+            items.append(random_poset(args.n, rng).to_json())
     else:
         for _ in range(args.count):
             pick = rng.randrange(3)
@@ -576,9 +539,7 @@ def _cmd_gen(args):
                 items.append({"kind": "pinf", "bound": 16 << rng.randrange(3)})
             else:
                 p = random_poset(2 + rng.randrange(args.n - 1 or 1), rng)
-                items.append(
-                    {"kind": "poset", "poset": {"n": p.n, "cover": p.cover_pairs()}}
-                )
+                items.append({"kind": "poset", "poset": p.to_json()})
     inputs = {"kind": args.kind, "n": args.n, "count": args.count}
     return inputs, {"items": items}
 
@@ -627,7 +588,7 @@ def _build_parser():
 
     p = command("play", _cmd_play, "run a bounded Choquet or Banach-Mazur match")
     p.add_argument("--model", default=_DEFAULT_MODEL, help="model JSON or @file")
-    p.add_argument("--rounds", type=int, default=12)
+    p.add_argument("--rounds", type=_int_in(jsonin.ROUNDS), default=12)
     p.add_argument("--game", choices=["choquet", "bm"], default="choquet")
     p.add_argument("--empty", choices=["random", "deepening"], default="random")
     p.add_argument("--first", type=int, default=None, help="Empty's opening basis index")
@@ -636,7 +597,7 @@ def _build_parser():
     p.add_argument("--model", default=_DEFAULT_MODEL)
     p.add_argument("--dense", required=True, help='[{"u": [...], "f": [...]}, ...] or @file')
     p.add_argument("--target", type=int, default=None, help="target basic open (default: whole space)")
-    p.add_argument("--budget", type=int, default=10_000)
+    p.add_argument("--budget", type=_int_in(jsonin.BAIRE_BUDGET), default=10_000)
 
     p = command("eval-code", _cmd_eval_code, "evaluate a Borel, Hausdorff or difference code at a point")
     p.add_argument("--model", default=_DEFAULT_MODEL)
@@ -649,20 +610,24 @@ def _build_parser():
     p = command("transform", _cmd_transform, "staged alternating-tree transform, optionally verified")
     p.add_argument("--model", default=_DEFAULT_MODEL)
     p.add_argument("--presentation", required=True, help="presentation JSON or @file")
-    p.add_argument("--budget", type=int, default=16, help="stage budget for the tree")
-    p.add_argument("--max-budget", type=int, default=None, help="cap for verification doubling")
+    p.add_argument("--budget", type=_int_in(jsonin.STAGE_BUDGET), default=16,
+                   help="stage budget for the tree")
+    p.add_argument("--max-budget", type=_int_in(jsonin.STAGE_BUDGET), default=None,
+                   help="cap for verification doubling")
     p.add_argument("--points", default=None, help="JSON list of points to verify against the oracle")
 
     p = command("audit", _cmd_audit, "cross-check all classifiers and the ambiguity identities")
-    p.add_argument("--exhaustive", type=int, default=3, metavar="N",
+    p.add_argument("--exhaustive", type=_int_in(jsonin.AUDIT_POINTS), default=3, metavar="N",
                    help="check every poset with up to N elements (up to isomorphism), "
-                   "N from 1 to %d" % _AUDIT_MAX_POINTS)
-    p.add_argument("--nmax", type=int, default=2, help="ambiguity depth to check")
+                   "N from 1 to %d" % jsonin.AUDIT_POINTS[1])
+    p.add_argument("--nmax", type=_int_in(jsonin.AUDIT_DEPTH), default=2,
+                   help="ambiguity depth to check")
 
     p = command("gen", _cmd_gen, "emit seeded random posets or models")
     p.add_argument("--kind", choices=["poset", "model"], default="poset")
-    p.add_argument("--n", type=int, default=5, help="poset size (or size bound for models)")
-    p.add_argument("--count", type=int, default=10)
+    p.add_argument("--n", type=_int_in(jsonin.POSET_POINTS), default=5,
+                   help="poset size (or size bound for models)")
+    p.add_argument("--count", type=_int_in(jsonin.GEN_COUNT), default=10)
 
     return top
 

@@ -52,9 +52,6 @@ class DiffCode:
                 raise ValueError("entry indices must strictly increase")
             prev = idx
 
-    def with_polarity(self, polarity):
-        return DiffCode(self.alpha, polarity, self.entries)
-
 
 def eval_diff(code, x, contains):
     """Least-index evaluation.  contains(set_handle, x) -> bool."""

@@ -29,10 +29,12 @@ convergence data instead of patching answers.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from hierkit.alt_trees import WfTree, kb_sorted
 from hierkit.diff_hierarchy import DiffCode, SearchBudgetExceeded, embed_co
+from hierkit.jsonin import fields, integer, list_of, tagged
 from hierkit.ordinals import Ordinal
 from hierkit.space_models import index_visible, staged_ll
 
@@ -92,7 +94,9 @@ class BorelCode:
 
     @staticmethod
     def from_json(data):
-        return BorelCode([tuple(n) for n in data["nodes"]])
+        (nodes,) = fields(data, "Borel code", ("nodes",))
+        label = functools.partial(integer, what="node label")
+        return BorelCode([list_of(n, "node", label) for n in list_of(nodes, "nodes")])
 
 
 def _node_value(tree, node, model, x):
@@ -143,9 +147,6 @@ class HausdorffCode:
         if not self.parity_set <= set(self.order):
             raise ValueError("parity set mentions elements outside the order")
 
-    def rank_of(self, n):
-        return self.order.index(n)
-
     def to_json(self):
         return {
             "order": list(self.order),
@@ -155,10 +156,12 @@ class HausdorffCode:
 
     @staticmethod
     def from_json(data):
+        order, parity, trees = fields(data, "Hausdorff code", ("order", "parity_set", "trees"))
+        element = functools.partial(integer, what="order element")
         return HausdorffCode(
-            tuple(data["order"]),
-            frozenset(data["parity_set"]),
-            tuple(BorelCode.from_json(t) for t in data["trees"]),
+            list_of(order, "order", element),
+            list_of(parity, "parity_set", element),
+            list_of(trees, "trees", BorelCode.from_json),
         )
 
 
@@ -411,25 +414,29 @@ def rows_presentation(model, rows1, rows0, member=None, tail="repeat"):
     )
 
 
+_PRESENTATION_FIELDS = {
+    "rows": (("rows1", "rows0"), {"tail": "repeat"}),
+    "clopen": (("inside", "outside"), {}),
+    "empty": ((), {}),
+    "first-one": ((), {}),
+}
+
+
 def presentation_from_json(model, data):
     """Decode a presentation; every basis index it lists must pass
     `model.check_index`."""
-    kind = data["kind"]
+    kind, values = tagged(data, "presentation", _PRESENTATION_FIELDS)
     if kind == "rows":
         rows1, rows0 = (
-            [[model.check_index(i) for i in row] for row in data[side]]
-            for side in ("rows1", "rows0")
+            [list_of(row, "row", model.check_index) for row in list_of(rows, side)]
+            for rows, side in zip(values, ("rows1", "rows0"))
         )
-        return rows_presentation(model, rows1, rows0, tail=data.get("tail", "repeat"))
+        return rows_presentation(model, rows1, rows0, tail=values[2])
     if kind == "clopen":
-        return clopen_presentation(
-            model, model.check_index(data["inside"]), model.check_index(data["outside"])
-        )
+        return clopen_presentation(model, *map(model.check_index, values))
     if kind == "empty":
         return empty_presentation(model)
-    if kind == "first-one":
-        return first_one_presentation(model)
-    raise ValueError("unknown presentation kind %r" % kind)
+    return first_one_presentation(model)
 
 
 # -- the F counter and the alternating tree ----------------------------------

@@ -9,9 +9,11 @@ order.
 
 from __future__ import annotations
 
+import functools
 import itertools
-import json
 import random
+
+from hierkit.jsonin import POSET_POINTS, fields, integer, list_of
 
 
 def bits(mask):
@@ -69,18 +71,10 @@ class FinitePoset:
 
     @staticmethod
     def from_cover(n, cover_pairs):
-        """Build from a Hasse-style edge list [(lo, hi), ...] (any DAG
-        edges work; the transitive closure is taken).  The size and every
-        endpoint must be ints; a float or a bool is refused, not read as
-        another element."""
-        if type(n) is not int:
-            raise ValueError("poset size must be an int, got %r" % (n,))
+        """Build from a Hasse-style edge list [(lo, hi), ...] of points
+        in 0..n-1 (any DAG edges work; the transitive closure is taken)."""
         up = [1 << i for i in range(n)]
         for lo, hi in cover_pairs:
-            if type(lo) is not int or type(hi) is not int:
-                raise ValueError("cover pair endpoints must be ints: (%r, %r)" % (lo, hi))
-            if not (0 <= lo < n and 0 <= hi < n):
-                raise ValueError("cover pair out of range: (%r, %r)" % (lo, hi))
             up[lo] |= 1 << hi
         # Warshall closure over the up masks.
         for k in range(n):
@@ -111,9 +105,6 @@ class FinitePoset:
             if self.up[i] & ~mask:
                 return False
         return True
-
-    def is_closed(self, mask):
-        return self.is_open(self.carrier & ~mask)
 
     def closure(self, mask):
         m = 0
@@ -193,12 +184,16 @@ class FinitePoset:
         return out
 
     def to_json(self):
-        return json.dumps({"n": self.n, "cover": [list(p) for p in self.cover_pairs()]})
+        return {"n": self.n, "cover": [list(p) for p in self.cover_pairs()]}
 
     @staticmethod
-    def from_json(text):
-        data = text if isinstance(text, dict) else json.loads(text)
-        return FinitePoset.from_cover(data["n"], [tuple(p) for p in data["cover"]])
+    def from_json(data):
+        """Decode {"n": ..., "cover": [[lo, hi], ...]}."""
+        n, cover = fields(data, "poset", ("n", "cover"))
+        n = integer(n, "poset size", *POSET_POINTS)
+        endpoint = functools.partial(integer, what="cover pair endpoint", hi=n - 1)
+        pairs = [list_of(p, "cover pair", endpoint, 2) for p in list_of(cover, "cover")]
+        return FinitePoset.from_cover(n, pairs)
 
     # -- identity ------------------------------------------------------------
 

@@ -111,7 +111,7 @@ def relation_from_strategy(tau, model):
     C <= tau(x, D).  Returns the set of index pairs."""
     if not model.finite:
         raise TypeError("strategy-to-relation reading needs a finite carrier")
-    idx = list(model.candidate_indices())
+    idx = list(model.candidate_indices(model.whole_index() + 1))
     rel = set()
     for b in idx:
         for c in idx:
@@ -121,7 +121,7 @@ def relation_from_strategy(tau, model):
 
 
 def _witnessed(tau, model, b, c):
-    for d in model.candidate_indices():
+    for d in model.candidate_indices(model.whole_index() + 1):
         if not model.basic_nonempty(d) or not model.basic_subset(d, b):
             continue
         for x in model.points():

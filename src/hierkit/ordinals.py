@@ -56,14 +56,6 @@ class Ordinal:
             return self.terms[-1][1]
         return 0
 
-    def limit_part(self):
-        if self.terms and self.terms[-1][0] == 0:
-            return Ordinal(self.terms[:-1])
-        return self
-
-    def is_limit(self):
-        return bool(self.terms) and self.terms[-1][0] != 0
-
     def is_finite(self):
         return not self.terms or (len(self.terms) == 1 and self.terms[0][0] == 0)
 

@@ -34,11 +34,11 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
 from hierkit.finite_space import FinitePoset, bits, mask_of
+from hierkit.jsonin import ALPHABET, BOUND, CLAUSE_ELEMENT, fields, integer, list_of, tagged
 
 INF = math.inf
 
@@ -104,18 +104,14 @@ class SpaceModel:
 
     def check_index(self, i):
         """The index itself if it names a basic open, else ValueError."""
-        if type(i) is not int:
-            raise ValueError("a basis index is an int, got %r" % (i,))
-        if i < 0:
-            raise ValueError("basis index %d is negative" % i)
-        return i
+        return integer(i, "basis index")
 
     def point_to_json(self, x):
         return x.to_json()
 
     def point_from_json(self, data):
         """Decode with the model's ``point_type`` (``SetPoint`` or
-        ``CylPoint``), which also takes JSON text."""
+        ``CylPoint``)."""
         return self.point_type.from_json(data)
 
 
@@ -141,21 +137,14 @@ class SetPoint:
     def includes(self, finite_set):
         return all(self.contains(n) for n in finite_set)
 
-    def horizon(self):
-        """Largest element the finite data mentions."""
-        m = max(self.core, default=-1)
-        if self.cofinite_from is not None:
-            m = max(m, self.cofinite_from)
-        return m
-
     def to_json(self):
         return {"core": sorted(self.core), "cofinite_from": self.cofinite_from}
 
     @staticmethod
     def from_json(data):
-        if isinstance(data, str):
-            data = json.loads(data)
-        return SetPoint(frozenset(data["core"]), data.get("cofinite_from"))
+        core, tail = fields(data, "point", ("core",), {"cofinite_from": None})
+        core = list_of(core, "core", functools.partial(integer, what="element"))
+        return SetPoint(core, None if tail is None else integer(tail, "cofinite_from"))
 
 
 @dataclass(frozen=True)
@@ -183,10 +172,12 @@ class CylPoint:
         return {"prefix": list(self.prefix), "cycle": list(self.cycle)}
 
     @staticmethod
-    def from_json(data):
-        if isinstance(data, str):
-            data = json.loads(data)
-        return CylPoint(tuple(data["prefix"]), tuple(data.get("cycle", (0,))))
+    def from_json(data, alphabet=None):
+        """Decode {"prefix": [...], "cycle": [...]}, letters below `alphabet`."""
+        prefix, cycle = fields(data, "point", ("prefix",), {"cycle": [0]})
+        hi = None if alphabet is None else alphabet - 1
+        letter = functools.partial(integer, what="letter", hi=hi)
+        return CylPoint(list_of(prefix, "prefix", letter), list_of(cycle, "cycle", letter))
 
 
 # -- clause systems ---------------------------------------------------------
@@ -241,12 +232,16 @@ class ClauseSystem:
         }
 
     @staticmethod
-    def from_json(data):
-        if isinstance(data, str):
-            data = json.loads(data)
-        return ClauseSystem(
-            [(r["alpha"], [tuple(g) for g in r["witnesses"]]) for r in data["rows"]]
-        )
+    def from_json(rows):
+        """Decode a clauses model's rows: [{"alpha": [...], "witnesses": [[...]]}]."""
+        element = functools.partial(integer, what="clause element", hi=CLAUSE_ELEMENT[1])
+
+        def row(data):
+            alpha, witnesses = fields(data, "clause row", ("alpha", "witnesses"))
+            gammas = [list_of(g, "witness", element) for g in list_of(witnesses, "witnesses")]
+            return list_of(alpha, "alpha", element), gammas
+
+        return ClauseSystem(list_of(rows, "rows", row))
 
 
 class PinfSystem:
@@ -288,12 +283,6 @@ class PinfSystem:
 
     def to_json(self):
         return {"bound": self.bound}
-
-
-def pinf_ll(a, b):
-    """Closed form of the clause relation on P_inf(N) cones."""
-    a, b = frozenset(a), frozenset(b)
-    return a <= b and max(a, default=-1) < max(b, default=-1)
 
 
 def _ascending_submasks(bit_positions, cap=4096):
@@ -595,35 +584,27 @@ class FinitePosetModel(SpaceModel):
             sub |= self.poset.up[p]
         return self._index[sub]
 
-    def candidate_indices(self, limit=None):
+    def candidate_indices(self, limit):
+        """Every index, whatever the limit: the basis is finite."""
         return range(len(self.opens))
 
     def whole_index(self):
         return len(self.opens) - 1
 
     def random_open(self, rng):
-        return rng.choice([i for i in self.candidate_indices() if self.basic_nonempty(i)])
+        return rng.choice([i for i in range(len(self.opens)) if self.basic_nonempty(i)])
 
     def check_index(self, i):
-        super().check_index(i)
-        if i >= len(self.opens):
-            raise ValueError("basis index %d outside 0..%d" % (i, len(self.opens) - 1))
-        return i
+        return integer(i, "basis index", 0, len(self.opens) - 1)
 
     def point_to_json(self, x):
         return x
 
     def point_from_json(self, data):
-        if isinstance(data, str):
-            data = json.loads(data)
-        if type(data) is not int or not 0 <= data < self.poset.n:
-            raise ValueError(
-                "a point is an element id in 0..%d, got %r" % (self.poset.n - 1, data)
-            )
-        return data
+        return integer(data, "point", 0, self.poset.n - 1)
 
     def to_json(self):
-        return {"kind": "poset", "poset": json.loads(self.poset.to_json())}
+        return {"kind": "poset", "poset": self.poset.to_json()}
 
 
 # -- cylinder model ---------------------------------------------------------
@@ -670,11 +651,7 @@ class CylinderModel(SpaceModel):
     tuple so that no caller can change a cached value.  Both are plain
     dicts that live as long as the model and are never evicted."""
 
-    point_type = CylPoint
-
     def __init__(self, alphabet=2):
-        if alphabet < 2:
-            raise ValueError("alphabet needs at least two letters")
         self.alphabet = alphabet
         self.kind = "cylinder"
         self._words_memo = {}
@@ -784,36 +761,33 @@ class CylinderModel(SpaceModel):
         return self.singleton(w)
 
     def point_from_json(self, data):
-        x = super().point_from_json(data)
-        for a in x.prefix + x.cycle:
-            if type(a) is not int or not 0 <= a < self.alphabet:
-                raise ValueError(
-                    "a letter is an int in 0..%d, got %r" % (self.alphabet - 1, a)
-                )
-        return x
+        return CylPoint.from_json(data, self.alphabet)
 
     def to_json(self):
         return {"kind": "cylinder", "alphabet": self.alphabet}
 
 
+_MODEL_FIELDS = {
+    "pn": ((), {}),
+    "pinf": ((), {"bound": 64}),
+    "clauses": (("rows",), {}),
+    "cylinder": ((), {"alphabet": 2}),
+    "poset": (("poset",), {}),
+}
+
+
 def model_from_json(data):
-    if isinstance(data, str):
-        data = json.loads(data)
-    kind = data["kind"]
+    kind, values = tagged(data, "model", _MODEL_FIELDS)
     if kind == "pn":
         return pn_model()
+    (value,) = values
     if kind == "pinf":
-        return pinf_model(data.get("bound", 64))
+        return pinf_model(integer(value, "bound", *BOUND))
     if kind == "clauses":
-        return PSpaceModel(ClauseSystem.from_json(data))
+        return PSpaceModel(ClauseSystem.from_json(value))
     if kind == "cylinder":
-        return CylinderModel(data.get("alphabet", 2))
-    if kind == "poset":
-        p = data["poset"]
-        return FinitePosetModel(
-            FinitePoset.from_cover(p["n"], [tuple(e) for e in p["cover"]])
-        )
-    raise ValueError("unknown model kind %r" % kind)
+        return CylinderModel(integer(value, "alphabet", *ALPHABET))
+    return FinitePosetModel(FinitePoset.from_json(value))
 
 
 # -- staging ----------------------------------------------------------------
@@ -931,11 +905,11 @@ class BaireResult:
 
 
 def _least_ll_successor(model, i, budget, inside=None):
-    """Least basic j with ll(i, j), optionally inside a union; the
-    enumeration order is the model's candidate order.  Returns
-    (index or None, steps used, hit the hard budget)."""
+    """Least basic j with ll(i, j), optionally inside a union, in the
+    model's candidate order.  Returns (index or None, steps used, hit the
+    hard budget); one candidate past the budget tells a cut search apart."""
     steps = 0
-    for j in model.candidate_indices(max(budget, 0)):
+    for j in model.candidate_indices(budget + 1):
         steps += 1
         if steps > budget:
             return None, steps, True

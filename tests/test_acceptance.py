@@ -139,7 +139,7 @@ def test_criterion_3_normalize_pad_embed_preserve_denotation():
         assert denote_mask(mono, poset) == want
         padded = pad(code, code.alpha + Ordinal.from_int(rng.randrange(4)))
         assert denote_mask(padded, poset) == want
-        co = code if code.polarity == "co-D" else code.with_polarity("co-D")
+        co = DiffCode(code.alpha, "co-D", code.entries)
         lifted = embed_co(co, poset.carrier)
         assert lifted.polarity == "D"
         assert denote_mask(lifted, poset) == denote_mask(co, poset)

@@ -533,7 +533,7 @@ def _classify_argv(n, seed, edge_prob):
     rng = random.Random(seed)
     poset = random_poset(n, rng, edge_prob)
     members = ",".join(str(v) for v in range(n) if rng.random() < 0.5)
-    return ["classify", "--poset", poset.to_json(), "--set", members, "--method", "all"]
+    return ["classify", "--poset", json.dumps(poset.to_json()), "--set", members, "--method", "all"]
 
 
 def test_cached_parser_survives_a_usage_error(capsys):
@@ -672,6 +672,39 @@ def test_no_indented_json_dumps_in_the_sources():
     assert found == []
 
 
+def test_input_decoding_stays_in_the_decoder():
+    # jsonin alone decides integer types, cli._arg_json alone parses JSON
+    # text, and no handler turns an unchecked shape's TypeError into a
+    # validation error
+    found = []
+    for path in sorted(pathlib.Path(hierkit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        parser = [f for f in ast.walk(tree) if getattr(f, "name", None) == "_arg_json"]
+        allowed = set(ast.walk(parser[0])) if path.name == "cli.py" and parser else set()
+        for node in ast.walk(tree):
+            where = "%s:%d" % (path.name, getattr(node, "lineno", 0))
+            if (
+                path.name != "jsonin.py"
+                and isinstance(node, ast.Compare)
+                and isinstance(node.ops[0], (ast.Is, ast.IsNot))
+                and isinstance(node.left, ast.Call)
+                and getattr(node.left.func, "id", None) == "type"
+                and getattr(node.comparators[0], "id", None) == "int"
+            ):
+                found.append(where + " type(...) is int")
+            if (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) == "loads"
+                and node not in allowed
+            ):
+                found.append(where + " json.loads")
+            if isinstance(node, ast.ExceptHandler) and node.type is not None and any(
+                getattr(n, "id", None) == "TypeError" for n in ast.walk(node.type)
+            ):
+                found.append(where + " except TypeError")
+    assert found == []
+
+
 def test_console_entry_point_separates_report_from_timing():
     # the child finds hierkit where this process found it, also when only
     # pytest's pythonpath setting put it there
@@ -806,6 +839,46 @@ REFUSED_ARGV = {
     ),
     # argparse usage errors printed usage and exited 2, the budget status
     "usage-first-float": ("play", "--first", "4.9"),
+    # size-like options have declared ranges: a negative budget ended in a
+    # density verdict, negative rounds and counts exited 0, and the huge
+    # values ran for hours or raised OverflowError
+    "baire-budget-negative": ("baire", "--dense", '[{"u": [2]}]', "--budget", "-5"),
+    "play-rounds-negative": ("play", "--rounds", "-1"),
+    "gen-count-negative": ("gen", "--count", "-3"),
+    "play-rounds-huge": ("play", "--rounds", "100000000"),
+    "transform-budget-huge": ("transform", "--presentation", FIRST_ONE, "--budget", str(2**80)),
+    "gen-n-huge": ("gen", "--n", str(2**80)),
+    # so do size-like fields: this poset size raised MemoryError
+    "poset-size-huge": ("classify", "--poset", '{"n": %d, "cover": []}' % 2**80, "--set", "1"),
+    # wrongly typed fields were read as other values (exit 0) or raised TypeError
+    **{
+        "pinf-bound-%s" % name: ("play", "--model", '{"kind": "pinf", "bound": %s}' % bound)
+        for name, bound in (("float", "16.5"), ("bool", "true"), ("string", '"16"'), ("null", "null"))
+    },
+    "clauses-alpha-string": (
+        "play", "--model", '{"kind": "clauses", "rows": [{"alpha": ["0"], "witnesses": [[1]]}]}',
+    ),
+    **{
+        "pn-point-%s" % name: (
+            "eval-code", "--model", PN, "--point", point, "--borel", '{"nodes": [[], [2]]}',
+        )
+        for name, point in (
+            ("core-float", '{"core": [1.5]}'),
+            ("core-bool", '{"core": [true]}'),
+            ("cofinite-float", '{"core": [1], "cofinite_from": 2.5}'),
+        )
+    },
+    "hausdorff-order-float": (
+        "eval-code", "--point", '{"prefix": [0]}', "--hausdorff",
+        '{"order": [0.0], "parity_set": [0], "trees": [{"nodes": [[]]}]}',
+    ),
+    # JSON text is parsed once: a JSON string holding JSON was parsed again
+    "poset-point-json-string": (
+        "eval-code", "--model", CHAIN2, "--point", '"1"', "--borel", '{"nodes": [[]]}',
+    ),
+    "model-json-string": ("play", "--model", json.dumps(PN)),
+    # an undeclared field (here a pinf bound on a pn model) was ignored
+    "model-undeclared-field": ("play", "--model", '{"kind": "pn", "bound": 16}'),
 }
 
 
@@ -813,4 +886,6 @@ REFUSED_ARGV = {
 def test_inputs_outside_the_model_are_validation_errors(capsys, case):
     code, rep = run_cli(capsys, *REFUSED_ARGV[case])
     assert code == 1
+    # a refusal, not a verdict reached with the refused value
+    assert list(rep) == ["error"]
     assert rep["error"]["kind"] == "validation"

@@ -99,7 +99,7 @@ def test_eval_matches_oracle_handmade():
     ents = [(0, {2}), (2, {0, 1, 2})]
     for x in range(3):
         assert eval_diff_mask(c, x) == oracle_eval(1, ents, x)
-    cc = c.with_polarity("co-D")
+    cc = DiffCode(c.alpha, "co-D", c.entries)
     for x in range(3):
         assert eval_diff_mask(cc, x) == oracle_eval(1, ents, x, co=True)
 

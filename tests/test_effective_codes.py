@@ -227,7 +227,7 @@ def test_hausdorff_json_roundtrip():
     )
     again = HausdorffCode.from_json(json.loads(json.dumps(code.to_json())))
     assert again == code
-    assert again.rank_of(1) == 0
+    assert again.order.index(1) == 0
 
 
 # -- translation from difference codes ----------------------------------------

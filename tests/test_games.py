@@ -75,7 +75,7 @@ def _conditions_exhaustive(model, rel):
     carrier.  Condition (4) reduces to nonempty right-hand sides there:
     a decreasing chain of nonempty opens in a finite lattice
     stabilizes."""
-    idx = list(model.candidate_indices())
+    idx = list(model.candidate_indices(model.whole_index() + 1))
     pairs = set(rel)
     for b, c in pairs:
         assert model.basic_subset(c, b), "condition (1)"

@@ -129,7 +129,7 @@ def test_chain_shape_invariants(n, seed):
     assert theta % 2 == 0 and len(F) == theta + 1
     assert F[0] == p.carrier and F[theta] == 0
     for i, f in enumerate(F):
-        assert p.is_closed(f)
+        assert p.is_open(p.carrier & ~f)  # closed
         if i:
             assert f & F[i - 1] == f  # decreasing
     # membership slices: a-points exit at even indices, others at odd
