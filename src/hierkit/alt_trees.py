@@ -267,7 +267,7 @@ class AmbiguityReport:
         return all(self.equal_at[n] for n in ns)
 
 
-def ambiguity_audit(poset, n_max, classify=classify_by_trees):
+def ambiguity_audit(poset, n_max):
     """Compare D_n & co-D_n against the union of everything below n.
 
     For each subset: membership in D_n is sigma <= n, in co-D_n is
@@ -279,7 +279,7 @@ def ambiguity_audit(poset, n_max, classify=classify_by_trees):
     """
     report = AmbiguityReport(poset, n_max)
     for mask in range(1 << poset.n):
-        report.levels[mask] = classify(poset, mask)
+        report.levels[mask] = classify_by_trees(poset, mask)
     for n in range(1, n_max + 1):
         bad = []
         for mask, (s, p) in report.levels.items():

@@ -518,7 +518,7 @@ class StagedTree:
         return len(self.nodes)
 
 
-def build_alt_tree(pres, model, stage_budget, pool=None, stages=None, node_cap=50_000):
+def build_alt_tree(pres, model, stage_budget, node_cap=50_000):
     """All sequences ((m_0,t_0),...,(m_k,t_k)) with strictly increasing
     m's and t's, each open nonempty-refining its predecessor at the
     later pair's stage, and the two F counters disagreeing at every
@@ -533,10 +533,8 @@ def build_alt_tree(pres, model, stage_budget, pool=None, stages=None, node_cap=5
     such key's child list is searched once and the tree is the unfolding
     of that keyed DAG; `node_cap` counts unfolded nodes.
     """
-    if stages is None:
-        stages = stage_ladder(stage_budget)
-    if pool is None:
-        pool = _default_pool(pres, model, stage_budget, stages)
+    stages = stage_ladder(stage_budget)
+    pool = _default_pool(pres, model, stage_budget, stages)
 
     f_memo = {}
 

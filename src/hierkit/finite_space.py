@@ -58,15 +58,16 @@ class FinitePoset:
                 raise ValueError("up-set out of range")
             if not (self.up[i] >> i) & 1:
                 raise ValueError("order not reflexive at %d" % i)
+        # down is up transposed: i <= j puts i into down[j]
+        down = [0] * n
         for i in range(n):
             for j in bits(self.up[i]):
                 if i != j and (self.up[j] >> i) & 1:
                     raise ValueError("order not antisymmetric on (%d,%d)" % (i, j))
                 if self.up[j] & ~self.up[i]:
                     raise ValueError("order not transitive at (%d,%d)" % (i, j))
-        self.down = tuple(
-            mask_of(j for j in range(n) if (self.up[j] >> i) & 1) for i in range(n)
-        )
+                down[j] |= 1 << i
+        self.down = tuple(down)
         self.carrier = full
 
     @staticmethod

@@ -15,6 +15,7 @@ POSET_POINTS = (0, 20)  # a poset's n, and `gen --n`
 ALPHABET = (2, 8)
 BOUND = (1, 1024)  # rows a pinf model examines
 CLAUSE_ELEMENT = (0, 1023)  # elements in a clauses model's rows
+POINT_ELEMENT = (0, 65535)  # core elements of a pn, pinf or clauses point
 ROUNDS = (0, 1000)
 BAIRE_BUDGET = (1, 20_000)
 STAGE_BUDGET = (1, 1024)  # transform --budget and --max-budget

@@ -31,7 +31,8 @@ def residue_sequence(poset, a_mask):
 
     The chain may stall for one step and then keep falling (cl(a & F)
     can fix F while cl(~a & F) still shrinks it), so stability is only
-    declared once two consecutive steps change nothing.
+    declared once two consecutive steps change nothing.  A chain that
+    stabilizes on a nonempty set is a ValueError.
     """
     comp = poset.carrier & ~a_mask
     F = [poset.carrier]
@@ -43,6 +44,10 @@ def residue_sequence(poset, a_mask):
             theta = stable_from if stable_from % 2 == 0 else stable_from + 1
             while len(F) <= theta:
                 F.append(F[-1])
+            if F[theta]:
+                # Cannot happen on a finite poset; kept as a tripwire for
+                # any future carrier that is not one.
+                raise ValueError("residue chain stabilized on %r != empty" % F[theta])
             return F[: theta + 1], theta
 
 
@@ -86,10 +91,6 @@ class ResidueDecomposition:
 
 def hausdorff_decompose(poset, a_mask):
     F, theta = residue_sequence(poset, a_mask)
-    if F[theta]:
-        # Cannot happen on a finite poset; kept as a tripwire for any
-        # future carrier that is not one.
-        raise ValueError("residue chain stabilized on %r != empty" % F[theta])
     raw_masks = [poset.carrier & ~f for f in F]
     code = code_from_masks(theta + 1, raw_masks)
     t_masks, t_alpha = trim_code(raw_masks, theta + 1)
@@ -125,14 +126,12 @@ def residue_levels(poset, a_mask):
     """Exact (sigma, pi) for a from two residue chains, one for the set
     and one for its complement.
 
-    Note this does *not* read the trimmed codes: trimming removes slack
-    but need not reach the minimal level (it can miss that re-basing the
-    code on the complement side saves a step).  The residue sets
-    themselves know better; see _longest_start.
+    Note this reads neither code that hausdorff_decompose builds:
+    trimming removes slack but need not reach the minimal level (it can
+    miss that re-basing the code on the complement side saves a step).
+    The residue sets themselves know better; see _longest_start.
     """
     comp = poset.carrier & ~a_mask
-    d = hausdorff_decompose(poset, a_mask)
-    dc = hausdorff_decompose(poset, comp)
-    sigma = _longest_start(a_mask, d.F, dc.F)
-    pi = _longest_start(comp, dc.F, d.F)
-    return sigma, pi
+    own, _ = residue_sequence(poset, a_mask)
+    other, _ = residue_sequence(poset, comp)
+    return _longest_start(a_mask, own, other), _longest_start(comp, other, own)

@@ -8,12 +8,15 @@ forms of points; its docstring lists every member):
 * ``PSpaceModel``: a subspace of P(N) with the Scott topology cut out
   by a clause system ``forall n (alpha_n <= X  =>  exists gamma in I_n,
   gamma <= X)``.  Basic opens are the cones O_beta = {X : beta <= X}
-  restricted to the subspace, indexed by the bitmask of beta.  A
-  ``ClauseSystem`` with no explicit rows is P(N) itself, where ll is
-  containment.  ``PinfSystem`` answers the "every tail is inhabited"
-  rows of P_inf(N) in closed form but examines only rows n < bound (a
-  finite point with max >= bound - 1 passes ``check_point``); within
-  the bound ll works out to A <= B and max(A) < max(B).
+  restricted to the subspace, indexed by the bitmask of beta.  Every
+  finite set of naturals on these models is such a bitmask: a cone's
+  beta, a point's core and each alpha and gamma of a row, so a subset
+  test is one integer operation.  A ``ClauseSystem`` with no explicit
+  rows is P(N) itself, where ll is containment.  ``PinfSystem``
+  answers the "every tail is inhabited" rows of P_inf(N) in closed
+  form but examines only rows n < bound (a finite point with max >=
+  bound - 1 passes ``check_point``); within the bound ll works out to
+  A <= B and max(A) < max(B).
 
 * ``FinitePosetModel``: a finite poset's Scott topology with the whole
   (finite) open lattice as basis and ll(U, V) = V nonempty and V <= U.
@@ -32,13 +35,21 @@ a complete candidate cone (see the per-model ``least_containing``).
 from __future__ import annotations
 
 import functools
-import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
 
 from hierkit.finite_space import FinitePoset, bits, mask_of
-from hierkit.jsonin import ALPHABET, BOUND, CLAUSE_ELEMENT, fields, integer, list_of, tagged
+from hierkit.jsonin import (
+    ALPHABET,
+    BOUND,
+    CLAUSE_ELEMENT,
+    POINT_ELEMENT,
+    fields,
+    integer,
+    list_of,
+    tagged,
+)
 
 INF = math.inf
 
@@ -120,30 +131,31 @@ class SpaceModel:
 
 @dataclass(frozen=True)
 class SetPoint:
-    """A subset of N given by a finite core plus an optional cofinite
-    tail (contains every n >= cofinite_from)."""
+    """A subset of N: the elements of the bitmask ``core``, plus every
+    n >= cofinite_from when that is not None (a cofinite tail)."""
 
-    core: frozenset
+    core: int
     cofinite_from: int | None = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "core", frozenset(self.core))
-
-    def contains(self, n):
-        if n in self.core:
+    def includes(self, mask):
+        """Whether the finite set with bitmask `mask` lies inside the
+        point.  The bits outside the core must all sit in the tail, so
+        only the lowest of them is compared; the tail is never shifted
+        out into a mask."""
+        rest = mask & ~self.core
+        if not rest:
             return True
-        return self.cofinite_from is not None and n >= self.cofinite_from
-
-    def includes(self, finite_set):
-        return all(self.contains(n) for n in finite_set)
+        tail = self.cofinite_from
+        return tail is not None and (rest & -rest).bit_length() - 1 >= tail
 
     def to_json(self):
-        return {"core": sorted(self.core), "cofinite_from": self.cofinite_from}
+        return {"core": list(bits(self.core)), "cofinite_from": self.cofinite_from}
 
     @staticmethod
     def from_json(data):
         core, tail = fields(data, "point", ("core",), {"cofinite_from": None})
-        core = list_of(core, "core", functools.partial(integer, what="element"))
+        element = functools.partial(integer, what="element", hi=POINT_ELEMENT[1])
+        core = mask_of(list_of(core, "core", element))
         return SetPoint(core, None if tail is None else integer(tail, "cofinite_from"))
 
 
@@ -186,15 +198,15 @@ class CylPoint:
 class ClauseSystem:
     """Finitely many explicit rows (alpha_n, I_n), each denoting {X :
     alpha_n <= X => some gamma in I_n has gamma <= X}, intersected over
-    n.  Every row is examined; a query's index i stands for the
-    descriptor beta = bits of i."""
+    n.  Every row is examined.  The constructor takes each row as
+    element lists and stores it as bitmasks (alpha_mask, gamma_masks),
+    the encoding of a query's index i: beta <= X is ``beta & ~i == 0``
+    for the cone i."""
 
     infinite = False
 
     def __init__(self, rows):
-        self.rows = [
-            (frozenset(a), tuple(frozenset(g) for g in gs)) for a, gs in rows
-        ]
+        self.rows = [(mask_of(a), tuple(mask_of(g) for g in gs)) for a, gs in rows]
         # statuses cost subset tests and n_u a pass over the rows
         self.clause_status = functools.cache(self.clause_status)
         self.n_u = functools.cache(self.n_u)
@@ -203,11 +215,10 @@ class ClauseSystem:
         return self.rows[n] if n < len(self.rows) else None
 
     def clause_status(self, i, n):
-        beta = frozenset(bits(i))
         row = self.row(n)
-        if row is None or not row[0] <= beta:
+        if row is None or row[0] & ~i:
             return NOT_A_CLAUSE
-        return SOLVED if any(g <= beta for g in row[1]) else UNSOLVED_CLAUSE
+        return SOLVED if any(not g & ~i for g in row[1]) else UNSOLVED_CLAUSE
 
     def n_u(self, i):
         rows = range(len(self.rows))
@@ -221,12 +232,12 @@ class ClauseSystem:
 
     def witness(self, x, n):
         """Index of the first witness of row n that x includes, or None."""
-        return next((mask_of(g) for g in self.row(n)[1] if x.includes(g)), None)
+        return next((g for g in self.row(n)[1] if x.includes(g)), None)
 
     def to_json(self):
         return {
             "rows": [
-                {"alpha": sorted(a), "witnesses": [sorted(g) for g in gs]}
+                {"alpha": list(bits(a)), "witnesses": [list(bits(g)) for g in gs]}
                 for a, gs in self.rows
             ]
         }
@@ -271,12 +282,13 @@ class PinfSystem:
     def check_point(self, x):
         if x.cofinite_from is not None:
             return None
-        n = max(x.core, default=-1) + 1
+        n = x.core.bit_length()
         return n if n < self.bound else None
 
     def witness(self, x, n):
         """Index of {j} for the least j >= n in x, or None."""
-        js = [j for j in x.core if j >= n]
+        high = x.core >> n << n
+        js = [(high & -high).bit_length() - 1] if high else []
         if x.cofinite_from is not None:
             js.append(max(n, x.cofinite_from))
         return 1 << min(js) if js else None
@@ -285,28 +297,23 @@ class PinfSystem:
         return {"bound": self.bound}
 
 
-def _ascending_submasks(bit_positions, cap=4096):
-    """Submasks over the given bit positions in increasing numeric
-    order, generated lazily (heap walk of the subset lattice), at most
-    cap of them."""
-    bs = sorted(set(bit_positions))
-    heap = [0]
-    seen = {0}
-    count = 0
-    while heap and count < cap:
-        m = heapq.heappop(heap)
-        yield m
-        count += 1
-        for b in bs:
-            m2 = m | (1 << b)
-            if m2 != m and m2 not in seen:
-                seen.add(m2)
-                heapq.heappush(heap, m2)
+def _ascending_submasks(mask, cap=4096):
+    """Submasks of `mask` in increasing numeric order, at most cap of
+    them.  They are a counter 0, 1, 2, ... whose bits are spread onto
+    the set bits of mask, which keeps the order: ``(s - mask) & mask``
+    adds one to s, carrying through the bits outside mask."""
+    s = 0
+    for _ in range(cap):
+        yield s
+        s = (s - mask) & mask
+        if not s:
+            return
 
 
 class PSpaceModel(SpaceModel):
     """A clause-system subspace of P(N).  Basis index i denotes the cone
-    O_beta (cut to the subspace) where beta is the set of bits of i.
+    O_beta (cut to the subspace) where beta is the set of bits of i, so
+    x is in O_i iff ``x.includes(i)``.
     The system (explicit ``ClauseSystem`` rows, or ``PinfSystem`` rows in
     closed form up to its bound) answers the clause queries; ``ll`` is
     written over its clause statuses.  Cones are not closed under
@@ -318,16 +325,10 @@ class PSpaceModel(SpaceModel):
         self.system = system
         self.kind = kind
 
-    # descriptors and membership
-
-    def descriptor(self, i):
-        return frozenset(bits(i))
-
-    def index_of(self, beta):
-        return mask_of(beta)
+    # membership
 
     def point_in_basic(self, x, i):
-        return x.includes(self.descriptor(i))
+        return x.includes(i)
 
     def basic_subset(self, i, j):
         # O_beta(i) <= O_beta(j) iff beta(j) <= beta(i)
@@ -335,8 +336,8 @@ class PSpaceModel(SpaceModel):
 
     def union_subset(self, i, indices):
         # a cone lies inside a finite union of cones iff inside one of
-        # them (witnessed by the point that is exactly the descriptor,
-        # padded with fresh elements when the subspace needs them)
+        # them (witnessed by the point that is exactly beta, padded with
+        # fresh elements when the subspace needs them)
         return any(self.basic_subset(i, j) for j in indices)
 
     def basic_nonempty(self, i):
@@ -398,31 +399,24 @@ class PSpaceModel(SpaceModel):
 
     def some_point_in(self, i):
         """Some point of the subspace inside basic i, or None.  Tries
-        the descriptor itself, then the descriptor with a cofinite
-        tail."""
-        beta = self.descriptor(i)
-        for x in (
-            SetPoint(beta),
-            SetPoint(beta, cofinite_from=max(beta, default=-1) + 1),
-        ):
+        the point beta itself, then beta with a cofinite tail above its
+        top element."""
+        for x in (SetPoint(i), SetPoint(i, cofinite_from=i.bit_length())):
             if self.check_point(x) is None:
                 return x
         return None
 
     def chain_limit(self, chain):
-        """The union-of-descriptors point of a ll-increasing chain,
-        verified against every member and every examinable clause."""
+        """The union of the chain's betas as a point, verified against
+        every member and every examinable clause."""
         self.check_chain(chain)
         union = 0
         for i in chain:
             union |= i
-        beta = self.descriptor(union)
-        candidates = [SetPoint(beta)]
+        candidates = [SetPoint(union)]
         # infinitely many rows: the union point may need a cofinite tail
         if self.system.infinite:
-            candidates.append(
-                SetPoint(beta, cofinite_from=max(beta, default=-1) + 1)
-            )
+            candidates.append(SetPoint(union, cofinite_from=union.bit_length()))
         bad = None
         for x in candidates:
             bad = self.check_point(x)
@@ -435,11 +429,11 @@ class PSpaceModel(SpaceModel):
 
     # least searches (the well-order is the integer index order)
 
-    def _universe(self, x, extra=8):
-        u = set(x.core)
-        if x.cofinite_from is not None:
-            u |= set(range(x.cofinite_from, x.cofinite_from + extra))
-        return u
+    def _universe(self, x):
+        # the core and the first 8 elements of the tail
+        if x.cofinite_from is None:
+            return x.core
+        return x.core | 0xFF << x.cofinite_from
 
     def least_containing(self, x, within=None):
         """Least basic index i with x in O_i (and O_i inside the union
@@ -462,13 +456,12 @@ class PSpaceModel(SpaceModel):
     def least_ll_above(self, c, x, cap=4096):
         """Least basic index b with ll(c, b) and x in O_b.
 
-        Any such b refines the c-cone, so b = c plus extra descriptor
-        bits, and x in O_b keeps those bits inside x; the extras are
+        Any such b refines the c-cone, so b = c plus extra bits of
+        beta, and x in O_b keeps those bits inside x; the extras are
         walked in increasing order.  Past the cap the clause-solving
         witness stands in: still valid and deterministic, just not
         certifiably least."""
-        extras = self._universe(x) - set(bits(c))
-        for e in _ascending_submasks(extras, cap=cap):
+        for e in _ascending_submasks(self._universe(x) & ~c, cap=cap):
             b = c | e
             if self.ll(c, b) and self.point_in_basic(x, b):
                 return b
@@ -482,10 +475,10 @@ class PSpaceModel(SpaceModel):
         if x is None:
             raise ValueError("cannot extend an empty basic open")
         j = self.refine_witness(x, i)
-        top = max(self.descriptor(i | j), default=-1)
+        top = (i | j).bit_length() - 1
         if j == i or rng.randrange(2):
             # jitter with a fresh element; solvedness only ever improves
-            # when the descriptor grows, so the relation survives
+            # when beta grows, so the relation survives
             j |= 1 << (top + 1 + rng.randrange(3))
         return j if self.ll(i, j) else self.refine_witness(x, i)
 
@@ -496,7 +489,7 @@ class PSpaceModel(SpaceModel):
         return 0
 
     def random_open(self, rng):
-        return self.index_of(frozenset(rng.sample(range(6), rng.randrange(3))))
+        return mask_of(rng.sample(range(6), rng.randrange(3)))
 
     def to_json(self):
         data = {"kind": self.kind}
@@ -637,6 +630,10 @@ def _code_word(c, k):
     return tuple(reversed(word))
 
 
+# the deepest prefix of a point that the least searches try
+_MAX_DEPTH = 36
+
+
 class CylinderModel(SpaceModel):
     """Infinite words over {0..k-1}; basic opens are finite unions of
     cylinders [w], indexed by a bitmask over word codes.  Containment
@@ -721,22 +718,22 @@ class CylinderModel(SpaceModel):
         w = self.code_word(next(bits(i)))
         return CylPoint(w, (0,))
 
-    def least_containing(self, x, within=None, max_depth=36):
+    def least_containing(self, x, within=None):
         # among indices that fit, a singleton on a prefix of x is
         # always numerically least; search by depth at the word level
         # and build the (exponentially sized) index mask only once
         cover = None
         if within is not None:
             cover = [w for j in within for w in self.words(j)]
-        for d in range(max_depth + 1):
+        for d in range(_MAX_DEPTH + 1):
             w = tuple(x.letter(i) for i in range(d))
             if cover is None or self._covered(w, cover):
                 return self.singleton(w)
         raise SearchExhausted("point has no small enough neighborhood")
 
-    def least_ll_above(self, c, x, max_depth=36):
+    def least_ll_above(self, c, x):
         cover = self.words(c)
-        for d in range(max_depth + 1):
+        for d in range(_MAX_DEPTH + 1):
             w = tuple(x.letter(i) for i in range(d))
             if c != 0 and self._covered(w, cover):
                 return self.singleton(w)
@@ -921,28 +918,27 @@ def _least_ll_successor(model, i, budget, inside=None):
     return None, steps, False
 
 
-def baire_witness(model, dense, o, budget=10_000, schedule=None):
+def baire_witness(model, dense, o, budget=10_000):
     """Drive a ll-chain through a list of dense open-union-closed
     constraints and certify a point of the target basic open that
     meets every one.
 
     dense is a list of pairs (U, F): U a tuple of basis indices read as
     their union, F a tuple of indices read as the complement of their
-    union.  Rounds follow the schedule (default: two round-robin
-    cycles).  Each scheduled round either steps into the open part
-    (when it contains a ll-successor) or shows the current open still
-    meets the closed part; an open that does neither is a density
-    violation at that round.  The final point is re-verified against
-    the target and every constraint."""
+    union.  The rounds are two round-robin cycles over the list.  Each
+    round either steps into the open part (when it contains a
+    ll-successor) or shows the current open still meets the closed
+    part; an open that does neither is a density violation at that
+    round.  The final point is re-verified against the target and
+    every constraint."""
     steps = 0
     o0, used, capped = _least_ll_successor(model, o, budget)
     steps += used
     if o0 is None:
         return BaireResult("BUDGET_EXCEEDED" if capped else "DENSITY_VIOLATION", [])
     chain = [o0]
-    rounds = 2 * len(dense) if schedule is None else len(schedule)
-    for n in range(rounds):
-        j = n % len(dense) if schedule is None else schedule[n]
+    for n in range(2 * len(dense)):
+        j = n % len(dense)
         u_part, f_part = dense[j]
         w, used, capped = _least_ll_successor(model, chain[-1], budget - steps)
         steps += used

@@ -3,6 +3,7 @@ byte-level determinism, and the error JSON contract."""
 
 import ast
 import hashlib
+import importlib
 import itertools
 import json
 import os
@@ -705,6 +706,25 @@ def test_input_decoding_stays_in_the_decoder():
     assert found == []
 
 
+def test_methods_the_bench_tracer_wraps_exist():
+    # bench/spans.py wraps these by name for `bench/run.py --trace 1`,
+    # whose own tests take minutes; a rename would break it silently
+    spans = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    methods = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(spans.read_text()).body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "METHODS"
+    )
+    missing = []
+    for module, cls, method in methods:
+        owner = importlib.import_module("hierkit." + module)
+        if cls is not None:
+            owner = vars(owner).get(cls)
+        if owner is None or method not in vars(owner):
+            missing.append((module, cls, method))
+    assert methods and missing == []
+
+
 def test_console_entry_point_separates_report_from_timing():
     # the child finds hierkit where this process found it, also when only
     # pytest's pythonpath setting put it there
@@ -866,6 +886,9 @@ REFUSED_ARGV = {
             ("core-float", '{"core": [1.5]}'),
             ("core-bool", '{"core": [true]}'),
             ("cofinite-float", '{"core": [1], "cofinite_from": 2.5}'),
+            # a core is a bitmask now: 2**80 was accepted and held as a set
+            ("core-huge", '{"core": [%d]}' % 2**80),
+            ("core-above-limit", '{"core": [65536]}'),
         )
     },
     "hausdorff-order-float": (

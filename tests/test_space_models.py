@@ -7,12 +7,14 @@ approximation-relation conditions on every shipped model.
 """
 
 import functools
+import heapq
 import itertools
 import json
 import operator
 import pathlib
 import random
 import re
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +34,9 @@ from hierkit.space_models import (
     CylPoint,
     FinitePosetModel,
     PSpaceModel,
+    SearchExhausted,
     SetPoint,
+    _ascending_submasks,
     baire_witness,
     check_approx_conditions,
     index_visible,
@@ -49,7 +53,7 @@ from hierkit.space_models import (
 def test_pinf_rows_always_clauses_solved_iff_max_reaches():
     m = pinf_model()
     for a in ({0}, {0, 3}, {2, 5}, set()):
-        i = m.index_of(a)
+        i = mask_of(a)
         top = max(a, default=-1)
         for n in range(8):
             st_ = m.clause_status(i, n)
@@ -61,21 +65,21 @@ def test_pinf_rows_always_clauses_solved_iff_max_reaches():
 def test_finite_row_clause_status():
     sys_ = ClauseSystem([({0}, [{1}])])
     m = PSpaceModel(sys_)
-    assert m.clause_status(m.index_of({2}), 0) == NOT_A_CLAUSE
-    assert m.clause_status(m.index_of({0, 1}), 0) == SOLVED
-    assert m.clause_status(m.index_of({0}), 0) == UNSOLVED_CLAUSE
-    assert m.n_u(m.index_of({0})) == 0
-    assert m.n_u(m.index_of({2})) == INF
+    assert m.clause_status(mask_of({2}), 0) == NOT_A_CLAUSE
+    assert m.clause_status(mask_of({0, 1}), 0) == SOLVED
+    assert m.clause_status(mask_of({0}), 0) == UNSOLVED_CLAUSE
+    assert m.n_u(mask_of({0})) == 0
+    assert m.n_u(mask_of({2})) == INF
 
 
 def test_pinf_ll_documented_pairs():
     m = pinf_model()
-    assert m.ll(m.index_of({0}), m.index_of({0, 3}))
-    assert not m.ll(m.index_of({2}), m.index_of({2}))
+    assert m.ll(mask_of({0}), mask_of({0, 3}))
+    assert not m.ll(mask_of({2}), mask_of({2}))
     # failing containment kills the relation regardless of clauses
-    assert not m.ll(m.index_of({0, 1}), m.index_of({0}))
+    assert not m.ll(mask_of({0, 1}), mask_of({0}))
     # max(empty) = -1: the empty cone sits below any inhabited one
-    assert m.ll(m.index_of(set()), m.index_of({0}))
+    assert m.ll(mask_of(set()), mask_of({0}))
 
 
 def pinf_ll(a, b):
@@ -87,21 +91,21 @@ def pinf_ll(a, b):
 def horizon(x):
     """Largest element a SetPoint's finite data mentions."""
     tail = -1 if x.cofinite_from is None else x.cofinite_from
-    return max(max(x.core, default=-1), tail)
+    return max(x.core.bit_length() - 1, tail)
 
 
 def test_pinf_generic_clause_ll_matches_closed_form():
     m = pinf_model()
     for a in range(128):
         for b in range(128):
-            assert m.ll(a, b) == pinf_ll(m.descriptor(a), m.descriptor(b))
+            assert m.ll(a, b) == pinf_ll(bits(a), bits(b))
 
 
 class _EnumeratedPinf:
     """Reference P_inf(N) at a given bound: row n < bound is generated as
     the explicit singleton witnesses {n}, ..., {ceiling}, with the
-    ceiling just above the descriptor or the point's horizon, and every
-    query reads those lists (rows >= bound do not exist)."""
+    ceiling just above the cone's top element or the point's horizon, and
+    every query reads those lists (rows >= bound do not exist)."""
 
     def __init__(self, bound):
         self.bound = bound
@@ -133,26 +137,28 @@ class _EnumeratedPinf:
                    and self.clause_status(j, m) == SOLVED for m in range(nu))
 
     def check_point(self, x):
+        fx = _frozen(x)
         for n in range(self.bound):
             alpha, gammas = self.row(n, max(horizon(x), n) + 1)
-            if x.includes(alpha) and not any(x.includes(g) for g in gammas):
+            if fx.includes(alpha) and not any(fx.includes(g) for g in gammas):
                 return n
         return None
 
     def refine_witness(self, x, i):
-        if not x.includes(bits(i)):
+        fx = _frozen(x)
+        if not fx.includes(bits(i)):
             raise ValueError("point is not in the open to refine")
         nu = self.n_u(i)
         if nu == INF:
             return i
         for g in self.row(nu, max(horizon(x), nu) + 1)[1]:
-            if x.includes(g):
+            if fx.includes(g):
                 return i | mask_of(g)
         raise ValueError("point fails clause %d: not in the presented subspace" % nu)
 
     def completion(self, i):
         beta = frozenset(bits(i))
-        for x in (SetPoint(beta), SetPoint(beta, max(beta, default=-1) + 1)):
+        for x in (SetPoint(i), SetPoint(i, max(beta, default=-1) + 1)):
             if self.check_point(x) is None:
                 return x
         return None
@@ -183,21 +189,20 @@ def test_pinf_closed_form_matches_enumerated_rows(bound):
         assert m.some_point_in(i) == ref.completion(i)
         for j in [i | 1 << k for k in range(10)] + rng.sample(indices, 6):
             assert m.ll(i, j) == ref.ll(i, j)
-        beta = m.descriptor(i)
-        top = max(beta, default=-1)
-        points = [SetPoint(beta)] + [
-            SetPoint(beta, cofinite_from=c) for c in (0, top + 1, rng.randrange(top + 3))
+        top = i.bit_length() - 1
+        points = [SetPoint(i)] + [
+            SetPoint(i, cofinite_from=c) for c in (0, top + 1, rng.randrange(top + 3))
         ]
         for x in points:
             assert m.check_point(x) == ref.check_point(x)
             for j in (0, i, i & rng.getrandbits(top + 1), rng.choice(indices)):
                 assert _refined(m, x, j) == _refined(ref, x, j)
     # the truncated regime: a finite point whose max is bound - 1 passes
-    assert m.check_point(SetPoint(m.descriptor(wide[0]))) is None
+    assert m.check_point(SetPoint(wide[0])) is None
 
 
 def test_pn_ll_is_containment():
-    # descriptors grow, cones shrink: O_b <= O_a iff a's bits sit in b
+    # betas grow, cones shrink: O_b <= O_a iff a's bits sit in b
     m = pn_model()
     for a in range(32):
         for b in range(32):
@@ -206,52 +211,325 @@ def test_pn_ll_is_containment():
 
 def test_refine_witness_follows_least_unsolved_clause():
     m = pinf_model()
-    x = SetPoint({0, 5}, cofinite_from=6)
-    v = m.refine_witness(x, m.index_of({0}))
-    assert m.descriptor(v) == {0, 5}
-    assert m.ll(m.index_of({0}), v)
+    x = SetPoint(mask_of({0, 5}), cofinite_from=6)
+    v = m.refine_witness(x, mask_of({0}))
+    assert set(bits(v)) == {0, 5}
+    assert m.ll(mask_of({0}), v)
     # nothing unsolved: the open itself comes back
     pn = pn_model()
-    assert pn.refine_witness(SetPoint({1}), pn.index_of({1})) == pn.index_of({1})
+    assert pn.refine_witness(SetPoint(mask_of({1})), mask_of({1})) == mask_of({1})
     with pytest.raises(ValueError):
-        m.refine_witness(SetPoint({7}), m.index_of({0}))  # not in the open
+        m.refine_witness(SetPoint(mask_of({7})), mask_of({0}))  # not in the open
     with pytest.raises(ValueError):
         # finite point: not actually in the presented subspace
-        m.refine_witness(SetPoint({0}), m.index_of({0}))
+        m.refine_witness(SetPoint(mask_of({0})), mask_of({0}))
 
 
 def test_chain_limit_pinf_and_pn():
     m = pinf_model()
-    chain = [m.index_of(set()), m.index_of({0}), m.index_of({0, 1})]
+    chain = [mask_of(set()), mask_of({0}), mask_of({0, 1})]
     x = m.chain_limit(chain)
-    assert x.includes({0, 1}) and x.cofinite_from is not None
+    assert x.includes(mask_of({0, 1})) and x.cofinite_from is not None
     assert all(m.point_in_basic(x, i) for i in chain)
     pn = pn_model()
-    const = [pn.index_of({3, 4})] * 3
+    const = [mask_of({3, 4})] * 3
     y = pn.chain_limit(const)
-    assert y == SetPoint({3, 4})
+    assert y == SetPoint(mask_of({3, 4}))
 
 
 def test_chain_limit_rejects_bad_chains():
     m = pinf_model()
     with pytest.raises(ValueError, match="step 1"):
-        m.chain_limit([m.index_of(set()), m.index_of({0}), m.index_of({0})])
+        m.chain_limit([mask_of(set()), mask_of({0}), mask_of({0})])
     sys_ = ClauseSystem([({0}, [{1}])])
     s = PSpaceModel(sys_)
     with pytest.raises(ValueError, match="clause 0"):
         # the union point {0} triggers the row but misses its witness
-        s.chain_limit([s.index_of(set()), s.index_of({0})])
+        s.chain_limit([mask_of(set()), mask_of({0})])
 
 
 def test_pn_chain_converges_to_union_neighborhoods():
     # the union point's own cone refines every member: convergence in
     # the strong sense, not just membership
     m = pn_model()
-    chain = [m.index_of(set()), m.index_of({1}), m.index_of({1, 4})]
+    chain = [mask_of(set()), mask_of({1}), mask_of({1, 4})]
     union = 0
     for i in chain:
         union |= i
     assert all(m.basic_subset(union, i) for i in chain)
+
+
+# -- bitmask sets against the frozenset code -----------------------------------
+
+# Reference copies of the P(N) model code as it stood when a point's core
+# and a clause row's sets were frozensets: every membership test turned
+# the cone's index into the frozenset of its bits, and least searches
+# walked submasks with a heap.
+
+
+@dataclass(frozen=True)
+class _FrozenPoint:
+    core: frozenset
+    cofinite_from: int | None = None
+
+    def contains(self, n):
+        if n in self.core:
+            return True
+        return self.cofinite_from is not None and n >= self.cofinite_from
+
+    def includes(self, finite_set):
+        return all(self.contains(n) for n in finite_set)
+
+
+def _frozen(x):
+    return None if x is None else _FrozenPoint(frozenset(bits(x.core)), x.cofinite_from)
+
+
+class _FrozenClauses:
+    infinite = False
+
+    def __init__(self, rows):
+        self.rows = [(frozenset(a), tuple(frozenset(g) for g in gs)) for a, gs in rows]
+
+    def clause_status(self, i, n):
+        beta = frozenset(bits(i))
+        row = self.rows[n] if n < len(self.rows) else None
+        if row is None or not row[0] <= beta:
+            return NOT_A_CLAUSE
+        return SOLVED if any(g <= beta for g in row[1]) else UNSOLVED_CLAUSE
+
+    def n_u(self, i):
+        rows = range(len(self.rows))
+        return next((n for n in rows if self.clause_status(i, n) == UNSOLVED_CLAUSE), INF)
+
+    def check_point(self, x):
+        for n, (alpha, gammas) in enumerate(self.rows):
+            if x.includes(alpha) and not any(x.includes(g) for g in gammas):
+                return n
+        return None
+
+    def witness(self, x, n):
+        return next((mask_of(g) for g in self.rows[n][1] if x.includes(g)), None)
+
+
+class _FrozenPinf:
+    infinite = True
+
+    def __init__(self, bound):
+        self.bound = bound
+
+    def clause_status(self, i, n):
+        if n >= self.bound:
+            return NOT_A_CLAUSE
+        return SOLVED if i.bit_length() > n else UNSOLVED_CLAUSE
+
+    def n_u(self, i):
+        n = i.bit_length()
+        return n if n < self.bound else INF
+
+    def check_point(self, x):
+        if x.cofinite_from is not None:
+            return None
+        n = max(x.core, default=-1) + 1
+        return n if n < self.bound else None
+
+    def witness(self, x, n):
+        js = [j for j in x.core if j >= n]
+        if x.cofinite_from is not None:
+            js.append(max(n, x.cofinite_from))
+        return 1 << min(js) if js else None
+
+
+def _heap_submasks(bit_positions, cap=4096):
+    bs = sorted(set(bit_positions))
+    heap = [0]
+    seen = {0}
+    count = 0
+    while heap and count < cap:
+        m = heapq.heappop(heap)
+        yield m
+        count += 1
+        for b in bs:
+            m2 = m | (1 << b)
+            if m2 != m and m2 not in seen:
+                seen.add(m2)
+                heapq.heappush(heap, m2)
+
+
+class _FrozenModel:
+    """PSpaceModel's frozenset code over a _FrozenClauses or
+    _FrozenPinf system; points are _FrozenPoints."""
+
+    def __init__(self, system):
+        self.system = system
+
+    def point_in_basic(self, x, i):
+        return x.includes(frozenset(bits(i)))
+
+    def ll(self, i, j):
+        status = self.system.clause_status
+        if i & ~j:
+            return False
+        nu = self.system.n_u(i)
+        if nu == INF or status(j, nu) == SOLVED:
+            return True
+        return any(status(i, m) == NOT_A_CLAUSE and status(j, m) == SOLVED for m in range(nu))
+
+    def refine_witness(self, x, i):
+        if not self.point_in_basic(x, i):
+            raise ValueError("point is not in the open to refine")
+        nu = self.system.n_u(i)
+        if nu == INF:
+            return i
+        g = self.system.witness(x, nu)
+        if g is None:
+            raise ValueError("point fails clause %d: not in the presented subspace" % nu)
+        return i | g
+
+    def some_point_in(self, i):
+        beta = frozenset(bits(i))
+        for x in (_FrozenPoint(beta), _FrozenPoint(beta, max(beta, default=-1) + 1)):
+            if self.system.check_point(x) is None:
+                return x
+        return None
+
+    def chain_limit(self, chain):
+        for k in range(len(chain) - 1):
+            if not self.ll(chain[k], chain[k + 1]):
+                raise ValueError("chain is not ll-increasing at step %d" % k)
+        beta = frozenset(bits(functools.reduce(operator.or_, chain, 0)))
+        candidates = [_FrozenPoint(beta)]
+        if self.system.infinite:
+            candidates.append(_FrozenPoint(beta, max(beta, default=-1) + 1))
+        bad = None
+        for x in candidates:
+            bad = self.system.check_point(x)
+            if bad is None:
+                return x
+        raise ValueError("chain limit violates clause %d" % bad)
+
+    def least_ll_above(self, c, x, cap=4096):
+        u = set(x.core)
+        if x.cofinite_from is not None:
+            u |= set(range(x.cofinite_from, x.cofinite_from + 8))
+        for e in _heap_submasks(u - set(bits(c)), cap=cap):
+            b = c | e
+            if self.ll(c, b) and self.point_in_basic(x, b):
+                return b
+        b = self.refine_witness(x, c)
+        if self.ll(c, b):
+            return b
+        raise SearchExhausted("no ll-successor found around the point")
+
+    def random_ll_successor(self, i, rng):
+        x = self.some_point_in(i)
+        j = self.refine_witness(x, i)
+        top = max(bits(i | j), default=-1)
+        if j == i or rng.randrange(2):
+            j |= 1 << (top + 1 + rng.randrange(3))
+        return j if self.ll(i, j) else self.refine_witness(x, i)
+
+
+_SAMPLE_ROWS = [({0}, [{1}, {2, 3}]), ({1}, [{4}]), (set(), [{5}, {7, 9}]), ({2, 6}, [])]
+
+
+def _frozen_pairs():
+    """(model, frozenset reference) for pn, pinf at four bounds and an
+    explicit clause system."""
+    pairs = {"pn": (pn_model(), _FrozenModel(_FrozenClauses([])))}
+    for bound in (1, 16, 64, 1024):
+        pairs["pinf%d" % bound] = pinf_model(bound), _FrozenModel(_FrozenPinf(bound))
+    pairs["clauses"] = (
+        PSpaceModel(ClauseSystem(_SAMPLE_ROWS)), _FrozenModel(_FrozenClauses(_SAMPLE_ROWS))
+    )
+    return pairs
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (ValueError, SearchExhausted) as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("name", sorted(_frozen_pairs()))
+def test_bitmask_sets_match_the_frozenset_code(name):
+    m, ref = _frozen_pairs()[name]
+    rng = random.Random(name)
+    wide = [rng.getrandbits(rng.randint(1, 80)) for _ in range(40)]
+    indices = list(range(1024 if name == "clauses" else 128)) + wide
+    # rows that witness() may be asked about: every explicit row, or the
+    # low rows of P_inf
+    rows = {"pn": 0, "clauses": len(_SAMPLE_ROWS)}.get(name, 72)
+    statuses = sorted(set(range(rows)) | {rows, rows + 1})
+    for i in indices:
+        top = i.bit_length()
+        assert [m.clause_status(i, n) for n in statuses] == [
+            ref.system.clause_status(i, n) for n in statuses
+        ]
+        assert m.n_u(i) == ref.system.n_u(i)
+        assert _frozen(m.some_point_in(i)) == ref.some_point_in(i)
+        probes = [0, i, i & rng.getrandbits(top + 1), rng.choice(indices), 1 << top + 2]
+        points = [
+            SetPoint(i),
+            SetPoint(rng.getrandbits(top + 3)),
+            SetPoint(i, cofinite_from=top),
+            SetPoint(rng.getrandbits(top + 1), cofinite_from=rng.randrange(top + 4)),
+            SetPoint(0, cofinite_from=0),
+        ]
+        for x in points:
+            fx = _frozen(x)
+            assert m.check_point(x) == ref.system.check_point(fx)
+            for n in range(min(rows, top + 3)):
+                assert m.system.witness(x, n) == ref.system.witness(fx, n)
+            for j in probes:
+                assert x.includes(j) == fx.includes(frozenset(bits(j)))
+                assert m.point_in_basic(x, j) == ref.point_in_basic(fx, j)
+                assert _outcome(m.refine_witness, x, j) == _outcome(ref.refine_witness, fx, j)
+        if i < 128 and m.some_point_in(i) is not None:
+            for x in points[2:4]:
+                if m.point_in_basic(x, i):
+                    assert _outcome(m.least_ll_above, i, x) == _outcome(
+                        ref.least_ll_above, i, _frozen(x)
+                    )
+            chain = [i]
+            for seed in range(4):
+                step = m.random_ll_successor(chain[-1], random.Random(seed))
+                assert step == ref.random_ll_successor(chain[-1], random.Random(seed))
+                chain.append(step)
+            for c in (chain, chain[:2], [i, i], [i, rng.choice(indices)]):
+                got = _outcome(m.chain_limit, c)
+                want = _outcome(ref.chain_limit, c)
+                assert (_frozen(got) if type(got) is SetPoint else got) == want
+
+
+def test_least_ll_above_walks_eight_tail_elements():
+    # the row forces 8 and is solved by 12 or 10: refine_witness takes the
+    # first witness the point includes (12), and the least search finds
+    # 10 only when it lies among the first 8 elements of the tail
+    rows = [({8}, [{12}, {10}])]
+    m, ref = PSpaceModel(ClauseSystem(rows)), _FrozenModel(_FrozenClauses(rows))
+    c = 1 << 8
+    for tail, want in ((2, c | 1 << 12), (3, c | 1 << 10), (4, c | 1 << 10)):
+        x = SetPoint(c, cofinite_from=tail)
+        assert m.refine_witness(x, c) == c | 1 << 12
+        assert m.least_ll_above(c, x) == ref.least_ll_above(c, _frozen(x)) == want
+
+
+def test_ascending_submasks_match_the_heap_walk():
+    rng = random.Random(12)
+    masks = [0, 1, 0b1011, (1 << 12) - 1, 1 << 70 | 1 << 3]
+    masks += [rng.getrandbits(rng.randint(1, 40)) for _ in range(60)]
+    for mask in masks:
+        k = mask.bit_count()
+        caps = {0, 1, 7, 100, rng.randrange(1, 600)}
+        if k <= 9:
+            caps |= {(1 << k) - 1, 1 << k, (1 << k) + 1}
+        for cap in sorted(caps):
+            want = list(_heap_submasks(bits(mask), cap))
+            assert list(_ascending_submasks(mask, cap)) == want, (mask, cap)
+    for mask in masks[:8]:
+        assert list(_ascending_submasks(mask)) == list(_heap_submasks(bits(mask)))
 
 
 # -- lift -------------------------------------------------------------------
@@ -269,7 +547,7 @@ def test_lift_same_basis_contains_original():
 def test_lift_to_coarser_basis_keeps_first_conditions():
     m = pinf_model()
     pool = list(range(32))
-    coarse = [i for i in range(32) if len(m.descriptor(i)) % 2 == 0]
+    coarse = [i for i in range(32) if i.bit_count() % 2 == 0]
     lifted = {}
     for c in coarse[:16]:
         for d in coarse[:16]:
@@ -506,9 +784,9 @@ def _words(k, n):
 
 def test_baire_degenerate_whole_space_dense_sets():
     m = pn_model()
-    res = baire_witness(m, [((m.index_of(set()),), ())], m.index_of({1}), budget=500)
+    res = baire_witness(m, [((mask_of(set()),), ())], mask_of({1}), budget=500)
     assert res.outcome == "VERIFIED"
-    assert res.point.contains(1)
+    assert res.point.includes(1 << 1)
 
 
 def test_baire_budget_cut_is_not_a_density_verdict():
@@ -558,10 +836,10 @@ def test_baire_result_serialization():
 
 
 def test_set_point_membership_and_horizon():
-    x = SetPoint({1, 4}, cofinite_from=10)
-    assert x.contains(1) and x.contains(12) and not x.contains(5)
-    assert x.includes({1, 4, 11}) and not x.includes({3})
-    assert horizon(x) == 10 and horizon(SetPoint({3})) == 3
+    x = SetPoint(mask_of({1, 4}), cofinite_from=10)
+    assert x.includes(1 << 1) and x.includes(1 << 12) and not x.includes(1 << 5)
+    assert x.includes(mask_of({1, 4, 11})) and not x.includes(mask_of({3}))
+    assert horizon(x) == 10 and horizon(SetPoint(mask_of({3}))) == 3
     assert SetPoint.from_json(x.to_json()) == x
 
 
@@ -587,7 +865,7 @@ def test_model_json_roundtrip():
     m = CylinderModel(2)
     x = m.point_from_json({"prefix": [0, 1], "cycle": [1]})
     assert x == CylPoint((0, 1), (1,))
-    assert pn_model().point_from_json({"core": [2]}) == SetPoint({2})
+    assert pn_model().point_from_json({"core": [2]}) == SetPoint(mask_of({2}))
     assert models[-1].point_from_json(2) == 2
     # JSON text is parsed by the command line, never here
     for text in ('{"kind": "pn"}', '"2"'):
@@ -630,7 +908,7 @@ def _reference_opening(m, rng):
     if hasattr(m, "singleton"):
         w = tuple(rng.randrange(m.alphabet) for _ in range(rng.randrange(3)))
         return m.singleton(w)
-    return m.index_of(frozenset(rng.sample(range(6), rng.randrange(3))))
+    return mask_of(frozenset(rng.sample(range(6), rng.randrange(3))))
 
 
 @pytest.mark.parametrize("name", sorted(_surface_models()))
