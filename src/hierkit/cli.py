@@ -419,6 +419,10 @@ def _cmd_eval_code(args):
 
 
 def _cmd_transform(args):
+    if args.max_budget is not None and args.max_budget < args.budget:
+        raise CliError(
+            VALIDATION, "--max-budget %d is below --budget %d" % (args.max_budget, args.budget)
+        )
     model, mdata = _arg_json(args.model, "model", model_from_json)
     pres, pdata = _arg_json(
         args.presentation, "presentation", lambda data: presentation_from_json(model, data)
@@ -441,15 +445,9 @@ def _cmd_transform(args):
     max_budget = args.max_budget or min(8 * args.budget, jsonin.STAGE_BUDGET[1])
     report = verify_transform(pres, model, points, args.budget, max_budget=max_budget)
     table = [
-        {
-            "point": model.point_to_json(x),
-            "transform": report.result.eval_point(model, x),
-            "oracle": bool(pres.member(x)),
-        }
-        for x in points
+        {"point": model.point_to_json(x), "transform": got, "oracle": want, "match": got == want}
+        for x, got, want in zip(points, report.answers, report.truth)
     ]
-    for row in table:
-        row["match"] = row["transform"] == row["oracle"]
     outputs = {
         "result": report.result.to_json(),
         "verification": {

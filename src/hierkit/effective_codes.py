@@ -15,11 +15,13 @@ below omega^2.  The counter F_eps(m,t) measures how many leading rows
 of side eps approximate O_m from above at stage t; pairs (m,t) whose
 two counters disagree get the type of the larger side, and sequences of
 such pairs with increasing coordinates, shrinking opens, and
-alternating types form a finite tree.  Kleene-Brouwer order on that
-tree, with each node spread over an (omega+2)-block of slots, yields
-the code: the only nonempty slot of a node's block sits at omega+type,
-so slot parity tracks the type, and least-slot evaluation reads off the
-type of the deepest-leftmost node whose open contains the point.
+alternating types form a finite tree.  The walk that builds the tree
+lists each node after its children, siblings ascending, which is its
+Kleene-Brouwer order.  That order, with each node spread over an
+(omega+2)-block of slots, yields the code: the only nonempty slot of a
+node's block sits at omega+type, so slot parity tracks the type, and
+least-slot evaluation reads off the type of the deepest-leftmost node
+whose open contains the point.
 
 Nothing here silently extrapolates: the transform is exact for the
 budget it was given, and verify_transform re-runs it on growing budgets
@@ -32,7 +34,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from hierkit.alt_trees import WfTree, kb_sorted
+from hierkit.alt_trees import WfTree
 from hierkit.diff_hierarchy import DiffCode, SearchBudgetExceeded, embed_co
 from hierkit.jsonin import fields, integer, list_of, tagged
 from hierkit.ordinals import Ordinal
@@ -59,7 +61,7 @@ class BorelCode:
     """
 
     def __init__(self, nodes):
-        self.tree = nodes if isinstance(nodes, WfTree) else WfTree(nodes)
+        self.tree = WfTree(nodes)
         for node in self.tree.nodes:
             if self.tree.node_rank(node) < 2:
                 continue
@@ -216,11 +218,9 @@ class StagedPresentation:
     by verification; the presentation itself never consults it.
     """
 
-    def __init__(self, rows, member=None, name="staged", json_form=None):
+    def __init__(self, rows, member=None):
         self._rows = rows
         self.member = member
-        self.name = name
-        self.json_form = json_form
         self._seen = {}
         self._memo = {}
         self._unions = {}
@@ -290,23 +290,14 @@ class StagedPresentation:
             report[x] = "stable" if covered and escaped else "unstable"
         return report
 
-    def to_json(self):
-        if self.json_form is None:
-            raise ValueError("presentation %r has no serial form" % self.name)
-        return dict(self.json_form)
 
-
-def clopen_presentation(model, inside, outside, member=None):
+def clopen_presentation(model, inside, outside):
     """Constant rows: every row of side 1 is {inside}, of side 0 is
     {outside}.  Correct exactly when the two opens partition the space,
     which is the caller's claim and check_points' job to probe."""
-    if member is None:
-        member = lambda x: model.point_in_basic(x, inside)
     return StagedPresentation(
         lambda eps, n, t: (inside,) if eps == 1 else (outside,),
-        member=member,
-        name="clopen",
-        json_form={"kind": "clopen", "inside": inside, "outside": outside},
+        member=lambda x: model.point_in_basic(x, inside),
     )
 
 
@@ -315,8 +306,6 @@ def empty_presentation(model):
     return StagedPresentation(
         lambda eps, n, t: (whole,) if eps == 0 else (),
         member=lambda x: False,
-        name="empty",
-        json_form={"kind": "empty"},
     )
 
 
@@ -381,12 +370,10 @@ def first_one_presentation(model):
                 return a == 1
         return False
 
-    return StagedPresentation(
-        rows, member=member, name="first-one", json_form={"kind": "first-one"}
-    )
+    return StagedPresentation(rows, member=member)
 
 
-def rows_presentation(model, rows1, rows0, member=None, tail="repeat"):
+def rows_presentation(model, rows1, rows0, tail="repeat"):
     """Explicit finite row lists.  Rows past the end repeat the last
     listed row (`tail="repeat"`) or go empty (`tail="empty"`)."""
     if tail not in ("repeat", "empty"):
@@ -401,17 +388,7 @@ def rows_presentation(model, rows1, rows0, member=None, tail="repeat"):
             return listed[-1]
         return ()
 
-    return StagedPresentation(
-        rows,
-        member=member,
-        name="rows",
-        json_form={
-            "kind": "rows",
-            "rows1": [list(r) for r in table[1]],
-            "rows0": [list(r) for r in table[0]],
-            "tail": tail,
-        },
-    )
+    return StagedPresentation(rows)
 
 
 _PRESENTATION_FIELDS = {
@@ -498,17 +475,16 @@ def _default_pool(pres, model, budget, stages):
 @dataclass
 class StagedTree:
     """The alternating tree over (index, stage) pairs, with per-node
-    type and counter values."""
+    type and counter values.  `nodes` lists every node but the root in
+    Kleene-Brouwer order: each node after its children, siblings
+    ascending."""
 
-    nodes: dict  # sequence -> (type, F0, F1)
+    nodes: dict  # sequence -> (type, F0, F1), Kleene-Brouwer ascending
     stages: tuple
     pool: tuple
     budget: int
     frontier: frozenset  # leaves at the last stage: cut off by the budget
     growth_violations: tuple
-
-    def wf(self):
-        return WfTree(self.nodes.keys())
 
     def leaves(self):
         prefixes = {seq[:-1] for seq in self.nodes}
@@ -531,7 +507,9 @@ def build_alt_tree(pres, model, stage_budget, node_cap=50_000):
 
     A node's children depend only on its last pair and type, so each
     such key's child list is searched once and the tree is the unfolding
-    of that keyed DAG; `node_cap` counts unfolded nodes.
+    of that keyed DAG; `node_cap` counts unfolded nodes.  Child lists
+    are in ascending (index, stage) order and the walk adds each node
+    after its children, so `nodes` comes out in Kleene-Brouwer order.
     """
     stages = stage_ladder(stage_budget)
     pool = _default_pool(pres, model, stage_budget, stages)
@@ -546,50 +524,49 @@ def build_alt_tree(pres, model, stage_budget, node_cap=50_000):
             )
         return f_memo[(m, t)]
 
-    typed = {}
+    typed = []  # ((m, t), type) for every typed pair, ascending
     for t in stages:
-        entries = []
         for m in pool:
             if not index_visible(m, t):
                 continue
             f0, f1 = fvals(m, t)
             if f0 != f1:
-                entries.append((m, 1 if f1 > f0 else 0))
-        typed[t] = tuple(entries)
+                typed.append(((m, t), 1 if f1 > f0 else 0))
+    typed.sort()
 
     kid_memo = {}
 
     def kids(key):
         # children of any node whose last pair and type form `key`, as
-        # (pair, node value) in the order the tree lists them
+        # (pair, node value), pairs ascending
         if key in kid_memo:
             return kid_memo[key]
         last_m, last_t, last_eps = key
         out = []
-        for t in stages:
-            if last_t is not None and t <= last_t:
-                continue
-            for m, eps in typed[t]:
-                if last_m is not None:
-                    if m <= last_m or eps == last_eps:
-                        continue
-                    if not staged_ll(model, last_m, m, t):
-                        continue
-                out.append(((m, t), (eps,) + fvals(m, t)))
+        for (m, t), eps in typed:
+            if last_m is not None:
+                if m <= last_m or t <= last_t or eps == last_eps:
+                    continue
+                if not staged_ll(model, last_m, m, t):
+                    continue
+            out.append(((m, t), (eps,) + fvals(m, t)))
         kid_memo[key] = out = tuple(out)
         return out
 
     nodes = {}
+    unfolded = 0
 
     def extend(prefix, key):
+        nonlocal unfolded
         for pair, value in kids(key):
-            if len(nodes) >= node_cap:
+            if unfolded >= node_cap:
                 raise SearchBudgetExceeded(
                     "alternating tree exceeded %d nodes" % node_cap
                 )
+            unfolded += 1
             seq = prefix + (pair,)
-            nodes[seq] = value
             extend(seq, pair + value[:1])
+            nodes[seq] = value
 
     extend((), (None, None, None))
 
@@ -648,7 +625,6 @@ class TransformResult:
     """A built difference code plus everything needed to audit it."""
 
     tree: StagedTree
-    kb_order: tuple  # all tree sequences, Kleene-Brouwer ascending, root last
     xi: Ordinal
     slots: tuple  # the nonempty slots, rank-ascending
     diff_code: DiffCode
@@ -684,11 +660,11 @@ class TransformResult:
         }
 
 
-def effective_hausdorff_transform(pres, model, stage_budget, **kw):
-    """Build the alternating tree, order it Kleene-Brouwer style (root
-    last), spread each node over an (omega+2)-block of slots, and emit
-    the difference code whose only nonempty slot per block carries the
-    node's open at offset omega + type.
+def effective_hausdorff_transform(pres, model, stage_budget):
+    """Build the alternating tree, take its Kleene-Brouwer order with
+    the root appended last, spread each node over an (omega+2)-block of
+    slots, and emit the difference code whose only nonempty slot per
+    block carries the node's open at offset omega + type.
 
     Slot parity equals the type by construction; this is asserted for
     the probe offsets 0, 1, omega, omega+1 of every block, and for every
@@ -697,10 +673,8 @@ def effective_hausdorff_transform(pres, model, stage_budget, **kw):
     Evaluation of the result is exact for this budget: a point in no
     slot's open is reported outside, never guessed.
     """
-    tree = build_alt_tree(pres, model, stage_budget, **kw)
-    order = kb_sorted(tree.wf().nodes)
-    if order[-1] != ():
-        raise AssertionError("root is not Kleene-Brouwer-last")
+    tree = build_alt_tree(pres, model, stage_budget)
+    order = (*tree.nodes, ())
     slots = []
     for r, seq in enumerate(order):
         for a, b, want in _GAMMA_PROBES:
@@ -719,9 +693,7 @@ def effective_hausdorff_transform(pres, model, stage_budget, **kw):
     trees = tuple(leaf_codes[s.open_index] for s in slots)
     parity_set = frozenset(i for i, s in enumerate(slots) if s.eps == 1)
     hausdorff = HausdorffCode(tuple(range(len(slots))), parity_set, trees)
-    return TransformResult(
-        tree, tuple(order), xi, tuple(slots), diff_code, hausdorff, stage_budget
-    )
+    return TransformResult(tree, xi, tuple(slots), diff_code, hausdorff, stage_budget)
 
 
 # -- honesty: verification against a membership oracle -----------------------
@@ -734,30 +706,28 @@ class VerificationReport:
     budgets: tuple
     mismatches: tuple  # points still wrong at the last budget tried
     first_change: int | None  # smallest budget increase that moved any answer
+    answers: tuple  # the transform's verdict per point at the last budget
+    truth: tuple  # the oracle's verdict per point
 
     def ok(self):
         return self.status == "COMPLETE"
 
 
-def verify_transform(pres, model, points, budget, max_budget=None, member=None, **kw):
+def verify_transform(pres, model, points, budget, max_budget):
     """Run the transform on doubling budgets until its evaluation
-    matches the membership oracle on every test point, or the budget
-    cap is hit.  The report never hides a disagreement: INCOMPLETE
-    carries the points still wrong and the smallest budget increase
-    that changed any answer, so convergence is observable."""
-    if member is None:
-        member = pres.member
-    if member is None:
+    matches the presentation's membership oracle on every test point,
+    or the budget cap is hit.  The report never hides a disagreement:
+    INCOMPLETE carries the points still wrong and the smallest budget
+    increase that changed any answer, so convergence is observable."""
+    if pres.member is None:
         raise ValueError("verification needs a membership oracle")
-    if max_budget is None:
-        max_budget = budget * 8
     points = tuple(points)
-    truth = [bool(member(x)) for x in points]
+    truth = [bool(pres.member(x)) for x in points]
     budgets, answers = [], []
     result = None
     b = budget
     while True:
-        result = effective_hausdorff_transform(pres, model, b, **kw)
+        result = effective_hausdorff_transform(pres, model, b)
         budgets.append(b)
         answers.append([result.eval_point(model, x) for x in points])
         if answers[-1] == truth or b >= max_budget:
@@ -772,18 +742,18 @@ def verify_transform(pres, model, points, budget, max_budget=None, member=None, 
     mismatches = tuple(
         x for x, a, want in zip(points, answers[-1], truth) if a != want
     )
-    return VerificationReport(status, result, tuple(budgets), mismatches, first_change)
+    return VerificationReport(
+        status, result, tuple(budgets), mismatches, first_change,
+        tuple(answers[-1]), tuple(truth),
+    )
 
 
-def claim2_gaps(result, model, points, member=None, pres=None):
-    """Saturation check: every node typed against a point's side and
-    containing the point must have a child whose open still contains
-    it.  Frontier nodes are exempt -- their children were cut off by
-    the budget, which the result already reports."""
-    if member is None and pres is not None:
-        member = pres.member
-    if member is None:
-        raise ValueError("the check needs a membership oracle")
+def claim2_gaps(result, model, points, member):
+    """Saturation check against the membership oracle `member`: every
+    node typed against a point's side and containing the point must
+    have a child whose open still contains it.  Frontier nodes are
+    exempt -- their children were cut off by the budget, which the
+    result already reports."""
     tree = result.tree
     kids = {}
     for seq in tree.nodes:

@@ -325,7 +325,7 @@ _PROBES = ((Ordinal.from_int(0), 0), (ONE, 1), (OMEGA, 0), (OMEGA + ONE, 1))
 
 
 def _assert_rank_parity(result):
-    for r in range(len(result.kb_order)):
+    for r in range(len(result.tree.nodes) + 1):
         for gamma, want in _PROBES:
             assert (block_start(r) + gamma).parity() == want, r
     for slot in result.slots:
@@ -336,7 +336,7 @@ def _verified(pres, model, points, budget, max_budget):
     report = verify_transform(pres, model, points, budget, max_budget=max_budget)
     assert report.status == "COMPLETE", (report.budgets, report.mismatches)
     _assert_rank_parity(report.result)
-    assert claim2_gaps(report.result, model, points, pres=pres) == []
+    assert claim2_gaps(report.result, model, points, pres.member) == []
     return report
 
 

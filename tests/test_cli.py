@@ -360,6 +360,23 @@ def test_transform_reports_match_golden_digests(capsys, case):
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == TRANSFORM_DIGESTS[case]
 
 
+def test_the_bench_oracle_accepts_every_transform_op(capsys, monkeypatch):
+    # the benchmark's transform workload for one seed, judged by its own
+    # oracle (bench/oracle.py imports no hierkit): a refactor that breaks
+    # a report the oracle checks fails here, not only in a benchmark run
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
+    workloads = importlib.import_module("workloads")
+    oracle = importlib.import_module("oracle")
+    ops = workloads.transform_ops(201)
+    failed = []
+    for op in ops:
+        code = main(list(op.argv))
+        fail = oracle.check(op, code, capsys.readouterr().out)
+        if fail is not None:
+            failed.append((op.argv, fail))
+    assert ops and failed == []
+
+
 # -- reports across the three model families ------------------------------------
 
 CYL2 = '{"kind": "cylinder", "alphabet": 2}'
@@ -809,6 +826,11 @@ REFUSED_ARGV = {
     ),
     "transform-point-letter-outside": (
         "transform", "--presentation", FIRST_ONE, "--budget", "4", "--points", '[{"prefix": [5]}]',
+    ),
+    # a cap below the start budget was ignored: budget 16 was run anyway
+    "transform-max-budget-below-budget": (
+        "transform", "--presentation", FIRST_ONE, "--budget", "16", "--max-budget", "4",
+        "--points", '[{"prefix": [1]}]',
     ),
     # wrongly typed codes and presentations ended in a TypeError traceback
     "borel-nodes-not-a-list": (
