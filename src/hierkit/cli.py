@@ -432,6 +432,7 @@ def _cmd_transform(args):
         "presentation": _digest(pdata),
         "budget": args.budget,
         "points": None,
+        "max_budget": None,
     }
     if args.points is None:
         result = effective_hausdorff_transform(pres, model, args.budget)
@@ -443,6 +444,7 @@ def _cmd_transform(args):
     inputs["points"] = _digest([model.point_to_json(x) for x in points])
     # the doubling stays inside the declared budget range
     max_budget = args.max_budget or min(8 * args.budget, jsonin.STAGE_BUDGET[1])
+    inputs["max_budget"] = max_budget
     report = verify_transform(pres, model, points, args.budget, max_budget=max_budget)
     table = [
         {"point": model.point_to_json(x), "transform": got, "oracle": want, "match": got == want}
@@ -523,6 +525,9 @@ def _cmd_audit(args):
 
 
 def _cmd_gen(args):
+    if args.kind == "model":
+        # a poset model has at least 2 points
+        jsonin.integer(args.n, "--n with --kind model", 2, jsonin.POSET_POINTS[1])
     rng = random.Random(args.seed)
     items = []
     if args.kind == "poset":
@@ -536,7 +541,7 @@ def _cmd_gen(args):
             elif pick == 1:
                 items.append({"kind": "pinf", "bound": 16 << rng.randrange(3)})
             else:
-                p = random_poset(2 + rng.randrange(args.n - 1 or 1), rng)
+                p = random_poset(2 + rng.randrange(args.n - 1), rng)
                 items.append({"kind": "poset", "poset": p.to_json()})
     inputs = {"kind": args.kind, "n": args.n, "count": args.count}
     return inputs, {"items": items}
@@ -624,7 +629,7 @@ def _build_parser():
     p = command("gen", _cmd_gen, "emit seeded random posets or models")
     p.add_argument("--kind", choices=["poset", "model"], default="poset")
     p.add_argument("--n", type=_int_in(jsonin.POSET_POINTS), default=5,
-                   help="poset size (or size bound for models)")
+                   help="poset size (or size bound, at least 2, for models)")
     p.add_argument("--count", type=_int_in(jsonin.GEN_COUNT), default=10)
 
     return top

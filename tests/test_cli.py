@@ -341,15 +341,17 @@ TRANSFORM_ARGV = {
 
 # (exit code, SHA-256 of stdout) of `hier transform` on TRANSFORM_ARGV,
 # recorded while every covering test and word decoding was recomputed
-# on each call.  At budget 16 the binary word 0001 is not yet visible,
-# so that report is an honest budget exit.
+# on each call, and recorded again, except first-one-2-16, when
+# `inputs` gained `max_budget`: no other byte changed.  At budget 16 the
+# binary word 0001 is not yet visible, so that report is an honest
+# budget exit, which carries no `inputs`.
 TRANSFORM_DIGESTS = {
     "first-one-2-16": (2, "f9dab883b3462e1418603941f7b64af7e76cf19af6bd0ac19fedbd935e94a0ca"),
-    "first-one-2-64": (0, "f4a52a3169b6418ad3a74e0a0ce4a8f5e4c838a912d6df0f787743a0a19da486"),
-    "first-one-2-256": (0, "dd2653e7702f870c6f6e615de81e48232555abe13258b5155b54fc3b7cfa95a0"),
-    "first-one-3-ladder": (0, "4f7fc52a1819f9d270e4907bedb2f81d2db598847155ac351bdbb83b53ac61a3"),
-    "poset-clopen": (0, "78bc7085d15800f4d6a4003d8e5b17245b52ffb5503a45874e538cb6274614cd"),
-    "poset-rows": (0, "90344d586e6f850abdc4dad0dc5b77086fe3c0377f6be11c65f61644e01aa214"),
+    "first-one-2-64": (0, "be68cb5d8b2a14a770fa26eb872140bc450584188c8db6769493f60ab26a019a"),
+    "first-one-2-256": (0, "d797a79159c2c88754a1d96ecc40a87c8d7dec9eef489cd5c6537cad519491e5"),
+    "first-one-3-ladder": (0, "589c1029ad928b58be135d9524bfb3726cbb0dcaee8cda281c3d094988fe1545"),
+    "poset-clopen": (0, "fd05a8f4f213ea4e6283a240d4b21e7b60dd0d209ad3ec18fc02cff91a18b5a0"),
+    "poset-rows": (0, "e93b62065b2868209f7628df4dcd33a2ca828c3393969b5513304b1350f621dd"),
 }
 
 
@@ -358,6 +360,15 @@ def test_transform_reports_match_golden_digests(capsys, case):
     code = main(["transform", *TRANSFORM_ARGV[case]])
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == TRANSFORM_DIGESTS[case]
+
+
+def test_transform_inputs_name_the_verification_cap(capsys):
+    argv = ("transform", "--model", TWO_CHAINS, "--presentation",
+            '{"kind": "clopen", "inside": 3, "outside": 5}', "--budget", "8", "--points", "[0, 3]")
+    reports = [run_cli(capsys, *argv, *cap)[1] for cap in ((), ("--max-budget", "16"))]
+    # without the flag the cap is 8 times the start budget
+    assert [rep["inputs"]["max_budget"] for rep in reports] == [64, 16]
+    assert reports[0]["inputs"] != reports[1]["inputs"]
 
 
 def test_the_bench_oracle_accepts_every_transform_op(capsys, monkeypatch):
@@ -514,14 +525,17 @@ def test_audit_rejects_sizes_outside_the_limit(capsys, monkeypatch, size):
 
 
 # SHA-256 of the stdout of `hier audit --exhaustive N` and of `hier
-# classify --method all` on seeded random posets, recorded while opens,
-# all_posets and canon still scanned every mask, relation and
-# permutation.  The classify cases are (n, seed, edge_prob): the poset
-# is random_poset(n, rng, edge_prob) and the set takes each point with
-# probability 1/2, both from random.Random(seed).
+# classify --method all` on seeded random posets.  The 4, 5 and classify
+# digests were recorded while opens and canon still scanned every mask
+# and permutation; the 6 digest while the audit still found its classes
+# by scanning every labeled poset, which met each class first in its
+# least labeling.  The classify cases are (n, seed, edge_prob): the
+# poset is random_poset(n, rng, edge_prob) and the set takes each point
+# with probability 1/2, both from random.Random(seed).
 AUDIT_DIGESTS = {
     4: "632b7fb1ceaf28ad3a7331c070dce960d9c354f5d718bd1bd97b39cd21e1b06f",
     5: "fb820574c29debbf8b0c0cdd4b0e852a7ee17ec6534d6cc9b1fe7c4d94d11ec0",
+    6: "6aae9a11b0f9a634c9eaabbaf1e7b1deafe1136b1d8fda1e182d2f418306c671",
 }
 CLASSIFY_DIGESTS = {
     (8, 0, 0.35): "1d2093f6db3c6e66c7ddf8e9f7c8e627bf5f30316a327fcbc1e5326b8908a1ee",
@@ -892,6 +906,10 @@ REFUSED_ARGV = {
     "gen-n-huge": ("gen", "--n", str(2**80)),
     # so do size-like fields: this poset size raised MemoryError
     "poset-size-huge": ("classify", "--poset", '{"n": %d, "cover": []}' % 2**80, "--set", "1"),
+    # a poset model has at least 2 points: 0 raised "empty range for
+    # randrange()" and 1 emitted 2-point posets
+    "gen-model-n-0": ("gen", "--kind", "model", "--n", "0"),
+    "gen-model-n-1": ("gen", "--kind", "model", "--n", "1"),
     # wrongly typed fields were read as other values (exit 0) or raised TypeError
     **{
         "pinf-bound-%s" % name: ("play", "--model", '{"kind": "pinf", "bound": %s}' % bound)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -6,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from hierkit.finite_space import (
     FinitePoset,
-    all_posets,
     all_posets_upto_iso,
     bits,
     mask_of,
@@ -66,16 +66,19 @@ def test_validation_catches_junk():
 
 
 def test_counts_up_to_iso():
-    # Known counts of posets up to isomorphism.
-    assert len(all_posets_upto_iso(1)) == 1
-    assert len(all_posets_upto_iso(2)) == 2
-    assert len(all_posets_upto_iso(3)) == 5
-    assert len(all_posets_upto_iso(4)) == 16
-    assert len(all_posets_upto_iso(5)) == 63
-    # and labeled: 1, 3, 19, 219, 4231
-    assert len(all_posets(3)) == 19
-    assert len(all_posets(4)) == 219
-    assert len(all_posets(5)) == 4231
+    # Posets up to isomorphism, OEIS A000112.
+    reps = {n: all_posets_upto_iso(n) for n in range(7)}
+    assert [len(reps[n]) for n in range(7)] == [0, 1, 2, 5, 16, 63, 318]
+    # Labeled posets, OEIS A001035: each class has n!/|Aut(p)| labelings.
+    labeled = [
+        sum(
+            math.factorial(n)
+            // sum(relabel(p, perm) == p for perm in itertools.permutations(range(n)))
+            for p in reps[n]
+        )
+        for n in range(1, 6)
+    ]
+    assert labeled == [1, 3, 19, 219, 4231]
 
 
 @given(rand_posets())
@@ -182,7 +185,12 @@ def test_opens_match_mask_scan_on_chains_and_antichains(n):
 
 @pytest.mark.parametrize("n", range(5))
 def test_all_posets_match_relation_scan_in_order(n):
-    assert [p.up for p in all_posets(n)] == [p.up for p in scan_all_posets(n)]
+    # one class per poset, given by the first member the relation scan
+    # meets, in the order the scan meets them
+    first = {}
+    for p in scan_all_posets(n):
+        first.setdefault(p.canon(), p)
+    assert [p.up for p in all_posets_upto_iso(n)] == [p.up for p in first.values()]
 
 
 @given(rand_posets(), st.randoms(use_true_random=False))
@@ -194,8 +202,10 @@ def test_canon_is_invariant_under_relabeling(p, rng):
 
 
 def test_canon_separates_the_5_point_classes():
-    # Invariance (above) plus 63 distinct values over all 4231 labeled
-    # posets: canon neither splits nor merges an isomorphism class.
-    assert len({p.canon() for p in all_posets(5)}) == 63
+    # Invariance (above) plus 63 distinct values over every relabeling
+    # of the 63 classes, which is every labeled poset on 5 points: canon
+    # neither splits nor merges an isomorphism class.
     reps = all_posets_upto_iso(5)
+    perms = list(itertools.permutations(range(5)))
+    assert len({relabel(p, perm).canon() for p in reps for perm in perms}) == 63
     assert len({permutation_canon(p) for p in reps}) == 63
