@@ -31,6 +31,7 @@ convergence data instead of patching answers.
 
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass
 
@@ -486,10 +487,6 @@ class StagedTree:
     frontier: frozenset  # leaves at the last stage: cut off by the budget
     growth_violations: tuple
 
-    def leaves(self):
-        prefixes = {seq[:-1] for seq in self.nodes}
-        return [seq for seq in self.nodes if seq not in prefixes]
-
     def __len__(self):
         return len(self.nodes)
 
@@ -507,9 +504,13 @@ def build_alt_tree(pres, model, stage_budget, node_cap=50_000):
 
     A node's children depend only on its last pair and type, so each
     such key's child list is searched once and the tree is the unfolding
-    of that keyed DAG; `node_cap` counts unfolded nodes.  Child lists
-    are in ascending (index, stage) order and the walk adds each node
-    after its children, so `nodes` comes out in Kleene-Brouwer order.
+    of that keyed DAG; `node_cap` counts unfolded nodes.  A key's search
+    starts past the typed pairs whose index is at most its own, found by
+    bisection.  Child lists are in ascending (index, stage) order and
+    the walk adds each node after its children, so `nodes` comes out in
+    Kleene-Brouwer order.  The child lists and F values are kept only
+    for the call: the recursive walk is released on return, so no
+    reference cycle holds them for the garbage collector.
     """
     stages = stage_ladder(stage_budget)
     pool = _default_pool(pres, model, stage_budget, stages)
@@ -533,6 +534,7 @@ def build_alt_tree(pres, model, stage_budget, node_cap=50_000):
             if f0 != f1:
                 typed.append(((m, t), 1 if f1 > f0 else 0))
     typed.sort()
+    typed_m = [m for (m, _), _ in typed]
 
     kid_memo = {}
 
@@ -542,10 +544,11 @@ def build_alt_tree(pres, model, stage_budget, node_cap=50_000):
         if key in kid_memo:
             return kid_memo[key]
         last_m, last_t, last_eps = key
+        start = 0 if last_m is None else bisect.bisect_right(typed_m, last_m)
         out = []
-        for (m, t), eps in typed:
+        for (m, t), eps in typed[start:]:
             if last_m is not None:
-                if m <= last_m or t <= last_t or eps == last_eps:
+                if t <= last_t or eps == last_eps:
                     continue
                 if not staged_ll(model, last_m, m, t):
                     continue
@@ -568,7 +571,10 @@ def build_alt_tree(pres, model, stage_budget, node_cap=50_000):
             extend(seq, pair + value[:1])
             nodes[seq] = value
 
-    extend((), (None, None, None))
+    try:
+        extend((), (None, None, None))
+    finally:
+        extend = None  # the closure refers to itself: break the cycle
 
     frontier = frozenset(
         seq
@@ -612,24 +618,54 @@ def _omega_plus(coeff, fin):
     return Ordinal(terms + ((0, fin),) if fin else terms)
 
 
+def _omega_plus_text(coeff, fin):
+    """str(_omega_plus(coeff, fin)) for coeff >= 1, without building
+    the ordinal."""
+    omega = "w" if coeff == 1 else "w*%d" % coeff
+    return "%s + %d" % (omega, fin) if fin else omega
+
+
 @dataclass(frozen=True)
 class Slot:
+    """The nonempty slot of block `block`: node `seq`, its type `eps`
+    and its open.  It sits at omega + eps in its block, so its rank is
+    omega*(block+1) + eps; the slot keeps the integers and builds the
+    `rank` ordinal only when it is read."""
+
     seq: tuple
-    rank: Ordinal
+    block: int
     eps: int
     open_index: int
+
+    @property
+    def rank(self):
+        return _omega_plus(*_block_offset(self.block, 1, self.eps))
 
 
 @dataclass
 class TransformResult:
-    """A built difference code plus everything needed to audit it."""
+    """A built difference code plus everything needed to audit it.
+
+    The slots carry their ranks as integers.  `diff_code` and
+    `hausdorff`, validated codes over those slots, are built on first
+    access; `to_json` writes the same rank text and Hausdorff JSON
+    straight from the slots, so a report builds neither."""
 
     tree: StagedTree
     xi: Ordinal
     slots: tuple  # the nonempty slots, rank-ascending
-    diff_code: DiffCode
-    hausdorff: HausdorffCode
     budget: int
+
+    @functools.cached_property
+    def diff_code(self):
+        return DiffCode(self.xi, "D", tuple((s.rank, s.open_index) for s in self.slots))
+
+    @functools.cached_property
+    def hausdorff(self):
+        leaf_codes = {o: BorelCode([(), (o,)]) for o in {s.open_index for s in self.slots}}
+        trees = tuple(leaf_codes[s.open_index] for s in self.slots)
+        parity_set = frozenset(i for i, s in enumerate(self.slots) if s.eps == 1)
+        return HausdorffCode(tuple(range(len(self.slots))), parity_set, trees)
 
     def eval_point(self, model, x):
         missed = set()  # opens already found not to contain x
@@ -642,6 +678,7 @@ class TransformResult:
         return False
 
     def to_json(self):
+        slots = self.slots
         return {
             "xi": str(self.xi),
             "budget": self.budget,
@@ -650,13 +687,18 @@ class TransformResult:
             "slots": [
                 {
                     "node": [list(p) for p in s.seq],
-                    "rank": str(s.rank),
+                    "rank": _omega_plus_text(*_block_offset(s.block, 1, s.eps)),
                     "type": s.eps,
                     "open": s.open_index,
                 }
-                for s in self.slots
+                for s in slots
             ],
-            "hausdorff": self.hausdorff.to_json(),
+            # what self.hausdorff.to_json() gives
+            "hausdorff": {
+                "order": list(range(len(slots))),
+                "parity_set": [i for i, s in enumerate(slots) if s.eps == 1],
+                "trees": [{"nodes": [[], [s.open_index]]} for s in slots],
+            },
         }
 
 
@@ -666,34 +708,40 @@ def effective_hausdorff_transform(pres, model, stage_budget):
     slots, and emit the difference code whose only nonempty slot per
     block carries the node's open at offset omega + type.
 
-    Slot parity equals the type by construction; this is asserted for
-    the probe offsets 0, 1, omega, omega+1 of every block, and for every
-    slot rank, rather than trusted.  Block r starts at omega*r + 2 (0
-    for r = 0), so ranks and probes are worked out in integers.
+    Block r starts at omega*r + 2 (0 for r = 0), so ranks are worked
+    out as (omega coefficient, finite part) pairs of integers, and only
+    the code's level xi is built as an ordinal.  Nothing is trusted:
+    the probe offsets 0, 1, omega, omega+1 of every block have the
+    parity they should, every slot rank's parity is its type, and the
+    ranks strictly increase and stay below xi -- the checks `DiffCode`
+    makes, which `TransformResult.diff_code` repeats when it is read.
     Evaluation of the result is exact for this budget: a point in no
     slot's open is reported outside, never guessed.
     """
     tree = build_alt_tree(pres, model, stage_budget)
     order = (*tree.nodes, ())
+    top = _block_offset(len(order), 0, 0)  # xi as a pair
     slots = []
+    prev = None
     for r, seq in enumerate(order):
         for a, b, want in _GAMMA_PROBES:
             if _block_offset(r, a, b)[1] % 2 != want:
                 raise AssertionError("slot parity drifted in block %d" % r)
         if seq:
             eps = tree.nodes[seq][0]
-            rank = _omega_plus(*_block_offset(r, 1, eps))
-            if rank.parity() != eps:
-                raise AssertionError("slot rank %s does not carry type %d" % (rank, eps))
-            slots.append(Slot(seq, rank, eps, seq[-1][0]))
-    xi = block_start(len(order))
-    entries = tuple((s.rank, s.open_index) for s in slots)
-    diff_code = DiffCode(xi, "D", entries)
-    leaf_codes = {o: BorelCode([(), (o,)]) for o in {s.open_index for s in slots}}
-    trees = tuple(leaf_codes[s.open_index] for s in slots)
-    parity_set = frozenset(i for i, s in enumerate(slots) if s.eps == 1)
-    hausdorff = HausdorffCode(tuple(range(len(slots))), parity_set, trees)
-    return TransformResult(tree, xi, tuple(slots), diff_code, hausdorff, stage_budget)
+            rank = _block_offset(r, 1, eps)
+            if rank[1] % 2 != eps:
+                raise AssertionError(
+                    "slot rank %s does not carry type %d" % (_omega_plus_text(*rank), eps)
+                )
+            if (prev is not None and rank <= prev) or rank >= top:
+                raise AssertionError(
+                    "slot rank %s does not lie between the last rank and xi"
+                    % _omega_plus_text(*rank)
+                )
+            prev = rank
+            slots.append(Slot(seq, r, eps, seq[-1][0]))
+    return TransformResult(tree, block_start(len(order)), tuple(slots), stage_budget)
 
 
 # -- honesty: verification against a membership oracle -----------------------

@@ -2,6 +2,7 @@
 byte-level determinism, and the error JSON contract."""
 
 import ast
+import gc
 import hashlib
 import importlib
 import itertools
@@ -379,13 +380,26 @@ def test_the_bench_oracle_accepts_every_transform_op(capsys, monkeypatch):
     workloads = importlib.import_module("workloads")
     oracle = importlib.import_module("oracle")
     ops = workloads.transform_ops(201)
-    failed = []
-    for op in ops:
-        code = main(list(op.argv))
-        fail = oracle.check(op, code, capsys.readouterr().out)
-        if fail is not None:
-            failed.append((op.argv, fail))
+    failed, cyclic = [], []
+    # the same ops guard memory: with the cyclic collector off, each op
+    # must leave nothing that only the collector could free.  The cached
+    # parser is built first, because argparse leaves cycles behind.
+    hierkit.cli._build_parser()
+    gc.collect()
+    gc.disable()
+    try:
+        for op in ops:
+            code = main(list(op.argv))
+            fail = oracle.check(op, code, capsys.readouterr().out)
+            if fail is not None:
+                failed.append((op.argv, fail))
+            garbage = gc.collect()
+            if garbage:
+                cyclic.append((op.argv, garbage))
+    finally:
+        gc.enable()
     assert ops and failed == []
+    assert cyclic == []
 
 
 # -- reports across the three model families ------------------------------------
@@ -945,6 +959,85 @@ REFUSED_ARGV = {
 }
 
 
+# what each refusal's message must say: the refused field or option and,
+# where one message serves many fields, the value.  An internal error
+# that leaks out as a ValueError ("empty range for randrange()" on
+# gen-model-n-0) is a validation error too, but says none of this.
+REFUSED_MESSAGES = {
+    "baire-budget-negative": "argument --budget: value must be between 1 and 20000, got -5",
+    "borel-leaf-string": "bad borel code: node label must be an integer, got 'a'",
+    "borel-nodes-not-a-list": "bad borel code: nodes must be a list",
+    "clauses-alpha-string": "bad model: clause element must be an integer, got '0'",
+    "cylinder-borel-leaf-negative": "bad borel code: node label must be at least 0, got -1",
+    "cylinder-dense-negative": "bad dense: basis index must be at least 0, got -2",
+    "cylinder-first-negative": "basis index must be at least 0, got -1",
+    "cylinder-point-cycle-letter-string": "bad point: letter must be an integer, got '1'",
+    "cylinder-point-letter-bool": "bad point: letter must be an integer, got True",
+    "cylinder-point-letter-outside": "bad point: letter must be between 0 and 1, got 5",
+    "dense-index-float": "bad dense: basis index must be an integer, got 2.9",
+    "dense-not-a-list": "bad dense: dense constraints must be a list",
+    "dense-u-not-a-list": "bad dense: u or f must be a list",
+    "diff-alpha-float": "bad diff code: alpha must be an integer, got 2.5",
+    "diff-handle-bool": "bad diff code: basis index must be an integer, got True",
+    "diff-handle-float": "bad diff code: basis index must be an integer, got 4.9",
+    "diff-rank-bool": "bad diff code: rank must be an integer, got True",
+    "diff-rank-float": "bad diff code: rank must be an integer, got 1.0",
+    "first-one-on-poset": "bad presentation: the first-one presentation lives on a cylinder model",
+    "gen-count-negative": "argument --count: value must be between 0 and 1000, got -3",
+    "gen-model-n-0": "--n with --kind model must be between 2 and 20, got 0",
+    "gen-model-n-1": "--n with --kind model must be between 2 and 20, got 1",
+    "gen-n-huge": "argument --n: value must be between 0 and 20",
+    "hausdorff-order-float": "bad hausdorff code: order element must be an integer, got 0.0",
+    "hausdorff-order-mixed-types": "bad hausdorff code: order element must be an integer, got 'a'",
+    "model-json-string": "bad model: unknown model kind",
+    "model-undeclared-field": "bad model: pn model has no field 'bound'",
+    "pinf-bound-bool": "bad model: bound must be an integer, got True",
+    "pinf-bound-float": "bad model: bound must be an integer, got 16.5",
+    "pinf-bound-null": "bad model: bound must be an integer, got None",
+    "pinf-bound-string": "bad model: bound must be an integer, got '16'",
+    "pinf-first-negative": "basis index must be at least 0, got -1",
+    "play-rounds-huge": "argument --rounds: value must be between 0 and 1000, got 100000000",
+    "play-rounds-negative": "argument --rounds: value must be between 0 and 1000, got -1",
+    "pn-point-cofinite-float": "bad point: cofinite_from must be an integer, got 2.5",
+    "pn-point-core-above-limit": "bad point: element must be between 0 and 65535, got 65536",
+    "pn-point-core-bool": "bad point: element must be an integer, got True",
+    "pn-point-core-float": "bad point: element must be an integer, got 1.5",
+    "pn-point-core-huge": "bad point: element must be between 0 and 65535, got %d" % 2**80,
+    "poset-borel-leaf-outside": "bad borel code: basis index must be between 0 and 2, got 7",
+    "poset-clopen-inside-outside": "bad presentation: basis index must be between 0 and 2, got 9",
+    "poset-dense-outside": "bad dense: basis index must be between 0 and 2, got 5",
+    "poset-diff-handle-outside": "bad diff code: basis index must be between 0 and 2, got 3",
+    "poset-edge-bool": "bad poset: cover pair endpoint must be an integer, got True",
+    "poset-first-negative": "basis index must be between 0 and 2, got -1",
+    "poset-first-outside": "basis index must be between 0 and 2, got 99",
+    "poset-hausdorff-leaf-negative": "bad hausdorff code: node label must be at least 0, got -1",
+    "poset-model-edge-bool": "bad model: cover pair endpoint must be an integer, got True",
+    "poset-point-bool": "bad point: point must be an integer, got True",
+    "poset-point-json-string": "bad point: point must be an integer, got '1'",
+    "poset-point-outside": "bad point: point must be between 0 and 1, got 7",
+    "poset-rows-entry-negative": "bad presentation: basis index must be between 0 and 2, got -1",
+    "poset-size-float": "bad poset: poset size must be an integer, got 3.7",
+    "poset-size-huge": "bad poset: poset size must be between 0 and 20, got %d" % 2**80,
+    "poset-target-outside": "basis index must be between 0 and 2, got 3",
+    "presentation-not-an-object": "bad presentation: unknown presentation kind in [1]",
+    "rows-entry-string": "bad presentation: basis index must be an integer, got 'a'",
+    "rows-row-string": "bad presentation: row must be a list, got 'a'",
+    "transform-budget-huge": "argument --budget: value must be between 1 and 1024",
+    "transform-max-budget-below-budget": "--max-budget 4 is below --budget 16",
+    "transform-on-clauses": "clauses cones are not closed under finite unions",
+    "transform-on-pinf": "pinf cones are not closed under finite unions",
+    "transform-on-pn": "pn cones are not closed under finite unions",
+    "transform-point-letter-outside": "bad points: letter must be between 0 and 1, got 5",
+    "transform-point-not-an-object": "bad points: point must be an object, got 1",
+    "transform-point-prefix-not-a-list": "bad points: prefix must be a list, got 1",
+    "usage-first-float": "argument --first: invalid int value: '4.9'",
+}
+
+
+def test_every_refusal_names_its_message():
+    assert REFUSED_MESSAGES.keys() == REFUSED_ARGV.keys()
+
+
 @pytest.mark.parametrize("case", sorted(REFUSED_ARGV))
 def test_inputs_outside_the_model_are_validation_errors(capsys, case):
     code, rep = run_cli(capsys, *REFUSED_ARGV[case])
@@ -952,3 +1045,4 @@ def test_inputs_outside_the_model_are_validation_errors(capsys, case):
     # a refusal, not a verdict reached with the refused value
     assert list(rep) == ["error"]
     assert rep["error"]["kind"] == "validation"
+    assert REFUSED_MESSAGES[case] in rep["error"]["message"]

@@ -8,6 +8,7 @@ the transform against ground-truth membership oracles on three model
 families.
 """
 
+import gc
 import itertools
 import json
 from collections import Counter
@@ -459,7 +460,8 @@ def test_node_budget_is_enforced():
 def test_frontier_marks_leaves_at_the_last_stage():
     c3 = CylinderModel(3)
     tree = build_alt_tree(first_one_presentation(c3), c3, 16)
-    leaves = set(tree.leaves())
+    prefixes = {seq[:-1] for seq in tree.nodes}
+    leaves = set(tree.nodes) - prefixes
     assert tree.frontier
     for seq in tree.frontier:
         assert seq in leaves and seq[-1][1] == 16
@@ -739,6 +741,26 @@ def test_node_cap_stops_keyed_and_unkeyed_builds_alike(cap):
     assert str(got.value) == str(want.value) == "alternating tree exceeded %d nodes" % cap
 
 
+def test_tree_builds_leave_no_cyclic_garbage():
+    # a build's memos are freed by reference counting when it returns,
+    # also when the node cap stops it halfway
+    c3 = CylinderModel(3)
+    gc.collect()
+    gc.disable()
+    try:
+        try:
+            build_alt_tree(first_one_presentation(c3), c3, 128, node_cap=100)
+        except SearchBudgetExceeded:
+            pass
+        capped = gc.collect()
+        tree = build_alt_tree(first_one_presentation(c3), c3, 64)
+        del tree
+        built = gc.collect()
+    finally:
+        gc.enable()
+    assert (capped, built) == (0, 0)
+
+
 def test_node_cap_counts_unfolded_nodes():
     c3 = CylinderModel(3)
     tree = build_alt_tree(first_one_presentation(c3), c3, 64)
@@ -1000,3 +1022,48 @@ def test_transform_shares_one_leaf_code_per_open():
     for s, code in zip(res.slots, res.hausdorff.trees):
         assert by_open.setdefault(s.open_index, code) is code
     assert len(by_open) < len(res.slots)
+
+
+@pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+def test_report_is_written_from_the_slots_as_the_codes_would_write_it(case):
+    model, make, budget = EQUIVALENCE_CASES[case]
+    res = effective_hausdorff_transform(make(model), model, budget)
+    report = res.to_json()
+    assert report["xi"] == str(block_start(len(res.tree.nodes) + 1)) == str(res.xi)
+    assert [slot["rank"] for slot in report["slots"]] == [str(s.rank) for s in res.slots]
+    assert report["hausdorff"] == res.hausdorff.to_json()
+    # built on demand, the code still passes DiffCode's validation
+    code = res.diff_code
+    assert code == DiffCode(res.xi, "D", tuple((s.rank, s.open_index) for s in res.slots))
+    assert res.diff_code is code
+
+
+def test_a_transform_builds_ordinals_only_for_xi(monkeypatch):
+    built = []
+    init = Ordinal.__init__
+
+    def counting_init(self, terms=()):
+        built.append(terms)
+        init(self, terms)
+
+    monkeypatch.setattr(Ordinal, "__init__", counting_init)
+    c3 = CylinderModel(3)
+    per_transform, slots = [], []
+    for budget in (16, 64, 256):
+        built.clear()
+        res = effective_hausdorff_transform(first_one_presentation(c3), c3, budget)
+        res.to_json()
+        per_transform.append(len(built))
+        slots.append(len(res.slots))
+    # xi's two, whatever the slot count
+    assert per_transform == [2, 2, 2]
+    assert slots[0] < slots[1] < slots[2]
+    # the codes, when read, build one rank per slot
+    built.clear()
+    res.diff_code
+    assert len(built) >= slots[-1]
+    # verification reads neither code on any of its budgets
+    built.clear()
+    rep = verify_transform(first_one_presentation(c3), c3, cyl_points(c3, 3), 4, 64)
+    rep.result.to_json()
+    assert len(rep.budgets) > 1 and len(built) == 2 * len(rep.budgets)
