@@ -13,12 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from hierkit.diff_hierarchy import (
-    DiffCode,
-    code_from_masks,
-    denote_mask,
-    sigma_pi_levels,
-)
+from hierkit.diff_hierarchy import code_from_masks, denote_mask
 from hierkit.finite_space import bits, popcount
 
 
@@ -182,61 +177,66 @@ def _chain_dp(poset, a_mask):
     return m
 
 
-def max_alt_rank(poset, a_mask, eps):
-    """Largest rank of an (a, eps)-alternating increasing tree, or None
-    when there is none at all (eps side empty)."""
-    m = _chain_dp(poset, a_mask)
+def _side_rank(m, a_mask, eps):
+    """The largest m[v] - 1 over the eps side, or None when it is empty."""
+    side = [m[v] for v in range(len(m)) if bool((a_mask >> v) & 1) == bool(eps)]
+    return max(side) - 1 if side else None
+
+
+def _levels(m, a_mask):
+    """(sigma, pi) read off the chain DP m of a_mask."""
+    r1, r0 = _side_rank(m, a_mask, 1), _side_rank(m, a_mask, 0)
+    return 0 if r1 is None else r1 + 1, 0 if r0 is None else r0 + 1
+
+
+def _chain(poset, a_mask, m, eps):
+    """One longest (a, eps)-alternating increasing chain, walked down
+    the DP values m: the first eps-side point with the largest m[v],
+    then each time the least strict successor of opposite membership
+    whose m is one less.  None when the eps side is empty."""
     side = [v for v in range(poset.n) if bool((a_mask >> v) & 1) == bool(eps)]
     if not side:
         return None
-    return max(m[v] for v in side) - 1
+    node, v = (), max(side, key=m.__getitem__)
+    labels = {node: v}
+    while m[v] > 1:
+        chi_v = (a_mask >> v) & 1
+        v = next(y for y in bits(poset.up[v])
+                 if y != v and ((a_mask >> y) & 1) != chi_v and m[y] == m[v] - 1)
+        node += (v,)
+        labels[node] = v
+    t = LabeledAltTree(WfTree(labels), labels)
+    t.validate(poset, a_mask, eps)
+    return t
+
+
+def max_alt_rank(poset, a_mask, eps):
+    """Largest rank of an (a, eps)-alternating increasing tree, or None
+    when there is none at all (eps side empty)."""
+    return _side_rank(_chain_dp(poset, a_mask), a_mask, eps)
 
 
 def classify_by_trees(poset, a_mask):
     """(sigma, pi) levels from the chain characterization."""
-    r1 = max_alt_rank(poset, a_mask, 1)
-    r0 = max_alt_rank(poset, a_mask, 0)
-    sigma = 0 if r1 is None else r1 + 1
-    pi = 0 if r0 is None else r0 + 1
-    return sigma, pi
+    return _levels(_chain_dp(poset, a_mask), a_mask)
 
 
 def witness_tree(poset, a_mask, eps):
     """A maximal-rank (a, eps)-alternating increasing tree, as an actual
-    labeled tree (the full chain tree below one best starting point)."""
-    m = _chain_dp(poset, a_mask)
-    side = [v for v in range(poset.n) if bool((a_mask >> v) & 1) == bool(eps)]
-    if not side:
-        return None
-    root = max(side, key=lambda v: m[v])
-    nodes = {(): root}
-    frontier = [((), root)]
-    while frontier:
-        node, v = frontier.pop()
-        chi_v = (a_mask >> v) & 1
-        for y in bits(poset.up[v]):
-            if y != v and ((a_mask >> y) & 1) != chi_v:
-                child = node + (y,)
-                nodes[child] = y
-                frontier.append((child, y))
-    t = LabeledAltTree(WfTree(nodes.keys()), nodes)
-    t.validate(poset, a_mask, eps)
-    return t
+    labeled tree: one longest alternating chain, with rank + 1 nodes."""
+    return _chain(poset, a_mask, _chain_dp(poset, a_mask), eps)
 
 
 # -- code synthesis from chain ranks ---------------------------------------
 
 
-def diff_code_from_trees(poset, a_mask):
-    """Difference code for a at its tree-classified sigma level.
+def _code(poset, a_mask, m, alpha):
+    """Difference code for a at level alpha, read off the chain DP m.
 
     Slot beta collects the up-sets of every element c whose residual
     chain rank m(c)-1 is <= beta and whose membership matches the slot
     parity (in a iff beta and alpha have different parities).
     """
-    sigma, _ = classify_by_trees(poset, a_mask)
-    alpha = sigma
-    m = _chain_dp(poset, a_mask)
     masks = []
     for beta in range(alpha):
         want_in = (beta % 2) != (alpha % 2)
@@ -249,6 +249,13 @@ def diff_code_from_trees(poset, a_mask):
     if denote_mask(code, poset) != a_mask:
         raise AssertionError("tree code does not denote its set")  # pragma: no cover
     return code
+
+
+def diff_code_from_trees(poset, a_mask):
+    """Difference code for a at its tree-classified sigma level (see
+    `_code`)."""
+    m = _chain_dp(poset, a_mask)
+    return _code(poset, a_mask, m, _levels(m, a_mask)[0])
 
 
 # -- ambiguity audit --------------------------------------------------------
@@ -314,12 +321,13 @@ def ambiguous_drop_surgery(poset, a_mask, n):
     """
     if n < 1:
         raise ValueError("the collapse argument needs n >= 1")
-    s, p = classify_by_trees(poset, a_mask)
+    m = _chain_dp(poset, a_mask)
+    s, p = _levels(m, a_mask)
     if s > n + 1 or p > n + 1:
         raise ValueError("set is not ambiguous at level %d" % (n + 1))
     from hierkit.diff_hierarchy import normalize_monotone, pad
 
-    code = pad(diff_code_from_trees(poset, a_mask), n + 1)
+    code = pad(_code(poset, a_mask, m, s), n + 1)
     code = normalize_monotone(code, lambda u, v: u | v)
     top_slot = 0
     for idx, mask in code.entries:

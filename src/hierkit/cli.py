@@ -27,14 +27,8 @@ import random
 import sys
 import time
 
-from hierkit import jsonin
-from hierkit.alt_trees import (
-    ambiguity_audit,
-    classify_by_trees,
-    diff_code_from_trees,
-    max_alt_rank,
-    witness_tree,
-)
+from hierkit import alt_trees, jsonin
+from hierkit.alt_trees import ambiguity_audit
 from hierkit.diff_hierarchy import DiffCode, SearchBudgetExceeded, eval_diff, sigma_pi_levels
 from hierkit.effective_codes import (
     PI,
@@ -264,12 +258,14 @@ def _tree_json(lt):
 def _cmd_classify(args):
     poset, pdata = _arg_json(args.poset, "poset", FinitePoset.from_json)
     mask = _set_arg(args.set, poset)
+    # one chain DP gives the tree levels and both witness chains
+    m = alt_trees._chain_dp(poset, mask)
     methods = {}
     if args.method in ("residues", "all"):
         s, p = residue_levels(poset, mask)
         methods["residues"] = {"sigma": s, "pi": p}
     if args.method in ("trees", "all"):
-        s, p = classify_by_trees(poset, mask)
+        s, p = alt_trees._levels(m, mask)
         methods["trees"] = {"sigma": s, "pi": p}
     if args.method in ("brute", "all"):
         s, p = sigma_pi_levels(poset, mask)
@@ -287,8 +283,8 @@ def _cmd_classify(args):
         "agree": True,
         "methods": methods,
         "witnesses": {
-            "sigma_tree": _tree_json(witness_tree(poset, mask, 1)),
-            "pi_tree": _tree_json(witness_tree(poset, mask, 0)),
+            "sigma_tree": _tree_json(alt_trees._chain(poset, mask, m, 1)),
+            "pi_tree": _tree_json(alt_trees._chain(poset, mask, m, 0)),
         },
     }
     return inputs, outputs
@@ -316,18 +312,17 @@ def _cmd_residues(args):
 def _cmd_alt(args):
     poset, pdata = _arg_json(args.poset, "poset", FinitePoset.from_json)
     mask = _set_arg(args.set, poset)
-    r1 = max_alt_rank(poset, mask, 1)
-    r0 = max_alt_rank(poset, mask, 0)
-    sigma, pi = classify_by_trees(poset, mask)
+    m = alt_trees._chain_dp(poset, mask)
+    sigma, pi = alt_trees._levels(m, mask)
     inputs = {"poset": _digest(pdata), "set": sorted(bits(mask))}
     outputs = {
-        "rank_eps1": r1,
-        "rank_eps0": r0,
+        "rank_eps1": alt_trees._side_rank(m, mask, 1),
+        "rank_eps0": alt_trees._side_rank(m, mask, 0),
         "sigma": sigma,
         "pi": pi,
-        "witness_eps1": _tree_json(witness_tree(poset, mask, 1)),
-        "witness_eps0": _tree_json(witness_tree(poset, mask, 0)),
-        "code": _code_json(diff_code_from_trees(poset, mask)),
+        "witness_eps1": _tree_json(alt_trees._chain(poset, mask, m, 1)),
+        "witness_eps0": _tree_json(alt_trees._chain(poset, mask, m, 0)),
+        "code": _code_json(alt_trees._code(poset, mask, m, sigma)),
     }
     return inputs, outputs
 

@@ -29,10 +29,16 @@ def bits(mask):
 
 
 def mask_of(xs):
-    m = 0
+    """The bitmask of the integers xs.  The bits are set in a byte
+    buffer and converted once, so the cost is linear in the mask width;
+    a negative element is refused."""
+    xs = list(xs)
+    if min(xs, default=0) < 0:
+        raise ValueError("bit index %d is negative" % min(xs))
+    buf = bytearray(max(xs, default=-1) // 8 + 1)
     for x in xs:
-        m |= 1 << x
-    return m
+        buf[x >> 3] |= 1 << (x & 7)
+    return int.from_bytes(buf, "little")
 
 
 def popcount(mask):

@@ -37,6 +37,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import re
 from dataclasses import dataclass, field
 
 from hierkit.finite_space import FinitePoset, bits, mask_of
@@ -149,7 +150,10 @@ class SetPoint:
         return tail is not None and (rest & -rest).bit_length() - 1 >= tail
 
     def to_json(self):
-        return {"core": list(bits(self.core)), "cofinite_from": self.cofinite_from}
+        # one pass over the binary digits, lowest first: linear in the
+        # core's width, where `bits` copies the mask once per element
+        core = [d.start() for d in re.finditer("1", bin(self.core)[:1:-1])]
+        return {"core": core, "cofinite_from": self.cofinite_from}
 
     @staticmethod
     def from_json(data):

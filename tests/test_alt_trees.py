@@ -19,6 +19,7 @@ from hierkit.alt_trees import (
 )
 from hierkit.diff_hierarchy import denote_mask, sigma_pi_levels
 from hierkit.finite_space import FinitePoset, all_posets_upto_iso, random_poset
+from hierkit.residues import residue_levels
 
 
 # -- independent oracle: exhaust alternating chains -------------------------
@@ -222,6 +223,37 @@ def test_witness_tree_attains_rank(n, seed):
         else:
             assert t.rank() == r
             t.validate(p, mask, eps)
+
+
+def test_witnesses_are_longest_chains_on_random_posets():
+    rng = random.Random(16)
+    for _ in range(4000):
+        p = random_poset(rng.randint(1, 20), rng, rng.uniform(0.05, 0.6))
+        mask = rng.randrange(1 << p.n)
+        levels = classify_by_trees(p, mask)
+        assert residue_levels(p, mask) == levels
+        for eps, level in ((1, levels[0]), (0, levels[1])):
+            t = witness_tree(p, mask, eps)
+            if level == 0:
+                assert t is None
+                continue
+            t.validate(p, mask, eps)
+            assert all(len(t.tree.children(node)) <= 1 for node in t.tree.nodes)
+            assert t.rank() == level - 1 and len(t.tree) == level
+
+
+@pytest.mark.parametrize("k", range(3, 11))
+def test_parity_witnesses_on_boolean_lattices(k):
+    # 2^[k] ordered by inclusion, and the sets of odd size: the longest
+    # alternating chains climb one element at a time from {} (outside)
+    # or from a singleton (inside)
+    cover = [(s, s | 1 << i) for s in range(1 << k) for i in range(k) if not s >> i & 1]
+    p = FinitePoset.from_cover(1 << k, cover)
+    odd = sum(1 << s for s in range(1 << k) if s.bit_count() % 2)
+    assert classify_by_trees(p, odd) == residue_levels(p, odd) == (k, k + 1)
+    sigma, pi = witness_tree(p, odd, 1), witness_tree(p, odd, 0)
+    assert (len(sigma.tree), len(pi.tree)) == (k, k + 1)
+    assert pi.labels[()] == 0
 
 
 # -- code synthesis ----------------------------------------------------------

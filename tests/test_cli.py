@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hierkit.alt_trees
 import hierkit.cli
 from hierkit.cli import main
 from hierkit.finite_space import FinitePoset, random_poset
@@ -106,6 +107,26 @@ def test_alt_report_has_witnesses_and_code(capsys):
     assert (out["rank_eps1"], out["rank_eps0"]) == (1, 2)
     assert out["code"]["alpha"] == "2"
     assert [n["label"] for n in out["witness_eps0"]["nodes"]] == [0, 1, 2]
+
+
+def test_classify_and_alt_run_the_chain_dp_once(capsys, monkeypatch):
+    calls = []
+    chain_dp = hierkit.alt_trees._chain_dp
+
+    def counted(poset, mask):
+        calls.append(mask)
+        return chain_dp(poset, mask)
+
+    monkeypatch.setattr(hierkit.alt_trees, "_chain_dp", counted)
+    poset = '{"n": 5, "cover": [[0, 1], [1, 2], [0, 3], [3, 4]]}'
+    for argv in (("classify", "--method", "all"), ("alt",)):
+        del calls[:]
+        code, rep = run_cli(capsys, *argv, "--poset", poset, "--set", "1,3")
+        assert code == 0 and rep["outputs"]["sigma"] == 2
+        assert calls == [0b1010], argv[0]
+    del calls[:]
+    hierkit.alt_trees.ambiguity_audit(FinitePoset.from_json(json.loads(poset)), 2)
+    assert calls == list(range(1 << 5))
 
 
 # -- games and density witnesses ---------------------------------------------
@@ -402,6 +423,22 @@ def test_the_bench_oracle_accepts_every_transform_op(capsys, monkeypatch):
     assert cyclic == []
 
 
+def test_the_bench_oracle_accepts_every_posets_op(capsys, monkeypatch):
+    # the same guard for the posets workload: a classify witness that the
+    # oracle's classify-witness check refuses fails here
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
+    workloads = importlib.import_module("workloads")
+    oracle = importlib.import_module("oracle")
+    ops = workloads.posets_ops(201)
+    failed = []
+    for op in ops:
+        code = main(list(op.argv))
+        fail = oracle.check(op, code, capsys.readouterr().out)
+        if fail is not None:
+            failed.append((op.argv, fail))
+    assert len(ops) == 602 and failed == []
+
+
 # -- reports across the three model families ------------------------------------
 
 CYL2 = '{"kind": "cylinder", "alphabet": 2}'
@@ -543,7 +580,10 @@ def test_audit_rejects_sizes_outside_the_limit(capsys, monkeypatch, size):
 # digests were recorded while opens and canon still scanned every mask
 # and permutation; the 6 digest while the audit still found its classes
 # by scanning every labeled poset, which met each class first in its
-# least labeling.  The classify cases are (n, seed, edge_prob): the
+# least labeling.  The (12, 1) and (16, 2) classify digests were
+# re-recorded when each witness became one longest alternating chain in
+# place of every chain below its root; the other classify witnesses
+# were chains already.  The classify cases are (n, seed, edge_prob): the
 # poset is random_poset(n, rng, edge_prob) and the set takes each point
 # with probability 1/2, both from random.Random(seed).
 AUDIT_DIGESTS = {
@@ -553,8 +593,8 @@ AUDIT_DIGESTS = {
 }
 CLASSIFY_DIGESTS = {
     (8, 0, 0.35): "1d2093f6db3c6e66c7ddf8e9f7c8e627bf5f30316a327fcbc1e5326b8908a1ee",
-    (12, 1, 0.35): "18e7935494582f089eb75d49dcc34de4937eee5abf40309beb40baa936a0aa71",
-    (16, 2, 0.35): "62adc0aa690e83b8405d614f659ba0bd33ae057a5c152a4724ab17f112f273a9",
+    (12, 1, 0.35): "1b10b543cbbdf59465d0bf08dd07bf0b1c7c7015208b492ba74c2707ee3b43dd",
+    (16, 2, 0.35): "17c80cdf9673e4e43d6476900a4b09f7f1b76f95570ef00b8e6db97a572ce55f",
     (12, 3, 0.1): "e849d339ed2ccde4dd38e19692692ac49a9d83313e6e02b77e667e606d1723b1",
     (16, 4, 0.1): "d61e0edffc46cc97290f25fcbd16592a51cfe3460220b3a2386bf8ecc0683037",
     (16, 5, 0.1): "55bc05b1bb4b8c30f849f67fb7bcc497b05b9924cfba9da5632dbd290e1009ea",

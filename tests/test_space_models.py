@@ -843,6 +843,22 @@ def test_set_point_membership_and_horizon():
     assert SetPoint.from_json(x.to_json()) == x
 
 
+def test_wide_pn_cores_round_trip():
+    # every allowed element, a random half of them, and none: the mask
+    # and the list equal those of one OR per element and `bits`
+    rng = random.Random(5)
+    for core in (list(range(65536)), sorted(rng.sample(range(65536), 32768)), []):
+        mask = 0
+        for x in core:
+            mask |= 1 << x
+        point = pn_model().point_from_json({"core": core})
+        assert point == SetPoint(mask) and mask_of(reversed(core)) == mask
+        assert point.to_json() == {"core": list(bits(mask)), "cofinite_from": None}
+        assert point.to_json()["core"] == core
+    with pytest.raises(ValueError):
+        mask_of([3, -1])
+
+
 def test_cyl_point_requires_tail():
     with pytest.raises(ValueError):
         CylPoint((0,), ())
