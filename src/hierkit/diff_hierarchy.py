@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from hierkit.ordinals import Ordinal, parse_ordinal
+from hierkit.ordinals import Ordinal
 
 
 def _as_ordinal(x):
@@ -27,8 +27,6 @@ def _as_ordinal(x):
         return x
     if isinstance(x, int):
         return Ordinal.from_int(x)
-    if isinstance(x, str):
-        return parse_ordinal(x)
     raise TypeError("not an ordinal: %r" % (x,))
 
 

@@ -38,13 +38,11 @@ from dataclasses import dataclass
 from hierkit.alt_trees import WfTree
 from hierkit.diff_hierarchy import DiffCode, SearchBudgetExceeded, embed_co
 from hierkit.jsonin import fields, integer, list_of, tagged
-from hierkit.ordinals import Ordinal
+from hierkit.ordinals import Ordinal, text
 from hierkit.space_models import index_visible, staged_ll
 
 SIGMA = "sigma"
 PI = "pi"
-
-TWO = Ordinal.from_int(2)
 
 
 # -- tree-shaped codes -------------------------------------------------------
@@ -594,9 +592,7 @@ def build_alt_tree(pres, model, stage_budget, node_cap=50_000):
 def block_start(r):
     """Ordinal rank of the first slot of the r-th (omega+2)-block:
     (omega+2)*r, which collapses to omega*r + 2 for r >= 1."""
-    if r == 0:
-        return Ordinal.from_int(0)
-    return Ordinal.omega(1, r) + TWO
+    return Ordinal(*_block_offset(r, 0, 0))
 
 
 # the probe offsets 0, 1, omega, omega+1 of a block, each as
@@ -610,19 +606,6 @@ def _block_offset(r, a, b):
     if a:
         return r + a, b
     return r, (2 if r else 0) + b
-
-
-def _omega_plus(coeff, fin):
-    """The ordinal omega*coeff + fin."""
-    terms = ((1, coeff),) if coeff else ()
-    return Ordinal(terms + ((0, fin),) if fin else terms)
-
-
-def _omega_plus_text(coeff, fin):
-    """str(_omega_plus(coeff, fin)) for coeff >= 1, without building
-    the ordinal."""
-    omega = "w" if coeff == 1 else "w*%d" % coeff
-    return "%s + %d" % (omega, fin) if fin else omega
 
 
 @dataclass(frozen=True)
@@ -639,7 +622,7 @@ class Slot:
 
     @property
     def rank(self):
-        return _omega_plus(*_block_offset(self.block, 1, self.eps))
+        return Ordinal(*_block_offset(self.block, 1, self.eps))
 
 
 @dataclass
@@ -687,7 +670,7 @@ class TransformResult:
             "slots": [
                 {
                     "node": [list(p) for p in s.seq],
-                    "rank": _omega_plus_text(*_block_offset(s.block, 1, s.eps)),
+                    "rank": text(*_block_offset(s.block, 1, s.eps)),
                     "type": s.eps,
                     "open": s.open_index,
                 }
@@ -732,12 +715,12 @@ def effective_hausdorff_transform(pres, model, stage_budget):
             rank = _block_offset(r, 1, eps)
             if rank[1] % 2 != eps:
                 raise AssertionError(
-                    "slot rank %s does not carry type %d" % (_omega_plus_text(*rank), eps)
+                    "slot rank %s does not carry type %d" % (text(*rank), eps)
                 )
             if (prev is not None and rank <= prev) or rank >= top:
                 raise AssertionError(
                     "slot rank %s does not lie between the last rank and xi"
-                    % _omega_plus_text(*rank)
+                    % text(*rank)
                 )
             prev = rank
             slots.append(Slot(seq, r, eps, seq[-1][0]))

@@ -20,7 +20,7 @@ from hierkit.diff_hierarchy import (
     sigma_pi_levels,
 )
 from hierkit.finite_space import FinitePoset, all_posets_upto_iso, random_poset
-from hierkit.ordinals import Ordinal
+from hierkit.ordinals import OMEGA, Ordinal
 
 
 # -- independent oracle: sets-of-ints semantics, no shared code ------------
@@ -81,7 +81,7 @@ def test_code_validation():
         DiffCode(2, "D", ((2, 0b1),))  # index not below alpha
     with pytest.raises(ValueError):
         DiffCode(1, "X", ())
-    c = DiffCode("w+1", "D", (("w", 0b1),))
+    c = DiffCode(OMEGA + 1, "D", ((OMEGA, 0b1),))
     assert c.alpha == Ordinal.omega() + 1
 
 

@@ -28,7 +28,6 @@ from hierkit.effective_codes import (
     StagedPresentation,
     _block_offset,
     _default_pool,
-    _omega_plus,
     block_start,
     build_alt_tree,
     claim2_gaps,
@@ -974,17 +973,17 @@ def test_first_one_rows_encode_only_visible_lengths(k):
 
 
 def test_closed_form_block_offsets_match_ordinal_arithmetic():
-    assert [(_omega_plus(a, b), want) for a, b, want in _GAMMA_PROBES] == list(
+    assert [(Ordinal(a, b), want) for a, b, want in _GAMMA_PROBES] == list(
         _REFERENCE_PROBES
     )
     for r in range(2000):
         start = block_start(r)
         for a, b, want in _GAMMA_PROBES:
             offset = _block_offset(r, a, b)
-            assert _omega_plus(*offset) == start + _omega_plus(a, b), (r, a, b)
+            assert Ordinal(*offset) == start + Ordinal(a, b), (r, a, b)
             assert offset[1] % 2 == want
         for eps in (0, 1):
-            rank = _omega_plus(*_block_offset(r, 1, eps))
+            rank = Ordinal(*_block_offset(r, 1, eps))
             assert rank == start + OMEGA + Ordinal.from_int(eps), (r, eps)
             assert rank.parity() == eps
 
@@ -1042,9 +1041,9 @@ def test_a_transform_builds_ordinals_only_for_xi(monkeypatch):
     built = []
     init = Ordinal.__init__
 
-    def counting_init(self, terms=()):
-        built.append(terms)
-        init(self, terms)
+    def counting_init(self, a=0, b=0):
+        built.append((a, b))
+        init(self, a, b)
 
     monkeypatch.setattr(Ordinal, "__init__", counting_init)
     c3 = CylinderModel(3)
@@ -1055,8 +1054,8 @@ def test_a_transform_builds_ordinals_only_for_xi(monkeypatch):
         res.to_json()
         per_transform.append(len(built))
         slots.append(len(res.slots))
-    # xi's two, whatever the slot count
-    assert per_transform == [2, 2, 2]
+    # xi alone, whatever the slot count
+    assert per_transform == [1, 1, 1]
     assert slots[0] < slots[1] < slots[2]
     # the codes, when read, build one rank per slot
     built.clear()
@@ -1066,4 +1065,4 @@ def test_a_transform_builds_ordinals_only_for_xi(monkeypatch):
     built.clear()
     rep = verify_transform(first_one_presentation(c3), c3, cyl_points(c3, 3), 4, 64)
     rep.result.to_json()
-    assert len(rep.budgets) > 1 and len(built) == 2 * len(rep.budgets)
+    assert len(rep.budgets) > 1 and len(built) == len(rep.budgets)
