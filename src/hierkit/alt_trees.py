@@ -177,85 +177,74 @@ def _chain_dp(poset, a_mask):
     return m
 
 
-def _side_rank(m, a_mask, eps):
-    """The largest m[v] - 1 over the eps side, or None when it is empty."""
-    side = [m[v] for v in range(len(m)) if bool((a_mask >> v) & 1) == bool(eps)]
-    return max(side) - 1 if side else None
+class AltChains:
+    """The chain DP of a subset a of a finite poset, run once, and what
+    is read off it: the largest tree ranks, the levels, one longest
+    alternating chain per side and difference codes."""
 
+    def __init__(self, poset, a_mask):
+        self.poset, self.a_mask = poset, a_mask
+        self.m = _chain_dp(poset, a_mask)
 
-def _levels(m, a_mask):
-    """(sigma, pi) read off the chain DP m of a_mask."""
-    r1, r0 = _side_rank(m, a_mask, 1), _side_rank(m, a_mask, 0)
-    return 0 if r1 is None else r1 + 1, 0 if r0 is None else r0 + 1
+    def _side(self, eps):
+        a = self.a_mask
+        return [v for v in range(self.poset.n) if bool((a >> v) & 1) == bool(eps)]
 
+    def rank(self, eps):
+        """Largest rank of an (a, eps)-alternating increasing tree, the
+        largest m[v] - 1 over the eps side, or None when that is empty."""
+        return max((self.m[v] - 1 for v in self._side(eps)), default=None)
 
-def _chain(poset, a_mask, m, eps):
-    """One longest (a, eps)-alternating increasing chain, walked down
-    the DP values m: the first eps-side point with the largest m[v],
-    then each time the least strict successor of opposite membership
-    whose m is one less.  None when the eps side is empty."""
-    side = [v for v in range(poset.n) if bool((a_mask >> v) & 1) == bool(eps)]
-    if not side:
-        return None
-    node, v = (), max(side, key=m.__getitem__)
-    labels = {node: v}
-    while m[v] > 1:
-        chi_v = (a_mask >> v) & 1
-        v = next(y for y in bits(poset.up[v])
-                 if y != v and ((a_mask >> y) & 1) != chi_v and m[y] == m[v] - 1)
-        node += (v,)
-        labels[node] = v
-    t = LabeledAltTree(WfTree(labels), labels)
-    t.validate(poset, a_mask, eps)
-    return t
+    def levels(self):
+        """(sigma, pi): the most nodes of a chain starting on each side,
+        0 when the side is empty."""
+        return tuple(max((self.m[v] for v in self._side(e)), default=0) for e in (1, 0))
 
+    def witness(self, eps):
+        """A maximal-rank (a, eps)-alternating increasing tree: one
+        longest alternating chain, walked down the DP values, with
+        rank + 1 nodes.  It starts at the first eps-side point with the
+        largest m[v], then takes each time the least strict successor
+        of opposite membership whose m is one less.  None when the eps
+        side is empty."""
+        poset, a_mask, m = self.poset, self.a_mask, self.m
+        v = max(self._side(eps), key=m.__getitem__, default=None)
+        if v is None:
+            return None
+        node, labels = (), {(): v}
+        while m[v] > 1:
+            chi_v = (a_mask >> v) & 1
+            v = next(y for y in bits(poset.up[v])
+                     if y != v and ((a_mask >> y) & 1) != chi_v and m[y] == m[v] - 1)
+            node += (v,)
+            labels[node] = v
+        t = LabeledAltTree(WfTree(labels), labels)
+        t.validate(poset, a_mask, eps)
+        return t
 
-def max_alt_rank(poset, a_mask, eps):
-    """Largest rank of an (a, eps)-alternating increasing tree, or None
-    when there is none at all (eps side empty)."""
-    return _side_rank(_chain_dp(poset, a_mask), a_mask, eps)
+    def code(self, alpha):
+        """Difference code for a at level alpha.
+
+        Slot beta collects the up-sets of every element c whose residual
+        chain rank m(c)-1 is <= beta and whose membership matches the
+        slot parity (in a iff beta and alpha have different parities).
+        """
+        masks = []
+        for beta in range(alpha):
+            acc = 0
+            for c in self._side((beta % 2) != (alpha % 2)):
+                if self.m[c] - 1 <= beta:
+                    acc |= self.poset.up[c]
+            masks.append(acc)
+        code = code_from_masks(alpha, masks)
+        if denote_mask(code, self.poset) != self.a_mask:
+            raise AssertionError("tree code does not denote its set")  # pragma: no cover
+        return code
 
 
 def classify_by_trees(poset, a_mask):
     """(sigma, pi) levels from the chain characterization."""
-    return _levels(_chain_dp(poset, a_mask), a_mask)
-
-
-def witness_tree(poset, a_mask, eps):
-    """A maximal-rank (a, eps)-alternating increasing tree, as an actual
-    labeled tree: one longest alternating chain, with rank + 1 nodes."""
-    return _chain(poset, a_mask, _chain_dp(poset, a_mask), eps)
-
-
-# -- code synthesis from chain ranks ---------------------------------------
-
-
-def _code(poset, a_mask, m, alpha):
-    """Difference code for a at level alpha, read off the chain DP m.
-
-    Slot beta collects the up-sets of every element c whose residual
-    chain rank m(c)-1 is <= beta and whose membership matches the slot
-    parity (in a iff beta and alpha have different parities).
-    """
-    masks = []
-    for beta in range(alpha):
-        want_in = (beta % 2) != (alpha % 2)
-        acc = 0
-        for c in range(poset.n):
-            if m[c] - 1 <= beta and bool((a_mask >> c) & 1) == want_in:
-                acc |= poset.up[c]
-        masks.append(acc)
-    code = code_from_masks(alpha, masks)
-    if denote_mask(code, poset) != a_mask:
-        raise AssertionError("tree code does not denote its set")  # pragma: no cover
-    return code
-
-
-def diff_code_from_trees(poset, a_mask):
-    """Difference code for a at its tree-classified sigma level (see
-    `_code`)."""
-    m = _chain_dp(poset, a_mask)
-    return _code(poset, a_mask, m, _levels(m, a_mask)[0])
+    return AltChains(poset, a_mask).levels()
 
 
 # -- ambiguity audit --------------------------------------------------------
@@ -321,13 +310,13 @@ def ambiguous_drop_surgery(poset, a_mask, n):
     """
     if n < 1:
         raise ValueError("the collapse argument needs n >= 1")
-    m = _chain_dp(poset, a_mask)
-    s, p = _levels(m, a_mask)
+    chains = AltChains(poset, a_mask)
+    s, p = chains.levels()
     if s > n + 1 or p > n + 1:
         raise ValueError("set is not ambiguous at level %d" % (n + 1))
     from hierkit.diff_hierarchy import normalize_monotone, pad
 
-    code = pad(_code(poset, a_mask, m, s), n + 1)
+    code = pad(chains.code(s), n + 1)
     code = normalize_monotone(code, lambda u, v: u | v)
     top_slot = 0
     for idx, mask in code.entries:

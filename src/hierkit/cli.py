@@ -27,8 +27,8 @@ import random
 import sys
 import time
 
-from hierkit import alt_trees, jsonin
-from hierkit.alt_trees import ambiguity_audit
+from hierkit import jsonin
+from hierkit.alt_trees import AltChains, ambiguity_audit
 from hierkit.diff_hierarchy import DiffCode, SearchBudgetExceeded, eval_diff, sigma_pi_levels
 from hierkit.effective_codes import (
     PI,
@@ -259,13 +259,13 @@ def _cmd_classify(args):
     poset, pdata = _arg_json(args.poset, "poset", FinitePoset.from_json)
     mask = _set_arg(args.set, poset)
     # one chain DP gives the tree levels and both witness chains
-    m = alt_trees._chain_dp(poset, mask)
+    chains = AltChains(poset, mask)
     methods = {}
     if args.method in ("residues", "all"):
         s, p = residue_levels(poset, mask)
         methods["residues"] = {"sigma": s, "pi": p}
     if args.method in ("trees", "all"):
-        s, p = alt_trees._levels(m, mask)
+        s, p = chains.levels()
         methods["trees"] = {"sigma": s, "pi": p}
     if args.method in ("brute", "all"):
         s, p = sigma_pi_levels(poset, mask)
@@ -283,8 +283,8 @@ def _cmd_classify(args):
         "agree": True,
         "methods": methods,
         "witnesses": {
-            "sigma_tree": _tree_json(alt_trees._chain(poset, mask, m, 1)),
-            "pi_tree": _tree_json(alt_trees._chain(poset, mask, m, 0)),
+            "sigma_tree": _tree_json(chains.witness(1)),
+            "pi_tree": _tree_json(chains.witness(0)),
         },
     }
     return inputs, outputs
@@ -312,17 +312,17 @@ def _cmd_residues(args):
 def _cmd_alt(args):
     poset, pdata = _arg_json(args.poset, "poset", FinitePoset.from_json)
     mask = _set_arg(args.set, poset)
-    m = alt_trees._chain_dp(poset, mask)
-    sigma, pi = alt_trees._levels(m, mask)
+    chains = AltChains(poset, mask)
+    sigma, pi = chains.levels()
     inputs = {"poset": _digest(pdata), "set": sorted(bits(mask))}
     outputs = {
-        "rank_eps1": alt_trees._side_rank(m, mask, 1),
-        "rank_eps0": alt_trees._side_rank(m, mask, 0),
+        "rank_eps1": chains.rank(1),
+        "rank_eps0": chains.rank(0),
         "sigma": sigma,
         "pi": pi,
-        "witness_eps1": _tree_json(alt_trees._chain(poset, mask, m, 1)),
-        "witness_eps0": _tree_json(alt_trees._chain(poset, mask, m, 0)),
-        "code": _code_json(alt_trees._code(poset, mask, m, sigma)),
+        "witness_eps1": _tree_json(chains.witness(1)),
+        "witness_eps0": _tree_json(chains.witness(0)),
+        "code": _code_json(chains.code(sigma)),
     }
     return inputs, outputs
 
@@ -381,11 +381,11 @@ def _cmd_baire(args):
             result=result.to_json(model),
         )
     if result.outcome == "DENSITY_VIOLATION":
-        raise CliError(
-            VALIDATION,
-            "constraint %s is not dense along the chain" % result.failed_index,
-            result=result.to_json(model),
-        )
+        if result.failed_index is None:
+            message = "target %d has no ll-successor to start the chain" % target
+        else:
+            message = "constraint %s is not dense along the chain" % result.failed_index
+        raise CliError(VALIDATION, message, result=result.to_json(model))
     return inputs, result.to_json(model)
 
 

@@ -183,68 +183,62 @@ class DeepeningEmpty:
 
 class BMFromChoquet:
     """Wrap a Choquet strategy for the point-free game: pick any point
-    of the offered open and answer as the Choquet player would."""
+    of the offered open and answer as the Choquet player would.  The
+    engine's point, None in this game, is ignored."""
 
     def __init__(self, strategy, model):
         self.strategy = strategy
         self.model = model
 
-    def respond_open(self, u):
+    def respond(self, _x, u):
         for i in u:
-            x = self.model.some_point_in(i)
-            if x is not None:
-                return self.strategy.respond(x, u)
+            y = self.model.some_point_in(i)
+            if y is not None:
+                return self.strategy.respond(y, u)
         raise ValueError("offered open is empty")
 
 
 # -- the engine --------------------------------------------------------------
 
 
-def _union_inside(model, u, v_prev):
-    return all(model.basic_subset(i, v_prev) for i in u)
+def _meets(model, x, i):
+    """Basic i contains x or, in the point-free game (x is None), is
+    nonempty."""
+    return model.basic_nonempty(i) if x is None else model.point_in_basic(x, i)
 
 
 def play(model, empty, nonempty, rounds, game=CHOQUET):
     """Run a bounded match and return its transcript.
 
-    Illegal moves end the match immediately as a forfeit by the
-    offender.  See the module docstring for verdict semantics."""
+    Both games run the same rounds.  The point-free game drops Empty's
+    point, and where the Choquet game asks that an open contain the
+    point it asks only that the open be nonempty.  Nonempty is asked
+    through ``respond(x, u)`` in both.  Illegal moves end the match
+    immediately as a forfeit by the offender; a Choquet move without a
+    point is Empty's illegal move.  See the module docstring for
+    verdict semantics."""
     t = Transcript(game=game)
     v_prev = None
     for _ in range(rounds):
-        move = empty.move(v_prev)
-        if game == CHOQUET:
-            x, u = move
-            if not model.point_in_union(x, u) or (
-                v_prev is not None and not _union_inside(model, u, v_prev)
-            ):
-                t.outcome, t.reason = NONEMPTY_WINS, "empty forfeits: illegal move"
-                return t
-            try:
-                v = nonempty.respond(x, u)
-            except (ValueError, SearchExhausted) as e:
-                t.outcome, t.reason = EMPTY_WINS, "nonempty forfeits: %s" % e
-                return t
-            legal = model.point_in_basic(x, v) and model.union_subset(v, u)
-        else:
+        x, u = empty.move(v_prev)
+        if game != CHOQUET:
             x = None
-            _, u = move
-            if any(not model.basic_nonempty(i) for i in u) or (
-                v_prev is not None and not _union_inside(model, u, v_prev)
-            ):
-                t.outcome, t.reason = NONEMPTY_WINS, "empty forfeits: illegal move"
-                return t
-            try:
-                v = nonempty.respond_open(u)
-            except (ValueError, SearchExhausted) as e:
-                t.outcome, t.reason = EMPTY_WINS, "nonempty forfeits: %s" % e
-                return t
-            legal = model.basic_nonempty(v) and model.union_subset(v, u)
-        if not legal:
-            t.outcome, t.reason = EMPTY_WINS, "nonempty forfeits: illegal response"
-            t.rounds.append((x, u, v))
+        if (
+            (x is None and game == CHOQUET)
+            or not any(_meets(model, x, i) for i in u)
+            or (v_prev is not None and not all(model.basic_subset(i, v_prev) for i in u))
+        ):
+            t.outcome, t.reason = NONEMPTY_WINS, "empty forfeits: illegal move"
+            return t
+        try:
+            v = nonempty.respond(x, u)
+        except (ValueError, SearchExhausted) as e:
+            t.outcome, t.reason = EMPTY_WINS, "nonempty forfeits: %s" % e
             return t
         t.rounds.append((x, u, v))
+        if not (_meets(model, x, v) and model.union_subset(v, u)):
+            t.outcome, t.reason = EMPTY_WINS, "nonempty forfeits: illegal response"
+            return t
         v_prev = v
     return _decide(model, t)
 

@@ -42,10 +42,8 @@ class Ordinal:
         return Ordinal(0, n)
 
     @staticmethod
-    def omega(k=1, coeff=1):
-        """w^k * coeff, for k = 1 only: nothing here reaches w^2."""
-        if k != 1:
-            raise ValueError("only ordinals below w^2 are kept, not w^%d" % k)
+    def omega(coeff=1):
+        """w * coeff: nothing here reaches w^2."""
         return Ordinal(coeff, 0)
 
     # -- structure ----------------------------------------------------

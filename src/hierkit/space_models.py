@@ -96,6 +96,12 @@ class SpaceModel:
     def ll(self, i, j):
         return self.basic_nonempty(j) and self.basic_subset(j, i)
 
+    def least_ll_above(self, c, x):
+        """Least basic b with ll(c, b) and x in O_b.  Where ll is "V
+        nonempty and V inside U", that is the least open around x
+        inside c; SearchExhausted when there is none."""
+        return self.least_containing(x, within=(c,))
+
     def check_chain(self, chain):
         """Raise ValueError unless the chain is ll-increasing."""
         for k in range(len(chain) - 1):
@@ -558,18 +564,11 @@ class FinitePosetModel(SpaceModel):
         return next(bits(m))
 
     def least_containing(self, x, within=None):
+        w = self.whole_index() if within is None else self.lam(within)
         for i in range(len(self.opens)):
-            if self.point_in_basic(x, i) and (
-                within is None or self.union_subset(i, within)
-            ):
+            if self.point_in_basic(x, i) and self.basic_subset(i, w):
                 return i
         raise SearchExhausted("no basic open contains the point")
-
-    def least_ll_above(self, c, x):
-        for i in range(len(self.opens)):
-            if self.point_in_basic(x, i) and self.ll(c, i):
-                return i
-        raise SearchExhausted("no ll-successor found around the point")
 
     def random_ll_successor(self, i, rng):
         m = self.opens[i]
@@ -734,14 +733,6 @@ class CylinderModel(SpaceModel):
             if cover is None or self._covered(w, cover):
                 return self.singleton(w)
         raise SearchExhausted("point has no small enough neighborhood")
-
-    def least_ll_above(self, c, x):
-        cover = self.words(c)
-        for d in range(_MAX_DEPTH + 1):
-            w = tuple(x.letter(i) for i in range(d))
-            if c != 0 and self._covered(w, cover):
-                return self.singleton(w)
-        raise SearchExhausted("no ll-successor found around the point")
 
     def random_ll_successor(self, i, rng):
         # one letter per step: word codes grow exponentially with

@@ -5,17 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hierkit.alt_trees import (
+    AltChains,
     LabeledAltTree,
     WfTree,
     ambiguity_audit,
     ambiguous_drop_surgery,
     classify_by_trees,
-    diff_code_from_trees,
     kb_less,
     kb_sorted,
-    max_alt_rank,
     prune_to_rank,
-    witness_tree,
 )
 from hierkit.diff_hierarchy import denote_mask, sigma_pi_levels
 from hierkit.finite_space import FinitePoset, all_posets_upto_iso, random_poset
@@ -161,7 +159,7 @@ def test_prune_random(n, seed):
     p = random_poset(n, rng)
     mask = rng.randrange(1 << p.n)
     for eps in (0, 1):
-        f = witness_tree(p, mask, eps)
+        f = AltChains(p, mask).witness(eps)
         if f is None or f.rank() == 0:
             continue
         beta = rng.randrange(f.rank())
@@ -176,10 +174,10 @@ def test_prune_random(n, seed):
 
 def test_chain_examples():
     p = FinitePoset.chain(3)
-    assert max_alt_rank(p, 0b010, 1) == 1
-    assert max_alt_rank(p, 0b101, 1) == 2
-    assert max_alt_rank(p, 0, 1) is None
-    assert max_alt_rank(p, p.carrier, 0) is None
+    assert AltChains(p, 0b010).rank(1) == 1
+    assert AltChains(p, 0b101).rank(1) == 2
+    assert AltChains(p, 0).rank(1) is None
+    assert AltChains(p, p.carrier).rank(0) is None
 
 
 def test_classification_contract():
@@ -187,7 +185,7 @@ def test_classification_contract():
     p = FinitePoset.chain(3)
     a = 0b010
     sigma, _ = sigma_pi_levels(p, a)
-    r = max_alt_rank(p, a, 1)
+    r = AltChains(p, a).rank(1)
     for n in range(5):
         assert (sigma <= n) == (r < n)
 
@@ -199,7 +197,7 @@ def test_rank_matches_oracle(n, seed):
     p = random_poset(n, rng)
     mask = rng.randrange(1 << p.n)
     for eps in (0, 1):
-        assert max_alt_rank(p, mask, eps) == oracle_max_rank(p, mask, eps)
+        assert AltChains(p, mask).rank(eps) == oracle_max_rank(p, mask, eps)
 
 
 def test_classify_agrees_with_bruteforce_exhaustive():
@@ -216,8 +214,8 @@ def test_witness_tree_attains_rank(n, seed):
     p = random_poset(n, rng)
     mask = rng.randrange(1 << p.n)
     for eps in (0, 1):
-        r = max_alt_rank(p, mask, eps)
-        t = witness_tree(p, mask, eps)
+        chains = AltChains(p, mask)
+        r, t = chains.rank(eps), chains.witness(eps)
         if r is None:
             assert t is None
         else:
@@ -233,7 +231,7 @@ def test_witnesses_are_longest_chains_on_random_posets():
         levels = classify_by_trees(p, mask)
         assert residue_levels(p, mask) == levels
         for eps, level in ((1, levels[0]), (0, levels[1])):
-            t = witness_tree(p, mask, eps)
+            t = AltChains(p, mask).witness(eps)
             if level == 0:
                 assert t is None
                 continue
@@ -251,7 +249,8 @@ def test_parity_witnesses_on_boolean_lattices(k):
     p = FinitePoset.from_cover(1 << k, cover)
     odd = sum(1 << s for s in range(1 << k) if s.bit_count() % 2)
     assert classify_by_trees(p, odd) == residue_levels(p, odd) == (k, k + 1)
-    sigma, pi = witness_tree(p, odd, 1), witness_tree(p, odd, 0)
+    chains = AltChains(p, odd)
+    sigma, pi = chains.witness(1), chains.witness(0)
     assert (len(sigma.tree), len(pi.tree)) == (k, k + 1)
     assert pi.labels[()] == 0
 
@@ -259,14 +258,19 @@ def test_parity_witnesses_on_boolean_lattices(k):
 # -- code synthesis ----------------------------------------------------------
 
 
+def sigma_code(poset, a_mask):
+    chains = AltChains(poset, a_mask)
+    return chains.code(chains.levels()[0])
+
+
 def test_code_from_trees_examples():
     p = FinitePoset.chain(3)
-    c = diff_code_from_trees(p, 0b010)
+    c = sigma_code(p, 0b010)
     assert c.alpha.as_int() == 2
     assert denote_mask(c, p) == 0b010
-    c = diff_code_from_trees(p, 0b110)  # open
+    c = sigma_code(p, 0b110)  # open
     assert len(c.entries) == 1
-    assert diff_code_from_trees(p, 0).entries == ()
+    assert sigma_code(p, 0).entries == ()
 
 
 @given(st.integers(1, 6), st.integers(0, 10**6))
@@ -275,7 +279,7 @@ def test_code_from_trees_denotes_at_sigma(n, seed):
     rng = random.Random(seed)
     p = random_poset(n, rng)
     mask = rng.randrange(1 << p.n)
-    c = diff_code_from_trees(p, mask)
+    c = sigma_code(p, mask)
     assert denote_mask(c, p) == mask
     assert c.alpha.as_int() == classify_by_trees(p, mask)[0]
 

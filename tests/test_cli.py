@@ -151,6 +151,30 @@ def test_play_point_free_game(capsys):
     assert t["outcome"] in ("NONEMPTY_WINS", "UNDECIDED")
 
 
+ANTICHAIN2 = '{"kind": "poset", "poset": {"n": 2, "cover": []}}'
+NO_POINTS = '{"kind": "clauses", "rows": [{"alpha": [], "witnesses": []}]}'
+
+
+@pytest.mark.parametrize("game", ["choquet", "bm"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--model", ANTICHAIN2, "--first", "0", "--empty", "random"),
+        ("--model", ANTICHAIN2, "--first", "0", "--empty", "deepening"),
+        ("--model", NO_POINTS),
+    ],
+    ids=["empty-open-random", "empty-open-deepening", "no-points"],
+)
+def test_a_move_without_a_point_is_empty_forfeit_in_both_games(capsys, argv, game):
+    # Empty opens on the empty open, or the model has no point at all, so
+    # Empty's first move carries no point
+    code, rep = run_cli(capsys, "play", *argv, "--game", game)
+    assert code == 0
+    t = rep["outputs"]["transcript"]
+    assert (t["outcome"], t["reason"]) == ("NONEMPTY_WINS", "empty forfeits: illegal move")
+    assert t["rounds"] == [] and t["witness"] is None
+
+
 PLAY_MODELS = {
     "pinf16": '{"kind": "pinf", "bound": 16}',
     "pinf64": '{"kind": "pinf", "bound": 64}',
@@ -224,6 +248,19 @@ def test_baire_verified_density_and_budget_exits(capsys):
     assert code == 2
     assert rep["error"]["kind"] == "budget"
     assert rep["result"]["outcome"] == "BUDGET_EXCEEDED"
+
+
+def test_baire_names_a_target_without_ll_successor(capsys):
+    # index 0 of a poset model is the empty open: the chain cannot start
+    code, rep = run_cli(
+        capsys, "baire", "--model", ANTICHAIN2, "--target", "0", "--dense", '[{"u": [1], "f": []}]'
+    )
+    assert code == 1
+    assert rep["error"] == {
+        "kind": "validation",
+        "message": "target 0 has no ll-successor to start the chain",
+    }
+    assert rep["result"] == {"outcome": "DENSITY_VIOLATION", "chain": [], "failed_index": None}
 
 
 # -- code evaluation ----------------------------------------------------------

@@ -3,7 +3,10 @@
 It reads each module of hierkit with `ast` and fails on two kinds of
 leftover: an imported name the module never uses (a name listed in
 `__all__` counts as used), and a module-level `_private` name that the
-module itself never reads.
+module itself never reads.  A second guard fails when a module reads
+another hierkit module's `_private` name, as `mod._x` or through
+`from hierkit.mod import _x`: what one module needs of another is
+public.
 """
 
 import ast
@@ -69,6 +72,48 @@ def dead_names(source, name="<module>"):
     return found
 
 
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _root(node):
+    """The name at the bottom of an attribute chain, or None."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def private_reads(source, name="<module>"):
+    """'file:line module._name' for each read of a hierkit module's
+    private name: imported by name, or read as an attribute of a name
+    that an import bound to a hierkit module."""
+    tree = ast.parse(source)
+    found, modules = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.partition(".")[0] == "hierkit":
+                    modules.add(alias.asname or "hierkit")
+        elif isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").partition(".")[0] == "hierkit"
+        ):
+            where = "." * node.level + (node.module or "")
+            for alias in node.names:
+                if _private(alias.name):
+                    found.append("%s:%d %s.%s" % (name, node.lineno, where, alias.name))
+                elif where in ("hierkit", "."):
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and _private(node.attr)
+            and _root(node.value) in modules
+        ):
+            found.append("%s:%d %s.%s" % (name, node.lineno, ast.unparse(node.value), node.attr))
+    return found
+
+
 def test_the_sources_carry_no_dead_names():
     assert SOURCES
     found = []
@@ -95,3 +140,31 @@ def test_the_sources_carry_no_dead_names():
 )
 def test_the_guard_flags_what_it_should(source, expected):
     assert dead_names(source) == expected
+
+
+def test_no_module_reads_another_modules_private_names():
+    found = []
+    for path in SOURCES:
+        found += private_reads(path.read_text(), path.name)
+    assert found == []
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("from hierkit import alt_trees\nalt_trees._chain_dp(p, 1)\n",
+         ["<module>:2 alt_trees._chain_dp"]),
+        ("from hierkit.alt_trees import _chain_dp\n", ["<module>:1 hierkit.alt_trees._chain_dp"]),
+        ("from .alt_trees import _code as c\n", ["<module>:1 .alt_trees._code"]),
+        ("import hierkit.alt_trees\nhierkit.alt_trees._levels\n",
+         ["<module>:2 hierkit.alt_trees._levels"]),
+        ("import hierkit.alt_trees as at\nat._chain(p, 1, m, 0)\n", ["<module>:2 at._chain"]),
+        ("from hierkit import alt_trees as at\nx = at.AltChains(p, 1)\n", []),
+        ("from hierkit.alt_trees import AltChains\nAltChains(p, 1)._side(0)\n", []),
+        ("import re\nre._compile\n", []),
+        ("def f(self):\n    return self._memo\n", []),
+        ("import hierkit\nhierkit.__file__\n", []),
+    ],
+)
+def test_the_private_read_guard_flags_what_it_should(source, expected):
+    assert private_reads(source) == expected

@@ -480,7 +480,7 @@ def test_stage_ladder_shape():
 def test_block_starts_collapse_to_omega_r_plus_two():
     assert block_start(0) == Ordinal.from_int(0)
     assert block_start(1) == OMEGA + Ordinal.from_int(2)
-    assert block_start(3) == Ordinal.omega(1, 3) + Ordinal.from_int(2)
+    assert block_start(3) == Ordinal.omega(3) + Ordinal.from_int(2)
     for r in range(5):
         start = block_start(r)
         assert (start + OMEGA).parity() == 0
@@ -501,7 +501,7 @@ def test_clopen_transform_denotes_the_set():
     m = fork_model()
     pres = clopen_presentation(m, m.index_of(0b100), m.index_of(0b011))
     res = effective_hausdorff_transform(pres, m, 8)
-    assert res.xi == Ordinal.omega(1, 10) + Ordinal.from_int(2)
+    assert res.xi == Ordinal.omega(10) + Ordinal.from_int(2)
     for x in m.points():
         want = x == 2
         assert res.eval_point(m, x) == want

@@ -201,6 +201,20 @@ def test_empty_forfeits_on_escaping_move():
     assert t.outcome == NONEMPTY_WINS and "forfeit" in t.reason
 
 
+def test_choquet_move_without_a_point_is_empty_forfeit():
+    fm = chain3_model()
+
+    class Pointless:
+        def move(self, v_prev):
+            return None, (fm.index_of(0b111),)
+
+    t = play(fm, Pointless(), stationary_from_relation(fm), rounds=4)
+    assert (t.outcome, t.reason, t.rounds) == (NONEMPTY_WINS, "empty forfeits: illegal move", [])
+    bm = BMFromChoquet(stationary_from_relation(fm), fm)
+    t = play(fm, Pointless(), bm, rounds=4, game=BANACH_MAZUR)
+    assert t.outcome == NONEMPTY_WINS and t.reason == "finite stabilization"
+
+
 def test_undecided_without_certificate():
     m = pinf_model()
 

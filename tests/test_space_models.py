@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hierkit
-from hierkit.finite_space import FinitePoset, bits, mask_of
+from hierkit.finite_space import FinitePoset, all_posets_upto_iso, bits, mask_of
 from hierkit.space_models import (
     INF,
     NOT_A_CLAUSE,
@@ -898,6 +898,52 @@ def test_poset_model_least_searches():
     assert fm.mask(fm.least_containing(1)) == 0b110
     assert fm.mask(fm.least_ll_above(fm.index_of(0b110), 1)) == 0b110
     assert fm.some_point_in(fm.index_of(0)) is None
+
+
+def _least_ll_or_none(m, c, x):
+    try:
+        return m.least_ll_above(c, x)
+    except SearchExhausted:
+        return None
+
+
+def _brute_least_ll(m, c, x, pool):
+    """The least index i of the pool with x in O_i and ll(c, i), or None."""
+    return next((i for i in sorted(pool) if m.point_in_basic(x, i) and m.ll(c, i)), None)
+
+
+def test_least_ll_above_matches_a_brute_force_search():
+    # every index and point of every poset model of up to 4 points
+    for n in range(1, 5):
+        for p in all_posets_upto_iso(n):
+            fm = FinitePosetModel(p)
+            every = range(len(fm.opens))
+            for c in every:
+                for x in fm.points():
+                    assert _least_ll_or_none(fm, c, x) == _brute_least_ll(fm, c, x, every)
+    # cylinders, where c is a singleton or a union of words of length <= 3.
+    # The pool holds every singleton and pair of such words.  It contains
+    # the least answer when there is one: a qualifying index i has a word
+    # v that x starts with, and [v] <= O_i <= c qualifies too, with an
+    # index no larger than i; x in c starts with a word of c, of length
+    # <= 3, so some such [v] qualifies.
+    rng = random.Random(18)
+    for k in (2, 3):
+        m = CylinderModel(k)
+        words = [w for d in range(4) for w in itertools.product(range(k), repeat=d)]
+        singles = [m.singleton(w) for w in words]
+        pool = singles + [a | b for a, b in itertools.combinations(singles, 2)]
+        unions = [m.lam(rng.sample(singles, rng.randint(2, 5))) for _ in range(30)]
+        points = [
+            CylPoint(
+                [rng.randrange(k) for _ in range(rng.randrange(5))],
+                [rng.randrange(k) for _ in range(rng.randint(1, 3))],
+            )
+            for _ in range(10)
+        ]
+        for c in singles + unions:
+            for x in points:
+                assert _least_ll_or_none(m, c, x) == _brute_least_ll(m, c, x, pool), (k, c, x)
 
 
 # -- the shared model surface -----------------------------------------------
