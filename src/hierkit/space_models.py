@@ -16,7 +16,9 @@ forms of points; its docstring lists every member):
   answers the "every tail is inhabited" rows of P_inf(N) in closed
   form but examines only rows n < bound (a finite point with max >=
   bound - 1 passes ``check_point``); within the bound ll works out to
-  A <= B and max(A) < max(B).
+  A <= B and max(A) < max(B).  On either system the least
+  ll-successor around a point is computed in closed form, with no
+  search and no cap.
 
 * ``FinitePosetModel``: a finite poset's Scott topology with the whole
   (finite) open lattice as basis and ll(U, V) = V nonempty and V <= U.
@@ -83,6 +85,7 @@ class SpaceModel:
     * ``point_to_json``, ``point_from_json`` and ``to_json``.
 
     The methods below are shared; a model overrides those that differ.
+    No model overrides ``check_chain`` or ``chain_limit``.
     """
 
     finite = False
@@ -213,8 +216,6 @@ class ClauseSystem:
     the encoding of a query's index i: beta <= X is ``beta & ~i == 0``
     for the cone i."""
 
-    infinite = False
-
     def __init__(self, rows):
         self.rows = [(mask_of(a), tuple(mask_of(g) for g in gs)) for a, gs in rows]
         # statuses cost subset tests and n_u a pass over the rows
@@ -240,9 +241,16 @@ class ClauseSystem:
                 return n
         return None
 
-    def witness(self, x, n):
-        """Index of the first witness of row n that x includes, or None."""
-        return next((g for g in self.row(n)[1] if x.includes(g)), None)
+    def extension(self, x, c, nu):
+        """The numerically least ``T & ~c`` over the sets T that x
+        includes and that would make ll(c, c | T) hold, or None: each
+        witness of row nu = n_u(c), and alpha_m | gamma for each earlier
+        row m whose premiss c does not force and each witness gamma."""
+        sets = list(self.rows[nu][1])
+        for alpha, gammas in self.rows[:nu]:
+            if alpha & ~c:
+                sets += [alpha | g for g in gammas]
+        return min((t & ~c for t in sets if x.includes(t)), default=None)
 
     def to_json(self):
         return {
@@ -275,8 +283,6 @@ class PinfSystem:
     finite point whose max is >= bound - 1 passes ``check_point``.
     """
 
-    infinite = True
-
     def __init__(self, bound=64):
         self.bound = bound
 
@@ -295,29 +301,18 @@ class PinfSystem:
         n = x.core.bit_length()
         return n if n < self.bound else None
 
-    def witness(self, x, n):
-        """Index of {j} for the least j >= n in x, or None."""
-        high = x.core >> n << n
+    def extension(self, x, c, nu):
+        """{j} for the least j >= nu in x, or None.  Every premiss is
+        empty, so no row below nu can help, and j >= nu lies above c's
+        top element."""
+        high = x.core >> nu << nu
         js = [(high & -high).bit_length() - 1] if high else []
         if x.cofinite_from is not None:
-            js.append(max(n, x.cofinite_from))
+            js.append(max(nu, x.cofinite_from))
         return 1 << min(js) if js else None
 
     def to_json(self):
         return {"bound": self.bound}
-
-
-def _ascending_submasks(mask, cap=4096):
-    """Submasks of `mask` in increasing numeric order, at most cap of
-    them.  They are a counter 0, 1, 2, ... whose bits are spread onto
-    the set bits of mask, which keeps the order: ``(s - mask) & mask``
-    adds one to s, carrying through the bits outside mask."""
-    s = 0
-    for _ in range(cap):
-        yield s
-        s = (s - mask) & mask
-        if not s:
-            return
 
 
 class PSpaceModel(SpaceModel):
@@ -385,21 +380,6 @@ class PSpaceModel(SpaceModel):
                 return True
         return False
 
-    def refine_witness(self, x, i):
-        """A basic j with x in O_j and ll(i, j), built by solving the
-        least unsolved clause with a witness drawn from x itself."""
-        if not self.point_in_basic(x, i):
-            raise ValueError("point is not in the open to refine")
-        nu = self.n_u(i)
-        if nu == INF:
-            return i
-        g = self.system.witness(x, nu)
-        if g is None:
-            raise ValueError(
-                "point fails clause %d: not in the presented subspace" % nu
-            )
-        return i | g
-
     # points
 
     def check_point(self, x):
@@ -408,42 +388,23 @@ class PSpaceModel(SpaceModel):
         return self.system.check_point(x)
 
     def some_point_in(self, i):
-        """Some point of the subspace inside basic i, or None.  Tries
-        the point beta itself, then beta with a cofinite tail above its
-        top element."""
+        """Some point of the subspace inside basic i, or None: beta
+        itself, beta with a cofinite tail above its top element, or beta
+        with the first witness of each violated row added in turn (each
+        settles its row for good; a cofinite point passes every P_inf
+        row, so only explicit rows get that far)."""
         for x in (SetPoint(i), SetPoint(i, cofinite_from=i.bit_length())):
             if self.check_point(x) is None:
                 return x
-        return None
-
-    def chain_limit(self, chain):
-        """The union of the chain's betas as a point, verified against
-        every member and every examinable clause."""
-        self.check_chain(chain)
-        union = 0
-        for i in chain:
-            union |= i
-        candidates = [SetPoint(union)]
-        # infinitely many rows: the union point may need a cofinite tail
-        if self.system.infinite:
-            candidates.append(SetPoint(union, cofinite_from=union.bit_length()))
-        bad = None
-        for x in candidates:
-            bad = self.check_point(x)
-            if bad is None:
-                for i in chain:
-                    if not self.point_in_basic(x, i):  # pragma: no cover
-                        raise AssertionError("limit point escaped a chain member")
-                return x
-        raise ValueError("chain limit violates clause %d" % bad)
+        x = SetPoint(i)
+        while (n := self.check_point(x)) is not None:
+            gammas = self.system.row(n)[1]
+            if not gammas:
+                return None
+            x = SetPoint(x.core | gammas[0])
+        return x
 
     # least searches (the well-order is the integer index order)
-
-    def _universe(self, x):
-        # the core and the first 8 elements of the tail
-        if x.cofinite_from is None:
-            return x.core
-        return x.core | 0xFF << x.cofinite_from
 
     def least_containing(self, x, within=None):
         """Least basic index i with x in O_i (and O_i inside the union
@@ -455,42 +416,39 @@ class PSpaceModel(SpaceModel):
         whole-space cone 0 wins outright."""
         if within is None:
             return 0
-        best = None
-        for j in within:
-            if self.point_in_basic(x, j) and (best is None or j < best):
-                best = j
+        best = min((j for j in within if self.point_in_basic(x, j)), default=None)
         if best is None:
             raise SearchExhausted("point lies outside the union")
         return best
 
-    def least_ll_above(self, c, x, cap=4096):
-        """Least basic index b with ll(c, b) and x in O_b.
+    def least_ll_above(self, c, x):
+        """Least basic index b with ll(c, b) and x in O_b, in closed form.
 
-        Any such b refines the c-cone, so b = c plus extra bits of
-        beta, and x in O_b keeps those bits inside x; the extras are
-        walked in increasing order.  Past the cap the clause-solving
-        witness stands in: still valid and deterministic, just not
-        certifiably least."""
-        for e in _ascending_submasks(self._universe(x) & ~c, cap=cap):
-            b = c | e
-            if self.ll(c, b) and self.point_in_basic(x, b):
-                return b
-        b = self.refine_witness(x, c)
-        if self.ll(c, b):
-            return b
-        raise SearchExhausted("no ll-successor found around the point")
+        For b >= c, ll(c, b) holds once b includes a set T that solves
+        row nu = n_u(c) or an earlier row whose premiss c does not force,
+        and only then.  That is upward closed in b, so the least b is
+        c | e, e the least ``T & ~c`` over the sets T inside x (the
+        system's ``extension``); with nu = INF it is c itself."""
+        if not self.point_in_basic(x, c):
+            raise ValueError("point is not in the open to refine")
+        nu = self.n_u(c)
+        if nu == INF:
+            return c
+        e = self.system.extension(x, c, nu)
+        if e is None:
+            raise ValueError("point fails clause %d: not in the presented subspace" % nu)
+        return c | e
 
     def random_ll_successor(self, i, rng):
         x = self.some_point_in(i)
         if x is None:
             raise ValueError("cannot extend an empty basic open")
-        j = self.refine_witness(x, i)
-        top = (i | j).bit_length() - 1
+        j = self.least_ll_above(i, x)
         if j == i or rng.randrange(2):
-            # jitter with a fresh element; solvedness only ever improves
-            # when beta grows, so the relation survives
-            j |= 1 << (top + 1 + rng.randrange(3))
-        return j if self.ll(i, j) else self.refine_witness(x, i)
+            # jitter with a fresh element; ll(i, .) is upward closed
+            # above i, so the relation survives
+            j |= 1 << (j.bit_length() + rng.randrange(3))
+        return j
 
     def candidate_indices(self, limit):
         return range(limit)

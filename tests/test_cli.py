@@ -151,6 +151,19 @@ def test_play_point_free_game(capsys):
     assert t["outcome"] in ("NONEMPTY_WINS", "UNDECIDED")
 
 
+def test_play_finds_a_point_that_needs_a_row_witness(capsys):
+    # cone 4 = {2}: neither {2} nor {2} with a cofinite tail above it
+    # includes 0, which every point must; {0, 2} does
+    model = '{"kind": "clauses", "rows": [{"alpha": [], "witnesses": [[0]]}]}'
+    argv = ("play", "--model", model, "--game", "bm", "--first", "4", "--rounds", "3")
+    code, rep = run_cli(capsys, *argv)
+    assert code == 0
+    t = rep["outputs"]["transcript"]
+    assert (t["outcome"], t["reason"]) == ("NONEMPTY_WINS", "limit point certified")
+    assert t["rounds"][0]["empty"]["open"] == [4]
+    assert 0 in t["witness"]["core"]
+
+
 ANTICHAIN2 = '{"kind": "poset", "poset": {"n": 2, "cover": []}}'
 NO_POINTS = '{"kind": "clauses", "rows": [{"alpha": [], "witnesses": []}]}'
 

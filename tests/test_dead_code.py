@@ -6,10 +6,13 @@ leftover: an imported name the module never uses (a name listed in
 module itself never reads.  A second guard fails when a module reads
 another hierkit module's `_private` name, as `mod._x` or through
 `from hierkit.mod import _x`: what one module needs of another is
-public.
+public.  A third fails when a method that the benchmark's span tracer
+wraps, as listed in `bench/spans.py`, is no longer defined where the
+tracer looks for it.
 """
 
 import ast
+import importlib
 import pathlib
 
 import pytest
@@ -17,6 +20,7 @@ import pytest
 import hierkit
 
 SOURCES = sorted(pathlib.Path(hierkit.__file__).parent.glob("*.py"))
+SPANS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 
 def _loaded_names(tree):
@@ -168,3 +172,55 @@ def test_no_module_reads_another_modules_private_names():
 )
 def test_the_private_read_guard_flags_what_it_should(source, expected):
     assert private_reads(source) == expected
+
+
+def traced_methods(source):
+    """The (module, class, method) keys of the `METHODS` table in the
+    tracer's source, read with `ast` and never imported."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+            getattr(t, "id", None) == "METHODS" for t in node.targets
+        ):
+            return list(ast.literal_eval(node.value))
+    raise LookupError("no METHODS table")
+
+
+def missing_methods(keys):
+    """'module.Class.method' for each key whose method hierkit does not
+    define on that very class (class None: on the module), which is
+    where the tracer reads it."""
+    missing = []
+    for module, cls, method in keys:
+        owner = importlib.import_module("hierkit." + module)
+        if cls is not None:
+            owner = getattr(owner, cls, None)
+        if owner is None or method not in vars(owner):
+            missing.append(".".join(n for n in (module, cls, method) if n))
+    return missing
+
+
+def test_every_method_the_tracer_wraps_exists():
+    keys = traced_methods(SPANS.read_text())
+    assert ("space_models", "PSpaceModel", "ll") in keys
+    assert missing_methods(keys) == []
+
+
+def test_the_traced_method_guard_flags_what_it_should():
+    source = (
+        "METHODS = {\n"
+        "    ('space_models', 'PSpaceModel', 'refine_witness'): 'a',\n"
+        "    ('space_models', 'NoSuchModel', 'll'): 'b',\n"
+        "    ('space_models', 'PSpaceModel', 'chain_limit'): 'c',\n"
+        "    ('space_models', 'SpaceModel', 'chain_limit'): 'd',\n"
+        "    ('cli', None, 'main'): 'e',\n"
+        "    ('cli', None, 'no_such_function'): 'f',\n"
+        "}\n"
+    )
+    assert missing_methods(traced_methods(source)) == [
+        "space_models.PSpaceModel.refine_witness",
+        "space_models.NoSuchModel.ll",
+        "space_models.PSpaceModel.chain_limit",
+        "cli.no_such_function",
+    ]
+    with pytest.raises(LookupError):
+        traced_methods("HOOKS = {}\n")

@@ -36,7 +36,6 @@ from hierkit.space_models import (
     PSpaceModel,
     SearchExhausted,
     SetPoint,
-    _ascending_submasks,
     baire_witness,
     check_approx_conditions,
     index_visible,
@@ -164,13 +163,6 @@ class _EnumeratedPinf:
         return None
 
 
-def _refined(model, x, i):
-    try:
-        return model.refine_witness(x, i)
-    except ValueError as e:
-        return str(e)
-
-
 @pytest.mark.parametrize("bound", [1, 2, 3, 8, 16, 64])
 def test_pinf_closed_form_matches_enumerated_rows(bound):
     rng = random.Random(bound)
@@ -196,7 +188,10 @@ def test_pinf_closed_form_matches_enumerated_rows(bound):
         for x in points:
             assert m.check_point(x) == ref.check_point(x)
             for j in (0, i, i & rng.getrandbits(top + 1), rng.choice(indices)):
-                assert _refined(m, x, j) == _refined(ref, x, j)
+                # the enumerated rows list the witnesses {nu}, {nu + 1},
+                # ... in order, so the first one x includes is the least
+                want = _outcome(ref.refine_witness, x, j)
+                assert _outcome(m.least_ll_above, j, x) == want
     # the truncated regime: a finite point whose max is bound - 1 passes
     assert m.check_point(SetPoint(wide[0])) is None
 
@@ -209,20 +204,20 @@ def test_pn_ll_is_containment():
             assert m.ll(a, b) == (a | b == b)
 
 
-def test_refine_witness_follows_least_unsolved_clause():
+def test_least_ll_above_follows_least_unsolved_clause():
     m = pinf_model()
     x = SetPoint(mask_of({0, 5}), cofinite_from=6)
-    v = m.refine_witness(x, mask_of({0}))
+    v = m.least_ll_above(mask_of({0}), x)
     assert set(bits(v)) == {0, 5}
     assert m.ll(mask_of({0}), v)
     # nothing unsolved: the open itself comes back
     pn = pn_model()
-    assert pn.refine_witness(SetPoint(mask_of({1})), mask_of({1})) == mask_of({1})
-    with pytest.raises(ValueError):
-        m.refine_witness(SetPoint(mask_of({7})), mask_of({0}))  # not in the open
-    with pytest.raises(ValueError):
+    assert pn.least_ll_above(mask_of({1}), SetPoint(mask_of({1}))) == mask_of({1})
+    with pytest.raises(ValueError, match="^point is not in the open to refine$"):
+        m.least_ll_above(mask_of({0}), SetPoint(mask_of({7})))
+    with pytest.raises(ValueError, match="^point fails clause 1: not in the presented subspace$"):
         # finite point: not actually in the presented subspace
-        m.refine_witness(SetPoint(mask_of({0})), mask_of({0}))
+        m.least_ll_above(mask_of({0}), SetPoint(mask_of({0})))
 
 
 def test_chain_limit_pinf_and_pn():
@@ -241,11 +236,27 @@ def test_chain_limit_rejects_bad_chains():
     m = pinf_model()
     with pytest.raises(ValueError, match="step 1"):
         m.chain_limit([mask_of(set()), mask_of({0}), mask_of({0})])
-    sys_ = ClauseSystem([({0}, [{1}])])
-    s = PSpaceModel(sys_)
-    with pytest.raises(ValueError, match="clause 0"):
-        # the union point {0} triggers the row but misses its witness
+    # the finite point {0} triggers the row but misses its witness; the
+    # cofinite point from 1 has it
+    s = PSpaceModel(ClauseSystem([({0}, [{1}])]))
+    assert s.chain_limit([mask_of(set()), mask_of({0})]) == SetPoint(1, cofinite_from=1)
+    # a row with no witness: nothing in the subspace includes 0
+    s = PSpaceModel(ClauseSystem([({0}, [])]))
+    with pytest.raises(ValueError, match="chain ends in the empty open"):
         s.chain_limit([mask_of(set()), mask_of({0})])
+
+
+def test_some_point_in_adds_the_witness_of_each_violated_row():
+    # every point includes 0; a point with 1 includes 3 or 4, and one
+    # with 3 includes 5
+    m = PSpaceModel(ClauseSystem([(set(), [{0}]), ({1}, [{3}, {4}]), ({3}, [{5}])]))
+    assert m.some_point_in(mask_of({2})) == SetPoint(mask_of({0, 2}))
+    assert m.some_point_in(mask_of({1})) == SetPoint(mask_of({0, 1, 3, 5}))
+    assert m.some_point_in(mask_of({0})) == SetPoint(mask_of({0}))
+    # a violated row with no witness leaves the cone empty
+    m = PSpaceModel(ClauseSystem([(set(), [{0}]), ({0, 2}, [])]))
+    assert m.some_point_in(mask_of({2})) is None
+    assert not m.basic_nonempty(mask_of({2}))
 
 
 def test_pn_chain_converges_to_union_neighborhoods():
@@ -263,8 +274,8 @@ def test_pn_chain_converges_to_union_neighborhoods():
 
 # Reference copies of the P(N) model code as it stood when a point's core
 # and a clause row's sets were frozensets: every membership test turned
-# the cone's index into the frozenset of its bits, and least searches
-# walked submasks with a heap.
+# the cone's index into the frozenset of its bits.  The least ll-successor
+# around a point is found by brute force.
 
 
 @dataclass(frozen=True)
@@ -286,10 +297,10 @@ def _frozen(x):
 
 
 class _FrozenClauses:
-    infinite = False
-
     def __init__(self, rows):
         self.rows = [(frozenset(a), tuple(frozenset(g) for g in gs)) for a, gs in rows]
+        # the largest element a row mentions
+        self.top = max((n for a, gs in self.rows for s in (a, *gs) for n in s), default=-1)
 
     def clause_status(self, i, n):
         beta = frozenset(bits(i))
@@ -308,12 +319,9 @@ class _FrozenClauses:
                 return n
         return None
 
-    def witness(self, x, n):
-        return next((mask_of(g) for g in self.rows[n][1] if x.includes(g)), None)
-
 
 class _FrozenPinf:
-    infinite = True
+    top = -1
 
     def __init__(self, bound):
         self.bound = bound
@@ -333,27 +341,17 @@ class _FrozenPinf:
         n = max(x.core, default=-1) + 1
         return n if n < self.bound else None
 
-    def witness(self, x, n):
-        js = [j for j in x.core if j >= n]
-        if x.cofinite_from is not None:
-            js.append(max(n, x.cofinite_from))
-        return 1 << min(js) if js else None
 
-
-def _heap_submasks(bit_positions, cap=4096):
-    bs = sorted(set(bit_positions))
-    heap = [0]
-    seen = {0}
-    count = 0
-    while heap and count < cap:
+def _ascending_subsets(elements):
+    """Bitmasks of the subsets of `elements`, in increasing numeric order."""
+    heap, seen = [0], {0}
+    while heap:
         m = heapq.heappop(heap)
         yield m
-        count += 1
-        for b in bs:
-            m2 = m | (1 << b)
-            if m2 != m and m2 not in seen:
-                seen.add(m2)
-                heapq.heappush(heap, m2)
+        for n in elements:
+            if m | 1 << n not in seen:
+                seen.add(m | 1 << n)
+                heapq.heappush(heap, m | 1 << n)
 
 
 class _FrozenModel:
@@ -375,59 +373,52 @@ class _FrozenModel:
             return True
         return any(status(i, m) == NOT_A_CLAUSE and status(j, m) == SOLVED for m in range(nu))
 
-    def refine_witness(self, x, i):
-        if not self.point_in_basic(x, i):
-            raise ValueError("point is not in the open to refine")
-        nu = self.system.n_u(i)
-        if nu == INF:
-            return i
-        g = self.system.witness(x, nu)
-        if g is None:
-            raise ValueError("point fails clause %d: not in the presented subspace" % nu)
-        return i | g
-
     def some_point_in(self, i):
         beta = frozenset(bits(i))
         for x in (_FrozenPoint(beta), _FrozenPoint(beta, max(beta, default=-1) + 1)):
             if self.system.check_point(x) is None:
                 return x
-        return None
+        x = _FrozenPoint(beta)
+        while (n := self.system.check_point(x)) is not None:
+            gammas = self.system.rows[n][1]
+            if not gammas:
+                return None
+            x = _FrozenPoint(x.core | gammas[0])
+        return x
 
     def chain_limit(self, chain):
         for k in range(len(chain) - 1):
             if not self.ll(chain[k], chain[k + 1]):
                 raise ValueError("chain is not ll-increasing at step %d" % k)
-        beta = frozenset(bits(functools.reduce(operator.or_, chain, 0)))
-        candidates = [_FrozenPoint(beta)]
-        if self.system.infinite:
-            candidates.append(_FrozenPoint(beta, max(beta, default=-1) + 1))
-        bad = None
-        for x in candidates:
-            bad = self.system.check_point(x)
-            if bad is None:
-                return x
-        raise ValueError("chain limit violates clause %d" % bad)
+        x = self.some_point_in(chain[-1])
+        if x is None:
+            raise ValueError("chain ends in the empty open")
+        return x
 
-    def least_ll_above(self, c, x, cap=4096):
-        u = set(x.core)
-        if x.cofinite_from is not None:
-            u |= set(range(x.cofinite_from, x.cofinite_from + 8))
-        for e in _heap_submasks(u - set(bits(c)), cap=cap):
-            b = c | e
-            if self.ll(c, b) and self.point_in_basic(x, b):
-                return b
-        b = self.refine_witness(x, c)
-        if self.ll(c, b):
-            return b
-        raise SearchExhausted("no ll-successor found around the point")
+    def least_ll_above(self, c, x):
+        """Brute force: every b = c | e, e a set of elements of x outside
+        c, in increasing order.  Elements at or above `limit` need not be
+        tried: no row mentions them, and on P_inf the least j >= n_u(c)
+        in x lies below it when there is one."""
+        if not self.point_in_basic(x, c):
+            raise ValueError("point is not in the open to refine")
+        tail = -1 if x.cofinite_from is None else x.cofinite_from
+        limit = max(*x.core, tail, c.bit_length(), self.system.top) + 1
+        free = [n for n in range(limit) if x.contains(n) and not c >> n & 1]
+        for e in _ascending_subsets(free):
+            if self.ll(c, c | e):
+                return c | e
+        nu = self.system.n_u(c)
+        raise ValueError("point fails clause %d: not in the presented subspace" % nu)
 
     def random_ll_successor(self, i, rng):
         x = self.some_point_in(i)
-        j = self.refine_witness(x, i)
-        top = max(bits(i | j), default=-1)
+        if x is None:
+            raise ValueError("cannot extend an empty basic open")
+        j = self.least_ll_above(i, x)
         if j == i or rng.randrange(2):
-            j |= 1 << (top + 1 + rng.randrange(3))
-        return j if self.ll(i, j) else self.refine_witness(x, i)
+            j |= 1 << (max(bits(j), default=-1) + 1 + rng.randrange(3))
+        return j
 
 
 _SAMPLE_ROWS = [({0}, [{1}, {2, 3}]), ({1}, [{4}]), (set(), [{5}, {7, 9}]), ({2, 6}, [])]
@@ -458,8 +449,7 @@ def test_bitmask_sets_match_the_frozenset_code(name):
     rng = random.Random(name)
     wide = [rng.getrandbits(rng.randint(1, 80)) for _ in range(40)]
     indices = list(range(1024 if name == "clauses" else 128)) + wide
-    # rows that witness() may be asked about: every explicit row, or the
-    # low rows of P_inf
+    # every explicit row, or the low rows of P_inf
     rows = {"pn": 0, "clauses": len(_SAMPLE_ROWS)}.get(name, 72)
     statuses = sorted(set(range(rows)) | {rows, rows + 1})
     for i in indices:
@@ -480,22 +470,22 @@ def test_bitmask_sets_match_the_frozenset_code(name):
         for x in points:
             fx = _frozen(x)
             assert m.check_point(x) == ref.system.check_point(fx)
-            for n in range(min(rows, top + 3)):
-                assert m.system.witness(x, n) == ref.system.witness(fx, n)
             for j in probes:
                 assert x.includes(j) == fx.includes(frozenset(bits(j)))
                 assert m.point_in_basic(x, j) == ref.point_in_basic(fx, j)
-                assert _outcome(m.refine_witness, x, j) == _outcome(ref.refine_witness, fx, j)
+                # the brute force walks every subset of x's elements
+                # below the horizon: narrow points and probes only
+                if i < 128 and j < 1024:
+                    want = _outcome(ref.least_ll_above, j, fx)
+                    assert _outcome(m.least_ll_above, j, x) == want, (x, j)
         if i < 128 and m.some_point_in(i) is not None:
-            for x in points[2:4]:
-                if m.point_in_basic(x, i):
-                    assert _outcome(m.least_ll_above, i, x) == _outcome(
-                        ref.least_ll_above, i, _frozen(x)
-                    )
             chain = [i]
             for seed in range(4):
-                step = m.random_ll_successor(chain[-1], random.Random(seed))
-                assert step == ref.random_ll_successor(chain[-1], random.Random(seed))
+                # a jittered step may force a row that has no witness
+                step = _outcome(m.random_ll_successor, chain[-1], random.Random(seed))
+                assert step == _outcome(ref.random_ll_successor, chain[-1], random.Random(seed))
+                if type(step) is not int:
+                    break
                 chain.append(step)
             for c in (chain, chain[:2], [i, i], [i, rng.choice(indices)]):
                 got = _outcome(m.chain_limit, c)
@@ -503,33 +493,16 @@ def test_bitmask_sets_match_the_frozenset_code(name):
                 assert (_frozen(got) if type(got) is SetPoint else got) == want
 
 
-def test_least_ll_above_walks_eight_tail_elements():
-    # the row forces 8 and is solved by 12 or 10: refine_witness takes the
-    # first witness the point includes (12), and the least search finds
-    # 10 only when it lies among the first 8 elements of the tail
+def test_least_ll_above_is_exact_past_the_tail_window():
+    # the row forces 8 and is solved by 12 or 10, listed in that order:
+    # the least successor takes 10 at every tail, also where 10 lies 8
+    # or more elements past the tail's start
     rows = [({8}, [{12}, {10}])]
     m, ref = PSpaceModel(ClauseSystem(rows)), _FrozenModel(_FrozenClauses(rows))
     c = 1 << 8
-    for tail, want in ((2, c | 1 << 12), (3, c | 1 << 10), (4, c | 1 << 10)):
+    for tail in range(11):
         x = SetPoint(c, cofinite_from=tail)
-        assert m.refine_witness(x, c) == c | 1 << 12
-        assert m.least_ll_above(c, x) == ref.least_ll_above(c, _frozen(x)) == want
-
-
-def test_ascending_submasks_match_the_heap_walk():
-    rng = random.Random(12)
-    masks = [0, 1, 0b1011, (1 << 12) - 1, 1 << 70 | 1 << 3]
-    masks += [rng.getrandbits(rng.randint(1, 40)) for _ in range(60)]
-    for mask in masks:
-        k = mask.bit_count()
-        caps = {0, 1, 7, 100, rng.randrange(1, 600)}
-        if k <= 9:
-            caps |= {(1 << k) - 1, 1 << k, (1 << k) + 1}
-        for cap in sorted(caps):
-            want = list(_heap_submasks(bits(mask), cap))
-            assert list(_ascending_submasks(mask, cap)) == want, (mask, cap)
-    for mask in masks[:8]:
-        assert list(_ascending_submasks(mask)) == list(_heap_submasks(bits(mask)))
+        assert m.least_ll_above(c, x) == ref.least_ll_above(c, _frozen(x)) == c | 1 << 10
 
 
 # -- lift -------------------------------------------------------------------
@@ -944,6 +917,69 @@ def test_least_ll_above_matches_a_brute_force_search():
         for c in singles + unions:
             for x in points:
                 assert _least_ll_or_none(m, c, x) == _brute_least_ll(m, c, x, pool), (k, c, x)
+    # P(N) models: pn, pinf at three bounds and seeded random clause systems
+    for m, rows_top, c, x in _set_model_cases():
+        want = _brute_least_set(m, c, x, rows_top)
+        got = _outcome(m.least_ll_above, c, x)
+        if want is None:
+            if not x.includes(c):
+                msg = "point is not in the open to refine"
+            else:
+                msg = "point fails clause %d: not in the presented subspace" % m.n_u(c)
+            want = ValueError, msg
+        assert got == want, (m.to_json(), c, x)
+
+
+def _brute_least_set(m, c, x, rows_top):
+    """The least b = c | e with ll(c, b), e a set of elements of x outside
+    c, or None; x must include c.  Subsets are walked in increasing order,
+    and elements above every row's (`rows_top`), above the point's horizon
+    and above c's top element are left out: no explicit row mentions them,
+    and on P_inf the least element >= n_u(c) of x lies below them when
+    there is one."""
+    if not x.includes(c):
+        return None
+    limit = max(horizon(x), c.bit_length(), rows_top) + 1
+    free = [n for n in range(limit) if x.includes(1 << n) and not c >> n & 1]
+    return next((c | e for e in _ascending_subsets(free) if m.ll(c, c | e)), None)
+
+
+def _set_model_cases():
+    """(model, largest element a row mentions, c, x): random cones and
+    points on pn, pinf and seeded random clause systems, plus points whose
+    least extension lies more than 8 elements into the tail or above more
+    than 12 elements of x outside c."""
+    rng = random.Random(19)
+
+    def random_points(c, count):
+        for _ in range(count):
+            core = rng.getrandbits(10)
+            if rng.randrange(4):
+                core |= c
+            tail = rng.choice([None, None, rng.randrange(12)])
+            yield SetPoint(core, cofinite_from=tail)
+
+    models = [(pn_model(), -1)] + [(pinf_model(b), -1) for b in (1, 16, 64)]
+    for _ in range(40):
+        rows = [
+            (rng.sample(range(6), rng.randrange(3)),
+             [rng.sample(range(9), rng.randint(1, 2)) for _ in range(rng.randrange(4))])
+            for _ in range(rng.randint(1, 4))
+        ]
+        models.append((PSpaceModel(ClauseSystem(rows)), 8))
+    for m, rows_top in models:
+        for _ in range(12):
+            c = rng.getrandbits(rng.randint(0, 9))
+            for x in random_points(c, 4):
+                yield m, rows_top, c, x
+    free14 = (1 << 14) - 1
+    far = PSpaceModel(ClauseSystem([({8}, [{30}, {20}])]))
+    yield far, 30, 1 << 8, SetPoint(1 << 8, cofinite_from=9)
+    wide = PSpaceModel(ClauseSystem([({20}, [{30}, {25}])]))
+    yield wide, 30, 1 << 20, SetPoint(free14 | 1 << 20 | 1 << 25 | 1 << 30)
+    yield wide, 30, 1 << 20, SetPoint(free14 | 1 << 20, cofinite_from=25)
+    for bound in (16, 64):
+        yield pinf_model(bound), -1, 1 << 14, SetPoint(free14 | 1 << 14, cofinite_from=26)
 
 
 # -- the shared model surface -----------------------------------------------
