@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from hierkit.diff_hierarchy import code_from_masks, denote_mask
-from hierkit.finite_space import bits, popcount
+from hierkit.finite_space import bits
 
 
 # -- raw trees ----------------------------------------------------------
@@ -163,11 +163,9 @@ def prune_to_rank(f, poset, member_mask, beta, eps):
 def _chain_dp(poset, a_mask):
     """m[v] = number of nodes in the longest strictly increasing
     membership-alternating chain starting at v."""
-    # Anything strictly above v has a strictly smaller up-set, so sorting
-    # by up-set size processes every strict successor before v.
-    order = sorted(range(poset.n), key=lambda v: popcount(poset.up[v]))
+    # tops first: every strict successor of v comes before v
     m = [1] * poset.n
-    for v in order:
+    for v in poset.tops_first:
         chi_v = (a_mask >> v) & 1
         best = 0
         for y in bits(poset.up[v]):

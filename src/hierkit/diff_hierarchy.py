@@ -17,6 +17,8 @@ look inside a set takes callbacks.
 
 from __future__ import annotations
 
+import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from hierkit.ordinals import Ordinal
@@ -153,17 +155,20 @@ def level_bruteforce(poset, target_mask, cap=None, max_nodes=2_000_000):
     allowed next open fails, every smaller one fails".  That argument
     would turn the search into the greedy residue chain, and this
     classifier would stop being an independent check on `residues`.
+    Each state scans only the opens sized between its union and the room
+    its slot leaves; every other open fails the slot's test anyway.
 
     Raises SearchBudgetExceeded past max_nodes search states.
     """
     if cap is None:
         cap = poset.height() + 1
     larger_first = poset.opens()[::-1]
+    sizes = list(map(operator.neg, map(int.bit_count, larger_first)))
     dead = [set() for _ in range(cap + 1)]
     budget = [0, max_nodes]
     target = target_mask & poset.carrier
     for n in range(cap + 1):
-        if _finishes(n, 0, target, larger_first, dead, budget):
+        if _finishes(n, 0, target, larger_first, sizes, dead, budget):
             return n
     raise RuntimeError(
         "no representation up to cap=%d; this should be impossible on a finite poset"
@@ -171,11 +176,12 @@ def level_bruteforce(poset, target_mask, cap=None, max_nodes=2_000_000):
     )
 
 
-def _finishes(r, union, target, larger_first, dead, budget):
-    """Whether r more slots above `union` can complete a code of
-    `target`; if not, `union` joins dead[r].  budget[0] counts expanded
-    states against the limit budget[1].  A module function, not a
-    closure, so that no reference cycle keeps `dead` alive."""
+def _finishes(r, union, target, larger_first, sizes, dead, budget):
+    """Whether r more slots above `union` can complete a code of `target`;
+    if not, `union` joins dead[r].  sizes[k] = -|larger_first[k]| ascends,
+    so a size band is a bisected slice.  budget[0] counts expanded states
+    against budget[1].  A module function, not a closure, so that no
+    reference cycle keeps `dead` alive."""
     budget[0] += 1
     if budget[0] > budget[1]:
         raise SearchBudgetExceeded(budget[0])
@@ -183,16 +189,19 @@ def _finishes(r, union, target, larger_first, dead, budget):
         if not target & ~union:
             return True
     else:
-        # the next slot's fresh points u - union lie inside target iff r
-        # is odd, so u must avoid `banned`
+        # the next slot's fresh points u - union lie inside target iff r is
+        # odd: u holds union and avoids `banned` (one mask test, as the two
+        # are disjoint), so |union| <= |u| <= |room|
         banned = ~(union | target) if r % 2 else target & ~union
+        keep = union | banned
+        room = larger_first[0] & ~banned  # the largest open is the carrier
         below = dead[r - 1]
-        for u in larger_first:
+        lo = bisect_left(sizes, -room.bit_count())
+        for u in larger_first[lo : bisect_right(sizes, -union.bit_count())]:
             if (
-                u & union == union
-                and not u & banned
+                u & keep == union
                 and u not in below
-                and _finishes(r - 1, u, target, larger_first, dead, budget)
+                and _finishes(r - 1, u, target, larger_first, sizes, dead, budget)
             ):
                 return True
     dead[r].add(union)

@@ -83,11 +83,10 @@ class FinitePoset:
         up = [1 << i for i in range(n)]
         for lo, hi in cover_pairs:
             up[lo] |= 1 << hi
-        # Warshall closure over the up masks.
+        # Warshall closure over the up masks, one pass over the rows per k.
         for k in range(n):
-            for i in range(n):
-                if (up[i] >> k) & 1:
-                    up[i] |= up[k]
+            bit, above = 1 << k, up[k]
+            up = [u | above if u & bit else u for u in up]
         return FinitePoset(n, up)
 
     @staticmethod
@@ -120,26 +119,27 @@ class FinitePoset:
         return m
 
     def opens(self):
-        """All open sets, sorted by (size, mask).  Cached.
-
-        A depth-first search decides the points 0..n-1 in turn, carrying
-        the points decided inside and outside.  Putting point i inside
-        adds up[i]; leaving it out adds down[i] to the outside.  Points
-        already decided are skipped.  Neither choice can clash with an
-        earlier one, since a point above i left out, or below i put in,
-        would have decided i.  So every leaf is an up-set, each up-set
-        is reached once, and the cost follows the number of opens, not
-        2^n.
-        """
+        """All open sets, sorted by (size, mask).  Cached.  They grow a
+        point at a time, `tops_first`: point x joins exactly the up-sets
+        found so far that hold every point strictly above x.  So each is
+        built once, and the cost follows the number of opens, not 2^n."""
         try:
             return self._opens
         except AttributeError:
             pass
-        found = []
-        _grow_up_sets(self.up, self.down, 0, 0, 0, found)
-        found.sort(key=lambda m: (popcount(m), m))
+        found = [0]
+        for x in self.tops_first:
+            bit, above = 1 << x, self.up[x] ^ 1 << x
+            found += [u | bit for u in found if u & above == above]
+        found.sort()
+        found.sort(key=int.bit_count)
         self._opens = found
         return found
+
+    @functools.cached_property
+    def tops_first(self):
+        """The points by ascending |up|, a reverse linear extension."""
+        return sorted(range(self.n), key=[u.bit_count() for u in self.up].__getitem__)
 
     def least_element(self):
         for i in range(self.n):
@@ -148,17 +148,21 @@ class FinitePoset:
         return None
 
     def height(self):
-        """Number of elements in a longest chain.  Cached."""
+        """Number of elements in a longest chain: the rounds that peel
+        the maximal points off what is left, one layer each.  Cached."""
         try:
             return self._height
         except AttributeError:
             pass
-        memo = [0] * self.n
-        for i in sorted(range(self.n), key=lambda i: popcount(self.up[i])):
-            above = [memo[j] for j in bits(self.up[i]) if j != i]
-            memo[i] = 1 + max(above, default=0)
-        self._height = max(memo, default=0)
-        return self._height
+        height, left = 0, self.carrier
+        while left:
+            height += 1
+            below = 0
+            for x in bits(left):
+                below |= self.down[x] ^ (1 << x)
+            left = below
+        self._height = height
+        return height
 
     # -- surgery ----------------------------------------------------------
 
@@ -248,20 +252,6 @@ def random_poset(n, rng_or_seed, edge_prob=0.35):
             if rng.random() < edge_prob:
                 pairs.append((order[a], order[b]))
     return FinitePoset.from_cover(n, pairs)
-
-
-def _grow_up_sets(up, down, i, inside, outside, found):
-    """FinitePoset.opens' search from point i on.  A module function,
-    not a closure: a recursive closure is a reference cycle that keeps
-    its lists alive until the garbage collector runs."""
-    decided = inside | outside
-    while i < len(up) and (decided >> i) & 1:
-        i += 1
-    if i == len(up):
-        found.append(inside)
-        return
-    _grow_up_sets(up, down, i + 1, inside | up[i], outside, found)
-    _grow_up_sets(up, down, i + 1, inside, outside | down[i], found)
 
 
 def all_posets_upto_iso(n):

@@ -446,8 +446,11 @@ class PSpaceModel(SpaceModel):
         j = self.least_ll_above(i, x)
         if j == i or rng.randrange(2):
             # jitter with a fresh element; ll(i, .) is upward closed
-            # above i, so the relation survives
-            j |= 1 << (j.bit_length() + rng.randrange(3))
+            # above i, so the relation survives, but the cone can force
+            # a row with no witness, so keep it only when it has a point
+            jittered = j | 1 << (j.bit_length() + rng.randrange(3))
+            if self.some_point_in(jittered) is not None:
+                j = jittered
         return j
 
     def candidate_indices(self, limit):

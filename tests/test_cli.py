@@ -164,6 +164,23 @@ def test_play_finds_a_point_that_needs_a_row_witness(capsys):
     assert 0 in t["witness"]["core"]
 
 
+def test_play_keeps_empty_moves_legal_on_a_witnessless_row(capsys):
+    # Empty's random move may not jitter into a cone that forces the
+    # last row, which has no witness: that move would be illegal
+    model = json.dumps({"kind": "clauses", "rows": [
+        {"alpha": [0], "witnesses": [[1], [2, 3]]},
+        {"alpha": [1], "witnesses": [[4]]},
+        {"alpha": [], "witnesses": [[5], [7, 9]]},
+        {"alpha": [2, 6], "witnesses": []},
+    ]})
+    argv = ("play", "--model", model, "--empty", "deepening", "--first", "6",
+            "--rounds", "8", "--seed", "15")
+    code, rep = run_cli(capsys, *argv)
+    assert code == 0
+    t = rep["outputs"]["transcript"]
+    assert (t["outcome"], t["reason"]) == ("NONEMPTY_WINS", "limit point certified")
+
+
 ANTICHAIN2 = '{"kind": "poset", "poset": {"n": 2, "cover": []}}'
 NO_POINTS = '{"kind": "clauses", "rows": [{"alpha": [], "witnesses": []}]}'
 

@@ -235,21 +235,116 @@ def test_level_search_budget():
         level_bruteforce(p, 0b010, max_nodes=2)
 
 
-def test_bruteforce_classifier_imports_no_other_classifier():
-    # the brute-force search is the independent check on the residue
-    # and tree classifiers, so it must not be built from them
-    path = pathlib.Path(hierkit.diff_hierarchy.__file__)
-    imported = set()
-    for node in ast.walk(ast.parse(path.read_text())):
+def unbanded_level(poset, target_mask):
+    """Reference: the level search with no size band, scanning every
+    open at every state.  (level, states expanded)."""
+    cap = poset.height() + 1
+    larger_first = poset.opens()[::-1]
+    dead = [set() for _ in range(cap + 1)]
+    nodes = 0
+    target = target_mask & poset.carrier
+
+    def finishes(r, union):
+        nonlocal nodes
+        nodes += 1
+        if r == 0:
+            if not target & ~union:
+                return True
+        else:
+            banned = ~(union | target) if r % 2 else target & ~union
+            for u in larger_first:
+                if (
+                    u & union == union
+                    and not u & banned
+                    and u not in dead[r - 1]
+                    and finishes(r - 1, u)
+                ):
+                    return True
+        dead[r].add(union)
+        return False
+
+    return next((n, nodes) for n in range(cap + 1) if finishes(n, 0))
+
+
+def assert_band_changes_no_state(p, mask):
+    # the least passing max_nodes is the number of states expanded
+    level, nodes = unbanded_level(p, mask)
+    assert level_bruteforce(p, mask, max_nodes=nodes) == level
+    with pytest.raises(SearchBudgetExceeded):
+        level_bruteforce(p, mask, max_nodes=nodes - 1)
+
+
+def test_size_band_expands_the_same_states():
+    for p in [FinitePoset(0, [])] + [q for n in range(1, 5) for q in all_posets_upto_iso(n)]:
+        for mask in range(1 << p.n):
+            assert_band_changes_no_state(p, mask)
+    rng = random.Random("size band")
+    for _ in range(150):
+        p = random_poset(rng.randint(1, 12), rng, rng.random())
+        assert_band_changes_no_state(p, rng.randrange(1 << p.n))
+
+
+CLASSIFIERS = ("diff_hierarchy", "residues", "alt_trees")
+SEARCH = {"level_bruteforce", "sigma_pi_levels", "_finishes"}
+
+
+def classifier_leaks(source, module):
+    """'line name' for each place where the classifier `module` reaches
+    another classifier: an import of residues or alt_trees (other than
+    itself), or of a brute-force search function by name, or a read of
+    one as an attribute.  diff_hierarchy's code helpers stay allowed."""
+    others = {"residues", "alt_trees"} - {module}
+    found = []
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
-            imported.update(a.name for a in node.names)
+            names = [a.name for a in node.names]
         elif isinstance(node, ast.ImportFrom):
-            imported.add(node.module or "")
-            imported.update("%s.%s" % (node.module, a.name) for a in node.names)
-    assert imported
-    assert not [
-        m for m in imported if {"residues", "alt_trees"} & set(m.split("."))
-    ]
+            base = node.module or ""
+            names = [base, *("%s.%s" % (base, a.name) for a in node.names)]
+        elif isinstance(node, ast.Attribute) and node.attr in SEARCH:
+            names = [node.attr]
+        else:
+            continue
+        found += [
+            "%d %s" % (node.lineno, name.lstrip("."))
+            for name in names
+            if (others | SEARCH) & set(name.split("."))
+        ]
+    return found
+
+
+def test_bruteforce_classifier_imports_no_other_classifier():
+    # the three classifiers are required to agree, so none may be built
+    # from another: the brute-force search imports neither of the other
+    # two, and they import neither each other nor the search
+    here = pathlib.Path(hierkit.diff_hierarchy.__file__)
+    for module in CLASSIFIERS:
+        source = here.with_name(module + ".py").read_text()
+        assert any(isinstance(n, ast.ImportFrom) for n in ast.walk(ast.parse(source)))
+        assert classifier_leaks(source, module) == [], module
+
+
+@pytest.mark.parametrize(
+    "module, source, expected",
+    [
+        ("diff_hierarchy", "from hierkit.residues import residue_levels\n",
+         ["1 hierkit.residues", "1 hierkit.residues.residue_levels"]),
+        ("diff_hierarchy", "import hierkit.alt_trees as t\n", ["1 hierkit.alt_trees"]),
+        ("residues", "from hierkit import alt_trees\n", ["1 hierkit.alt_trees"]),
+        ("alt_trees", "from . import residues\n", ["1 residues"]),
+        ("alt_trees", "x = 1\nfrom hierkit.diff_hierarchy import sigma_pi_levels\n",
+         ["2 hierkit.diff_hierarchy.sigma_pi_levels"]),
+        ("residues", "from .diff_hierarchy import _finishes\n",
+         ["1 diff_hierarchy._finishes"]),
+        ("residues", "from hierkit import diff_hierarchy\ndiff_hierarchy.level_bruteforce\n",
+         ["2 level_bruteforce"]),
+        ("residues", "from hierkit.diff_hierarchy import code_from_masks, denote_mask\n", []),
+        ("residues", "from hierkit.residues import residue_levels\n", []),
+        ("alt_trees", "from hierkit.finite_space import bits\n", []),
+    ],
+)
+def test_the_classifier_guard_flags_what_it_should(module, source, expected):
+    assert classifier_leaks(source, module) == expected
 
 
 @given(st.integers(1, 5), st.integers(0, 10**6))

@@ -1,6 +1,9 @@
+import functools
 import itertools
 import math
+import operator
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -181,6 +184,76 @@ def test_opens_match_mask_scan_on_chains_and_antichains(n):
         assert p.opens() == scan_opens(p)
     assert len(FinitePoset.chain(n).opens()) == n + 1
     assert len(FinitePoset.antichain(n).opens()) == 1 << n
+
+
+def longest_chain(p):
+    """Reference: the most points of a chain starting at each point, by
+    memoized recursion over the points strictly above it."""
+
+    @functools.cache
+    def from_(i):
+        return 1 + max((from_(j) for j in bits(p.up[i]) if j != i), default=0)
+
+    return max(map(from_, range(p.n)), default=0)
+
+
+def fixpoint_closure(n, pairs):
+    """Reference: the up masks of the edges, grown by the up masks of
+    their members until nothing changes."""
+    up = [1 << i for i in range(n)]
+    for lo, hi in pairs:
+        up[lo] |= 1 << hi
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            grown = functools.reduce(operator.or_, (up[j] for j in bits(up[i])), up[i])
+            if grown != up[i]:
+                up[i], changed = grown, True
+    return up
+
+
+def kernel_posets():
+    """Every poset of up to 5 points, then 150 seeded random ones of up
+    to 12 points at random densities."""
+    for n in range(6):
+        yield from all_posets_upto_iso(n)
+    rng = random.Random("kernels")
+    for _ in range(150):
+        yield random_poset(rng.randint(0, 12), rng, rng.random())
+
+
+def test_opens_and_height_match_their_references():
+    for p in kernel_posets():
+        assert p.opens() == scan_opens(p), p
+        assert p.height() == longest_chain(p), p
+
+
+def test_opens_of_the_16_point_antichain():
+    p = FinitePoset.antichain(16)
+    assert len(p.opens()) == 65_536
+    assert p.opens() == scan_opens(p)
+    assert p.height() == 1
+
+
+def test_from_cover_matches_a_fixpoint_closure():
+    # random edge lists in both directions, so about a third hold a
+    # cycle; those must fail with the message the closed relation fails
+    # with
+    rng = random.Random("closure")
+    failed = 0
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(2 * n))]
+        try:
+            want = FinitePoset(n, fixpoint_closure(n, pairs))
+        except ValueError as e:
+            failed += 1
+            with pytest.raises(ValueError, match="^%s$" % re.escape(str(e))):
+                FinitePoset.from_cover(n, pairs)
+        else:
+            assert FinitePoset.from_cover(n, pairs) == want
+    assert 100 < failed < 300
 
 
 @pytest.mark.parametrize("n", range(5))

@@ -417,7 +417,9 @@ class _FrozenModel:
             raise ValueError("cannot extend an empty basic open")
         j = self.least_ll_above(i, x)
         if j == i or rng.randrange(2):
-            j |= 1 << (max(bits(j), default=-1) + 1 + rng.randrange(3))
+            jittered = j | 1 << (max(bits(j), default=-1) + 1 + rng.randrange(3))
+            if self.some_point_in(jittered) is not None:
+                j = jittered
         return j
 
 
@@ -481,16 +483,38 @@ def test_bitmask_sets_match_the_frozenset_code(name):
         if i < 128 and m.some_point_in(i) is not None:
             chain = [i]
             for seed in range(4):
-                # a jittered step may force a row that has no witness
-                step = _outcome(m.random_ll_successor, chain[-1], random.Random(seed))
-                assert step == _outcome(ref.random_ll_successor, chain[-1], random.Random(seed))
-                if type(step) is not int:
-                    break
+                # every step keeps a point, so the next one can start
+                step = m.random_ll_successor(chain[-1], random.Random(seed))
+                assert step == ref.random_ll_successor(chain[-1], random.Random(seed))
                 chain.append(step)
             for c in (chain, chain[:2], [i, i], [i, rng.choice(indices)]):
                 got = _outcome(m.chain_limit, c)
                 want = _outcome(ref.chain_limit, c)
                 assert (_frozen(got) if type(got) is SetPoint else got) == want
+
+
+def test_random_ll_successor_keeps_a_point():
+    # the jitter of cone 6 = {1, 2} under _SAMPLE_ROWS would be 86 =
+    # {1, 2, 4, 6}, which forces the witnessless last row
+    m = PSpaceModel(ClauseSystem(_SAMPLE_ROWS))
+    assert m.some_point_in(86) is None
+    assert m.random_ll_successor(6, random.Random(0)) == 22
+    # on seeded random clause systems, witnessless rows included, every
+    # random successor is ll-above its cone and has a point
+    rng = random.Random(20)
+    for _ in range(60):
+        rows = [
+            (rng.sample(range(6), rng.randrange(3)),
+             [rng.sample(range(9), rng.randint(1, 2)) for _ in range(rng.randrange(3))])
+            for _ in range(rng.randint(1, 4))
+        ]
+        m = PSpaceModel(ClauseSystem(rows))
+        for i in range(128):
+            if m.some_point_in(i) is None:
+                continue
+            for seed in range(3):
+                j = m.random_ll_successor(i, random.Random(seed))
+                assert m.ll(i, j) and m.some_point_in(j) is not None, (rows, i, seed)
 
 
 def test_least_ll_above_is_exact_past_the_tail_window():
