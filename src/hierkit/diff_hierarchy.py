@@ -133,10 +133,25 @@ class SearchBudgetExceeded(Exception):
     pass
 
 
-def level_bruteforce(poset, target_mask, cap=None, max_nodes=2_000_000):
+@dataclass
+class Budget:
+    """The step count of one bounded search.  Each step calls spend();
+    the first step past `limit` raises SearchBudgetExceeded(message)."""
+
+    limit: int
+    message: str
+    used: int = 0
+
+    def spend(self):
+        self.used += 1
+        if self.used > self.limit:
+            raise SearchBudgetExceeded(self.message)
+
+
+def level_bruteforce(poset, target_mask, max_nodes=2_000_000):
     """Least n such that target is D_n of a <=-increasing n-tuple of
-    opens.  Existence is guaranteed at n = height + 1, which is the
-    default cap.  Only monotone sequences are searched; that loses no
+    opens.  Existence is guaranteed at n = height + 1, where the search
+    stops.  Only monotone sequences are searched; that loses no
     generality because cumulative unions preserve the denotation.
 
     The search runs over states (r, U): r slots are left to fill and U
@@ -145,9 +160,9 @@ def level_bruteforce(poset, target_mask, cap=None, max_nodes=2_000_000):
     iff r is odd, whatever n is, and after the last slot the target
     must lie in U.  So whether a state can finish depends on (r, U)
     alone, not on n or on the path that reached it, and one set of
-    dead states serves every n from 0 to cap.  A node is one expanded
-    state, r = 0 leaves included; no state is expanded twice, so a
-    call uses at most (cap + 1) * |opens| nodes.
+    dead states serves every n from 0 to height + 1.  A node is one
+    expanded state, r = 0 leaves included; no state is expanded twice,
+    so a call uses at most (height + 2) * |opens| nodes.
 
     Candidate opens are tried largest first, so a feasible level
     succeeds on its first branch, while an infeasible one is still
@@ -158,14 +173,14 @@ def level_bruteforce(poset, target_mask, cap=None, max_nodes=2_000_000):
     Each state scans only the opens sized between its union and the room
     its slot leaves; every other open fails the slot's test anyway.
 
-    Raises SearchBudgetExceeded past max_nodes search states.
+    Raises SearchBudgetExceeded("<max_nodes + 1>") past max_nodes states.
     """
-    if cap is None:
-        cap = poset.height() + 1
+    cap = poset.height() + 1
     larger_first = poset.opens()[::-1]
     sizes = list(map(operator.neg, map(int.bit_count, larger_first)))
     dead = [set() for _ in range(cap + 1)]
-    budget = [0, max_nodes]
+    # a bare state count, because bench/oracle.py reads it as an integer
+    budget = Budget(max_nodes, str(max_nodes + 1))
     target = target_mask & poset.carrier
     for n in range(cap + 1):
         if _finishes(n, 0, target, larger_first, sizes, dead, budget):
@@ -179,12 +194,10 @@ def level_bruteforce(poset, target_mask, cap=None, max_nodes=2_000_000):
 def _finishes(r, union, target, larger_first, sizes, dead, budget):
     """Whether r more slots above `union` can complete a code of `target`;
     if not, `union` joins dead[r].  sizes[k] = -|larger_first[k]| ascends,
-    so a size band is a bisected slice.  budget[0] counts expanded states
-    against budget[1].  A module function, not a closure, so that no
-    reference cycle keeps `dead` alive."""
-    budget[0] += 1
-    if budget[0] > budget[1]:
-        raise SearchBudgetExceeded(budget[0])
+    so a size band is a bisected slice.  Each call expands one state and
+    spends one unit of `budget`.  A module function, not a closure, so
+    that no reference cycle keeps `dead` alive."""
+    budget.spend()
     if r == 0:
         if not target & ~union:
             return True
@@ -208,8 +221,6 @@ def _finishes(r, union, target, larger_first, sizes, dead, budget):
     return False
 
 
-def sigma_pi_levels(poset, mask, **kw):
+def sigma_pi_levels(poset, mask):
     """(least D-level, least co-D-level) by brute force."""
-    sigma = level_bruteforce(poset, mask, **kw)
-    pi = level_bruteforce(poset, poset.carrier & ~mask, **kw)
-    return sigma, pi
+    return level_bruteforce(poset, mask), level_bruteforce(poset, poset.carrier & ~mask)

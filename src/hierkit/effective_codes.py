@@ -36,7 +36,7 @@ import functools
 from dataclasses import dataclass
 
 from hierkit.alt_trees import WfTree
-from hierkit.diff_hierarchy import DiffCode, SearchBudgetExceeded, embed_co
+from hierkit.diff_hierarchy import Budget, DiffCode, embed_co
 from hierkit.jsonin import fields, integer, list_of, tagged
 from hierkit.ordinals import Ordinal, text
 from hierkit.space_models import index_visible, staged_ll
@@ -502,7 +502,8 @@ def build_alt_tree(pres, model, stage_budget, node_cap=50_000):
 
     A node's children depend only on its last pair and type, so each
     such key's child list is searched once and the tree is the unfolding
-    of that keyed DAG; `node_cap` counts unfolded nodes.  A key's search
+    of that keyed DAG; each unfolded node spends one unit of a `node_cap`
+    budget, and the node past it raises SearchBudgetExceeded.  A key's search
     starts past the typed pairs whose index is at most its own, found by
     bisection.  Child lists are in ascending (index, stage) order and
     the walk adds each node after its children, so `nodes` comes out in
@@ -555,16 +556,11 @@ def build_alt_tree(pres, model, stage_budget, node_cap=50_000):
         return out
 
     nodes = {}
-    unfolded = 0
+    budget = Budget(node_cap, "alternating tree exceeded %d nodes" % node_cap)
 
     def extend(prefix, key):
-        nonlocal unfolded
         for pair, value in kids(key):
-            if unfolded >= node_cap:
-                raise SearchBudgetExceeded(
-                    "alternating tree exceeded %d nodes" % node_cap
-                )
-            unfolded += 1
+            budget.spend()
             seq = prefix + (pair,)
             extend(seq, pair + value[:1])
             nodes[seq] = value

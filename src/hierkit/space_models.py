@@ -42,6 +42,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
+from hierkit.diff_hierarchy import Budget, SearchBudgetExceeded
 from hierkit.finite_space import FinitePoset, bits, mask_of
 from hierkit.jsonin import (
     ALPHABET,
@@ -859,19 +860,14 @@ class BaireResult:
 
 def _least_ll_successor(model, i, budget, inside=None):
     """Least basic j with ll(i, j), optionally inside a union, in the
-    model's candidate order.  Returns (index or None, steps used, hit the
-    hard budget); one candidate past the budget tells a cut search apart."""
-    steps = 0
-    for j in model.candidate_indices(budget + 1):
-        steps += 1
-        if steps > budget:
-            return None, steps, True
-        if not model.ll(i, j):
-            continue
-        if inside is not None and not model.union_subset(j, inside):
-            continue
-        return j, steps, False
-    return None, steps, False
+    model's candidate order, or None once the candidates run out.  Each
+    candidate spends one unit of `budget`, which stops the search within
+    budget.limit + 1 candidates."""
+    for j in model.candidate_indices(budget.limit + 1):
+        budget.spend()
+        if model.ll(i, j) and (inside is None or model.union_subset(j, inside)):
+            return j
+    return None
 
 
 def baire_witness(model, dense, o, budget=10_000):
@@ -886,36 +882,32 @@ def baire_witness(model, dense, o, budget=10_000):
     ll-successor) or shows the current open still meets the closed
     part; an open that does neither is a density violation at that
     round.  The final point is re-verified against the target and
-    every constraint."""
-    steps = 0
-    o0, used, capped = _least_ll_successor(model, o, budget)
-    steps += used
-    if o0 is None:
-        return BaireResult("BUDGET_EXCEEDED" if capped else "DENSITY_VIOLATION", [])
-    chain = [o0]
-    for n in range(2 * len(dense)):
-        j = n % len(dense)
-        u_part, f_part = dense[j]
-        w, used, capped = _least_ll_successor(model, chain[-1], budget - steps)
-        steps += used
-        if w is None:
-            return BaireResult("BUDGET_EXCEEDED", chain)
-        if u_part:
-            w_star, used, capped = _least_ll_successor(
-                model, w, budget - steps, inside=u_part
-            )
-            steps += used
-        else:
-            w_star, capped = None, False
-        if w_star is None:
-            if capped:
+    every constraint.
+
+    Every least-successor search spends from one budget of `budget`
+    candidate steps.  Running out, or a chain open with no ll-successor,
+    is BUDGET_EXCEEDED with the chain so far; a target with none is a
+    DENSITY_VIOLATION with no failed index."""
+    steps = Budget(budget, "chain search exhausted budget %d" % budget)
+    chain = []
+    try:
+        o0 = _least_ll_successor(model, o, steps)
+        if o0 is None:
+            return BaireResult("DENSITY_VIOLATION", chain)
+        chain.append(o0)
+        for j, (u_part, f_part) in list(enumerate(dense)) * 2:
+            w = _least_ll_successor(model, chain[-1], steps)
+            if w is None:
                 return BaireResult("BUDGET_EXCEEDED", chain)
+            w_star = _least_ll_successor(model, w, steps, inside=u_part) if u_part else None
             # no way into the open part; the closed part must still
             # meet the current open, i.e. the open cannot sit inside
             # the closed part's complementary union
-            if model.union_subset(w, f_part):
+            if w_star is None and model.union_subset(w, f_part):
                 return BaireResult("DENSITY_VIOLATION", chain, failed_index=j)
-        chain.append(w if w_star is None else w_star)
+            chain.append(w if w_star is None else w_star)
+    except SearchBudgetExceeded:
+        return BaireResult("BUDGET_EXCEEDED", chain)
     x = model.chain_limit(chain)
     if not model.point_in_basic(x, o):  # pragma: no cover
         return BaireResult("DENSITY_VIOLATION", chain, x, failed_index=-1)

@@ -2,6 +2,7 @@
 byte-level determinism, and the error JSON contract."""
 
 import ast
+import functools
 import gc
 import hashlib
 import importlib
@@ -19,6 +20,8 @@ from hypothesis import strategies as st
 
 import hierkit.alt_trees
 import hierkit.cli
+import hierkit.diff_hierarchy
+import hierkit.effective_codes
 from hierkit.cli import main
 from hierkit.finite_space import FinitePoset, random_poset
 from hierkit.space_models import model_from_json
@@ -390,6 +393,30 @@ def test_transform_budget_exit_carries_partial_report(capsys):
     assert rep["error"]["kind"] == "budget"
     assert rep["report"]["verification"]["status"] == "INCOMPLETE"
     assert rep["report"]["verification"]["mismatches"]
+
+
+def test_brute_force_budget_error_is_the_bare_state_count(capsys, monkeypatch):
+    # the benchmark's oracle reads this message back with int()
+    limit = 4
+    monkeypatch.setattr(
+        hierkit.diff_hierarchy, "level_bruteforce",
+        functools.partial(hierkit.diff_hierarchy.level_bruteforce, max_nodes=limit),
+    )
+    code, rep = run_cli(capsys, "classify", "--poset", CHAIN3, "--set", "1", "--method", "brute")
+    assert code == 2
+    assert rep == {"error": {"kind": "budget", "message": str(limit + 1)}}
+
+
+def test_tree_node_budget_error_names_the_cap(capsys, monkeypatch):
+    monkeypatch.setattr(
+        hierkit.effective_codes, "build_alt_tree",
+        functools.partial(hierkit.effective_codes.build_alt_tree, node_cap=3),
+    )
+    code, rep = run_cli(
+        capsys, "transform", "--presentation", '{"kind": "first-one"}', "--budget", "16"
+    )
+    assert code == 2
+    assert rep == {"error": {"kind": "budget", "message": "alternating tree exceeded 3 nodes"}}
 
 
 def _cylinder_points(k, length):

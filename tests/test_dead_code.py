@@ -8,7 +8,9 @@ another hierkit module's `_private` name, as `mod._x` or through
 `from hierkit.mod import _x`: what one module needs of another is
 public.  A third fails when a method that the benchmark's span tracer
 wraps, as listed in `bench/spans.py`, is no longer defined where the
-tracer looks for it.
+tracer looks for it.  A fourth fails when `SearchBudgetExceeded` is
+constructed anywhere but `Budget.spend`: every counted search spends
+from one `Budget` rather than keeping a counter of its own.
 """
 
 import ast
@@ -224,3 +226,66 @@ def test_the_traced_method_guard_flags_what_it_should():
     ]
     with pytest.raises(LookupError):
         traced_methods("HOOKS = {}\n")
+
+
+def _budget_errors(source):
+    """(line, scope) for each call that constructs SearchBudgetExceeded,
+    by name or by an import alias; scope names the enclosing classes and
+    functions, joined by dots."""
+    tree = ast.parse(source)
+    names = {"SearchBudgetExceeded"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update(a.asname for a in node.names if a.name in names and a.asname)
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif isinstance(child, ast.Call):
+                func = child.func
+                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if called in names:
+                    found.append((child.lineno, ".".join(scope) or "<module>"))
+            visit(child, inner)
+
+    visit(tree, ())
+    return found
+
+
+def budget_errors_outside_spend(source, name="<module>"):
+    """'file:line scope' for each construction of SearchBudgetExceeded
+    anywhere but Budget.spend."""
+    return [
+        "%s:%d %s" % (name, line, scope)
+        for line, scope in _budget_errors(source)
+        if scope != "Budget.spend"
+    ]
+
+
+def test_only_budget_spend_raises_the_budget_error():
+    sites = [
+        (path.name, scope) for path in SOURCES for _, scope in _budget_errors(path.read_text())
+    ]
+    assert sites == [("diff_hierarchy.py", "Budget.spend")]
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("class Budget:\n    def spend(self):\n        raise SearchBudgetExceeded(m)\n", []),
+        ("def search():\n    raise SearchBudgetExceeded(3)\n", ["<module>:2 search"]),
+        ("class Budget:\n    def check(self):\n        raise SearchBudgetExceeded(m)\n",
+         ["<module>:3 Budget.check"]),
+        ("def f():\n    def g():\n        raise dh.SearchBudgetExceeded('x')\n",
+         ["<module>:3 f.g"]),
+        ("from hierkit.diff_hierarchy import SearchBudgetExceeded as Cut\nerr = Cut('x')\n",
+         ["<module>:2 <module>"]),
+        ("def f():\n    try:\n        g()\n    except SearchBudgetExceeded:\n        pass\n", []),
+        ("def f():\n    Budget(3, 'x').spend()\n", []),
+    ],
+)
+def test_the_budget_error_guard_flags_what_it_should(source, expected):
+    assert budget_errors_outside_spend(source) == expected

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hierkit
-from hierkit.finite_space import FinitePoset, all_posets_upto_iso, bits, mask_of
+from hierkit.finite_space import FinitePoset, all_posets_upto_iso, bits, mask_of, random_poset
 from hierkit.space_models import (
     INF,
     NOT_A_CLAUSE,
@@ -827,6 +827,103 @@ def test_baire_result_serialization():
     r = BaireResult("VERIFIED", [1, 2], CylPoint((0,), (0,)))
     data = r.to_json(CylinderModel(2))
     assert data["outcome"] == "VERIFIED" and data["point"]["prefix"] == [0]
+
+
+def _threaded_least(model, i, budget, inside=None):
+    """Reference: the least-successor search with its own step count,
+    (index or None, steps used, cut by the budget)."""
+    steps = 0
+    for j in model.candidate_indices(budget + 1):
+        steps += 1
+        if steps > budget:
+            return None, steps, True
+        if not model.ll(i, j):
+            continue
+        if inside is not None and not model.union_subset(j, inside):
+            continue
+        return j, steps, False
+    return None, steps, False
+
+
+def _threaded_baire(model, dense, o, budget):
+    """Reference: the chain search with the remaining budget threaded
+    through return tuples.  (result, how a search ended the run: "first
+    cut", "first empty", "w cut", "w empty", "w* cut" or None)."""
+    steps = 0
+    o0, used, capped = _threaded_least(model, o, budget)
+    steps += used
+    if o0 is None:
+        if capped:
+            return BaireResult("BUDGET_EXCEEDED", []), "first cut"
+        return BaireResult("DENSITY_VIOLATION", []), "first empty"
+    chain = [o0]
+    for n in range(2 * len(dense)):
+        j = n % len(dense)
+        u_part, f_part = dense[j]
+        w, used, capped = _threaded_least(model, chain[-1], budget - steps)
+        steps += used
+        if w is None:
+            return BaireResult("BUDGET_EXCEEDED", chain), "w cut" if capped else "w empty"
+        if u_part:
+            w_star, used, capped = _threaded_least(model, w, budget - steps, inside=u_part)
+            steps += used
+        else:
+            w_star, capped = None, False
+        if w_star is None:
+            if capped:
+                return BaireResult("BUDGET_EXCEEDED", chain), "w* cut"
+            if model.union_subset(w, f_part):
+                return BaireResult("DENSITY_VIOLATION", chain, failed_index=j), None
+        chain.append(w if w_star is None else w_star)
+    x = model.chain_limit(chain)
+    if not model.point_in_basic(x, o):
+        return BaireResult("DENSITY_VIOLATION", chain, x, failed_index=-1), None
+    for j, (u_part, f_part) in enumerate(dense):
+        if not (model.point_in_union(x, u_part) or not model.point_in_union(x, f_part)):
+            return BaireResult("DENSITY_VIOLATION", chain, x, failed_index=j), None
+    return BaireResult("VERIFIED", chain, x), None
+
+
+class _DeadEndModel(FinitePosetModel):
+    """A poset model in which only the whole space has ll-successors, so
+    a chain that leaves it meets an open without one."""
+
+    def ll(self, i, j):
+        return i == self.whole_index() and super().ll(i, j)
+
+
+def _baire_cases():
+    """Seeded (model, dense list, target) triples on every model kind.
+    Poset targets include the empty open, which has no ll-successor."""
+    rng = random.Random(21)
+    models = [CylinderModel(2), CylinderModel(3), pinf_model(16), pn_model(),
+              PSpaceModel(ClauseSystem(_SAMPLE_ROWS))]
+    models += [FinitePosetModel(random_poset(n, rng)) for n in (3, 4, 5, 6)]
+    models.append(_DeadEndModel(random_poset(4, rng)))
+    for m in models:
+        for k in range(8):
+            dense = [
+                (tuple(m.random_open(rng) for _ in range(rng.randrange(3))),
+                 tuple(m.random_open(rng) for _ in range(rng.randrange(2))))
+                for _ in range(rng.randrange(1, 4))
+            ]
+            target = m.random_open(rng)
+            if isinstance(m, FinitePosetModel) and k == 0:
+                target = m.whole_index() if isinstance(m, _DeadEndModel) else 0
+            yield m, dense, target
+
+
+def test_one_budget_stops_the_chain_search_where_threaded_steps_did():
+    outcomes, endings = set(), set()
+    for m, dense, target in _baire_cases():
+        for budget in range(1, 121):
+            want, ending = _threaded_baire(m, dense, target, budget)
+            got = baire_witness(m, dense, target, budget=budget)
+            assert got.to_json(m) == want.to_json(m), (m.to_json(), dense, target, budget)
+            outcomes.add(want.outcome)
+            endings.add(ending)
+    assert outcomes == {"VERIFIED", "DENSITY_VIOLATION", "BUDGET_EXCEEDED"}
+    assert endings == {"first cut", "first empty", "w cut", "w empty", "w* cut", None}
 
 
 # -- symbolic points and serialization --------------------------------------
