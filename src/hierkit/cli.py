@@ -143,9 +143,27 @@ def _key_text(key):
     raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
-def _emit(x, lead, indent, out):
+class _Separators(dict):
+    """Per nesting depth, built on first use: the lead of a container's
+    first item, of each later item, and the text before its closing
+    bracket.  The strings depend on the depth alone, so one table
+    serves every report."""
+
+    def __missing__(self, depth):
+        inner = "\n" + "  " * (depth + 1)
+        seps = self[depth] = (inner, "," + inner, "\n" + "  " * depth)
+        return seps
+
+
+_SEPARATORS = _Separators()
+
+
+def _emit(x, lead, depth, out, keys):
     """Append x's text to out, `lead` (separator, newline, indent and
-    key) joined onto its first piece."""
+    key) joined onto its first piece.  A container at `depth` takes its
+    separators from `_SEPARATORS` and appends its int and str items
+    directly; `keys` maps each str key already written to its quoted
+    form and the ": " after it."""
     t = type(x)
     if t is str:
         out.append(lead + _quote(x))
@@ -155,24 +173,40 @@ def _emit(x, lead, indent, out):
         if not x:
             out.append(lead + "[]")
             return
-        inner = indent + "  "
+        lead_item, sep, close = _SEPARATORS[depth]
         out.append(lead + "[")
-        sep = "\n" + inner
         for item in x:
-            _emit(item, sep, inner, out)
-            sep = ",\n" + inner
-        out.append("\n" + indent + "]")
+            t = type(item)
+            if t is int:
+                out.append(lead_item + _int_text(item))
+            elif t is str:
+                out.append(lead_item + _quote(item))
+            else:
+                _emit(item, lead_item, depth + 1, out, keys)
+            lead_item = sep
+        out.append(close + "]")
     elif isinstance(x, dict):
         if not x:
             out.append(lead + "{}")
             return
-        inner = indent + "  "
+        lead_item, sep, close = _SEPARATORS[depth]
         out.append(lead + "{")
-        sep = "\n" + inner
         for key, value in sorted(x.items()):
-            _emit(value, sep + _quote(_key_text(key)) + ": ", inner, out)
-            sep = ",\n" + inner
-        out.append("\n" + indent + "}")
+            if type(key) is str:
+                key_text = keys.get(key)
+                if key_text is None:
+                    key_text = keys[key] = _quote(key) + ": "
+            else:
+                key_text = _quote(_key_text(key)) + ": "
+            t = type(value)
+            if t is int:
+                out.append(lead_item + key_text + _int_text(value))
+            elif t is str:
+                out.append(lead_item + key_text + _quote(value))
+            else:
+                _emit(value, lead_item + key_text, depth + 1, out, keys)
+            lead_item = sep
+        out.append(close + "}")
     else:
         out.append(lead + _scalar_text(x))
 
@@ -183,9 +217,12 @@ def _report_text(obj):
     With ``indent`` set, json runs its generator-based pure-Python
     encoder; this builds one piece per scalar (its separator and key
     joined on) into a single list, quoting strings with json's C
-    routine, and joins once.  Circular structures are not detected."""
+    routine, and joins once.  Separators are built once per depth and
+    each str key is quoted once per call; int and str items are written
+    without a call of their own.  Circular structures are not
+    detected."""
     out = []
-    _emit(obj, "", "", out)
+    _emit(obj, "", 0, out, {})
     return "".join(out)
 
 

@@ -39,7 +39,7 @@ from hierkit.alt_trees import WfTree
 from hierkit.diff_hierarchy import Budget, DiffCode, embed_co
 from hierkit.jsonin import fields, integer, list_of, tagged
 from hierkit.ordinals import Ordinal, text
-from hierkit.space_models import index_visible, staged_ll
+from hierkit.space_models import index_visible
 
 SIGMA = "sigma"
 PI = "pi"
@@ -503,66 +503,62 @@ def build_alt_tree(pres, model, stage_budget, node_cap=50_000):
     A node's children depend only on its last pair and type, so each
     such key's child list is searched once and the tree is the unfolding
     of that keyed DAG; each unfolded node spends one unit of a `node_cap`
-    budget, and the node past it raises SearchBudgetExceeded.  A key's search
-    starts past the typed pairs whose index is at most its own, found by
-    bisection.  Child lists are in ascending (index, stage) order and
-    the walk adds each node after its children, so `nodes` comes out in
-    Kleene-Brouwer order.  The child lists and F values are kept only
-    for the call: the recursive walk is released on return, so no
-    reference cycle holds them for the garbage collector.
+    budget, and the node past it raises SearchBudgetExceeded.  The typed
+    pairs are kept in one ascending list per type.  A key's children
+    come from the list of the other type, past the pairs whose index is
+    at most its own (found by bisection); the root's children are both
+    lists merged, as no pair has two types.  The staged relation is
+    tested as plain `model.ll`: every typed pair is visible at its own
+    stage, the key's index was visible at its stage, which is below the
+    child's, and visibility is monotone in the stage, so both indices
+    are visible at the child's stage.  Child lists are in ascending
+    (index, stage) order and the walk adds each node after its children,
+    so `nodes` comes out in Kleene-Brouwer order.  The child lists and F
+    values are kept only for the call: the recursive walk is released on
+    return, so no reference cycle holds them for the garbage collector.
     """
     stages = stage_ladder(stage_budget)
     pool = _default_pool(pres, model, stage_budget, stages)
 
-    f_memo = {}
-
-    def fvals(m, t):
-        if (m, t) not in f_memo:
-            f_memo[(m, t)] = (
-                compute_F(m, t, 0, pres, model),
-                compute_F(m, t, 1, pres, model),
-            )
-        return f_memo[(m, t)]
-
-    typed = []  # ((m, t), type) for every typed pair, ascending
+    sides = ([], [])  # per type: (pair, (type, F0, F1), child key), ascending
     for t in stages:
         for m in pool:
             if not index_visible(m, t):
                 continue
-            f0, f1 = fvals(m, t)
+            f0 = compute_F(m, t, 0, pres, model)
+            f1 = compute_F(m, t, 1, pres, model)
             if f0 != f1:
-                typed.append(((m, t), 1 if f1 > f0 else 0))
-    typed.sort()
-    typed_m = [m for (m, _), _ in typed]
+                eps = 1 if f1 > f0 else 0
+                sides[eps].append(((m, t), (eps, f0, f1), (m, t, eps)))
+    for side in sides:
+        side.sort()
+    side_m = tuple([pair[0] for pair, _, _ in side] for side in sides)
+    ll = model.ll
 
-    kid_memo = {}
+    # children of any node whose last pair and type form the key, as
+    # (pair, node value, the child's own key), pairs ascending
+    kid_memo = {(None, None, None): sorted(sides[0] + sides[1])}
 
     def kids(key):
-        # children of any node whose last pair and type form `key`, as
-        # (pair, node value), pairs ascending
-        if key in kid_memo:
-            return kid_memo[key]
         last_m, last_t, last_eps = key
-        start = 0 if last_m is None else bisect.bisect_right(typed_m, last_m)
-        out = []
-        for (m, t), eps in typed[start:]:
-            if last_m is not None:
-                if t <= last_t or eps == last_eps:
-                    continue
-                if not staged_ll(model, last_m, m, t):
-                    continue
-            out.append(((m, t), (eps,) + fvals(m, t)))
-        kid_memo[key] = out = tuple(out)
+        other = sides[1 - last_eps]
+        start = bisect.bisect_right(side_m[1 - last_eps], last_m)
+        out = kid_memo[key] = [
+            kid for kid in other[start:] if kid[0][1] > last_t and ll(last_m, kid[0][0])
+        ]
         return out
 
     nodes = {}
     budget = Budget(node_cap, "alternating tree exceeded %d nodes" % node_cap)
 
     def extend(prefix, key):
-        for pair, value in kids(key):
+        out = kid_memo.get(key)
+        if out is None:
+            out = kids(key)
+        for pair, value, child in out:
             budget.spend()
             seq = prefix + (pair,)
-            extend(seq, pair + value[:1])
+            extend(seq, child)
             nodes[seq] = value
 
     try:
@@ -657,7 +653,11 @@ class TransformResult:
         return False
 
     def to_json(self):
+        """The report object.  Each slot's node is its tuple of pairs,
+        which the encoder writes as lists, and the trees share one leaf
+        code object per open, as `hausdorff` does."""
         slots = self.slots
+        leaf_codes = {o: {"nodes": [[], [o]]} for o in {s.open_index for s in slots}}
         return {
             "xi": str(self.xi),
             "budget": self.budget,
@@ -665,7 +665,7 @@ class TransformResult:
             "frontier": len(self.tree.frontier),
             "slots": [
                 {
-                    "node": [list(p) for p in s.seq],
+                    "node": s.seq,
                     "rank": text(*_block_offset(s.block, 1, s.eps)),
                     "type": s.eps,
                     "open": s.open_index,
@@ -676,7 +676,7 @@ class TransformResult:
             "hausdorff": {
                 "order": list(range(len(slots))),
                 "parity_set": [i for i, s in enumerate(slots) if s.eps == 1],
-                "trees": [{"nodes": [[], [s.open_index]]} for s in slots],
+                "trees": [leaf_codes[s.open_index] for s in slots],
             },
         }
 

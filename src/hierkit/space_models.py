@@ -191,8 +191,16 @@ class CylPoint:
             return self.prefix[i]
         return self.cycle[(i - len(self.prefix)) % len(self.cycle)]
 
+    def word(self, n):
+        """The first n letters, as a tuple."""
+        prefix = self.prefix
+        if n <= len(prefix):
+            return prefix[:n]
+        q, r = divmod(n - len(prefix), len(self.cycle))
+        return prefix + self.cycle * q + self.cycle[:r]
+
     def starts_with(self, word):
-        return all(self.letter(i) == a for i, a in enumerate(word))
+        return self.word(len(word)) == tuple(word)
 
     def to_json(self):
         return {"prefix": list(self.prefix), "cycle": list(self.cycle)}
@@ -691,7 +699,7 @@ class CylinderModel(SpaceModel):
         if within is not None:
             cover = [w for j in within for w in self.words(j)]
         for d in range(_MAX_DEPTH + 1):
-            w = tuple(x.letter(i) for i in range(d))
+            w = x.word(d)
             if cover is None or self._covered(w, cover):
                 return self.singleton(w)
         raise SearchExhausted("point has no small enough neighborhood")
@@ -749,12 +757,9 @@ def model_from_json(data):
 
 def index_visible(i, t):
     """Stage-t visibility of a basis index: its bit length fits in t.
-    Monotone in t, so the staged relation only ever grows."""
+    Monotone in t, so the staged relation (ll between indices both
+    visible at stage t) only ever grows."""
     return i.bit_length() <= t
-
-
-def staged_ll(model, i, j, t):
-    return index_visible(i, t) and index_visible(j, t) and model.ll(i, j)
 
 
 # -- relation transport and auditing ----------------------------------------

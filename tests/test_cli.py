@@ -826,6 +826,39 @@ def test_report_text_is_json_dumps_byte_for_byte(obj):
     assert _outcome(hierkit.cli._report_text, obj) == want
 
 
+class _Key(str):
+    pass
+
+
+def _deep_nest(depth):
+    """Lists, tuples and dicts nested `depth` deep, with keys of every
+    type json coerces and one dict object placed at two depths."""
+    shared = {"b": [1, "s", _Key("v")], _Key("a"): (True, None, 1.5, -0.0)}
+    x = shared
+    for d in range(depth):
+        r = d % 7
+        if r == 0:
+            x = [d, x, "t", False]
+        elif r == 1:
+            x = (x, -d, 2.5)
+        elif r == 2:
+            x = {1: x, 2: d, -3: None}
+        elif r == 3:
+            x = {True: x, False: [shared] if d in (3, 150) else []}
+        elif r == 4:
+            x = {None: x}
+        elif r == 5:
+            x = {1.5: x, -0.5: "f", 10.0: ()}
+        else:
+            x = {_Key("k"): x, "j": d, "": {}}
+    return x
+
+
+def test_report_text_matches_json_on_a_deep_mixed_nest():
+    obj = _deep_nest(210)
+    assert hierkit.cli._report_text(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
 def test_report_text_keeps_the_integer_digit_limit():
     # an index past 4,300 digits still fails the way json fails; the
     # deepest cylinder plays depend on it (see ROADMAP)

@@ -11,6 +11,7 @@ families.
 import gc
 import itertools
 import json
+import random
 from collections import Counter
 
 import pytest
@@ -45,14 +46,13 @@ from hierkit.effective_codes import (
     verify_transform,
 )
 from hierkit.alt_trees import WfTree, kb_sorted
-from hierkit.finite_space import FinitePoset
+from hierkit.finite_space import FinitePoset, random_poset
 from hierkit.ordinals import OMEGA, Ordinal
 from hierkit.space_models import (
     CylinderModel,
     CylPoint,
     FinitePosetModel,
     index_visible,
-    staged_ll,
 )
 
 
@@ -593,6 +593,12 @@ def test_transform_is_deterministic():
 # -- keyed tree build and closed-form ranks, against the unkeyed code -------------
 
 
+def staged_ll(model, i, j, t):
+    """ll between two indices both visible at stage t: the staged
+    relation the transform is defined with."""
+    return index_visible(i, t) and index_visible(j, t) and model.ll(i, j)
+
+
 def _reference_tree(pres, model, stage_budget, node_cap=50_000, log=None):
     """build_alt_tree as it was before child lists were keyed by (last
     pair, type): every unfolded node searches its own children.  With
@@ -730,6 +736,41 @@ def test_keyed_transform_matches_the_unkeyed_reference(case):
     assert res.hausdorff.trees == tuple(BorelCode([(), (o,)]) for *_, o in slots)
 
 
+def _random_poset_cases():
+    for seed in range(10):
+        rng = random.Random(seed)
+        model = FinitePosetModel(random_poset(rng.randint(3, 7), rng))
+        count = len(model.opens)
+
+        def rows():
+            return [
+                [rng.randrange(count) for _ in range(rng.randrange(3))]
+                for _ in range(rng.randrange(1, 4))
+            ]
+
+        yield seed, model, "clopen", clopen_presentation(
+            model, rng.randrange(count), rng.randrange(count)
+        )
+        yield seed, model, "rows", rows_presentation(model, rows(), rows())
+
+
+@pytest.mark.parametrize("budget", [4, 8, 16])
+def test_tree_matches_the_reference_on_random_poset_models(budget):
+    # opens are indexed smallest first, so no smaller open has a larger
+    # index and every tree is flat: this checks the merged root list,
+    # its types and F values, and that no key finds a child
+    sizes = []
+    for seed, model, kind, pres in _random_poset_cases():
+        nodes, frontier, violations = _reference_tree(pres, model, budget)
+        tree = build_alt_tree(pres, model, budget)
+        order = [seq for seq in kb_sorted(WfTree(nodes).nodes) if seq]
+        assert list(tree.nodes.items()) == [(seq, nodes[seq]) for seq in order], (seed, kind)
+        assert tree.frontier == frontier
+        assert Counter(tree.growth_violations) == Counter(violations)
+        sizes.append(len(tree))
+    assert sum(map(bool, sizes)) >= 10
+
+
 @pytest.mark.parametrize("cap", [10, 100, 1000])
 def test_node_cap_stops_keyed_and_unkeyed_builds_alike(cap):
     c3 = CylinderModel(3)
@@ -776,7 +817,9 @@ def test_each_key_searches_its_children_once(monkeypatch, k, budget):
     model = CylinderModel(k)
     log = {}
     _reference_tree(first_one_presentation(model), model, budget, log=log)
-    want = [call for calls in log.values() for call in calls]
+    # the build tests model.ll where the reference tests staged_ll: the
+    # same candidates, with the stage implied
+    want = [(i, j) for calls in log.values() for i, j, _ in calls]
 
     calls, in_f = [], []
 
@@ -787,13 +830,15 @@ def test_each_key_searches_its_children_once(monkeypatch, k, budget):
         finally:
             in_f.pop()
 
-    def logging_ll(model, i, j, t):
+    ll = model.ll
+
+    def logging_ll(i, j):
         if not in_f:
-            calls.append((i, j, t))
-        return staged_ll(model, i, j, t)
+            calls.append((i, j))
+        return ll(i, j)
 
     monkeypatch.setattr(effective_codes, "compute_F", counting_F)
-    monkeypatch.setattr(effective_codes, "staged_ll", logging_ll)
+    monkeypatch.setattr(model, "ll", logging_ll)
     tree = build_alt_tree(first_one_presentation(model), model, budget)
     # keys are searched in another order, but each exactly once
     assert Counter(calls) == Counter(want)

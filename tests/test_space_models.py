@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 import hierkit
 from hierkit.finite_space import FinitePoset, all_posets_upto_iso, bits, mask_of, random_poset
 from hierkit.space_models import (
+    _MAX_DEPTH,
     INF,
     NOT_A_CLAUSE,
     SOLVED,
@@ -43,7 +44,6 @@ from hierkit.space_models import (
     model_from_json,
     pinf_model,
     pn_model,
-    staged_ll,
 )
 
 # -- oracles ----------------------------------------------------------------
@@ -575,8 +575,9 @@ def test_staged_relation_grows_with_t():
     for t in range(12):
         for i in idx:
             for j in idx:
-                if staged_ll(m, i, j, t):
-                    assert staged_ll(m, i, j, t + 1)
+                # ll between indices both visible at stage t
+                if index_visible(i, t) and index_visible(j, t) and m.ll(i, j):
+                    assert index_visible(i, t + 1) and index_visible(j, t + 1)
     assert index_visible(0, 0) and not index_visible(2, 1)
 
 
@@ -757,6 +758,74 @@ def test_cylinder_points_and_searches():
     y = CylPoint((1,), (0,))
     with pytest.raises(Exception):
         m.least_ll_above(c, y)
+
+
+def _letters(x, n):
+    # the letter-by-letter definition of a point's first n letters
+    return tuple(x.letter(i) for i in range(n))
+
+
+def _seeded_cyl_points(k, seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        prefix = [rng.randrange(k) for _ in range(rng.randrange(5))]
+        cycle = [rng.randrange(k) for _ in range(rng.randrange(1, 4))]
+        yield CylPoint(prefix, cycle)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_point_words_match_the_letters(k):
+    rng = random.Random(k)
+    for x in _seeded_cyl_points(k, 100 + k, 60):
+        for n in range(len(x.prefix) + 3 * len(x.cycle) + 1):
+            word = _letters(x, n)
+            assert x.word(n) == word
+            assert type(x.word(n)) is tuple
+            assert x.starts_with(word) and x.starts_with(list(word))
+            # one changed letter, or one letter too many at a mismatch
+            if n:
+                i = rng.randrange(n)
+                bad = word[:i] + ((word[i] + 1) % k,) + word[i + 1:]
+                assert not x.starts_with(bad) and not x.starts_with(list(bad))
+            other = word + ((x.letter(n) + 1) % k,)
+            assert not x.starts_with(other)
+            assert x.starts_with(word + (x.letter(n),))
+        assert x.starts_with(()) and x.starts_with([])
+
+
+def _least_containing_by_letters(model, x, within=None):
+    # CylinderModel.least_containing with the prefix built letter by
+    # letter at each depth
+    cover = None
+    if within is not None:
+        cover = [w for j in within for w in model.words(j)]
+    for d in range(_MAX_DEPTH + 1):
+        w = tuple(x.letter(i) for i in range(d))
+        if cover is None or model._covered(w, cover):
+            return model.singleton(w)
+    raise SearchExhausted("point has no small enough neighborhood")
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_least_containing_matches_the_letter_loop(k):
+    m = CylinderModel(k)
+    rng = random.Random(200 + k)
+    covers = [None]
+    for _ in range(25):
+        words = [
+            tuple(rng.randrange(k) for _ in range(rng.randrange(4)))
+            for _ in range(rng.randrange(1, 4))
+        ]
+        covers.append(tuple(m.singleton(w) for w in words))
+    for x in _seeded_cyl_points(k, 300 + k, 40):
+        for within in covers:
+            try:
+                want = _least_containing_by_letters(m, x, within)
+            except SearchExhausted:
+                with pytest.raises(SearchExhausted):
+                    m.least_containing(x, within)
+                continue
+            assert m.least_containing(x, within) == want
 
 
 # -- baire ------------------------------------------------------------------
