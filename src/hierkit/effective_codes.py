@@ -315,59 +315,27 @@ def first_one_presentation(model):
     is a genuine countable intersection: row n is [0^n] together with
     every [0^k j], k < n, j >= 2.
 
-    Only words short enough to be visible at the stage are encoded.  A
-    word of length L has code at least 1 + k + ... + k^(L-1), the code
-    of 0^L, and [w] is visible at stage t iff code(w) < t; so no word
-    longer than the longest visible 0^L can be visible, and skipping
-    those words leaves every filtered row unchanged.
+    Only words short enough to be visible at the stage are encoded.  [w]
+    is visible at stage t iff code(w) < t, and codes order words by
+    length first, so no word is longer than the one with code t - 1;
+    skipping longer words leaves every filtered row unchanged.
     """
     if model.kind != "cylinder":
         raise ValueError("the first-one presentation lives on a cylinder model")
     k = model.alphabet
 
-    def longest_visible(t):
-        # the largest L whose first code 1 + k + ... + k^(L-1) is < t
-        length, first, block = 0, 0, 1
-        while first + block < t:
-            first += block
-            block *= k
-            length += 1
-        return length
-
-    def visible_singleton(word, t):
-        # test the code before shifting: word codes grow exponentially
-        # with depth, so 1 << code must never be built for losers
-        code = model.word_code(word)
-        return 1 << code if code + 1 <= t else None
-
     def rows(eps, n, t):
-        out = []
+        longest = len(model.code_word(t - 1))
         if eps == 1:
-            depth = 0
-            while True:
-                idx = visible_singleton((0,) * depth + (1,), t)
-                if idx is None:
-                    return out
-                out.append(idx)
-                depth += 1
-        longest = longest_visible(t)
-        if n <= longest:
-            idx = visible_singleton((0,) * n, t)
-            if idx is not None:
-                out.append(idx)
+            return [model.singleton((0,) * d + (1,)) for d in range(longest)]
+        out = [model.singleton((0,) * n)] if n <= longest else []
         for d in range(min(n, longest)):
-            for j in range(2, k):
-                idx = visible_singleton((0,) * d + (j,), t)
-                if idx is not None:
-                    out.append(idx)
+            out += [model.singleton((0,) * d + (j,)) for j in range(2, k)]
         return out
 
     def member(x):
-        for i in range(len(x.prefix) + len(x.cycle)):
-            a = x.letter(i)
-            if a:
-                return a == 1
-        return False
+        word = x.word(len(x.prefix) + len(x.cycle))
+        return next((a == 1 for a in word if a), False)
 
     return StagedPresentation(rows, member=member)
 

@@ -161,24 +161,16 @@ class RandomEmpty:
         return x, (u,)
 
 
-class DeepeningEmpty:
+class DeepeningEmpty(RandomEmpty):
     """Adversarial descent: always move to a ll-successor, chasing the
     clause structure downward."""
 
-    def __init__(self, model, rng, first=None):
-        self.model = model
-        self.rng = rng
-        self.first = first
-
     def move(self, v_prev):
         if v_prev is None:
-            u = self.first
-            if u is None:
-                u = self.model.random_open(self.rng)
+            u = self._opening()
         else:
             u = self.model.random_ll_successor(v_prev, self.rng)
-        x = self.model.some_point_in(u)
-        return x, (u,)
+        return self.model.some_point_in(u), (u,)
 
 
 class BMFromChoquet:

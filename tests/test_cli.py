@@ -71,6 +71,31 @@ def test_classify_rejects_malformed_poset(capsys):
     assert rep["error"]["kind"] == "validation"
 
 
+def test_a_poset_model_needs_a_point(capsys):
+    # with no point there is no nonempty open: play crashed drawing
+    # Empty's opening, and transform passed on an empty space
+    model = '{"kind": "poset", "poset": {"n": 0, "cover": []}}'
+    for argv in (
+        ["play", "--empty", "random"],
+        ["play", "--empty", "deepening"],
+        ["play", "--game", "bm"],
+        ["baire", "--dense", "[[[], []]]"],
+        ["transform", "--presentation", '{"kind": "empty"}'],
+        ["eval-code", "--point", "0", "--borel", '{"nodes": [[0]]}'],
+    ):
+        code, rep = run_cli(capsys, *argv, "--model", model)
+        assert code == 1, argv
+        assert rep == {
+            "error": {
+                "kind": "validation",
+                "message": "bad model: poset model size must be between 1 and 20, got 0",
+            }
+        }
+    for command in ("classify", "residues", "alt"):
+        code, _ = run_cli(capsys, command, "--poset", '{"n": 0, "cover": []}', "--set", "")
+        assert code == 0, command
+
+
 def test_classify_rejects_out_of_range_element(capsys):
     code, rep = run_cli(capsys, "classify", "--poset", CHAIN3, "--set", "5")
     assert code == 1

@@ -747,6 +747,62 @@ def test_cylinder_memo_matches_uncached_covering(k):
     assert memo.words(0) == ()
 
 
+def _deep_covers(k, rng):
+    """(depth, cover words, a word of the cover): full word levels (8-12
+    letters on two, 5-7 on three) and, below the deepest level, covers
+    that mix depths (the words after a first letter 1 cut three letters
+    shorter), each whole and with that word missing.  Shorter words come
+    first, as `words` lists them."""
+    depths = range(8, 13) if k == 2 else range(5, 8)
+    for depth in depths:
+        level = list(itertools.product(range(k), repeat=depth))
+        covers = [level]
+        if depth < depths[-1]:
+            cut = {w[: depth - 3] if w[0] == 1 else w for w in level}
+            covers.append(sorted(cut, key=lambda w: (len(w), w)))
+        for words in covers:
+            gone = rng.randrange(len(words))
+            yield depth, words, words[gone]
+            yield depth, words[:gone] + words[gone + 1 :], words[gone]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_deep_cylinder_covers_match_the_reference(k):
+    # The reference enumerates every extension of a word down to the
+    # deepest cover word, which is slow for short words.  So the queries
+    # are the root (which its leaf count decides at once when a word is
+    # missing) and words within five letters of the depth, and the
+    # points follow the chosen word, whose prefixes the leaf count
+    # decides at once too.
+    rng = random.Random(500 + k)
+    for depth, words, chosen in _deep_covers(k, rng):
+        m = CylinderModel(k)
+        cover = m.lam(map(m.singleton, words))
+        half = len(words) // 2
+        parts = tuple(m.lam(map(m.singleton, ws)) for ws in (words[:half], words[half:]))
+        covered = functools.cache(lambda w: _ref_covered(k, w, words))
+        queries = [()] + [
+            tuple(rng.randrange(k) for _ in range(rng.randint(depth - 5, depth + 1)))
+            for _ in range(4)
+        ]
+        for w in queries:
+            i, want = m.singleton(w), covered(w)
+            assert m.basic_subset(i, cover) == want, (depth, w)
+            assert m.union_subset(i, parts) == want, (depth, w)
+            assert m.ll(cover, i) == want, (depth, w)
+        sibling = chosen[:-1] + ((chosen[-1] + 1) % k,)
+        for x in (CylPoint(chosen), CylPoint(sibling, (1,))):
+            want = next(
+                (m.singleton(x.word(d)) for d in range(_MAX_DEPTH + 1) if covered(x.word(d))),
+                None,
+            )
+            if want is None:
+                with pytest.raises(SearchExhausted):
+                    m.least_containing(x, parts)
+            else:
+                assert m.least_containing(x, parts) == want, (depth, x)
+
+
 def test_cylinder_points_and_searches():
     m = CylinderModel(2)
     x = CylPoint((0, 1), (1, 0))
@@ -1061,6 +1117,35 @@ def test_poset_model_least_searches():
     assert fm.mask(fm.least_containing(1)) == 0b110
     assert fm.mask(fm.least_ll_above(fm.index_of(0b110), 1)) == 0b110
     assert fm.some_point_in(fm.index_of(0)) is None
+
+
+def _scan_least_containing(m, x, within=None):
+    """FinitePosetModel.least_containing as a scan of the opens."""
+    w = m.whole_index() if within is None else m.lam(within)
+    for i in range(len(m.opens)):
+        if m.point_in_basic(x, i) and m.basic_subset(i, w):
+            return i
+    raise SearchExhausted("no basic open contains the point")
+
+
+def test_poset_closed_forms_match_the_scans():
+    # up[x] for the least open around x, and a draw from a range for
+    # Empty's random opening
+    for n in range(1, 9):
+        for seed in range(3):
+            m = FinitePosetModel(random_poset(n, 600 + 10 * n + seed))
+            every = range(len(m.opens))
+            withins = [None] + [(c,) for c in every] + list(itertools.combinations(every, 2))
+            for x in m.points():
+                for within in withins:
+                    want = _outcome(_scan_least_containing, m, x, within)
+                    assert _outcome(m.least_containing, x, within) == want, (n, x, within)
+                    if within is not None and len(within) == 1:
+                        assert _outcome(m.least_ll_above, within[0], x) == want
+            for draw in range(20):
+                rng, ref = random.Random(draw), random.Random(draw)
+                assert m.random_open(rng) == ref.choice([i for i in every if m.basic_nonempty(i)])
+                assert rng.random() == ref.random()
 
 
 def _least_ll_or_none(m, c, x):
