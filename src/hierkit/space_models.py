@@ -595,8 +595,7 @@ class CylinderModel(SpaceModel):
     when a cover word is a prefix of w, and otherwise when some cover
     word extends w and each one-letter extension of w is covered by the
     cover words that extend w.  The recursion is never deeper than the
-    longest cover word, and it visits only prefixes of cover words and
-    their one-letter siblings.
+    longest cover word, and it visits only prefixes of cover words.
 
     Each instance memoizes the covering test `basic_subset(i, j)`, which
     `ll`, `union_subset` and every caller of those go through, keyed by
