@@ -20,6 +20,7 @@ JSON or ``@path`` to a JSON file, parsed once here and decoded with
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
 import hashlib
 import json
@@ -158,12 +159,23 @@ class _Separators(dict):
 _SEPARATORS = _Separators()
 
 
-def _emit(x, lead, depth, out, keys):
+def _emit(x, lead, depth, out, keys, memo):
     """Append x's text to out, `lead` (separator, newline, indent and
     key) joined onto its first piece.  A container at `depth` takes its
     separators from `_SEPARATORS` and appends its int and str items
     directly; `keys` maps each str key already written to its quoted
-    form and the ": " after it."""
+    form and the ": " after it.
+
+    An item of a list or tuple that is an exact tuple or dict is written
+    in full at most twice per object and depth, since its text depends
+    on its contents and its depth alone.  `memo[depth]` maps id(item)
+    to False after its first writing; the second builds its text apart,
+    without a lead, and stores it there, and every later writing
+    appends that text.  No id is reused within a call: the report holds
+    all its objects until the call returns.  Dict values, and
+    subclasses of tuple and dict, are not memoized: the objects reports
+    share sit in lists and tuples, and a memo lookup that misses only
+    adds cost."""
     t = type(x)
     if t is str:
         out.append(lead + _quote(x))
@@ -175,14 +187,27 @@ def _emit(x, lead, depth, out, keys):
             return
         lead_item, sep, close = _SEPARATORS[depth]
         out.append(lead + "[")
+        seen = memo[depth]
         for item in x:
             t = type(item)
             if t is int:
                 out.append(lead_item + _int_text(item))
             elif t is str:
                 out.append(lead_item + _quote(item))
+            elif t is tuple or t is dict:
+                ref = id(item)
+                text = seen.get(ref)
+                if text is None:
+                    seen[ref] = False
+                    _emit(item, lead_item, depth + 1, out, keys, memo)
+                else:
+                    if text is False:
+                        part = []
+                        _emit(item, "", depth + 1, part, keys, memo)
+                        text = seen[ref] = "".join(part)
+                    out.append(lead_item + text)
             else:
-                _emit(item, lead_item, depth + 1, out, keys)
+                _emit(item, lead_item, depth + 1, out, keys, memo)
             lead_item = sep
         out.append(close + "]")
     elif isinstance(x, dict):
@@ -204,7 +229,7 @@ def _emit(x, lead, depth, out, keys):
             elif t is str:
                 out.append(lead_item + key_text + _quote(value))
             else:
-                _emit(value, lead_item + key_text, depth + 1, out, keys)
+                _emit(value, lead_item + key_text, depth + 1, out, keys, memo)
             lead_item = sep
         out.append(close + "}")
     else:
@@ -219,10 +244,13 @@ def _report_text(obj):
     joined on) into a single list, quoting strings with json's C
     routine, and joins once.  Separators are built once per depth and
     each str key is quoted once per call; int and str items are written
-    without a call of their own.  Circular structures are not
-    detected."""
+    without a call of their own.  A tuple or dict that the report holds
+    as a list or tuple item in several places (the transform's pair
+    tuples and leaf codes) is written out at most twice per depth and
+    its text then reused, through a memo local to the call.  Circular
+    structures are not detected."""
     out = []
-    _emit(obj, "", 0, out, {})
+    _emit(obj, "", 0, out, {}, collections.defaultdict(dict))
     return "".join(out)
 
 
@@ -679,6 +707,21 @@ def main(argv=None):
             raise
         except (KeyError, ValueError) as e:
             raise CliError(VALIDATION, str(e))
+        report = {
+            "command": args.command,
+            "seed": args.seed,
+            "inputs": inputs,
+            "outputs": outputs,
+        }
+        text = _report_text(report) + "\n"
+        if args.json_out:
+            # the file is written first, so a path that cannot be
+            # written gives an error report instead of the success report
+            try:
+                with open(args.json_out, "w") as fh:
+                    fh.write(text)
+            except OSError as e:
+                raise CliError(VALIDATION, "cannot write report file: %s" % e)
     except CliError as e:
         payload = {
             "error": {
@@ -689,17 +732,7 @@ def main(argv=None):
         payload.update(e.extra)
         sys.stdout.write(_report_text(payload) + "\n")
         return e.code
-    report = {
-        "command": args.command,
-        "seed": args.seed,
-        "inputs": inputs,
-        "outputs": outputs,
-    }
-    text = _report_text(report) + "\n"
     sys.stdout.write(text)
-    if args.json_out:
-        with open(args.json_out, "w") as fh:
-            fh.write(text)
     sys.stderr.write("hier %s: %.3fs\n" % (args.command, time.monotonic() - started))
     return 0
 

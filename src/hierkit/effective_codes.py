@@ -34,6 +34,7 @@ from __future__ import annotations
 import bisect
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from hierkit.alt_trees import WfTree
 from hierkit.diff_hierarchy import Budget, DiffCode, embed_co
@@ -568,12 +569,18 @@ def _block_offset(r, a, b):
     return r, (2 if r else 0) + b
 
 
-@dataclass(frozen=True)
-class Slot:
+class Slot(NamedTuple):
     """The nonempty slot of block `block`: node `seq`, its type `eps`
     and its open.  It sits at omega + eps in its block, so its rank is
     omega*(block+1) + eps; the slot keeps the integers and builds the
-    `rank` ordinal only when it is read."""
+    `rank` ordinal only when it is read.  A named tuple: a transform
+    builds one slot per tree node, and a frozen dataclass would set
+    each field through object.__setattr__.  Slots are read only by
+    attribute, never compared, hashed or unpacked, so a tuple's equality
+    and iteration change nothing.  `seq` is the tree's node
+    itself, so a child's slot holds its parent's (index, stage) pair
+    tuples; `TransformResult.to_json` keeps that sharing, so that the
+    report encoder can reuse the text of each pair."""
 
     seq: tuple
     block: int
@@ -623,7 +630,9 @@ class TransformResult:
     def to_json(self):
         """The report object.  Each slot's node is its tuple of pairs,
         which the encoder writes as lists, and the trees share one leaf
-        code object per open, as `hausdorff` does."""
+        code object per open, as `hausdorff` does.  The report encoder
+        reuses the text of a shared object, so these objects are shared,
+        not copied."""
         slots = self.slots
         leaf_codes = {o: {"nodes": [[], [o]]} for o in {s.open_index for s in slots}}
         return {

@@ -805,6 +805,18 @@ def test_reports_are_byte_identical_across_runs_and_sinks(tmp_path, capsys):
     assert first == second == path.read_text()
 
 
+def test_an_unwritable_json_out_path_is_a_validation_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "report.json"
+    argv = ["classify", "--poset", '{"n": 2, "cover": [[0, 1]]}', "--set", "0"]
+    assert main(argv + ["--json-out", str(path)]) == 1
+    # one JSON document: the error, without the success report before it
+    rep = json.loads(capsys.readouterr().out)
+    assert list(rep) == ["error"]
+    assert rep["error"]["kind"] == "validation"
+    assert rep["error"]["message"].startswith("cannot write report file: ")
+    assert not path.parent.exists()
+
+
 _json_scalars = (
     st.none()
     | st.booleans()
@@ -830,9 +842,20 @@ def _json_dicts(values):
     )
 
 
+def _held_four_times(value):
+    """One object held three times as a list item and once a level
+    deeper, in a tuple, so that the encoder's memo writes it in full,
+    builds its text apart, reuses that text, and meets it at a second
+    depth."""
+    return [value, (value,), value, value]
+
+
 _json_nests = st.recursive(
     _json_scalars,
-    lambda values: st.lists(values) | st.lists(values).map(tuple) | _json_dicts(values),
+    lambda values: st.lists(values)
+    | st.lists(values).map(tuple)
+    | _json_dicts(values)
+    | values.map(_held_four_times),
     max_leaves=40,
 )
 
@@ -887,7 +910,8 @@ def test_report_text_matches_json_on_a_deep_mixed_nest():
 def test_report_text_keeps_the_integer_digit_limit():
     # an index past 4,300 digits still fails the way json fails; the
     # deepest cylinder plays depend on it (see ROADMAP)
-    for obj in (10**4400, {"index": [1, -(10**4400)]}):
+    shared = (1, 10**4400)
+    for obj in (10**4400, {"index": [1, -(10**4400)]}, {"a": [shared, shared], "b": shared}):
         with pytest.raises(ValueError, match="4300"):
             json.dumps(obj, sort_keys=True, indent=2)
         with pytest.raises(ValueError, match="4300"):
