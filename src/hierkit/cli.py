@@ -25,6 +25,7 @@ import functools
 import hashlib
 import json
 import random
+import re
 import sys
 import time
 
@@ -93,12 +94,19 @@ def _arg_json(text, what, decode):
         raise CliError(VALIDATION, "bad %s: %s" % (what, e))
 
 
+def _decimal(text):
+    """An argparse type: an optional sign and ASCII digits, not int()'s "1_0" or Unicode digits."""
+    if not re.fullmatch("[+-]?[0-9]{1,4300}", text):  # 4300: int()'s digit limit
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+    return int(text)
+
+
 def _int_in(limits):
     """An argparse type: a decimal integer within the (lo, hi) limits."""
 
     def parse(text):
         try:
-            return jsonin.integer(int(text), "value", *limits)
+            return jsonin.integer(_decimal(text), "value", *limits)
         except ValueError as e:
             raise argparse.ArgumentTypeError(str(e))
 
@@ -262,8 +270,8 @@ def _set_arg(text, poset):
     mask = 0
     for part in filter(None, (p.strip() for p in text.split(","))):
         try:
-            i = int(part)
-        except ValueError:
+            i = _decimal(part)
+        except argparse.ArgumentTypeError:
             raise CliError(VALIDATION, "set elements must be integers, got %r" % part)
         if not 0 <= i < poset.n:
             raise CliError(VALIDATION, "element %d outside 0..%d" % (i, poset.n - 1))
@@ -633,7 +641,7 @@ def _build_parser():
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
         p.add_argument("--json-out", metavar="FILE", help="also write the report to FILE")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed, echoed in the report")
+        p.add_argument("--seed", type=_decimal, default=0, help="RNG seed, echoed in the report")
         return p
 
     p = command("classify", _cmd_classify, "sigma/pi levels of a subset of a finite poset")
@@ -654,12 +662,12 @@ def _build_parser():
     p.add_argument("--rounds", type=_int_in(jsonin.ROUNDS), default=12)
     p.add_argument("--game", choices=["choquet", "bm"], default="choquet")
     p.add_argument("--empty", choices=["random", "deepening"], default="random")
-    p.add_argument("--first", type=int, default=None, help="Empty's opening basis index")
+    p.add_argument("--first", type=_decimal, default=None, help="Empty's opening basis index")
 
     p = command("baire", _cmd_baire, "certify a point meeting dense open-closed constraints")
     p.add_argument("--model", default=_DEFAULT_MODEL)
     p.add_argument("--dense", required=True, help='[{"u": [...], "f": [...]}, ...] or @file')
-    p.add_argument("--target", type=int, default=None, help="target basic open (default: whole space)")
+    p.add_argument("--target", type=_decimal, default=None, help="target basic open (default: whole space)")
     p.add_argument("--budget", type=_int_in(jsonin.BAIRE_BUDGET), default=10_000)
 
     p = command("eval-code", _cmd_eval_code, "evaluate a Borel, Hausdorff or difference code at a point")

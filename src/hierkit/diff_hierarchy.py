@@ -17,8 +17,6 @@ look inside a set takes callbacks.
 
 from __future__ import annotations
 
-import operator
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from hierkit.ordinals import Ordinal
@@ -170,20 +168,17 @@ def level_bruteforce(poset, target_mask, max_nodes=2_000_000):
     allowed next open fails, every smaller one fails".  That argument
     would turn the search into the greedy residue chain, and this
     classifier would stop being an independent check on `residues`.
-    Each state scans only the opens sized between its union and the room
-    its slot leaves; every other open fails the slot's test anyway.
+    Each state generates just the opens its slot allows (`opens_between`).
 
     Raises SearchBudgetExceeded("<max_nodes + 1>") past max_nodes states.
     """
     cap = poset.height() + 1
-    larger_first = poset.opens()[::-1]
-    sizes = list(map(operator.neg, map(int.bit_count, larger_first)))
     dead = [set() for _ in range(cap + 1)]
     # a bare state count, because bench/oracle.py reads it as an integer
     budget = Budget(max_nodes, str(max_nodes + 1))
     target = target_mask & poset.carrier
     for n in range(cap + 1):
-        if _finishes(n, 0, target, larger_first, sizes, dead, budget):
+        if _finishes(n, 0, target, poset, dead, budget):
             return n
     raise RuntimeError(
         "no representation up to cap=%d; this should be impossible on a finite poset"
@@ -191,10 +186,9 @@ def level_bruteforce(poset, target_mask, max_nodes=2_000_000):
     )
 
 
-def _finishes(r, union, target, larger_first, sizes, dead, budget):
+def _finishes(r, union, target, poset, dead, budget):
     """Whether r more slots above `union` can complete a code of `target`;
-    if not, `union` joins dead[r].  sizes[k] = -|larger_first[k]| ascends,
-    so a size band is a bisected slice.  Each call expands one state and
+    if not, `union` joins dead[r].  Each call expands one state and
     spends one unit of `budget`.  A module function, not a closure, so
     that no reference cycle keeps `dead` alive."""
     budget.spend()
@@ -202,20 +196,13 @@ def _finishes(r, union, target, larger_first, sizes, dead, budget):
         if not target & ~union:
             return True
     else:
-        # the next slot's fresh points u - union lie inside target iff r is
-        # odd: u holds union and avoids `banned` (one mask test, as the two
-        # are disjoint), so |union| <= |u| <= |room|
-        banned = ~(union | target) if r % 2 else target & ~union
-        keep = union | banned
-        room = larger_first[0] & ~banned  # the largest open is the carrier
-        below = dead[r - 1]
-        lo = bisect_left(sizes, -room.bit_count())
-        for u in larger_first[lo : bisect_right(sizes, -union.bit_count())]:
-            if (
-                u & keep == union
-                and u not in below
-                and _finishes(r - 1, u, target, larger_first, sizes, dead, budget)
-            ):
+        # the fresh points u - union lie in target iff r is odd; larger u first
+        fresh = target if r % 2 else poset.carrier & ~target
+        children = poset.opens_between(union, union | fresh)
+        children.sort(reverse=True)
+        children.sort(key=int.bit_count, reverse=True)
+        for u in children:
+            if u not in dead[r - 1] and _finishes(r - 1, u, target, poset, dead, budget):
                 return True
     dead[r].add(union)
     return False

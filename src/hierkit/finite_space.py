@@ -75,6 +75,7 @@ class FinitePoset:
                 down[j] |= 1 << i
         self.down = tuple(down)
         self.carrier = full
+        self._opens = None
 
     @staticmethod
     def from_cover(n, cover_pairs):
@@ -119,21 +120,24 @@ class FinitePoset:
         return m
 
     def opens(self):
-        """All open sets, sorted by (size, mask).  Cached.  They grow a
-        point at a time, `tops_first`: point x joins exactly the up-sets
-        found so far that hold every point strictly above x.  So each is
-        built once, and the cost follows the number of opens, not 2^n."""
-        try:
-            return self._opens
-        except AttributeError:
-            pass
-        found = [0]
+        """All open sets, `opens_between(0, carrier)` sorted by (size, mask).  Cached."""
+        if self._opens is None:
+            self._opens = found = self.opens_between(0, self.carrier)
+            found.sort()
+            found.sort(key=int.bit_count)
+        return self._opens
+
+    def opens_between(self, lo, hi):
+        """The opens u with lo <= u <= hi, for an open lo, unsorted.  They
+        grow from lo a point at a time, `tops_first`: a point x outside lo
+        whose up-set lies inside hi joins exactly the up-sets found so far
+        that hold up[x] - {x}.  So each is built once."""
+        up, out = self.up, ~hi
+        found = [] if lo & out else [lo]
         for x in self.tops_first:
-            bit, above = 1 << x, self.up[x] ^ 1 << x
-            found += [u | bit for u in found if u & above == above]
-        found.sort()
-        found.sort(key=int.bit_count)
-        self._opens = found
+            if not (lo >> x & 1 or up[x] & out):
+                bit, above = 1 << x, up[x] ^ 1 << x
+                found += [u | bit for u in found if u & above == above]
         return found
 
     @functools.cached_property

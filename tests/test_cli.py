@@ -1125,6 +1125,15 @@ REFUSED_ARGV = {
     ),
     # argparse usage errors printed usage and exited 2, the budget status
     "usage-first-float": ("play", "--first", "4.9"),
+    # int() read "1_0" as 10 and any Unicode decimal digit as its value:
+    # this set said "element 10 outside 0..2", and "\u0661" selected 1
+    "set-underscore": ("classify", "--poset", '{"n": 3, "cover": [[0, 1]]}', "--set", "1_0"),
+    "set-arabic-indic-digit": (
+        "classify", "--poset", '{"n": 3, "cover": [[0, 1]]}', "--set", "\u0661",
+    ),
+    "play-rounds-arabic-indic-digits": ("play", "--rounds", "\u0661\u0662"),
+    "seed-underscore": ("gen", "--seed", "1_0"),
+    "first-arabic-indic-digit": ("play", "--first", "\u0664"),
     # size-like options have declared ranges: a negative budget ended in a
     # density verdict, negative rounds and counts exited 0, and the huge
     # values ran for hours or raised OverflowError
@@ -1198,6 +1207,7 @@ REFUSED_MESSAGES = {
     "diff-handle-float": "bad diff code: basis index must be an integer, got 4.9",
     "diff-rank-bool": "bad diff code: rank must be an integer, got True",
     "diff-rank-float": "bad diff code: rank must be an integer, got 1.0",
+    "first-arabic-indic-digit": "argument --first: invalid int value: '\u0664'",
     "first-one-on-poset": "bad presentation: the first-one presentation lives on a cylinder model",
     "gen-count-negative": "argument --count: value must be between 0 and 1000, got -3",
     "gen-model-n-0": "--n with --kind model must be between 2 and 20, got 0",
@@ -1212,6 +1222,7 @@ REFUSED_MESSAGES = {
     "pinf-bound-null": "bad model: bound must be an integer, got None",
     "pinf-bound-string": "bad model: bound must be an integer, got '16'",
     "pinf-first-negative": "basis index must be at least 0, got -1",
+    "play-rounds-arabic-indic-digits": "argument --rounds: invalid int value: '\u0661\u0662'",
     "play-rounds-huge": "argument --rounds: value must be between 0 and 1000, got 100000000",
     "play-rounds-negative": "argument --rounds: value must be between 0 and 1000, got -1",
     "pn-point-cofinite-float": "bad point: cofinite_from must be an integer, got 2.5",
@@ -1238,6 +1249,9 @@ REFUSED_MESSAGES = {
     "presentation-not-an-object": "bad presentation: unknown presentation kind in [1]",
     "rows-entry-string": "bad presentation: basis index must be an integer, got 'a'",
     "rows-row-string": "bad presentation: row must be a list, got 'a'",
+    "seed-underscore": "argument --seed: invalid int value: '1_0'",
+    "set-arabic-indic-digit": "set elements must be integers, got '\u0661'",
+    "set-underscore": "set elements must be integers, got '1_0'",
     "transform-budget-huge": "argument --budget: value must be between 1 and 1024",
     "transform-max-budget-below-budget": "--max-budget 4 is below --budget 16",
     "transform-on-clauses": "clauses cones are not closed under finite unions",
@@ -1262,3 +1276,11 @@ def test_inputs_outside_the_model_are_validation_errors(capsys, case):
     assert list(rep) == ["error"]
     assert rep["error"]["kind"] == "validation"
     assert REFUSED_MESSAGES[case] in rep["error"]["message"]
+
+
+def test_integer_arguments_take_a_sign_and_ascii_digits(capsys):
+    code, rep = run_cli(capsys, "classify", "--poset", CHAIN3, "--set", " +1 ", "--seed", "-7")
+    assert code == 0
+    assert (rep["seed"], rep["inputs"]["set"]) == (-7, [1])
+    code, rep = run_cli(capsys, "play", "--rounds", "+03", "--first", "0")
+    assert (code, rep["inputs"]["rounds"]) == (0, 3)

@@ -21,6 +21,7 @@ from hierkit.diff_hierarchy import (
 )
 from hierkit.finite_space import FinitePoset, all_posets_upto_iso, random_poset
 from hierkit.ordinals import OMEGA, Ordinal
+from hierkit.residues import residue_levels
 
 
 # -- independent oracle: sets-of-ints semantics, no shared code ------------
@@ -236,8 +237,8 @@ def test_level_search_budget():
 
 
 def unbanded_level(poset, target_mask):
-    """Reference: the level search with no size band, scanning every
-    open at every state.  (level, states expanded)."""
+    """Reference: the level search as a scan of every open at every
+    state, kept when its slot allows it.  (level, states expanded)."""
     cap = poset.height() + 1
     larger_first = poset.opens()[::-1]
     dead = [set() for _ in range(cap + 1)]
@@ -266,7 +267,7 @@ def unbanded_level(poset, target_mask):
     return next((n, nodes) for n in range(cap + 1) if finishes(n, 0))
 
 
-def assert_band_changes_no_state(p, mask):
+def assert_expands_the_reference_states(p, mask):
     # the least passing max_nodes is the number of states expanded
     level, nodes = unbanded_level(p, mask)
     assert level_bruteforce(p, mask, max_nodes=nodes) == level
@@ -274,14 +275,38 @@ def assert_band_changes_no_state(p, mask):
         level_bruteforce(p, mask, max_nodes=nodes - 1)
 
 
-def test_size_band_expands_the_same_states():
+def test_level_search_expands_the_reference_states():
     for p in [FinitePoset(0, [])] + [q for n in range(1, 5) for q in all_posets_upto_iso(n)]:
         for mask in range(1 << p.n):
-            assert_band_changes_no_state(p, mask)
+            assert_expands_the_reference_states(p, mask)
     rng = random.Random("size band")
     for _ in range(150):
         p = random_poset(rng.randint(1, 12), rng, rng.random())
-        assert_band_changes_no_state(p, rng.randrange(1 << p.n))
+        assert_expands_the_reference_states(p, rng.randrange(1 << p.n))
+
+
+def test_level_search_expands_the_reference_states_on_sparse_posets():
+    # few edges make many opens, and each state's slot allows many
+    rng = random.Random("sparse")
+    for _ in range(60):
+        p = random_poset(rng.randint(13, 15), rng, rng.uniform(0.05, 0.15))
+        mask = rng.randrange(1 << p.n)
+        assert_expands_the_reference_states(p, mask)
+        assert_expands_the_reference_states(p, p.carrier & ~mask)
+
+
+def test_level_search_never_lists_every_open(monkeypatch):
+    # the antichain on 20 points has 2^20 opens, and the sparse poset
+    # about 5,000; each state generates only the opens it may try
+    def refuse(self):
+        raise AssertionError("the level search listed every open")
+
+    rng = random.Random("no opens list")
+    posets = [FinitePoset.antichain(20), random_poset(20, rng, 0.1)]
+    cases = [(p, rng.randrange(1 << p.n)) for p in posets for _ in range(3)]
+    expected = [residue_levels(p, mask) for p, mask in cases]
+    monkeypatch.setattr(FinitePoset, "opens", refuse)
+    assert [sigma_pi_levels(p, mask) for p, mask in cases] == expected
 
 
 CLASSIFIERS = ("diff_hierarchy", "residues", "alt_trees")

@@ -236,6 +236,31 @@ def test_opens_of_the_16_point_antichain():
     assert p.height() == 1
 
 
+def assert_opens_between_match(p, opens, lo, hi):
+    got = p.opens_between(lo, hi)
+    assert len(got) == len(set(got)), (p, lo, hi)
+    assert sorted(got) == sorted(u for u in opens if u & lo == lo and not u & ~hi), (p, lo, hi)
+
+
+def test_opens_between_every_bound_on_small_posets():
+    for p in [FinitePoset(0, [])] + [q for n in range(1, 5) for q in all_posets_upto_iso(n)]:
+        opens = scan_opens(p)
+        for lo in opens:
+            for hi in range(1 << p.n):
+                assert_opens_between_match(p, opens, lo, hi)
+
+
+def test_opens_between_on_random_posets():
+    rng = random.Random("opens between")
+    for _ in range(150):
+        p = random_poset(rng.randint(1, 10), rng, rng.random())
+        opens = scan_opens(p)
+        for _ in range(8):
+            lo, hi = rng.choice(opens), rng.randrange(1 << p.n)
+            assert_opens_between_match(p, opens, lo, hi)
+            assert_opens_between_match(p, opens, lo, lo | hi)
+
+
 def test_from_cover_matches_a_fixpoint_closure():
     # random edge lists in both directions, so about a third hold a
     # cycle; those must fail with the message the closed relation fails
