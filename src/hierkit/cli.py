@@ -700,13 +700,36 @@ def _build_parser():
                    help="poset size (or size bound, at least 2, for models)")
     p.add_argument("--count", type=_int_in(jsonin.GEN_COUNT), default=10)
 
+    top.commands = sub.choices
     return top
+
+
+def _parse_args(argv):
+    """The namespace `_build_parser().parse_args(argv)` gives.
+
+    An argv that starts with a command name goes to that command's own
+    parser, since the top-level parser would only scan the strings
+    before handing the same ones over; strings it leaves over are
+    refused in the top-level parser's words.  Every other argv (empty,
+    --help, an unknown name) goes through the top-level parser, for its
+    usage and messages."""
+    top = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = top.commands.get(argv[0]) if argv else None
+    if parser is None:
+        return top.parse_args(argv)
+    args, extra = parser.parse_known_args(argv[1:])
+    if extra:
+        top.error("unrecognized arguments: %s" % " ".join(extra))
+    args.command = argv[0]
+    return args
 
 
 def main(argv=None):
     started = time.monotonic()
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse_args(argv)
         try:
             inputs, outputs = args.handler(args)
         except (SearchBudgetExceeded, SearchExhausted) as e:

@@ -133,15 +133,16 @@ class SearchBudgetExceeded(Exception):
 
 @dataclass
 class Budget:
-    """The step count of one bounded search.  Each step calls spend();
-    the first step past `limit` raises SearchBudgetExceeded(message)."""
+    """The step count of one bounded search.  Each step calls spend(),
+    or a run of k steps spend(k); the first step past `limit` raises
+    SearchBudgetExceeded(message)."""
 
     limit: int
     message: str
     used: int = 0
 
-    def spend(self):
-        self.used += 1
+    def spend(self, steps=1):
+        self.used += steps
         if self.used > self.limit:
             raise SearchBudgetExceeded(self.message)
 
@@ -168,7 +169,10 @@ def level_bruteforce(poset, target_mask, max_nodes=2_000_000):
     allowed next open fails, every smaller one fails".  That argument
     would turn the search into the greedy residue chain, and this
     classifier would stop being an independent check on `residues`.
-    Each state generates just the opens its slot allows (`opens_between`).
+    Each state generates just the opens its slot allows
+    (`opens_between`), and tries the largest, the interior of the union
+    and the points the slot may add, first; a slot with many free points
+    finds that one alone and lists the rest only if it fails.
 
     Raises SearchBudgetExceeded("<max_nodes + 1>") past max_nodes states.
     """
@@ -186,24 +190,58 @@ def level_bruteforce(poset, target_mask, max_nodes=2_000_000):
     )
 
 
+# A slot with k free points has up to 2^k candidates, and its largest
+# takes about k steps to find alone.  On 8-16-point posets the largest
+# seldom finishes, and finding it first cost more than it saved, so a
+# slot with at most this many free points lists its candidates at once.
+_FREE_POINTS_LISTED = 10
+
+
 def _finishes(r, union, target, poset, dead, budget):
     """Whether r more slots above `union` can complete a code of `target`;
     if not, `union` joins dead[r].  Each call expands one state and
-    spends one unit of `budget`.  A module function, not a closure, so
-    that no reference cycle keeps `dead` alive."""
+    spends one unit of `budget`; at r = 1 the leaves below are settled
+    in place, one unit each, as their own calls would have settled them.
+    A module function, not a closure, so that no reference cycle keeps
+    `dead` alive."""
     budget.spend()
     if r == 0:
         if not target & ~union:
             return True
     else:
-        # the fresh points u - union lie in target iff r is odd; larger u first
+        # the fresh points u - union lie in target iff r is odd, and u
+        # runs over the opens between union and room, larger first
         fresh = target if r % 2 else poset.carrier & ~target
-        children = poset.opens_between(union, union | fresh)
-        children.sort(reverse=True)
-        children.sort(key=int.bit_count, reverse=True)
-        for u in children:
-            if u not in dead[r - 1] and _finishes(r - 1, u, target, poset, dead, budget):
+        room = union | fresh
+        if (room & ~union).bit_count() > _FREE_POINTS_LISTED:
+            # the largest, room's interior, is tried before the rest
+            # are listed
+            children, top = None, poset.largest_open_between(union, room)
+        else:
+            children = poset.opens_between(union, room)
+            top = children[-1]  # opens_between lists the largest last
+        if r == 1:
+            # a leaf finishes iff it holds the target, and only room can
+            if top == room:
+                budget.spend()
                 return True
+            # every leaf not yet dead is expanded, fails and dies
+            if children is None:
+                children = poset.opens_between(union, room)
+            leaves = [u for u in children if u not in dead[0]]
+            budget.spend(len(leaves))
+            dead[0].update(leaves)
+        elif top not in dead[r - 1] and _finishes(r - 1, top, target, poset, dead, budget):
+            return True
+        else:
+            # top is dead now, so the loop skips it
+            if children is None:
+                children = poset.opens_between(union, room)
+            children.sort(reverse=True)
+            children.sort(key=int.bit_count, reverse=True)
+            for u in children:
+                if u not in dead[r - 1] and _finishes(r - 1, u, target, poset, dead, budget):
+                    return True
     dead[r].add(union)
     return False
 

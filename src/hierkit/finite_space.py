@@ -128,10 +128,12 @@ class FinitePoset:
         return self._opens
 
     def opens_between(self, lo, hi):
-        """The opens u with lo <= u <= hi, for an open lo, unsorted.  They
-        grow from lo a point at a time, `tops_first`: a point x outside lo
-        whose up-set lies inside hi joins exactly the up-sets found so far
-        that hold up[x] - {x}.  So each is built once."""
+        """The opens u with lo <= u <= hi, for an open lo, unsorted but
+        for the largest, which comes last.  They grow from lo a point at
+        a time, `tops_first`: a point x outside lo whose up-set lies
+        inside hi joins exactly the up-sets found so far that hold
+        up[x] - {x}.  So each is built once, and the last found holds
+        every point that joined."""
         up, out = self.up, ~hi
         found = [] if lo & out else [lo]
         for x in self.tops_first:
@@ -139,6 +141,15 @@ class FinitePoset:
                 bit, above = 1 << x, up[x] ^ 1 << x
                 found += [u | bit for u in found if u & above == above]
         return found
+
+    def largest_open_between(self, lo, hi):
+        """The largest of `opens_between(lo, hi)`, for an open lo inside
+        hi: lo and the points of hi - lo whose up-set lies inside hi."""
+        up, out = self.up, ~hi
+        for x in bits(hi & ~lo):
+            if not up[x] & out:
+                lo |= 1 << x
+        return lo
 
     @functools.cached_property
     def tops_first(self):

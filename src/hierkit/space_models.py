@@ -686,16 +686,30 @@ class CylinderModel(SpaceModel):
 
     def least_containing(self, x, within=None):
         # among indices that fit, a singleton on a prefix of x is
-        # always numerically least; search by depth at the word level
-        # and build the (exponentially sized) index mask only once
-        cover = None
-        if within is not None:
-            cover = [w for j in within for w in self.words(j)]
-        for d in range(_MAX_DEPTH + 1):
-            w = x.word(d)
-            if cover is None or self._covered(w, cover):
-                return self.singleton(w)
-        raise SearchExhausted("point has no small enough neighborhood")
+        # always numerically least, and a prefix that extends a covered
+        # one is covered; so the answer is the shortest covered prefix,
+        # and the (exponentially sized) index mask is built only once
+        if within is None:
+            return self.singleton(())
+        # one descent down x's prefixes, to the first that is a cover
+        # word, keeping the cover words that extend the current prefix;
+        # off[d] holds those that leave x's path at letter d
+        on, off, d = [w for j in within for w in self.words(j)], [], 0
+        while on and not any(len(v) == d for v in on):
+            a = x.letter(d)
+            off.append([v for v in on if v[d] != a])
+            on = [v for v in on if v[d] == a]
+            d += 1
+        # with no cover word left on the path no prefix is covered;
+        # otherwise, going back up, the prefix of length d - 1 is covered
+        # iff its one-letter extensions off the path are, the path's one
+        # being covered already
+        if on:
+            while d and self._covered(x.word(d - 1), off[d - 1] + [x.word(d)]):
+                d -= 1
+        if not on or d > _MAX_DEPTH:
+            raise SearchExhausted("point has no small enough neighborhood")
+        return self.singleton(x.word(d))
 
     def random_ll_successor(self, i, rng):
         # one letter per step: word codes grow exponentially with

@@ -774,6 +774,52 @@ def test_help_still_exits_zero(capsys):
     assert capsys.readouterr().out.startswith("usage: hier play")
 
 
+def test_top_level_help_still_exits_zero(capsys):
+    # an argv that names no command goes through the top-level parser
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: hier [-h]")
+
+
+def test_dispatch_parses_every_workload_op_as_the_full_parser(monkeypatch):
+    # an argv that names a command skips the top-level parser; the
+    # namespace must be the one the full parse gives, on every op the
+    # benchmark runs
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
+    workloads = importlib.import_module("workloads")
+    ops = [
+        *workloads.posets_ops(201),
+        *workloads.games_ops(201),
+        *workloads.transform_ops(201),
+        *workloads.games_defect_ops(),
+    ]
+    full = hierkit.cli._build_parser()
+    for op in ops:
+        argv = list(op.argv)
+        assert vars(hierkit.cli._parse_args(argv)) == vars(full.parse_args(argv)), argv
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "hier: the following arguments are required: command"),
+        (
+            ["frobnicate"],
+            "hier: argument command: invalid choice: 'frobnicate' (choose from 'classify', "
+            "'residues', 'alt', 'play', 'baire', 'eval-code', 'transform', 'audit', 'gen')",
+        ),
+        (["classify", "--poset", CHAIN3], "hier classify: the following arguments are required: --set"),
+        (["gen", "--count", "0", "extra"], "hier: unrecognized arguments: extra"),
+        (["gen", "--bogus", "1", "--count", "0"], "hier: unrecognized arguments: --bogus 1"),
+        (["gen", "--count", "x"], "hier gen: argument --count: invalid int value: 'x'"),
+    ],
+)
+def test_usage_errors_keep_their_text(capsys, argv, message):
+    code, rep = run_cli(capsys, *argv)
+    assert (code, rep) == (1, {"error": {"kind": "validation", "message": message}})
+
+
 def test_gen_posets_are_valid_and_seed_sensitive(capsys):
     code, rep = run_cli(capsys, "gen", "--n", "6", "--count", "5", "--seed", "1")
     assert code == 0

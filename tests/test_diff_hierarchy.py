@@ -19,7 +19,7 @@ from hierkit.diff_hierarchy import (
     pad,
     sigma_pi_levels,
 )
-from hierkit.finite_space import FinitePoset, all_posets_upto_iso, random_poset
+from hierkit.finite_space import FinitePoset, all_posets_upto_iso, mask_of, random_poset
 from hierkit.ordinals import OMEGA, Ordinal
 from hierkit.residues import residue_levels
 
@@ -307,6 +307,42 @@ def test_level_search_never_lists_every_open(monkeypatch):
     expected = [residue_levels(p, mask) for p, mask in cases]
     monkeypatch.setattr(FinitePoset, "opens", refuse)
     assert [sigma_pi_levels(p, mask) for p, mask in cases] == expected
+
+
+def test_a_slot_whose_largest_open_succeeds_generates_no_other(monkeypatch):
+    # every subset of an antichain is open, so each slot's largest
+    # candidate finishes the search; on 24 points, with at least 12 on
+    # either side of the set, no slot is small enough to be listed at
+    # once, and no state lists its candidates (up to 2^24 of them)
+    def refuse(self, lo, hi):
+        raise AssertionError("the level search generated a slot's candidates")
+
+    p = FinitePoset.antichain(24)
+    rng = random.Random("antichain")
+    masks = [p.carrier, 0, (1 << 12) - 1, mask_of(rng.sample(range(24), 12))]
+    expected = [residue_levels(p, mask) for mask in masks]
+    monkeypatch.setattr(FinitePoset, "opens_between", refuse)
+    assert [sigma_pi_levels(p, mask) for mask in masks] == expected
+
+
+@pytest.mark.parametrize("listed", [0, 3])
+def test_level_search_expands_the_reference_states_whatever_slots_list_at_once(
+    monkeypatch, listed
+):
+    # a slot with more free points than `_FREE_POINTS_LISTED` tries its
+    # largest open alone before listing the rest; lowered, the limit
+    # sends most or all slots down that path, which must expand the
+    # same states
+    monkeypatch.setattr(hierkit.diff_hierarchy, "_FREE_POINTS_LISTED", listed)
+    for p in [q for n in range(1, 5) for q in all_posets_upto_iso(n)]:
+        for mask in range(1 << p.n):
+            assert_expands_the_reference_states(p, mask)
+    rng = random.Random("sparse, listed %d" % listed)
+    for _ in range(20):
+        p = random_poset(rng.randint(8, 13), rng, rng.uniform(0.05, 0.3))
+        mask = rng.randrange(1 << p.n)
+        assert_expands_the_reference_states(p, mask)
+        assert_expands_the_reference_states(p, p.carrier & ~mask)
 
 
 CLASSIFIERS = ("diff_hierarchy", "residues", "alt_trees")

@@ -240,6 +240,10 @@ def assert_opens_between_match(p, opens, lo, hi):
     got = p.opens_between(lo, hi)
     assert len(got) == len(set(got)), (p, lo, hi)
     assert sorted(got) == sorted(u for u in opens if u & lo == lo and not u & ~hi), (p, lo, hi)
+    if got:
+        # the largest comes last and holds every other one
+        assert p.largest_open_between(lo, hi) == got[-1], (p, lo, hi)
+        assert all(u & ~got[-1] == 0 for u in got), (p, lo, hi)
 
 
 def test_opens_between_every_bound_on_small_posets():

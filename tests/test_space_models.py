@@ -803,6 +803,35 @@ def test_deep_cylinder_covers_match_the_reference(k):
                 assert m.least_containing(x, parts) == want, (depth, x)
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_least_containing_descends_the_cover_once(k):
+    # The answer matches the letter loop, which asks `_covered` from the
+    # cover's root at every depth.  The search itself walks down the
+    # point once: with a word missing it asks `_covered` at most once
+    # per depth for a point along that word or its sibling, and on a
+    # whole cover at most once per prefix of a cover word and per depth.
+    rng = random.Random(600 + k)
+    for depth, words, chosen in _deep_covers(k, rng):
+        m = CylinderModel(k)
+        half = len(words) // 2
+        parts = tuple(m.lam(map(m.singleton, ws)) for ws in (words[:half], words[half:]))
+        covered, calls = m._covered, []
+
+        def counted(word, cover_words):
+            calls.append(word)
+            return covered(word, cover_words)
+
+        whole = chosen in words
+        bound = len({w[:n] for w in words for n in range(len(w) + 1)}) + depth if whole else depth
+        sibling = chosen[:-1] + ((chosen[-1] + 1) % k,)
+        for x in (CylPoint(chosen), CylPoint(sibling, (1,))):
+            outcome = _outcome(_least_containing_by_letters, m, x, parts)
+            m._covered, calls[:] = counted, []
+            assert _outcome(m.least_containing, x, parts) == outcome, (depth, x)
+            del m._covered
+            assert len(calls) <= bound, (depth, x, len(calls))
+
+
 def test_cylinder_points_and_searches():
     m = CylinderModel(2)
     x = CylPoint((0, 1), (1, 0))
