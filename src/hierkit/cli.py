@@ -7,10 +7,12 @@ at points, run the staged transform end to end, audit the classifiers
 against each other, and generate seeded random inputs.
 
 Every successful run prints exactly one JSON report to stdout (and, with
---json-out, the same bytes to a file).  Reports are deterministic:
-identical inputs, seed and budget produce byte-identical output, so
-wall-clock timing goes to stderr only.  Failures also emit JSON, to
-stdout: validation problems exit 1, exhausted search budgets exit 2.
+--json-out, the same bytes to a file): one line of canonical JSON, with
+sorted keys, no whitespace and ASCII escapes, the form the input digests
+hash.  Reports are deterministic: identical inputs, seed and budget
+produce byte-identical output, so wall-clock timing goes to stderr only.
+Failures also emit JSON, to stdout: validation problems exit 1,
+exhausted search budgets exit 2.
 
 Structured arguments (--poset, --model, --presentation, ...) take inline
 JSON or ``@path`` to a JSON file, parsed once here and decoded with
@@ -20,7 +22,6 @@ JSON or ``@path`` to a JSON file, parsed once here and decoded with
 from __future__ import annotations
 
 import argparse
-import collections
 import functools
 import hashlib
 import json
@@ -114,152 +115,10 @@ def _int_in(limits):
 
 
 def _canon(obj):
+    """The canonical JSON text of obj, the one form this module writes:
+    sorted keys, no whitespace, ASCII escapes.  Reports and the digests
+    of their inputs both use it."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-_quote = json.encoder.encode_basestring_ascii
-_int_text = int.__repr__
-
-
-def _scalar_text(x):
-    """The JSON text of a non-container value, in json's type order
-    (so that subclasses of str, int and float come out as json's do)."""
-    if isinstance(x, str):
-        return _quote(x)
-    if x is None:
-        return "null"
-    if x is True:
-        return "true"
-    if x is False:
-        return "false"
-    if isinstance(x, int):
-        return _int_text(x)
-    if isinstance(x, float):
-        if x != x:
-            return "NaN"
-        if x in (float("inf"), float("-inf")):
-            return "Infinity" if x > 0 else "-Infinity"
-        return float.__repr__(x)
-    raise TypeError(f"Object of type {x.__class__.__name__} is not JSON serializable")
-
-
-def _key_text(key):
-    """A dict key coerced to a string exactly as json does."""
-    if isinstance(key, str):
-        return key
-    if key is None or isinstance(key, (int, float)):
-        return _scalar_text(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-
-
-class _Separators(dict):
-    """Per nesting depth, built on first use: the lead of a container's
-    first item, of each later item, and the text before its closing
-    bracket.  The strings depend on the depth alone, so one table
-    serves every report."""
-
-    def __missing__(self, depth):
-        inner = "\n" + "  " * (depth + 1)
-        seps = self[depth] = (inner, "," + inner, "\n" + "  " * depth)
-        return seps
-
-
-_SEPARATORS = _Separators()
-
-
-def _emit(x, lead, depth, out, keys, memo):
-    """Append x's text to out, `lead` (separator, newline, indent and
-    key) joined onto its first piece.  A container at `depth` takes its
-    separators from `_SEPARATORS` and appends its int and str items
-    directly; `keys` maps each str key already written to its quoted
-    form and the ": " after it.
-
-    An item of a list or tuple that is an exact tuple or dict is written
-    in full at most twice per object and depth, since its text depends
-    on its contents and its depth alone.  `memo[depth]` maps id(item)
-    to False after its first writing; the second builds its text apart,
-    without a lead, and stores it there, and every later writing
-    appends that text.  No id is reused within a call: the report holds
-    all its objects until the call returns.  Dict values, and
-    subclasses of tuple and dict, are not memoized: the objects reports
-    share sit in lists and tuples, and a memo lookup that misses only
-    adds cost."""
-    t = type(x)
-    if t is str:
-        out.append(lead + _quote(x))
-    elif t is int:
-        out.append(lead + _int_text(x))
-    elif isinstance(x, (list, tuple)):
-        if not x:
-            out.append(lead + "[]")
-            return
-        lead_item, sep, close = _SEPARATORS[depth]
-        out.append(lead + "[")
-        seen = memo[depth]
-        for item in x:
-            t = type(item)
-            if t is int:
-                out.append(lead_item + _int_text(item))
-            elif t is str:
-                out.append(lead_item + _quote(item))
-            elif t is tuple or t is dict:
-                ref = id(item)
-                text = seen.get(ref)
-                if text is None:
-                    seen[ref] = False
-                    _emit(item, lead_item, depth + 1, out, keys, memo)
-                else:
-                    if text is False:
-                        part = []
-                        _emit(item, "", depth + 1, part, keys, memo)
-                        text = seen[ref] = "".join(part)
-                    out.append(lead_item + text)
-            else:
-                _emit(item, lead_item, depth + 1, out, keys, memo)
-            lead_item = sep
-        out.append(close + "]")
-    elif isinstance(x, dict):
-        if not x:
-            out.append(lead + "{}")
-            return
-        lead_item, sep, close = _SEPARATORS[depth]
-        out.append(lead + "{")
-        for key, value in sorted(x.items()):
-            if type(key) is str:
-                key_text = keys.get(key)
-                if key_text is None:
-                    key_text = keys[key] = _quote(key) + ": "
-            else:
-                key_text = _quote(_key_text(key)) + ": "
-            t = type(value)
-            if t is int:
-                out.append(lead_item + key_text + _int_text(value))
-            elif t is str:
-                out.append(lead_item + key_text + _quote(value))
-            else:
-                _emit(value, lead_item + key_text, depth + 1, out, keys, memo)
-            lead_item = sep
-        out.append(close + "}")
-    else:
-        out.append(lead + _scalar_text(x))
-
-
-def _report_text(obj):
-    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte.
-
-    With ``indent`` set, json runs its generator-based pure-Python
-    encoder; this builds one piece per scalar (its separator and key
-    joined on) into a single list, quoting strings with json's C
-    routine, and joins once.  Separators are built once per depth and
-    each str key is quoted once per call; int and str items are written
-    without a call of their own.  A tuple or dict that the report holds
-    as a list or tuple item in several places (the transform's pair
-    tuples and leaf codes) is written out at most twice per depth and
-    its text then reused, through a memo local to the call.  Circular
-    structures are not detected."""
-    out = []
-    _emit(obj, "", 0, out, {}, collections.defaultdict(dict))
-    return "".join(out)
 
 
 def _digest(obj):
@@ -345,9 +204,7 @@ def _cmd_classify(args):
         methods["brute"] = {"sigma": s, "pi": p}
     pairs = {(m["sigma"], m["pi"]) for m in methods.values()}
     if len(pairs) != 1:
-        raise CliError(
-            VALIDATION, "classifiers disagree: %s" % json.dumps(methods, sort_keys=True)
-        )
+        raise CliError(VALIDATION, "classifiers disagree: %s" % _canon(methods))
     sigma, pi = pairs.pop()
     inputs = {"poset": _digest(pdata), "set": sorted(bits(mask)), "method": args.method}
     outputs = {
@@ -744,7 +601,7 @@ def main(argv=None):
             "inputs": inputs,
             "outputs": outputs,
         }
-        text = _report_text(report) + "\n"
+        text = _canon(report) + "\n"
         if args.json_out:
             # the file is written first, so a path that cannot be
             # written gives an error report instead of the success report
@@ -761,7 +618,7 @@ def main(argv=None):
             }
         }
         payload.update(e.extra)
-        sys.stdout.write(_report_text(payload) + "\n")
+        sys.stdout.write(_canon(payload) + "\n")
         return e.code
     sys.stdout.write(text)
     sys.stderr.write("hier %s: %.3fs\n" % (args.command, time.monotonic() - started))

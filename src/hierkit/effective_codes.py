@@ -579,8 +579,7 @@ class Slot(NamedTuple):
     attribute, never compared, hashed or unpacked, so a tuple's equality
     and iteration change nothing.  `seq` is the tree's node
     itself, so a child's slot holds its parent's (index, stage) pair
-    tuples; `TransformResult.to_json` keeps that sharing, so that the
-    report encoder can reuse the text of each pair."""
+    tuples."""
 
     seq: tuple
     block: int
@@ -629,10 +628,8 @@ class TransformResult:
 
     def to_json(self):
         """The report object.  Each slot's node is its tuple of pairs,
-        which the encoder writes as lists, and the trees share one leaf
-        code object per open, as `hausdorff` does.  The report encoder
-        reuses the text of a shared object, so these objects are shared,
-        not copied."""
+        which JSON writes as lists, and the trees share one leaf code
+        object per open, as `hausdorff` does."""
         slots = self.slots
         leaf_codes = {o: {"nodes": [[], [o]]} for o in {s.open_index for s in slots}}
         return {

@@ -15,8 +15,6 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import hierkit.alt_trees
 import hierkit.cli
@@ -33,6 +31,18 @@ FORK = '{"kind": "poset", "poset": {"n": 3, "cover": [[0, 1]]}}'
 def run_cli(capsys, *argv):
     code = main(list(argv))
     return code, json.loads(capsys.readouterr().out)
+
+
+def golden_digest(out):
+    """The SHA-256 that the golden constants below hold for report text
+    `out`.  They were recorded when reports were printed with indent=2;
+    the report must now be that value's one line of canonical JSON, and
+    its indented text is rebuilt here to be hashed.  The layout and the
+    value together pin every byte."""
+    value = json.loads(out)
+    assert out == json.dumps(value, sort_keys=True, separators=(",", ":")) + "\n"
+    indented = json.dumps(value, sort_keys=True, indent=2) + "\n"
+    return hashlib.sha256(indented.encode()).hexdigest()
 
 
 # -- classify ----------------------------------------------------------------
@@ -244,7 +254,7 @@ PLAY_MODELS = {
     ]}),
 }
 
-# SHA-256 of the stdout of `hier play --model M --rounds R --empty E
+# `golden_digest` of the stdout of `hier play --model M --rounds R --empty E
 # --game G --seed 7`, recorded while every P_inf row was still generated
 # as a list of singletons.  pinf16 at 20 rounds and pinf64 at 40 certify
 # a finite witness (the truncation at `bound`); they are pinned here
@@ -283,7 +293,7 @@ def test_play_reports_match_golden_digests(capsys, model, rounds, empty, game):
             "--game", game, "--seed", "7"]
     assert main(argv) == 0
     out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == PLAY_DIGESTS[model, rounds, empty, game]
+    assert golden_digest(out) == PLAY_DIGESTS[model, rounds, empty, game]
 
 
 def test_baire_verified_density_and_budget_exits(capsys):
@@ -480,12 +490,12 @@ TRANSFORM_ARGV = {
     ),
 }
 
-# (exit code, SHA-256 of stdout) of `hier transform` on TRANSFORM_ARGV,
-# recorded while every covering test and word decoding was recomputed
-# on each call, and recorded again, except first-one-2-16, when
-# `inputs` gained `max_budget`: no other byte changed.  At budget 16 the
-# binary word 0001 is not yet visible, so that report is an honest
-# budget exit, which carries no `inputs`.
+# (exit code, `golden_digest` of stdout) of `hier transform` on
+# TRANSFORM_ARGV, recorded while every covering test and word decoding
+# was recomputed on each call, and recorded again, except
+# first-one-2-16, when `inputs` gained `max_budget`: no other byte
+# changed.  At budget 16 the binary word 0001 is not yet visible, so
+# that report is an honest budget exit, which carries no `inputs`.
 TRANSFORM_DIGESTS = {
     "first-one-2-16": (2, "f9dab883b3462e1418603941f7b64af7e76cf19af6bd0ac19fedbd935e94a0ca"),
     "first-one-2-64": (0, "be68cb5d8b2a14a770fa26eb872140bc450584188c8db6769493f60ab26a019a"),
@@ -500,7 +510,7 @@ TRANSFORM_DIGESTS = {
 def test_transform_reports_match_golden_digests(capsys, case):
     code = main(["transform", *TRANSFORM_ARGV[case]])
     out = capsys.readouterr().out
-    assert (code, hashlib.sha256(out.encode()).hexdigest()) == TRANSFORM_DIGESTS[case]
+    assert (code, golden_digest(out)) == TRANSFORM_DIGESTS[case]
 
 
 def test_transform_inputs_name_the_verification_cap(capsys):
@@ -621,9 +631,9 @@ SURFACE_ARGV = {
     "gen-model-large": ("gen", "--kind", "model", "--n", "7", "--count", "8", "--seed", "11"),
 }
 
-# (exit code, SHA-256 of stdout) of `hier` on SURFACE_ARGV, recorded
-# while games, the Baire witness and the CLI told the three model
-# families apart by type checks.
+# (exit code, `golden_digest` of stdout) of `hier` on SURFACE_ARGV,
+# recorded while games, the Baire witness and the CLI told the three
+# model families apart by type checks.
 SURFACE_DIGESTS = {
     "baire-cyl2": (0, "e8f2c23e3316d53cd6bc98371d36c623a239a69f42b68867db9537e09b35947f"),
     "baire-cyl2-violation": (1, "edea55dde04a81e8c9cd6d0f5c0506e2ec5a89b8edd95343eea7a2fd922392d8"),
@@ -663,7 +673,7 @@ SURFACE_DIGESTS = {
 def test_model_surface_reports_match_golden_digests(capsys, case):
     code = main(list(SURFACE_ARGV[case]))
     out = capsys.readouterr().out
-    assert (code, hashlib.sha256(out.encode()).hexdigest()) == SURFACE_DIGESTS[case]
+    assert (code, golden_digest(out)) == SURFACE_DIGESTS[case]
 
 
 # -- audit and gen -------------------------------------------------------------
@@ -694,7 +704,7 @@ def test_audit_rejects_sizes_outside_the_limit(capsys, monkeypatch, size):
     assert "between 1 and 6" in rep["error"]["message"]
 
 
-# SHA-256 of the stdout of `hier audit --exhaustive N` and of `hier
+# `golden_digest` of the stdout of `hier audit --exhaustive N` and of `hier
 # classify --method all` on seeded random posets.  The 4, 5 and classify
 # digests were recorded while opens and canon still scanned every mask
 # and permutation; the 6 digest while the audit still found its classes
@@ -724,14 +734,14 @@ CLASSIFY_DIGESTS = {
 def test_audit_reports_match_golden_digests(capsys, n):
     assert main(["audit", "--exhaustive", str(n)]) == 0
     out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == AUDIT_DIGESTS[n]
+    assert golden_digest(out) == AUDIT_DIGESTS[n]
 
 
 @pytest.mark.parametrize("n, seed, edge_prob", sorted(CLASSIFY_DIGESTS))
 def test_classify_reports_match_golden_digests(capsys, n, seed, edge_prob):
     assert main(_classify_argv(n, seed, edge_prob)) == 0
     out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == CLASSIFY_DIGESTS[n, seed, edge_prob]
+    assert golden_digest(out) == CLASSIFY_DIGESTS[n, seed, edge_prob]
 
 
 def _classify_argv(n, seed, edge_prob):
@@ -762,7 +772,7 @@ def test_cached_parser_survives_a_usage_error(capsys):
     for argv, want in golden:
         code = main(argv)
         out = capsys.readouterr().out
-        assert (code, hashlib.sha256(out.encode()).hexdigest()) == want, argv[0]
+        assert (code, golden_digest(out)) == want, argv[0]
     info = hierkit.cli._build_parser.cache_info()
     assert (info.misses, info.hits) == (1, len(golden))
 
@@ -863,110 +873,18 @@ def test_an_unwritable_json_out_path_is_a_validation_error(tmp_path, capsys):
     assert not path.parent.exists()
 
 
-_json_scalars = (
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.integers(min_value=-(10**400), max_value=10**400)
-    | st.floats(allow_nan=True, allow_infinity=True)
-    | st.text()
-    | st.text(st.characters(max_codepoint=0x1F))
-    | st.text(st.characters(min_codepoint=0x80))
-)
-
-
-def _json_dicts(values):
-    # one key type per dict coerces as json does; mixed key types make
-    # both encoders fail in the sort
-    return (
-        st.dictionaries(st.text(), values)
-        | st.dictionaries(st.integers(), values)
-        | st.dictionaries(st.floats(allow_nan=True, allow_infinity=True), values)
-        | st.dictionaries(st.booleans(), values)
-        | st.dictionaries(st.none(), values)
-        | st.dictionaries(st.one_of(st.text(), st.integers(), st.none()), values)
-    )
-
-
-def _held_four_times(value):
-    """One object held three times as a list item and once a level
-    deeper, in a tuple, so that the encoder's memo writes it in full,
-    builds its text apart, reuses that text, and meets it at a second
-    depth."""
-    return [value, (value,), value, value]
-
-
-_json_nests = st.recursive(
-    _json_scalars,
-    lambda values: st.lists(values)
-    | st.lists(values).map(tuple)
-    | _json_dicts(values)
-    | values.map(_held_four_times),
-    max_leaves=40,
-)
-
-
-def _outcome(encode, obj):
-    try:
-        return encode(obj)
-    except (TypeError, ValueError) as e:
-        return type(e), str(e)
-
-
-@settings(max_examples=400, deadline=None)
-@given(_json_nests)
-def test_report_text_is_json_dumps_byte_for_byte(obj):
-    want = _outcome(lambda o: json.dumps(o, sort_keys=True, indent=2), obj)
-    assert _outcome(hierkit.cli._report_text, obj) == want
-
-
-class _Key(str):
-    pass
-
-
-def _deep_nest(depth):
-    """Lists, tuples and dicts nested `depth` deep, with keys of every
-    type json coerces and one dict object placed at two depths."""
-    shared = {"b": [1, "s", _Key("v")], _Key("a"): (True, None, 1.5, -0.0)}
-    x = shared
-    for d in range(depth):
-        r = d % 7
-        if r == 0:
-            x = [d, x, "t", False]
-        elif r == 1:
-            x = (x, -d, 2.5)
-        elif r == 2:
-            x = {1: x, 2: d, -3: None}
-        elif r == 3:
-            x = {True: x, False: [shared] if d in (3, 150) else []}
-        elif r == 4:
-            x = {None: x}
-        elif r == 5:
-            x = {1.5: x, -0.5: "f", 10.0: ()}
-        else:
-            x = {_Key("k"): x, "j": d, "": {}}
-    return x
-
-
-def test_report_text_matches_json_on_a_deep_mixed_nest():
-    obj = _deep_nest(210)
-    assert hierkit.cli._report_text(obj) == json.dumps(obj, sort_keys=True, indent=2)
-
-
 def test_report_text_keeps_the_integer_digit_limit():
-    # an index past 4,300 digits still fails the way json fails; the
-    # deepest cylinder plays depend on it (see ROADMAP)
+    # a report holding an index past 4,300 digits fails with int()'s
+    # ValueError; the deepest cylinder plays depend on it (see ROADMAP)
     shared = (1, 10**4400)
     for obj in (10**4400, {"index": [1, -(10**4400)]}, {"a": [shared, shared], "b": shared}):
         with pytest.raises(ValueError, match="4300"):
-            json.dumps(obj, sort_keys=True, indent=2)
-        with pytest.raises(ValueError, match="4300"):
-            hierkit.cli._report_text(obj)
+            hierkit.cli._canon(obj)
 
 
 def test_no_indented_json_dumps_in_the_sources():
-    # indent= sends json to its pure-Python encoder; reports go through
-    # cli._report_text instead
+    # indent= sends json to its pure-Python encoder; every report is one
+    # line of canonical JSON from cli._canon, on json's C encoder
     found = []
     for path in sorted(pathlib.Path(hierkit.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -978,6 +896,18 @@ def test_no_indented_json_dumps_in_the_sources():
             ):
                 found.append("%s:%d" % (path.name, node.lineno))
     assert found == []
+
+
+def test_cli_writes_json_text_only_through_canon():
+    # reports, error reports and input digests all take one form
+    tree = ast.parse(pathlib.Path(hierkit.cli.__file__).read_text())
+    canon = next(f for f in tree.body if getattr(f, "name", None) == "_canon")
+    writers = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("dump", "dumps")
+    ]
+    assert len(writers) == 1 and canon.lineno <= writers[0] <= canon.end_lineno
 
 
 def test_input_decoding_stays_in_the_decoder():
@@ -1032,21 +962,53 @@ def test_methods_the_bench_tracer_wraps_exist():
     assert methods and missing == []
 
 
-def test_console_entry_point_separates_report_from_timing():
-    # the child finds hierkit where this process found it, also when only
-    # pytest's pythonpath setting put it there
+def run_child(argv, **env):
+    """`python -m hierkit.cli argv` in a child process, with `env` added
+    to its environment.  The child finds hierkit where this process
+    found it, also when only pytest's pythonpath setting put it there."""
     src = str(pathlib.Path(hierkit.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "hierkit.cli", "classify", "--poset", CHAIN3, "--set", "1"],
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "hierkit.cli", *argv],
         capture_output=True,
         text=True,
-        env=env,
+        env=dict(os.environ, PYTHONPATH=path, **env),
     )
+
+
+def test_console_entry_point_separates_report_from_timing():
+    proc = run_child(["classify", "--poset", CHAIN3, "--set", "1"])
     assert proc.returncode == 0
     rep = json.loads(proc.stdout)
     assert rep["outputs"]["sigma"] == 2
     assert "hier classify" in proc.stderr
+
+
+# one argv per subcommand, each exercising sets, dicts or strings that a
+# hash seed could reorder
+CROSS_PROCESS_ARGV = (
+    _classify_argv(12, 1, 0.35),
+    ("residues", "--poset", CHAIN3, "--set", "0,2"),
+    ("alt", "--poset", CHAIN3, "--set", "0,2"),
+    ("play", "--model", PLAY_MODELS["pinf16"], "--rounds", "20", "--seed", "7"),
+    SURFACE_ARGV["baire-pinf"],
+    SURFACE_ARGV["eval-pn-hausdorff"],
+    ("transform", *TRANSFORM_ARGV["poset-clopen"]),
+    ("audit", "--exhaustive", "4"),
+    SURFACE_ARGV["gen-model"],
+)
+
+
+def test_reports_are_byte_identical_across_interpreters(capsys):
+    assert sorted({argv[0] for argv in CROSS_PROCESS_ARGV}) == sorted(
+        hierkit.cli._build_parser().commands
+    )
+    for argv in CROSS_PROCESS_ARGV:
+        code = main(list(argv))
+        out = capsys.readouterr().out
+        for seed in ("0", "1"):
+            proc = run_child(argv, PYTHONHASHSEED=seed)
+            assert (proc.returncode, proc.stdout) == (code, out), (argv[0], seed)
 
 
 # -- inputs outside the model ----------------------------------------------------

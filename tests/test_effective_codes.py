@@ -19,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hierkit import effective_codes
-from hierkit.cli import _report_text
 from hierkit.diff_hierarchy import DiffCode, SearchBudgetExceeded, eval_diff
 from hierkit.effective_codes import (
     _GAMMA_PROBES,
@@ -1067,28 +1066,6 @@ def test_transform_shares_one_leaf_code_per_open():
     for s, code in zip(res.slots, res.hausdorff.trees):
         assert by_open.setdefault(s.open_index, code) is code
     assert len(by_open) < len(res.slots)
-
-
-@pytest.mark.parametrize("letters, budget", [(2, 16), (2, 64), (2, 256), (3, 16), (3, 128)])
-def test_transform_report_shares_its_repeated_objects(letters, budget):
-    model = CylinderModel(letters)
-    report = effective_hausdorff_transform(first_one_presentation(model), model, budget).to_json()
-    assert _report_text(report) == json.dumps(report, sort_keys=True, indent=2)
-    # the report encoder reuses the text of a shared object; a report
-    # that stopped sharing would still encode right, only slower
-    slots = report["slots"]
-    by_open = {}
-    for slot, tree in zip(slots, report["hausdorff"]["trees"]):
-        assert by_open.setdefault(slot["open"], tree) is tree
-    assert len(by_open) < len(slots)
-    nodes = {slot["node"]: slot["node"] for slot in slots}
-    children = 0
-    for node in nodes:
-        parent = nodes.get(node[:-1])
-        if parent is not None:
-            assert all(a is b for a, b in zip(node, parent))
-            children += 1
-    assert children > len(nodes) // 2
 
 
 @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))

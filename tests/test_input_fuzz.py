@@ -35,7 +35,7 @@ CLAUSES = json.dumps({"kind": "clauses", "rows": [
 
 # Valid command lines covering every subcommand and every model kind.
 # None is a deep cylinder play: past about 15 rounds its indices outgrow
-# the report encoder, a known defect of the cylinder index.
+# json's 4,300-digit integer limit, a known defect of the cylinder index.
 VALID_ARGV = [
     ("classify", "--poset", CHAIN3, "--set", "1"),
     ("residues", "--poset", '{"n": 4, "cover": [[0, 1], [2, 3]]}', "--set", "1,2"),
