@@ -985,30 +985,38 @@ def test_console_entry_point_separates_report_from_timing():
 
 
 # one argv per subcommand, each exercising sets, dicts or strings that a
-# hash seed could reorder
-CROSS_PROCESS_ARGV = (
-    _classify_argv(12, 1, 0.35),
-    ("residues", "--poset", CHAIN3, "--set", "0,2"),
-    ("alt", "--poset", CHAIN3, "--set", "0,2"),
-    ("play", "--model", PLAY_MODELS["pinf16"], "--rounds", "20", "--seed", "7"),
-    SURFACE_ARGV["baire-pinf"],
-    SURFACE_ARGV["eval-pn-hausdorff"],
-    ("transform", *TRANSFORM_ARGV["poset-clopen"]),
-    ("audit", "--exhaustive", "4"),
-    SURFACE_ARGV["gen-model"],
-)
+# hash seed could reorder, and one error report
+CROSS_PROCESS_ARGV = {
+    "classify": _classify_argv(12, 1, 0.35),
+    "residues": ("residues", "--poset", CHAIN3, "--set", "0,2"),
+    "alt": ("alt", "--poset", CHAIN3, "--set", "0,2"),
+    "play": ("play", "--model", PLAY_MODELS["pinf16"], "--rounds", "20", "--seed", "7"),
+    "baire": SURFACE_ARGV["baire-pinf"],
+    "eval-code": SURFACE_ARGV["eval-pn-hausdorff"],
+    "transform": ("transform", *TRANSFORM_ARGV["poset-clopen"]),
+    "audit": ("audit", "--exhaustive", "4"),
+    "gen": SURFACE_ARGV["gen-model"],
+    "error-report": ("play", "--model", '{"kind": "poset", "poset": {"n": 2, "cover": [[0, 1]]}}',
+                     "--first", "99"),
+}
 
 
-def test_reports_are_byte_identical_across_interpreters(capsys):
-    assert sorted({argv[0] for argv in CROSS_PROCESS_ARGV}) == sorted(
+def test_cross_process_argvs_cover_every_subcommand():
+    assert sorted({argv[0] for argv in CROSS_PROCESS_ARGV.values()}) == sorted(
         hierkit.cli._build_parser().commands
     )
-    for argv in CROSS_PROCESS_ARGV:
-        code = main(list(argv))
-        out = capsys.readouterr().out
-        for seed in ("0", "1"):
-            proc = run_child(argv, PYTHONHASHSEED=seed)
-            assert (proc.returncode, proc.stdout) == (code, out), (argv[0], seed)
+    assert all(argv[0] == name for name, argv in CROSS_PROCESS_ARGV.items() if name != "error-report")
+
+
+@pytest.mark.parametrize("name", sorted(CROSS_PROCESS_ARGV))
+def test_reports_are_byte_identical_across_interpreters(name, capsys):
+    argv = CROSS_PROCESS_ARGV[name]
+    code = main(list(argv))
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), sort_keys=True, separators=(",", ":")) + "\n"
+    for seed in ("0", "1"):
+        proc = run_child(argv, PYTHONHASHSEED=seed)
+        assert (proc.returncode, proc.stdout) == (code, out), seed
 
 
 # -- inputs outside the model ----------------------------------------------------
