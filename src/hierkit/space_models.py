@@ -186,11 +186,6 @@ class CylPoint:
         if not self.cycle:
             raise ValueError("tail cycle must be non-empty")
 
-    def letter(self, i):
-        if i < len(self.prefix):
-            return self.prefix[i]
-        return self.cycle[(i - len(self.prefix)) % len(self.cycle)]
-
     def word(self, n):
         """The first n letters, as a tuple."""
         prefix = self.prefix
@@ -600,9 +595,12 @@ class CylinderModel(SpaceModel):
     Each instance memoizes the covering test `basic_subset(i, j)`, which
     `ll`, `union_subset` and every caller of those go through, keyed by
     the ordered pair (i, j), and the decoding `words(i)`, kept as a
-    tuple so that no caller can change a cached value.  Both are plain
-    dicts that live as long as the model and are never evicted.  Both
-    pay (2-core Xeon VM, Python 3.11): without the subset memo the
+    tuple, shortest words first, so that no caller can change a cached
+    value.  Three readers take their words from it and decode nothing:
+    `least_containing` (its descent down x's path), `some_point_in` (the
+    first word) and `random_ll_successor` (one draw).  Both memos are
+    plain dicts that live as long as the model and are never evicted.
+    Both pay (2-core Xeon VM, Python 3.11): without the subset memo the
     seed-201 `cylinder-transform` ops of the benchmark ran 20-35% slower
     and its `baire` ops 40-45% slower; without the words memo a
     budget-1024 3-letter first-one transform took 4.4 s, not 2.6-3.3 s."""
@@ -681,8 +679,7 @@ class CylinderModel(SpaceModel):
     def some_point_in(self, i):
         if i == 0:
             return None
-        w = self.code_word(next(bits(i)))
-        return CylPoint(w, (0,))
+        return CylPoint(self.words(i)[0], (0,))
 
     def least_containing(self, x, within=None):
         # among indices that fit, a singleton on a prefix of x is
@@ -691,32 +688,34 @@ class CylinderModel(SpaceModel):
         # and the (exponentially sized) index mask is built only once
         if within is None:
             return self.singleton(())
-        # one descent down x's prefixes, to the first that is a cover
-        # word, keeping the cover words that extend the current prefix;
-        # off[d] holds those that leave x's path at letter d
-        on, off, d = [w for j in within for w in self.words(j)], [], 0
-        while on and not any(len(v) == d for v in on):
-            a = x.letter(d)
-            off.append([v for v in on if v[d] != a])
-            on = [v for v in on if v[d] == a]
+        # level d keeps the cover words that follow x's path for d
+        # letters, down to the first level that holds the path's own
+        # prefix (the shortest cover word on x) or is empty (none is)
+        cover = [w for j in within for w in self.words(j)]
+        path = x.word(max(map(len, cover), default=0))
+        levels, d = [cover], 0
+        while levels[d] and path[:d] not in levels[d]:
+            levels.append([v for v in levels[d] if v[d] == path[d]])
             d += 1
-        # with no cover word left on the path no prefix is covered;
-        # otherwise, going back up, the prefix of length d - 1 is covered
-        # iff its one-letter extensions off the path are, the path's one
-        # being covered already
-        if on:
-            while d and self._covered(x.word(d - 1), off[d - 1] + [x.word(d)]):
+        # with an empty level no prefix is covered; otherwise, going back
+        # up, the prefix of length d - 1 is covered iff its one-letter
+        # extensions off the path are, the path's one being covered
+        # already; level d - 1 holds the cover words that extend them
+        if levels[d]:
+            while d and self._covered(
+                path[: d - 1], [v for v in levels[d - 1] if v[d - 1] != path[d - 1]] + [path[:d]]
+            ):
                 d -= 1
-        if not on or d > _MAX_DEPTH:
+        if not levels[d] or d > _MAX_DEPTH:
             raise SearchExhausted("point has no small enough neighborhood")
-        return self.singleton(x.word(d))
+        return self.singleton(path[:d])
 
     def random_ll_successor(self, i, rng):
         # one letter per step: word codes grow exponentially with
         # depth, so desk-scale plays must deepen gently
         if i == 0:
             raise ValueError("cannot extend the empty open")
-        w = self.code_word(rng.choice(list(bits(i))))
+        w = rng.choice(self.words(i))
         return self.singleton(w + (rng.randrange(self.alphabet),))
 
     def candidate_indices(self, limit):

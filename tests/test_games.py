@@ -278,9 +278,7 @@ def test_convergence_audit_on_deepening_play():
     s = stationary_from_relation(m)
     t = play(m, DeepeningEmpty(m, random.Random(7)), s, rounds=10)
     assert t.outcome == NONEMPTY_WINS
-    nbhds = [
-        m.singleton(tuple(t.witness.letter(i) for i in range(d))) for d in range(4)
-    ]
+    nbhds = [m.singleton(t.witness.word(d)) for d in range(4)]
     assert audit_convergence(m, t, nbhds) == []
 
 

@@ -749,11 +749,11 @@ def test_cylinder_memo_matches_uncached_covering(k):
 
 def _deep_covers(k, rng):
     """(depth, cover words, a word of the cover): full word levels (8-12
-    letters on two, 5-7 on three) and, below the deepest level, covers
-    that mix depths (the words after a first letter 1 cut three letters
-    shorter), each whole and with that word missing.  Shorter words come
-    first, as `words` lists them."""
-    depths = range(8, 13) if k == 2 else range(5, 8)
+    letters on two, 5-7 on three, 4-6 on four) and, below the deepest
+    level, covers that mix depths (the words after a first letter 1 cut
+    three letters shorter), each whole and with that word missing.
+    Shorter words come first, as `words` lists them."""
+    depths = {2: range(8, 13), 3: range(5, 8), 4: range(4, 7)}[k]
     for depth in depths:
         level = list(itertools.product(range(k), repeat=depth))
         covers = [level]
@@ -766,7 +766,7 @@ def _deep_covers(k, rng):
             yield depth, words[:gone] + words[gone + 1 :], words[gone]
 
 
-@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("k", [2, 3, 4])
 def test_deep_cylinder_covers_match_the_reference(k):
     # The reference enumerates every extension of a word down to the
     # deepest cover word, which is slow for short words.  So the queries
@@ -803,7 +803,7 @@ def test_deep_cylinder_covers_match_the_reference(k):
                 assert m.least_containing(x, parts) == want, (depth, x)
 
 
-@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("k", [2, 3, 4])
 def test_least_containing_descends_the_cover_once(k):
     # The answer matches the letter loop, which asks `_covered` from the
     # cover's root at every depth.  The search itself walks down the
@@ -835,7 +835,7 @@ def test_least_containing_descends_the_cover_once(k):
 def test_cylinder_points_and_searches():
     m = CylinderModel(2)
     x = CylPoint((0, 1), (1, 0))
-    assert [x.letter(i) for i in range(6)] == [0, 1, 1, 0, 1, 0]
+    assert x.word(6) == (0, 1, 1, 0, 1, 0)
     assert m.point_in_basic(x, m.singleton((0, 1, 1)))
     assert m.least_containing(x) == m.singleton(())
     c = m.singleton((0,))
@@ -845,9 +845,15 @@ def test_cylinder_points_and_searches():
         m.least_ll_above(c, y)
 
 
+def _letter(x, i):
+    # the letter-by-letter definition of a point's i-th letter
+    if i < len(x.prefix):
+        return x.prefix[i]
+    return x.cycle[(i - len(x.prefix)) % len(x.cycle)]
+
+
 def _letters(x, n):
-    # the letter-by-letter definition of a point's first n letters
-    return tuple(x.letter(i) for i in range(n))
+    return tuple(_letter(x, i) for i in range(n))
 
 
 def _seeded_cyl_points(k, seed, count):
@@ -872,9 +878,9 @@ def test_point_words_match_the_letters(k):
                 i = rng.randrange(n)
                 bad = word[:i] + ((word[i] + 1) % k,) + word[i + 1:]
                 assert not x.starts_with(bad) and not x.starts_with(list(bad))
-            other = word + ((x.letter(n) + 1) % k,)
+            other = word + ((_letter(x, n) + 1) % k,)
             assert not x.starts_with(other)
-            assert x.starts_with(word + (x.letter(n),))
+            assert x.starts_with(word + (_letter(x, n),))
         assert x.starts_with(()) and x.starts_with([])
 
 
@@ -885,13 +891,13 @@ def _least_containing_by_letters(model, x, within=None):
     if within is not None:
         cover = [w for j in within for w in model.words(j)]
     for d in range(_MAX_DEPTH + 1):
-        w = tuple(x.letter(i) for i in range(d))
+        w = _letters(x, d)
         if cover is None or model._covered(w, cover):
             return model.singleton(w)
     raise SearchExhausted("point has no small enough neighborhood")
 
 
-@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("k", [2, 3, 4])
 def test_least_containing_matches_the_letter_loop(k):
     m = CylinderModel(k)
     rng = random.Random(200 + k)
@@ -911,6 +917,54 @@ def test_least_containing_matches_the_letter_loop(k):
                     m.least_containing(x, within)
                 continue
             assert m.least_containing(x, within) == want
+
+
+def _some_point_by_codes(model, i):
+    # reference: CylinderModel.some_point_in with the least code
+    # decoded afresh, not read from the words memo
+    if i == 0:
+        return None
+    w = model.code_word(next(bits(i)))
+    return CylPoint(w, (0,))
+
+
+def _successor_by_codes(model, i, rng):
+    # reference: CylinderModel.random_ll_successor drawing over the
+    # index's codes and decoding the drawn one afresh
+    if i == 0:
+        raise ValueError("cannot extend the empty open")
+    w = model.code_word(rng.choice(list(bits(i))))
+    return model.singleton(w + (rng.randrange(model.alphabet),))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_point_and_successor_match_the_code_decoders(k):
+    # singletons, unions of two to five words and whole levels; each
+    # successor draw must take the same word and leave the generator in
+    # the same state, so later moves of a play stay in step
+    m = CylinderModel(k)
+    for seed in range(200):
+        pick = random.Random(seed)
+        shape = seed % 3
+        if shape == 2:
+            words = itertools.product(range(k), repeat=pick.randrange(4))
+        else:
+            words = [
+                tuple(pick.randrange(k) for _ in range(pick.randrange(5)))
+                for _ in range(1 if shape == 0 else pick.randint(2, 5))
+            ]
+        i = m.lam(map(m.singleton, words))
+        assert m.some_point_in(i) == _some_point_by_codes(m, i), (seed, i)
+        got, want = random.Random(seed), random.Random(seed)
+        j = i
+        for _ in range(3):
+            step = m.random_ll_successor(j, got)
+            assert step == _successor_by_codes(m, j, want), (seed, j)
+            assert got.getstate() == want.getstate(), (seed, j)
+            j = step
+    assert m.some_point_in(0) is None
+    with pytest.raises(ValueError, match="cannot extend the empty open"):
+        m.random_ll_successor(0, random.Random(0))
 
 
 # -- baire ------------------------------------------------------------------
@@ -955,7 +1009,7 @@ def test_baire_two_dense_cylinder_sets():
     res = baire_witness(m, dense, m.singleton((0,)), budget=10_000)
     assert res.outcome == "VERIFIED"
     x = res.point
-    assert x.letter(0) == 0
+    assert x.word(1) == (0,)
     for u_part, _ in dense:
         assert m.point_in_union(x, u_part)
     assert len(res.chain) >= 3
@@ -1232,6 +1286,46 @@ def test_least_ll_above_matches_a_brute_force_search():
                 msg = "point fails clause %d: not in the presented subspace" % m.n_u(c)
             want = ValueError, msg
         assert got == want, (m.to_json(), c, x)
+
+
+def test_second_search_keeps_the_first_answer():
+    # The stationary strategy answers C = least_containing(x, within=U),
+    # then B = least_ll_above(C, x).  Where ll(U, V) is "V nonempty and
+    # V inside U", any open around x inside C lies inside U, so C is
+    # already least and B is C again.
+    answered = 0
+    rng = random.Random(28)
+    for k in (2, 3, 4):
+        m = CylinderModel(k)
+        for x in _seeded_cyl_points(k, 800 + k, 60):
+            for _ in range(5):
+                # words that often sit on x's path, so some unions cover it
+                words = [
+                    x.word(rng.randrange(4)) + tuple(rng.choices(range(k), k=rng.randrange(3)))
+                    for _ in range(rng.randint(1, 6))
+                ]
+                if rng.randrange(3) == 0:
+                    words += itertools.product(range(k), repeat=rng.randrange(1, 4))
+                u = tuple(m.singleton(w) for w in words)
+                try:
+                    c = m.least_containing(x, within=u)
+                except SearchExhausted:
+                    continue
+                assert m.least_ll_above(c, x) == c, (k, x, words)
+                answered += 1
+    assert answered >= 700
+    for n in range(1, 9):
+        fm = FinitePosetModel(random_poset(n, 900 + n))
+        for x in fm.points():
+            for _ in range(10):
+                u = tuple(rng.sample(range(len(fm.opens)), rng.randint(1, min(3, len(fm.opens)))))
+                try:
+                    c = fm.least_containing(x, within=u)
+                except SearchExhausted:
+                    continue
+                assert fm.least_ll_above(c, x) == c, (n, x, u)
+                answered += 1
+    assert answered >= 900
 
 
 def _brute_least_set(m, c, x, rows_top):
