@@ -6,7 +6,7 @@ a of a finite poset is at D-level <= n exactly when no membership-
 alternating strictly increasing chain starting inside a has n edges.
 On a finite poset the maximal rank of an (a, eps)-alternating increasing
 tree equals the longest such chain, so the tree search collapses to a
-DP over the order.
+DP over the order and a maximal-rank tree to one longest chain.
 """
 
 from __future__ import annotations
@@ -88,73 +88,23 @@ def kb_sorted(nodes):
     return sorted(nodes, key=_kb_key)
 
 
-# -- labeled alternating trees -------------------------------------------
+# -- alternating chains ---------------------------------------------------
 
 
-@dataclass
-class LabeledAltTree:
-    """A tree whose nodes carry poset elements, increasing along edges,
-    with membership in `member_mask` flipping along every edge."""
-
-    tree: WfTree
-    labels: dict  # node tuple -> element
-
-    def validate(self, poset, member_mask, eps=None):
-        chi = lambda v: bool((member_mask >> v) & 1)
-        for node in self.tree.nodes:
-            if node not in self.labels:
-                raise ValueError("unlabeled node %r" % (node,))
-            if node:
-                parent = node[:-1]
-                a, b = self.labels[parent], self.labels[node]
-                if not poset.lt(a, b):
-                    raise ValueError("labels not strictly increasing at %r" % (node,))
-                if chi(a) == chi(b):
-                    raise ValueError("membership does not alternate at %r" % (node,))
-        if eps is not None and chi(self.labels[()]) != bool(eps):
-            raise ValueError("root sign is not eps=%d" % eps)
-
-    def rank(self):
-        return self.tree.rank()
-
-
-def prune_to_rank(f, poset, member_mask, beta, eps):
-    """Extract from f an (a, eps)-alternating subtree of rank exactly beta.
-
-    Works by walking one maximal-rank branch and keeping beta+1
-    consecutive nodes starting at depth 0 or 1, whichever has the right
-    sign.  Guaranteed for beta < rank(f) (either sign); for
-    beta = rank(f) only with the root's own sign.  Returns
-    (LabeledAltTree, embedding dict new-node -> old-node).
-    """
+def check_alternating_chain(poset, member_mask, chain, eps):
+    """Raise ValueError unless chain (v0, ..., vk) is strictly
+    increasing, flips membership in member_mask at every step and starts
+    on side eps.  A failure names the offending node (v1, ..., vj) of
+    the chain's tree of prefixes, whose root () is v0."""
     chi = lambda v: bool((member_mask >> v) & 1)
-    r = f.tree.rank()
-    if beta > r:
-        raise ValueError("no subtree of rank %d in a rank-%d tree" % (beta, r))
-    branch = [()]
-    while f.tree.node_rank(branch[-1]) > 0:
-        want = f.tree.node_rank(branch[-1]) - 1
-        branch.append(
-            next(k for k in f.tree.children(branch[-1]) if f.tree.node_rank(k) == want)
-        )
-    d = 0 if chi(f.labels[branch[0]]) == bool(eps) else 1
-    if d + beta > r:
-        raise ValueError("rank-%d eps=%d subtree unavailable" % (beta, eps))
-    picked = branch[d : d + beta + 1]
-    nodes = [()]
-    embedding = {(): picked[0]}
-    labels = {(): f.labels[picked[0]]}
-    path = ()
-    for old in picked[1:]:
-        path = path + (old[-1],)
-        nodes.append(path)
-        embedding[path] = old
-        labels[path] = f.labels[old]
-    g = LabeledAltTree(WfTree(nodes), labels)
-    g.validate(poset, member_mask, eps)
-    if g.rank() != beta:
-        raise AssertionError("pruning missed the target rank")  # pragma: no cover
-    return g, embedding
+    for j in range(1, len(chain)):
+        a, b = chain[j - 1], chain[j]
+        if not poset.lt(a, b):
+            raise ValueError("labels not strictly increasing at %r" % (chain[1 : j + 1],))
+        if chi(a) == chi(b):
+            raise ValueError("membership does not alternate at %r" % (chain[1 : j + 1],))
+    if chi(chain[0]) != bool(eps):
+        raise ValueError("root sign is not eps=%d" % eps)
 
 
 # -- chain DP classification ----------------------------------------------
@@ -199,26 +149,24 @@ class AltChains:
         return tuple(max((self.m[v] for v in self._side(e)), default=0) for e in (1, 0))
 
     def witness(self, eps):
-        """A maximal-rank (a, eps)-alternating increasing tree: one
-        longest alternating chain, walked down the DP values, with
-        rank + 1 nodes.  It starts at the first eps-side point with the
-        largest m[v], then takes each time the least strict successor
-        of opposite membership whose m is one less.  None when the eps
-        side is empty."""
+        """One longest (a, eps)-alternating increasing chain (v0, ..., vk),
+        k the maximal tree rank, walked down the DP values.  It starts at
+        the first eps-side point with the largest m[v], then takes each
+        time the least strict successor of opposite membership whose m
+        is one less.  None when the eps side is empty."""
         poset, a_mask, m = self.poset, self.a_mask, self.m
         v = max(self._side(eps), key=m.__getitem__, default=None)
         if v is None:
             return None
-        node, labels = (), {(): v}
+        chain = [v]
         while m[v] > 1:
             chi_v = (a_mask >> v) & 1
             v = next(y for y in bits(poset.up[v])
                      if y != v and ((a_mask >> y) & 1) != chi_v and m[y] == m[v] - 1)
-            node += (v,)
-            labels[node] = v
-        t = LabeledAltTree(WfTree(labels), labels)
-        t.validate(poset, a_mask, eps)
-        return t
+            chain.append(v)
+        chain = tuple(chain)
+        check_alternating_chain(poset, a_mask, chain, eps)
+        return chain
 
     def code(self, alpha):
         """Difference code for a at level alpha.
@@ -284,41 +232,3 @@ def ambiguity_audit(poset, n_max):
         report.equal_at[n] = not bad
         report.violations[n] = bad
     return report
-
-
-def ambiguous_drop_surgery(poset, a_mask, n):
-    """The point-adjunction construction behind successor-level
-    collapse arguments.
-
-    Given a set ambiguous at level n+1 (sigma, pi <= n+1, n >= 1), glue
-    a fresh point strictly below the top slot of a monotone D_(n+1)
-    code for a.  In the enlarged poset the enlarged set a+ = a | {new}
-    still has a D_(n+1) code (top entry extended by the new point) and
-    its complement is unchanged, so a+ stays ambiguous at n+1.  Returns
-    (new_poset, new_mask, levels_of_new_mask).
-
-    The textbook next step — that the new point forces min(sigma, pi)
-    of a+ down to n — is *not* asserted here, because it is false
-    without a least element: on two disjoint 2-chains the set
-    {top of one, bottom of the other} is ambiguous at 2 and the
-    adjunction leaves it at sigma = pi = 2.  The prepend trick needs
-    the new point below an alternating tree rooted *outside* the set,
-    and it is only below those rooted inside.  Callers get the levels
-    back and decide.
-    """
-    if n < 1:
-        raise ValueError("the collapse argument needs n >= 1")
-    chains = AltChains(poset, a_mask)
-    s, p = chains.levels()
-    if s > n + 1 or p > n + 1:
-        raise ValueError("set is not ambiguous at level %d" % (n + 1))
-    from hierkit.diff_hierarchy import normalize_monotone, pad
-
-    code = pad(chains.code(s), n + 1)
-    code = normalize_monotone(code, lambda u, v: u | v)
-    top_slot = 0
-    for idx, mask in code.entries:
-        top_slot |= mask
-    bigger = poset.adjoin_point_below(top_slot)
-    new_mask = a_mask | (1 << poset.n)
-    return bigger, new_mask, classify_by_trees(bigger, new_mask)

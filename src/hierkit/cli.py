@@ -173,14 +173,14 @@ def _code_json(code):
     }
 
 
-def _tree_json(lt):
-    if lt is None:
+def _tree_json(chain):
+    """A witness chain (v0, ..., vk) as its rank-k tree of prefixes:
+    the node (v1, ..., vj) is labeled vj, and the root () v0."""
+    if chain is None:
         return None
     return {
-        "rank": lt.rank(),
-        "nodes": [
-            {"node": list(n), "label": lt.labels[n]} for n in sorted(lt.tree.nodes)
-        ],
+        "rank": len(chain) - 1,
+        "nodes": [{"node": list(chain[1 : j + 1]), "label": v} for j, v in enumerate(chain)],
     }
 
 

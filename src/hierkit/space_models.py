@@ -498,9 +498,6 @@ class FinitePosetModel(SpaceModel):
         self._index = {m: i for i, m in enumerate(self.opens)}
         self.kind = "poset"
 
-    def mask(self, i):
-        return self.opens[i]
-
     def index_of(self, mask):
         return self._index[mask]
 
@@ -772,24 +769,7 @@ def index_visible(i, t):
     return i.bit_length() <= t
 
 
-# -- relation transport and auditing ----------------------------------------
-
-
-UNKNOWN = "UNKNOWN"
-
-
-def lift_relation(model, c, d, pool, exhaustive=False):
-    """Transport ll along basis change: c is below d in the lifted
-    relation iff some pool pair U ll V fits between them
-    (c >= U ll V >= d).  Returns True, False (only when the pool is
-    known exhaustive) or UNKNOWN."""
-    for u in pool:
-        if not model.basic_subset(u, c):
-            continue
-        for v in pool:
-            if model.ll(u, v) and model.basic_subset(d, v):
-                return True
-    return False if exhaustive else UNKNOWN
+# -- relation auditing ------------------------------------------------------
 
 
 @dataclass

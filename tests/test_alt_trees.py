@@ -6,14 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from hierkit.alt_trees import (
     AltChains,
-    LabeledAltTree,
     WfTree,
     ambiguity_audit,
-    ambiguous_drop_surgery,
+    check_alternating_chain,
     classify_by_trees,
     kb_less,
     kb_sorted,
-    prune_to_rank,
 )
 from hierkit.diff_hierarchy import denote_mask, sigma_pi_levels
 from hierkit.finite_space import FinitePoset, all_posets_upto_iso, random_poset
@@ -54,8 +52,8 @@ def test_rank_conventions():
 
 @given(st.lists(st.lists(st.integers(0, 3), max_size=4), max_size=12))
 def test_children_and_ranks_match_their_definitions(seqs):
-    # children in the order of iteration over nodes, as prune_to_rank's
-    # first match relies on; ranks by the recursive definition
+    # children in the order of iteration over nodes; ranks by the
+    # recursive definition
     t = WfTree(s[:k] for s in seqs for k in range(len(s) + 1))
 
     def rank(node):
@@ -114,59 +112,20 @@ def test_kb_sorted_agrees_with_kb_less(paths):
         assert kb_less(a, b) == (rank[a] < rank[b])
 
 
-def test_labeled_tree_validation():
-    p = FinitePoset.chain(3)
-    t = WfTree([(0,)])
-    good = LabeledAltTree(t, {(): 0, (0,): 1})
-    good.validate(p, 0b010)  # 0 out, 1 in: alternates
-    with pytest.raises(ValueError):
-        LabeledAltTree(t, {(): 0, (0,): 1}).validate(p, 0b011)  # both in
-    with pytest.raises(ValueError):
-        LabeledAltTree(t, {(): 1, (0,): 0}).validate(p, 0b010)  # decreasing
-    with pytest.raises(ValueError):
-        good.validate(p, 0b010, eps=1)  # root sign is 0
-
-
-# -- pruning -----------------------------------------------------------------
-
-
-def chain_tree(poset, labels):
-    nodes = [tuple([0] * i) for i in range(len(labels))]
-    return LabeledAltTree(WfTree(nodes), dict(zip(nodes, labels)))
-
-
-def test_prune_path():
-    p = FinitePoset.chain(4)
-    a = 0b0101  # 0 in, 1 out, 2 in, 3 out
-    f = chain_tree(p, [0, 1, 2, 3])
-    f.validate(p, a)
-    g, emb = prune_to_rank(f, p, a, 1, eps=0)
-    assert g.rank() == 1 and len(emb) == 2
-    g, _ = prune_to_rank(f, p, a, 2, eps=1)  # drop the root
-    assert g.rank() == 2
-    g, _ = prune_to_rank(f, p, a, 0, eps=0)
-    assert g.rank() == 0 and len(g.tree) == 1
-    with pytest.raises(ValueError):
-        prune_to_rank(f, p, a, 4, eps=1)
-    with pytest.raises(ValueError):
-        prune_to_rank(f, p, a, 3, eps=0)  # wrong sign at full rank
-
-
-@given(st.integers(2, 6), st.integers(0, 10**6))
-@settings(max_examples=60, deadline=None)
-def test_prune_random(n, seed):
-    rng = random.Random(seed)
-    p = random_poset(n, rng)
-    mask = rng.randrange(1 << p.n)
-    for eps in (0, 1):
-        f = AltChains(p, mask).witness(eps)
-        if f is None or f.rank() == 0:
-            continue
-        beta = rng.randrange(f.rank())
-        g, emb = prune_to_rank(f, p, mask, beta, rng.choice((0, 1)))
-        assert g.rank() == beta
-        for new, old in emb.items():
-            assert g.labels[new] == f.labels[old]
+@pytest.mark.parametrize(
+    "mask, chain, eps, message",
+    [
+        (0b101, (0, 1, 0), 1, "labels not strictly increasing at (1, 0)"),
+        (0b011, (0, 1), 1, "membership does not alternate at (1,)"),
+        (0b010, (0, 1), 1, "root sign is not eps=1"),
+    ],
+)
+def test_alternating_chain_check_refuses(mask, chain, eps, message):
+    # each refusal of a chain on 0 < 1 < 2; the witness tests below check
+    # the chains it accepts
+    with pytest.raises(ValueError) as exc:
+        check_alternating_chain(FinitePoset.chain(3), mask, chain, eps)
+    assert str(exc.value) == message
 
 
 # -- rank computation vs oracle ----------------------------------------------
@@ -215,12 +174,12 @@ def test_witness_tree_attains_rank(n, seed):
     mask = rng.randrange(1 << p.n)
     for eps in (0, 1):
         chains = AltChains(p, mask)
-        r, t = chains.rank(eps), chains.witness(eps)
+        r, chain = chains.rank(eps), chains.witness(eps)
         if r is None:
-            assert t is None
+            assert chain is None
         else:
-            assert t.rank() == r
-            t.validate(p, mask, eps)
+            assert len(chain) - 1 == r
+            check_alternating_chain(p, mask, chain, eps)
 
 
 def test_witnesses_are_longest_chains_on_random_posets():
@@ -231,13 +190,12 @@ def test_witnesses_are_longest_chains_on_random_posets():
         levels = classify_by_trees(p, mask)
         assert residue_levels(p, mask) == levels
         for eps, level in ((1, levels[0]), (0, levels[1])):
-            t = AltChains(p, mask).witness(eps)
+            chain = AltChains(p, mask).witness(eps)
             if level == 0:
-                assert t is None
+                assert chain is None
                 continue
-            t.validate(p, mask, eps)
-            assert all(len(t.tree.children(node)) <= 1 for node in t.tree.nodes)
-            assert t.rank() == level - 1 and len(t.tree) == level
+            check_alternating_chain(p, mask, chain, eps)
+            assert len(chain) - 1 == level - 1
 
 
 @pytest.mark.parametrize("k", range(3, 11))
@@ -251,8 +209,8 @@ def test_parity_witnesses_on_boolean_lattices(k):
     assert classify_by_trees(p, odd) == residue_levels(p, odd) == (k, k + 1)
     chains = AltChains(p, odd)
     sigma, pi = chains.witness(1), chains.witness(0)
-    assert (len(sigma.tree), len(pi.tree)) == (k, k + 1)
-    assert pi.labels[()] == 0
+    assert (len(sigma), len(pi)) == (k, k + 1)
+    assert pi[0] == 0
 
 
 # -- code synthesis ----------------------------------------------------------
@@ -328,66 +286,3 @@ def test_audit_successor_level_counterexamples():
         rep = ambiguity_audit(p, 2)
         assert not rep.equal_at[2]
         assert mask in rep.violations[2]
-
-
-def test_surgery_construction():
-    # two disjoint 2-chains a0 < a1, b0 < b1: {1, 2} is {a1, b0}, the top
-    # of one chain and the bottom of the other.  It is neither open nor
-    # closed, at levels (2, 2); the surgery glues the new point 4 below
-    # both members and the levels stay (2, 2).
-    p = FinitePoset.from_json({"n": 4, "cover": [[0, 1], [2, 3]]})
-    a = 0b0110
-    assert a not in p.opens() and p.carrier & ~a not in p.opens()
-    assert sigma_pi_levels(p, a) == (2, 2)
-    bigger, new_mask, (s, pi) = ambiguous_drop_surgery(p, a, 2)
-    assert bigger.cover_pairs() == [(0, 1), (2, 3), (4, 1), (4, 2)]
-    assert new_mask == a | 0b10000
-    assert (s, pi) == sigma_pi_levels(bigger, new_mask) == (2, 2)
-
-    # level 3 above a least element: on the diamond 0 < 1, 2 < 3 the set
-    # {0, 3} of bottom and top has levels (3, 2).  The new point goes
-    # below 0, becomes the least element, and the levels stay (3, 2).
-    diamond = FinitePoset.from_json({"n": 4, "cover": [[0, 1], [0, 2], [1, 3], [2, 3]]})
-    a = 0b1001
-    assert sigma_pi_levels(diamond, a) == (3, 2)
-    bigger, new_mask, (s, pi) = ambiguous_drop_surgery(diamond, a, 2)
-    assert bigger.cover_pairs() == [(0, 1), (0, 2), (1, 3), (2, 3), (4, 0)]
-    assert bigger.least_element() == 4 and new_mask == a | 0b10000
-    assert (s, pi) == sigma_pi_levels(bigger, new_mask) == (3, 2)
-
-
-def test_surgery_drop_can_fail_without_least_element():
-    # the adjunction is sound but the level does not always fall
-    p = FinitePoset.from_json({"n": 4, "cover": [[2, 1], [3, 0]]})
-    a = 0b0101
-    assert sigma_pi_levels(p, a) == (2, 2)
-    bigger, new_mask, (s, pi) = ambiguous_drop_surgery(p, a, 1)
-    assert (s, pi) == (2, 2)
-
-
-def test_surgery_guards():
-    p = FinitePoset.antichain(2)
-    with pytest.raises(ValueError):
-        ambiguous_drop_surgery(p, 0b01, 0)
-    chain = FinitePoset.chain(4)
-    with pytest.raises(ValueError):
-        ambiguous_drop_surgery(chain, 0b0101, 1)  # level (3,4): not ambiguous at 2
-
-
-@given(st.integers(2, 5), st.integers(0, 10**6), st.integers(1, 2))
-@settings(max_examples=80, deadline=None)
-def test_surgery_generated(n, seed, lvl):
-    rng = random.Random(seed)
-    p = random_poset(n, rng)
-    mask = rng.randrange(1 << p.n)
-    s, pi = classify_by_trees(p, mask)
-    if max(s, pi) > lvl + 1:
-        return
-    bigger, new_mask, (s2, p2) = ambiguous_drop_surgery(p, mask, lvl)
-    # sound parts: old points keep their membership, ambiguity at lvl+1
-    # survives the adjunction.  (The level drop itself can fail; see
-    # test_surgery_drop_can_fail_without_least_element.)
-    assert new_mask & p.carrier == mask
-    assert max(s2, p2) <= lvl + 1
-    if p.least_element() is not None:
-        assert min(s2, p2) <= lvl

@@ -714,7 +714,10 @@ def test_audit_rejects_sizes_outside_the_limit(capsys, monkeypatch, size):
 # place of every chain below its root; the other classify witnesses
 # were chains already.  The classify cases are (n, seed, edge_prob): the
 # poset is random_poset(n, rng, edge_prob) and the set takes each point
-# with probability 1/2, both from random.Random(seed).
+# with probability 1/2, both from random.Random(seed).  The `hier alt`
+# digests were recorded while each witness was still wrapped in a
+# labeled tree; their cases add which set is taken: the seeded one, or
+# the empty set, whose eps = 1 witness is null.
 AUDIT_DIGESTS = {
     4: "632b7fb1ceaf28ad3a7331c070dce960d9c354f5d718bd1bd97b39cd21e1b06f",
     5: "fb820574c29debbf8b0c0cdd4b0e852a7ee17ec6534d6cc9b1fe7c4d94d11ec0",
@@ -727,6 +730,11 @@ CLASSIFY_DIGESTS = {
     (12, 3, 0.1): "e849d339ed2ccde4dd38e19692692ac49a9d83313e6e02b77e667e606d1723b1",
     (16, 4, 0.1): "d61e0edffc46cc97290f25fcbd16592a51cfe3460220b3a2386bf8ecc0683037",
     (16, 5, 0.1): "55bc05b1bb4b8c30f849f67fb7bcc497b05b9924cfba9da5632dbd290e1009ea",
+}
+ALT_DIGESTS = {
+    (8, 0, 0.35, "seeded"): "390192498705e6b5e19eedd00daf515a4e029604e590f12a1a5149d4907fdbda",
+    (16, 2, 0.35, "seeded"): "f9d8413991f02d075311bfb39853b04ea191603f1f11a14951e8d26c9659443b",
+    (12, 1, 0.35, "empty"): "d23dc523ac5f974ef9f0916b919bfa5c12d555c4bd6826df6bf45db68e4cbfd8",
 }
 
 
@@ -744,11 +752,26 @@ def test_classify_reports_match_golden_digests(capsys, n, seed, edge_prob):
     assert golden_digest(out) == CLASSIFY_DIGESTS[n, seed, edge_prob]
 
 
-def _classify_argv(n, seed, edge_prob):
+@pytest.mark.parametrize("n, seed, edge_prob, members", sorted(ALT_DIGESTS))
+def test_alt_reports_match_golden_digests(capsys, n, seed, edge_prob, members):
+    poset, seeded = _seeded_poset(n, seed, edge_prob)
+    argv = ["alt", "--poset", poset, "--set", seeded if members == "seeded" else ""]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert golden_digest(out) == ALT_DIGESTS[n, seed, edge_prob, members]
+
+
+def _seeded_poset(n, seed, edge_prob):
+    """(poset JSON, member list) of a golden case, as its comment says."""
     rng = random.Random(seed)
     poset = random_poset(n, rng, edge_prob)
     members = ",".join(str(v) for v in range(n) if rng.random() < 0.5)
-    return ["classify", "--poset", json.dumps(poset.to_json()), "--set", members, "--method", "all"]
+    return json.dumps(poset.to_json()), members
+
+
+def _classify_argv(n, seed, edge_prob):
+    poset, members = _seeded_poset(n, seed, edge_prob)
+    return ["classify", "--poset", poset, "--set", members, "--method", "all"]
 
 
 def test_cached_parser_survives_a_usage_error(capsys):

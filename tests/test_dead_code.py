@@ -10,7 +10,11 @@ public.  A third fails when a method that the benchmark's span tracer
 wraps, as listed in `bench/spans.py`, is no longer defined where the
 tracer looks for it.  A fourth fails when `SearchBudgetExceeded` is
 constructed anywhere but `Budget.spend`: every counted search spends
-from one `Budget` rather than keeping a counter of its own.
+from one `Budget` rather than keeping a counter of its own.  A fifth
+fails when a public module-level function or class is read by no
+hierkit source outside its own definition, unless `TEST_ONLY` names it
+with the consumer that keeps it, and when a `TEST_ONLY` entry has gained
+a caller in the sources.
 """
 
 import ast
@@ -289,3 +293,78 @@ def test_only_budget_spend_raises_the_budget_error():
 )
 def test_the_budget_error_guard_flags_what_it_should(source, expected):
     assert budget_errors_outside_spend(source) == expected
+
+
+# Public functions and classes that no hierkit source reads, each with
+# the consumer that keeps it.
+TEST_ONLY = {
+    "kb_less": "the reference Kleene-Brouwer order of the transform tests",
+    "kb_sorted": "the reference Kleene-Brouwer order of the transform tests",
+    "normalize_monotone": "acceptance criterion 3",
+    "pad": "acceptance criterion 3",
+    "hausdorff_from_diff": "acceptance criterion 9",
+    "claim2_gaps": "acceptance criterion 8",
+    "check_approx_conditions": "acceptance criterion 5",
+    "relation_from_strategy": "ROADMAP item 19, hier approx",
+    "identity_refinement": "ROADMAP item 19, hier approx",
+    "audit_convergence": "ROADMAP item 8",
+}
+
+
+def _reads(node, skip=None):
+    """The names read under node, as a bare name or as an attribute,
+    leaving out skip."""
+    found = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            found.add(n.id)
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            found.add(n.attr)
+    found.discard(skip)
+    return found
+
+
+def unread_public_names(sources, test_only):
+    """'file:line name' for each public module-level function or class
+    in sources ({file name: text}) that no source reads outside its own
+    definition and that test_only leaves out; then 'name has a caller'
+    for each test_only entry that some source reads."""
+    defined, read = [], set()
+    for name, text in sources.items():
+        for node in ast.parse(text).body:
+            own = None
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = node.name
+                if not own.startswith("_"):
+                    defined.append((name, node.lineno, own))
+            read |= _reads(node, own)
+    found = [
+        "%s:%d %s" % (name, line, own)
+        for name, line, own in defined
+        if own not in read and own not in test_only
+    ]
+    return found + ["%s has a caller" % own for own in sorted(test_only) if own in read]
+
+
+def test_every_public_name_has_a_reader_or_a_named_consumer():
+    sources = {path.name: path.read_text() for path in SOURCES}
+    assert unread_public_names(sources, TEST_ONLY) == []
+
+
+@pytest.mark.parametrize(
+    "sources, expected",
+    [
+        ({"a.py": "def f():\n    pass\n"}, ["a.py:1 f"]),
+        ({"a.py": "def f():\n    pass\n", "b.py": "from a import f\nf()\n"}, []),
+        ({"a.py": "def f():\n    pass\n", "b.py": "import a\na.f()\n"}, []),
+        ({"a.py": "def f(n):\n    return f(n - 1)\n"}, ["a.py:1 f"]),
+        ({"a.py": "class C:\n    def m(self):\n        return C()\n"}, ["a.py:1 C"]),
+        ({"a.py": "def _f():\n    pass\n"}, []),
+        ({"a.py": "F = 1\n"}, []),
+        ({"a.py": "def f():\n    pass\n\ndef g():\n    f()\n"}, ["a.py:4 g"]),
+        ({"a.py": "def t():\n    pass\n"}, []),
+        ({"a.py": "def t():\n    pass\n\nX = t()\n"}, ["t has a caller"]),
+    ],
+)
+def test_the_unread_public_name_guard_flags_what_it_should(sources, expected):
+    assert unread_public_names(sources, {"t": "a test"}) == expected

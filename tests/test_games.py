@@ -48,7 +48,7 @@ def test_three_chain_respond_picks_principal_upset():
     fm = chain3_model()
     s = stationary_from_relation(fm)
     v = s.respond(1, (fm.index_of(0b111),))
-    assert fm.mask(v) == 0b110
+    assert fm.opens[v] == 0b110
 
 
 def test_pinf_respond_grows_the_max():

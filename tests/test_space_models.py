@@ -27,7 +27,6 @@ from hierkit.space_models import (
     INF,
     NOT_A_CLAUSE,
     SOLVED,
-    UNKNOWN,
     UNSOLVED_CLAUSE,
     BaireResult,
     ClauseSystem,
@@ -40,7 +39,6 @@ from hierkit.space_models import (
     baire_witness,
     check_approx_conditions,
     index_visible,
-    lift_relation,
     model_from_json,
     pinf_model,
     pn_model,
@@ -527,44 +525,6 @@ def test_least_ll_above_is_exact_past_the_tail_window():
     for tail in range(11):
         x = SetPoint(c, cofinite_from=tail)
         assert m.least_ll_above(c, x) == ref.least_ll_above(c, _frozen(x)) == c | 1 << 10
-
-
-# -- lift -------------------------------------------------------------------
-
-
-def test_lift_same_basis_contains_original():
-    m = pinf_model()
-    pool = list(range(32))
-    for a in range(16):
-        for b in range(16):
-            if m.ll(a, b):
-                assert lift_relation(m, a, b, pool) is True
-
-
-def test_lift_to_coarser_basis_keeps_first_conditions():
-    m = pinf_model()
-    pool = list(range(32))
-    coarse = [i for i in range(32) if i.bit_count() % 2 == 0]
-    lifted = {}
-    for c in coarse[:16]:
-        for d in coarse[:16]:
-            lifted[c, d] = lift_relation(m, c, d, pool) is True
-    for (c, d), holds in lifted.items():
-        if holds:
-            assert m.basic_subset(d, c)  # condition (1)
-    for c in coarse[:16]:
-        for t in coarse[:16]:
-            if not m.basic_subset(c, t):
-                continue
-            for d in coarse[:16]:
-                if lifted[c, d]:
-                    assert lifted[t, d]  # condition (2)
-
-
-def test_lift_exhausted_pool():
-    m = pinf_model()
-    assert lift_relation(m, 1, 3, [], exhaustive=True) is False
-    assert lift_relation(m, 1, 3, []) == UNKNOWN
 
 
 # -- staging ----------------------------------------------------------------
@@ -1196,9 +1156,9 @@ def test_model_json_roundtrip():
 def test_poset_model_least_searches():
     fm = FinitePosetModel(FinitePoset.from_cover(3, [(0, 1), (1, 2)]))
     # opens ascend by size: empty, {2}, {1,2}, whole
-    assert [fm.mask(i) for i in fm.candidate_indices(2)] == [0, 4, 6, 7]
-    assert fm.mask(fm.least_containing(1)) == 0b110
-    assert fm.mask(fm.least_ll_above(fm.index_of(0b110), 1)) == 0b110
+    assert [fm.opens[i] for i in fm.candidate_indices(2)] == [0, 4, 6, 7]
+    assert fm.opens[fm.least_containing(1)] == 0b110
+    assert fm.opens[fm.least_ll_above(fm.index_of(0b110), 1)] == 0b110
     assert fm.some_point_in(fm.index_of(0)) is None
 
 
