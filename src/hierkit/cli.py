@@ -55,7 +55,7 @@ from hierkit.games import (
     stationary_from_relation,
 )
 from hierkit.residues import hausdorff_decompose, residue_levels
-from hierkit.space_models import SearchExhausted, baire_witness, model_from_json
+from hierkit.space_models import baire_witness, model_from_json
 
 VALIDATION = 1
 BUDGET = 2
@@ -360,7 +360,7 @@ def _cmd_transform(args):
         "max_budget": None,
     }
     if args.points is None:
-        result = effective_hausdorff_transform(pres, model, args.budget)
+        result = effective_hausdorff_transform(pres, args.budget)
         return inputs, {"result": result.to_json(), "verification": None}
 
     points, _ = _arg_json(
@@ -370,7 +370,7 @@ def _cmd_transform(args):
     # the doubling stays inside the declared budget range
     max_budget = args.max_budget or min(8 * args.budget, jsonin.STAGE_BUDGET[1])
     inputs["max_budget"] = max_budget
-    report = verify_transform(pres, model, points, args.budget, max_budget=max_budget)
+    report = verify_transform(pres, points, args.budget, max_budget=max_budget)
     table = [
         {"point": model.point_to_json(x), "transform": got, "oracle": want, "match": got == want}
         for x, got, want in zip(points, report.answers, report.truth)
@@ -589,7 +589,7 @@ def main(argv=None):
         args = _parse_args(argv)
         try:
             inputs, outputs = args.handler(args)
-        except (SearchBudgetExceeded, SearchExhausted) as e:
+        except SearchBudgetExceeded as e:
             raise CliError(BUDGET, str(e))
         except CliError:
             raise

@@ -203,66 +203,54 @@ def hausdorff_from_diff(code, carrier_index=None):
 
 
 class StagedPresentation:
-    """Two staged row enumerations for a set and its complement.
+    """Two staged row enumerations over the basis of `model`, for a set
+    and its complement.
 
     `rows(eps, n, t)` yields the stage-t approximation of the n-th row
     of side eps as basis indices.  The class filters each row down to
-    the indices visible at stage t and checks -- against every row it
-    has already handed out -- that rows only grow with the stage.
-    `union(model, eps, n, t)` is the row's union as a basic open, kept
-    per model so that no row's union is built twice.  `union_runs(model,
-    eps, t)` lists the unions of rows 0..t-1 at stage t as runs of equal
-    values, `(union, end)` with `end` the first row past the run, also
-    kept per model: the F counter answers a whole run with one test.
-    `member`, when provided, is the ground-truth membership oracle used
-    by verification; the presentation itself never consults it.
+    the indices visible at stage t, keeps one memo entry per row and
+    stage, and checks each new stage of a row against the stages already
+    handed out, so rows only grow with the stage.  `member`, when
+    provided, is the ground-truth membership oracle used by
+    verification; the presentation itself never consults it.
     """
 
-    def __init__(self, rows, member=None):
+    def __init__(self, model, rows, member=None):
+        self.model = model
         self._rows = rows
         self.member = member
-        self._seen = {}
-        self._memo = {}
-        self._unions = {}
-        self._runs = {}
+        self._seen = {}  # (eps, n) -> {stage: row}
+        self._runs = {}  # (eps, t) -> union runs
 
     def row(self, eps, n, t):
         if eps not in (0, 1):
             raise ValueError("side must be 0 or 1")
-        key = (eps, n, t)
-        if key in self._memo:
-            return self._memo[key]
-        got = frozenset(i for i in self._rows(eps, n, t) if index_visible(i, t))
         seen = self._seen.setdefault((eps, n), {})
+        out = seen.get(t)
+        if out is not None:
+            return out
+        got = frozenset(i for i in self._rows(eps, n, t) if index_visible(i, t))
         for u, prev in seen.items():
-            older, newer = (prev, got) if u <= t else (got, prev)
-            if not older <= newer:
+            if not (got.issuperset(prev) if u < t else got.issubset(prev)):
                 raise ValueError(
                     "row (%d, %d) shrank between stages %d and %d"
                     % (eps, n, min(u, t), max(u, t))
                 )
-        seen[t] = got
-        out = tuple(sorted(got))
-        self._memo[key] = out
+        out = seen[t] = tuple(sorted(got))
         return out
 
-    def union(self, model, eps, n, t):
-        """`model.lam(self.row(eps, n, t))`, worked out once per model
-        and row: the key holds the model itself, so no union built by
-        one model is handed to another."""
-        key = (model, eps, n, t)
-        u = self._unions.get(key)
-        if u is None:
-            u = self._unions[key] = model.lam(self.row(eps, n, t))
-        return u
-
-    def union_runs(self, model, eps, t):
-        key = (model, eps, t)
+    def union_runs(self, eps, t):
+        """The unions of rows 0..t-1 of side eps at stage t as runs
+        `(union, end)` of equal values, `end` the first row past the run.
+        Each row's union is taken once, as the runs are kept per (eps,
+        t), and the F counter answers a whole run with one test."""
+        key = (eps, t)
         runs = self._runs.get(key)
         if runs is None:
+            lam = self.model.lam
             runs = []
             for q in range(t):
-                u = self.union(model, eps, q, t)
+                u = lam(self.row(eps, q, t))
                 if runs and runs[-1][0] == u:
                     runs[-1] = (u, q + 1)
                 else:
@@ -270,7 +258,7 @@ class StagedPresentation:
             runs = self._runs[key] = tuple(runs)
         return runs
 
-    def check_points(self, model, points, depth=6, stage=32):
+    def check_points(self, points, depth=6, stage=32):
         """Disjoint-and-covering sanity at finite resolution: a point is
         `stable` when the examined rows of its own side all contain it
         and some examined row of the other side has already shed it."""
@@ -280,11 +268,11 @@ class StagedPresentation:
         for x in points:
             side = 1 if self.member(x) else 0
             covered = all(
-                model.point_in_union(x, self.row(side, n, stage))
+                self.model.point_in_union(x, self.row(side, n, stage))
                 for n in range(depth)
             )
             escaped = any(
-                not model.point_in_union(x, self.row(1 - side, n, stage))
+                not self.model.point_in_union(x, self.row(1 - side, n, stage))
                 for n in range(depth)
             )
             report[x] = "stable" if covered and escaped else "unstable"
@@ -294,8 +282,10 @@ class StagedPresentation:
 def clopen_presentation(model, inside, outside):
     """Constant rows: every row of side 1 is {inside}, of side 0 is
     {outside}.  Correct exactly when the two opens partition the space,
-    which is the caller's claim and check_points' job to probe."""
+    which is the caller's claim and the presentation's `check_points`
+    probes."""
     return StagedPresentation(
+        model,
         lambda eps, n, t: (inside,) if eps == 1 else (outside,),
         member=lambda x: model.point_in_basic(x, inside),
     )
@@ -304,6 +294,7 @@ def clopen_presentation(model, inside, outside):
 def empty_presentation(model):
     whole = model.whole_index()
     return StagedPresentation(
+        model,
         lambda eps, n, t: (whole,) if eps == 0 else (),
         member=lambda x: False,
     )
@@ -338,7 +329,7 @@ def first_one_presentation(model):
         word = x.word(len(x.prefix) + len(x.cycle))
         return next((a == 1 for a in word if a), False)
 
-    return StagedPresentation(rows, member=member)
+    return StagedPresentation(model, rows, member=member)
 
 
 def rows_presentation(model, rows1, rows0, tail="repeat"):
@@ -356,7 +347,7 @@ def rows_presentation(model, rows1, rows0, tail="repeat"):
             return listed[-1]
         return ()
 
-    return StagedPresentation(rows)
+    return StagedPresentation(model, rows)
 
 
 _PRESENTATION_FIELDS = {
@@ -387,21 +378,22 @@ def presentation_from_json(model, data):
 # -- the F counter and the alternating tree ----------------------------------
 
 
-def compute_F(m, t, eps, pres, model):
+def compute_F(m, t, eps, pres):
     """The largest p <= t such that every row q < p of side eps
     approximates O_m from above at stage t, i.e. the stage-t union of
-    row q is nonempty-refined by O_m.  Not monotone in t in general
-    (rows grow, but so does the row count to survive) and never assumed
-    to be.
+    row q is nonempty-refined by O_m in the presentation's model.  Not
+    monotone in t in general (rows grow, but so does the row count to
+    survive) and never assumed to be.
 
-    The visibility of m is tested once, and the rows are walked as runs
-    of equal unions (`StagedPresentation.union_runs`): equal unions get
-    equal answers, so a run that passes adds its whole length."""
+    The visibility of m is tested once, and the rows are walked as the
+    presentation's memoized runs of equal unions (`union_runs`): equal
+    unions get equal answers, so a run that passes adds its whole length."""
     if not index_visible(m, t):
         return 0
+    ll = pres.model.ll
     p = 0
-    for u, end in pres.union_runs(model, eps, t):
-        if not (index_visible(u, t) and model.ll(u, m)):
+    for u, end in pres.union_runs(eps, t):
+        if not (index_visible(u, t) and ll(u, m)):
             break
         p = end
     return p
@@ -422,15 +414,14 @@ def stage_ladder(budget):
     return tuple(out)
 
 
-def _default_pool(pres, model, budget, stages):
+def _default_pool(pres, budget, stages):
+    model = pres.model
     cand = set(model.candidate_indices(budget))
     for eps in (0, 1):
         for t in stages:
             for q in range(t):
                 cand.update(pres.row(eps, q, t))
-                u = pres.union(model, eps, q, t)
-                if u:
-                    cand.add(u)
+            cand.update(u for u, _ in pres.union_runs(eps, t) if u)
     return tuple(
         sorted(
             i
@@ -458,7 +449,7 @@ class StagedTree:
         return len(self.nodes)
 
 
-def build_alt_tree(pres, model, stage_budget, node_cap=50_000):
+def build_alt_tree(pres, stage_budget, node_cap=50_000):
     """All sequences ((m_0,t_0),...,(m_k,t_k)) with strictly increasing
     m's and t's, each open nonempty-refining its predecessor at the
     later pair's stage, and the two F counters disagreeing at every
@@ -477,7 +468,7 @@ def build_alt_tree(pres, model, stage_budget, node_cap=50_000):
     come from the list of the other type, past the pairs whose index is
     at most its own (found by bisection); the root's children are both
     lists merged, as no pair has two types.  The staged relation is
-    tested as plain `model.ll`: every typed pair is visible at its own
+    tested as plain `ll` of the presentation's model: every typed pair is visible at its own
     stage, the key's index was visible at its stage, which is below the
     child's, and visibility is monotone in the stage, so both indices
     are visible at the child's stage.  Child lists are in ascending
@@ -487,22 +478,22 @@ def build_alt_tree(pres, model, stage_budget, node_cap=50_000):
     return, so no reference cycle holds them for the garbage collector.
     """
     stages = stage_ladder(stage_budget)
-    pool = _default_pool(pres, model, stage_budget, stages)
+    pool = _default_pool(pres, stage_budget, stages)
 
     sides = ([], [])  # per type: (pair, (type, F0, F1), child key), ascending
     for t in stages:
         for m in pool:
             if not index_visible(m, t):
                 continue
-            f0 = compute_F(m, t, 0, pres, model)
-            f1 = compute_F(m, t, 1, pres, model)
+            f0 = compute_F(m, t, 0, pres)
+            f1 = compute_F(m, t, 1, pres)
             if f0 != f1:
                 eps = 1 if f1 > f0 else 0
                 sides[eps].append(((m, t), (eps, f0, f1), (m, t, eps)))
     for side in sides:
         side.sort()
     side_m = tuple([pair[0] for pair, _, _ in side] for side in sides)
-    ll = model.ll
+    ll = pres.model.ll
 
     # children of any node whose last pair and type form the key, as
     # (pair, node value, the child's own key), pairs ascending
@@ -603,7 +594,6 @@ class TransformResult:
     tree: StagedTree
     xi: Ordinal
     slots: tuple  # the nonempty slots, rank-ascending
-    budget: int
 
     @functools.cached_property
     def diff_code(self):
@@ -634,7 +624,7 @@ class TransformResult:
         leaf_codes = {o: {"nodes": [[], [o]]} for o in {s.open_index for s in slots}}
         return {
             "xi": str(self.xi),
-            "budget": self.budget,
+            "budget": self.tree.budget,
             "nodes": len(self.tree),
             "frontier": len(self.tree.frontier),
             "slots": [
@@ -655,7 +645,7 @@ class TransformResult:
         }
 
 
-def effective_hausdorff_transform(pres, model, stage_budget):
+def effective_hausdorff_transform(pres, stage_budget):
     """Build the alternating tree, take its Kleene-Brouwer order with
     the root appended last, spread each node over an (omega+2)-block of
     slots, and emit the difference code whose only nonempty slot per
@@ -671,7 +661,7 @@ def effective_hausdorff_transform(pres, model, stage_budget):
     Evaluation of the result is exact for this budget: a point in no
     slot's open is reported outside, never guessed.
     """
-    tree = build_alt_tree(pres, model, stage_budget)
+    tree = build_alt_tree(pres, stage_budget)
     order = (*tree.nodes, ())
     top = _block_offset(len(order), 0, 0)  # xi as a pair
     slots = []
@@ -694,7 +684,7 @@ def effective_hausdorff_transform(pres, model, stage_budget):
                 )
             prev = rank
             slots.append(Slot(seq, r, eps, seq[-1][0]))
-    return TransformResult(tree, block_start(len(order)), tuple(slots), stage_budget)
+    return TransformResult(tree, block_start(len(order)), tuple(slots))
 
 
 # -- honesty: verification against a membership oracle -----------------------
@@ -714,7 +704,7 @@ class VerificationReport:
         return self.status == "COMPLETE"
 
 
-def verify_transform(pres, model, points, budget, max_budget):
+def verify_transform(pres, points, budget, max_budget):
     """Run the transform on doubling budgets until its evaluation
     matches the presentation's membership oracle on every test point,
     or the budget cap is hit.  The report never hides a disagreement:
@@ -728,9 +718,9 @@ def verify_transform(pres, model, points, budget, max_budget):
     result = None
     b = budget
     while True:
-        result = effective_hausdorff_transform(pres, model, b)
+        result = effective_hausdorff_transform(pres, b)
         budgets.append(b)
-        answers.append([result.eval_point(model, x) for x in points])
+        answers.append([result.eval_point(pres.model, x) for x in points])
         if answers[-1] == truth or b >= max_budget:
             break
         b = min(b * 2, max_budget)
@@ -749,12 +739,13 @@ def verify_transform(pres, model, points, budget, max_budget):
     )
 
 
-def claim2_gaps(result, model, points, member):
-    """Saturation check against the membership oracle `member`: every
-    node typed against a point's side and containing the point must
-    have a child whose open still contains it.  Frontier nodes are
+def claim2_gaps(result, pres, points):
+    """Saturation check against the presentation's membership oracle:
+    every node typed against a point's side and containing the point
+    must have a child whose open still contains it.  Frontier nodes are
     exempt -- their children were cut off by the budget, which the
     result already reports."""
+    model, member = pres.model, pres.member
     tree = result.tree
     kids = {}
     for seq in tree.nodes:

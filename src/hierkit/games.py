@@ -25,8 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from hierkit.space_models import SearchExhausted
-
 NONEMPTY_WINS = "NONEMPTY_WINS"
 EMPTY_WINS = "EMPTY_WINS"
 UNDECIDED = "UNDECIDED"
@@ -81,8 +79,8 @@ class StationaryStrategy:
 def stationary_from_relation(model):
     """The strategy built from the model's approximation relation: take
     the least basic C with x in C inside U, then the least basic B with
-    C ll B still containing x.  Search exhaustion means condition (3)
-    fails, i.e. the model itself is broken."""
+    C ll B still containing x.  A ValueError from either least search
+    means condition (3) fails, i.e. the model itself is broken."""
 
     def respond(x, u):
         if not model.point_in_union(x, u):
@@ -224,7 +222,7 @@ def play(model, empty, nonempty, rounds, game=CHOQUET):
             return t
         try:
             v = nonempty.respond(x, u)
-        except (ValueError, SearchExhausted) as e:
+        except ValueError as e:
             t.outcome, t.reason = EMPTY_WINS, "nonempty forfeits: %s" % e
             return t
         t.rounds.append((x, u, v))
@@ -251,11 +249,10 @@ def _decide(model, t):
             t.outcome, t.witness, t.reason = NONEMPTY_WINS, x, "finite stabilization"
         return t
     if all(model.ll(opens[k], opens[k + 1]) for k in range(len(opens) - 1)):
-        x = model.chain_limit(opens)
-        if all(model.point_in_basic(x, v) for v in opens):
-            t.outcome, t.witness = NONEMPTY_WINS, x
-            t.reason = "limit point certified"
-            return t
+        # chain_limit raises unless its point lies in every open
+        t.outcome, t.witness = NONEMPTY_WINS, model.chain_limit(opens)
+        t.reason = "limit point certified"
+        return t
     t.outcome = UNDECIDED
     t.reason = "no certificate within round budget"
     return t

@@ -62,10 +62,6 @@ UNSOLVED_CLAUSE = "unsolved"
 SOLVED = "solved"
 
 
-class SearchExhausted(Exception):
-    """A bounded least-search ran out of candidates."""
-
-
 # -- the model surface ------------------------------------------------------
 
 
@@ -103,7 +99,7 @@ class SpaceModel:
     def least_ll_above(self, c, x):
         """Least basic b with ll(c, b) and x in O_b.  Where ll is "V
         nonempty and V inside U", that is the least open around x
-        inside c; SearchExhausted when there is none."""
+        inside c; ValueError when there is none."""
         return self.least_containing(x, within=(c,))
 
     def check_chain(self, chain):
@@ -422,7 +418,7 @@ class PSpaceModel(SpaceModel):
             return 0
         best = min((j for j in within if self.point_in_basic(x, j)), default=None)
         if best is None:
-            raise SearchExhausted("point lies outside the union")
+            raise ValueError("point lies outside the union")
         return best
 
     def least_ll_above(self, c, x):
@@ -530,7 +526,7 @@ class FinitePosetModel(SpaceModel):
         the opens run smallest first."""
         up = self.poset.up[x]
         if within is not None and up & ~self.opens[self.lam(within)]:
-            raise SearchExhausted("no basic open contains the point")
+            raise ValueError("no basic open contains the point")
         return self._index[up]
 
     def random_ll_successor(self, i, rng):
@@ -704,7 +700,7 @@ class CylinderModel(SpaceModel):
             ):
                 d -= 1
         if not levels[d] or d > _MAX_DEPTH:
-            raise SearchExhausted("point has no small enough neighborhood")
+            raise ValueError("point has no small enough neighborhood")
         return self.singleton(path[:d])
 
     def random_ll_successor(self, i, rng):
@@ -810,7 +806,7 @@ def check_approx_conditions(model, indices, rng=None, chains=0, chain_len=6):
             continue
         try:
             w = model.least_ll_above(i, x)
-        except SearchExhausted:
+        except ValueError:
             rep.cond3.append((i, x))
             continue
         if not model.point_in_basic(x, w):

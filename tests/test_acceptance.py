@@ -332,11 +332,11 @@ def _assert_rank_parity(result):
         assert slot.rank.parity() == slot.eps, slot
 
 
-def _verified(pres, model, points, budget, max_budget):
-    report = verify_transform(pres, model, points, budget, max_budget=max_budget)
+def _verified(pres, points, budget, max_budget):
+    report = verify_transform(pres, points, budget, max_budget=max_budget)
     assert report.status == "COMPLETE", (report.budgets, report.mismatches)
     _assert_rank_parity(report.result)
-    assert claim2_gaps(report.result, model, points, pres.member) == []
+    assert claim2_gaps(report.result, pres, points) == []
     return report
 
 
@@ -345,10 +345,10 @@ def test_criterion_8_effective_transform():
     fork = FinitePosetModel(FinitePoset.from_cover(3, [(0, 1)]))
     elements = [0, 1, 2]
     clopen = clopen_presentation(fork, fork.index_of(0b100), fork.index_of(0b011))
-    _verified(clopen, fork, elements, 4, 64)
-    _verified(empty_presentation(fork), fork, elements, 4, 64)
+    _verified(clopen, elements, 4, 64)
+    _verified(empty_presentation(fork), elements, 4, 64)
     whole = clopen_presentation(fork, fork.index_of(0b111), fork.index_of(0))
-    _verified(whole, fork, elements, 4, 64)
+    _verified(whole, elements, 4, 64)
 
     model = CylinderModel(3)
     pres = first_one_presentation(model)
@@ -358,7 +358,7 @@ def test_criterion_8_effective_transform():
         for tail in range(3)
     ]
     assert len(points) == 243
-    report = _verified(pres, model, points, 16, 256)
+    report = _verified(pres, points, 16, 256)
     elapsed = time.monotonic() - started
     assert elapsed < 300
     _report(

@@ -488,6 +488,18 @@ TRANSFORM_ARGV = {
         "--presentation", '{"kind": "rows", "rows1": [[1, 2], [4]], "rows0": [[3], [5, 6]]}',
         "--budget", "16",
     ),
+    # the empty presentation, checked against its always-false oracle
+    "poset-empty": (
+        "--model", TWO_CHAINS, "--presentation", '{"kind": "empty"}',
+        "--budget", "8", "--points", "[0, 1, 2, 3]",
+    ),
+    # rows past the listed ones go empty instead of repeating the last
+    "poset-rows-empty-tail": (
+        "--model", TWO_CHAINS,
+        "--presentation",
+        '{"kind": "rows", "rows1": [[1, 2], [4]], "rows0": [[3], [5, 6]], "tail": "empty"}',
+        "--budget", "16",
+    ),
 }
 
 # (exit code, `golden_digest` of stdout) of `hier transform` on
@@ -496,6 +508,8 @@ TRANSFORM_ARGV = {
 # first-one-2-16, when `inputs` gained `max_budget`: no other byte
 # changed.  At budget 16 the binary word 0001 is not yet visible, so
 # that report is an honest budget exit, which carries no `inputs`.
+# poset-empty and poset-rows-empty-tail were recorded before the staged
+# presentation held its own model.
 TRANSFORM_DIGESTS = {
     "first-one-2-16": (2, "f9dab883b3462e1418603941f7b64af7e76cf19af6bd0ac19fedbd935e94a0ca"),
     "first-one-2-64": (0, "be68cb5d8b2a14a770fa26eb872140bc450584188c8db6769493f60ab26a019a"),
@@ -503,6 +517,9 @@ TRANSFORM_DIGESTS = {
     "first-one-3-ladder": (0, "589c1029ad928b58be135d9524bfb3726cbb0dcaee8cda281c3d094988fe1545"),
     "poset-clopen": (0, "fd05a8f4f213ea4e6283a240d4b21e7b60dd0d209ad3ec18fc02cff91a18b5a0"),
     "poset-rows": (0, "e93b62065b2868209f7628df4dcd33a2ca828c3393969b5513304b1350f621dd"),
+    "poset-empty": (0, "b71b8858b811bc5ac0379fcf798810ef009fd56c80e1480a03e0d0a8250e03ec"),
+    "poset-rows-empty-tail":
+        (0, "474c815e53396a938521f017f72824f524b594b13bab5f607f593ad8d76431a2"),
 }
 
 

@@ -14,10 +14,12 @@ from one `Budget` rather than keeping a counter of its own.  A fifth
 fails when a public module-level function or class is read by no
 hierkit source outside its own definition, unless `TEST_ONLY` names it
 with the consumer that keeps it, and when a `TEST_ONLY` entry has gained
-a caller in the sources.
+a caller in the sources.  A sixth does the same for the public methods
+of public classes, against `TEST_ONLY_METHODS`.
 """
 
 import ast
+import collections
 import importlib
 import pathlib
 
@@ -311,17 +313,19 @@ TEST_ONLY = {
 }
 
 
-def _reads(node, skip=None):
-    """The names read under node, as a bare name or as an attribute,
-    leaving out skip."""
-    found = set()
+def _read_names(node):
+    """Each name read under node, as a bare name or as an attribute,
+    once per read."""
     for n in ast.walk(node):
         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
-            found.add(n.id)
+            yield n.id
         elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
-            found.add(n.attr)
-    found.discard(skip)
-    return found
+            yield n.attr
+
+
+def _reads(node, skip=None):
+    """The names read under node, leaving out skip."""
+    return set(_read_names(node)) - {skip}
 
 
 def unread_public_names(sources, test_only):
@@ -368,3 +372,77 @@ def test_every_public_name_has_a_reader_or_a_named_consumer():
 )
 def test_the_unread_public_name_guard_flags_what_it_should(sources, expected):
     assert unread_public_names(sources, {"t": "a test"}) == expected
+
+
+# Public methods of public classes that no hierkit source reads, each
+# with the consumer that keeps it.
+TEST_ONLY_METHODS = {
+    "FinitePosetModel.index_of": "the poset-model tests and acceptance criterion 8",
+    "FinitePoset.antichain": "the poset tests",
+    "AmbiguityReport.ok": "acceptance criterion 4",
+    "ApproxReport.ok": "acceptance criterion 5",
+    "VerificationReport.ok": "the transform tests",
+    "StagedPresentation.check_points": "the presentation tests",
+    "TransformResult.diff_code": "the transform tests",
+    "TransformResult.hausdorff": "the transform tests",
+}
+
+
+def unread_public_methods(sources, test_only):
+    """'file:line Class.method' for each public method of a public
+    module-level class in sources ({file name: text}) whose name no
+    source reads outside the method's own body, and that test_only
+    leaves out; then 'Class.method has a caller' for each test_only
+    entry whose name is read outside its body.  Methods are matched by
+    name alone, as a read of `x.ok` may reach any class's `ok`."""
+    total, methods = collections.Counter(), []
+    for name, text in sources.items():
+        tree = ast.parse(text)
+        total.update(_read_names(tree))
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for node in cls.body:
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if not node.name.startswith("_"):
+                    own = sum(n == node.name for n in _read_names(node))
+                    methods.append((name, node.lineno, cls.name + "." + node.name, own))
+    read = {qual for _, _, qual, own in methods if total[qual.partition(".")[2]] > own}
+    found = [
+        "%s:%d %s" % (name, line, qual)
+        for name, line, qual, _ in methods
+        if qual not in read and qual not in test_only
+    ]
+    return found + ["%s has a caller" % qual for qual in sorted(test_only) if qual in read]
+
+
+def test_every_public_method_has_a_reader_or_a_named_consumer():
+    sources = {path.name: path.read_text() for path in SOURCES}
+    assert unread_public_methods(sources, TEST_ONLY_METHODS) == []
+
+
+@pytest.mark.parametrize(
+    "sources, expected",
+    [
+        ({"a.py": "class C:\n    def m(self):\n        pass\n"}, ["a.py:2 C.m"]),
+        ({"a.py": "class C:\n    def m(self):\n        pass\n", "b.py": "c.m()\n"}, []),
+        ({"a.py": "class C:\n    def m(self, n):\n        return self.m(n - 1)\n"},
+         ["a.py:2 C.m"]),
+        ({"a.py": "class C:\n    def m(self):\n        pass\n\n    def k(self):\n"
+                  "        return self.m()\n"}, ["a.py:5 C.k"]),
+        ({"a.py": "class C:\n    @property\n    def m(self):\n        pass\n"},
+         ["a.py:3 C.m"]),
+        ({"a.py": "class C:\n    def _m(self):\n        pass\n\n    def __len__(self):\n"
+                  "        return 0\n"}, []),
+        ({"a.py": "class _C:\n    def m(self):\n        pass\n"}, []),
+        ({"a.py": "class C:\n    def t(self):\n        pass\n"}, []),
+        ({"a.py": "class C:\n    def t(self):\n        pass\n\nC().t()\n"},
+         ["C.t has a caller"]),
+        # a read inside another class's method of the same name counts
+        ({"a.py": "class C:\n    def m(self):\n        pass\n\n"
+                  "class D:\n    def m(self):\n        return self.c.m()\n"}, ["a.py:6 D.m"]),
+    ],
+)
+def test_the_unread_public_method_guard_flags_what_it_should(sources, expected):
+    assert unread_public_methods(sources, {"C.t": "a test"}) == expected

@@ -280,35 +280,35 @@ def test_translation_agrees_with_diff_evaluation(alpha, picks, handles, polarity
 
 
 def test_rows_may_only_grow_with_the_stage():
-    shrinking = StagedPresentation(lambda eps, n, t: (1,) if t < 8 else ())
+    shrinking = StagedPresentation(CylinderModel(2), lambda eps, n, t: (1,) if t < 8 else ())
     assert shrinking.row(1, 0, 5) == (1,)
     with pytest.raises(ValueError, match="shrank"):
         shrinking.row(1, 0, 9)
     # asking about an earlier stage may not un-enumerate the index either
-    forgetful = StagedPresentation(lambda eps, n, t: (1,) if t == 9 else ())
+    forgetful = StagedPresentation(CylinderModel(2), lambda eps, n, t: (1,) if t == 9 else ())
     assert forgetful.row(0, 2, 9) == (1,)
     with pytest.raises(ValueError, match="shrank"):
         forgetful.row(0, 2, 20)
-    fine = StagedPresentation(lambda eps, n, t: (1,) if t >= 8 else ())
+    fine = StagedPresentation(CylinderModel(2), lambda eps, n, t: (1,) if t >= 8 else ())
     assert fine.row(0, 2, 3) == ()
     assert fine.row(0, 2, 9) == (1,)
 
 
 def test_visibility_truncates_rows():
-    pres = StagedPresentation(lambda eps, n, t: (1 << 10,))
+    pres = StagedPresentation(CylinderModel(2), lambda eps, n, t: (1 << 10,))
     assert pres.row(1, 0, 5) == ()
     assert pres.row(1, 0, 11) == (1 << 10,)
 
 
 def test_sides_are_binary():
     with pytest.raises(ValueError, match="side"):
-        StagedPresentation(lambda eps, n, t: ()).row(2, 0, 1)
+        StagedPresentation(CylinderModel(2), lambda eps, n, t: ()).row(2, 0, 1)
 
 
 def test_clopen_presentation_is_stable_on_all_points():
     m = fork_model()
     pres = clopen_presentation(m, m.index_of(0b100), m.index_of(0b011))
-    report = pres.check_points(m, m.points(), depth=4, stage=8)
+    report = pres.check_points(m.points(), depth=4, stage=8)
     assert set(report.values()) == {"stable"}
 
 
@@ -322,7 +322,7 @@ def test_first_one_presentation_is_stable_at_finite_resolution():
         CylPoint((0, 2), (2,)),
         CylPoint((), (0,)),
     ]
-    report = pres.check_points(c3, pts, depth=4, stage=32)
+    report = pres.check_points(pts, depth=4, stage=32)
     assert set(report.values()) == {"stable"}
     assert pres.member(CylPoint((0, 0), (1,)))
     assert not pres.member(CylPoint((0, 2), (1,)))
@@ -362,7 +362,7 @@ def test_tail_modes_differ_past_the_list():
 def test_zero_stage_never_counts():
     c3 = CylinderModel(3)
     pres = first_one_presentation(c3)
-    assert compute_F(c3.singleton((1,)), 0, 1, pres, c3) == 0
+    assert compute_F(c3.singleton((1,)), 0, 1, pres) == 0
 
 
 def test_constant_rows_count_every_stage():
@@ -373,8 +373,8 @@ def test_constant_rows_count_every_stage():
         [[c3.singleton((0,)), c3.singleton((2,))]],
     )
     sub = c3.singleton((1, 0))  # a sub-cylinder of [1]
-    assert compute_F(sub, 10, 1, pres, c3) == 10
-    assert compute_F(c3.singleton((1,)), 12, 1, pres, c3) == 12
+    assert compute_F(sub, 10, 1, pres) == 10
+    assert compute_F(c3.singleton((1,)), 12, 1, pres) == 12
 
 
 def test_failing_first_containment_stays_at_zero():
@@ -384,15 +384,15 @@ def test_failing_first_containment_stays_at_zero():
         [[c3.singleton((1,))]],
         [[c3.singleton((0,)), c3.singleton((2,))]],
     )
-    assert compute_F(c3.singleton((2,)), 10, 1, pres, c3) == 0
+    assert compute_F(c3.singleton((2,)), 10, 1, pres) == 0
 
 
 def test_invisible_index_counts_nothing():
     c3 = CylinderModel(3)
     pres = rows_presentation(c3, [[c3.singleton((1,))]], [[c3.singleton((0,))]])
     sub = c3.singleton((1, 0))  # needs 9 bits
-    assert compute_F(sub, 4, 1, pres, c3) == 0
-    assert compute_F(sub, 10, 1, pres, c3) == 10
+    assert compute_F(sub, 4, 1, pres) == 0
+    assert compute_F(sub, 10, 1, pres) == 10
 
 
 # -- the alternating tree -------------------------------------------------------
@@ -401,7 +401,7 @@ def test_invisible_index_counts_nothing():
 def test_clopen_tree_is_flat_with_hand_types():
     m = fork_model()
     pres = clopen_presentation(m, m.index_of(0b100), m.index_of(0b011))
-    tree = build_alt_tree(pres, m, 8)
+    tree = build_alt_tree(pres, 8)
     assert tree.stages == (1, 2, 4, 8)
     # {1} and {0,1} sit inside the complement, {2} inside the set;
     # {1,2} and the whole space straddle both, so they never type
@@ -418,7 +418,7 @@ def test_clopen_tree_is_flat_with_hand_types():
 
 def test_empty_set_grows_no_type_one_nodes():
     cm = CylinderModel(2)
-    tree = build_alt_tree(empty_presentation(cm), cm, 8)
+    tree = build_alt_tree(empty_presentation(cm), 8)
     assert tree.nodes
     assert all(eps == 0 for eps, _, _ in tree.nodes.values())
     assert all(len(seq) == 1 for seq in tree.nodes)
@@ -427,7 +427,7 @@ def test_empty_set_grows_no_type_one_nodes():
 def test_first_one_tree_matches_hand_analysis():
     c3 = CylinderModel(3)
     pres = first_one_presentation(c3)
-    tree = build_alt_tree(pres, c3, 16)
+    tree = build_alt_tree(pres, 16)
     whole = c3.singleton(())
     one = c3.singleton((1,))
     two = c3.singleton((2,))
@@ -453,12 +453,12 @@ def test_first_one_tree_matches_hand_analysis():
 def test_node_budget_is_enforced():
     c3 = CylinderModel(3)
     with pytest.raises(SearchBudgetExceeded, match="alternating tree"):
-        build_alt_tree(first_one_presentation(c3), c3, 32, node_cap=10)
+        build_alt_tree(first_one_presentation(c3), 32, node_cap=10)
 
 
 def test_frontier_marks_leaves_at_the_last_stage():
     c3 = CylinderModel(3)
-    tree = build_alt_tree(first_one_presentation(c3), c3, 16)
+    tree = build_alt_tree(first_one_presentation(c3), 16)
     prefixes = {seq[:-1] for seq in tree.nodes}
     leaves = set(tree.nodes) - prefixes
     assert tree.frontier
@@ -500,19 +500,19 @@ def test_kb_order_on_pair_sequences():
 def test_clopen_transform_denotes_the_set():
     m = fork_model()
     pres = clopen_presentation(m, m.index_of(0b100), m.index_of(0b011))
-    res = effective_hausdorff_transform(pres, m, 8)
+    res = effective_hausdorff_transform(pres, 8)
     assert res.xi == Ordinal.omega(10) + Ordinal.from_int(2)
     for x in m.points():
         want = x == 2
         assert res.eval_point(m, x) == want
         assert eval_diff(res.diff_code, x, by_index(m)) == want
         assert eval_hausdorff_code(res.hausdorff, m, x) == want
-    assert claim2_gaps(res, m, m.points(), member=pres.member) == []
+    assert claim2_gaps(res, pres, m.points()) == []
 
 
 def test_empty_transform_denotes_nothing():
     cm = CylinderModel(2)
-    res = effective_hausdorff_transform(empty_presentation(cm), cm, 8)
+    res = effective_hausdorff_transform(empty_presentation(cm), 8)
     pts = [CylPoint((), (0,)), CylPoint((1,), (0,)), CylPoint((0, 1), (1,))]
     assert all(not res.eval_point(cm, x) for x in pts)
     assert all(not eval_hausdorff_code(res.hausdorff, cm, x) for x in pts)
@@ -521,14 +521,14 @@ def test_empty_transform_denotes_nothing():
 def test_whole_space_transform_denotes_everything():
     m = fork_model()
     pres = clopen_presentation(m, m.whole_index(), 0)
-    res = effective_hausdorff_transform(pres, m, 8)
+    res = effective_hausdorff_transform(pres, 8)
     assert all(res.eval_point(m, x) for x in m.points())
 
 
 def test_first_one_transform_verifies_to_depth_three():
     c3 = CylinderModel(3)
     pres = first_one_presentation(c3)
-    rep = verify_transform(pres, c3, cyl_points(c3, 3), budget=8, max_budget=64)
+    rep = verify_transform(pres, cyl_points(c3, 3), budget=8, max_budget=64)
     assert rep.ok() and rep.mismatches == ()
     assert rep.budgets[0] == 8 and rep.budgets[-1] <= 64
     res = rep.result
@@ -538,13 +538,13 @@ def test_first_one_transform_verifies_to_depth_three():
     assert all(a.rank < b.rank for a, b in zip(res.slots, res.slots[1:]))
     # one block per node, the root's last
     assert res.xi == block_start(len(res.tree.nodes) + 1)
-    assert claim2_gaps(res, c3, cyl_points(c3, 3), member=pres.member) == []
+    assert claim2_gaps(res, pres, cyl_points(c3, 3)) == []
 
 
 def test_starved_transform_reports_incomplete():
     c3 = CylinderModel(3)
     pres = first_one_presentation(c3)
-    rep = verify_transform(pres, c3, cyl_points(c3, 3), budget=2, max_budget=4)
+    rep = verify_transform(pres, cyl_points(c3, 3), budget=2, max_budget=4)
     assert not rep.ok()
     assert rep.status == "INCOMPLETE"
     assert rep.mismatches
@@ -556,7 +556,7 @@ def test_verification_needs_an_oracle():
     cm = CylinderModel(2)
     pres = rows_presentation(cm, [[cm.singleton((1,))]], [[cm.singleton((0,))]])
     with pytest.raises(ValueError, match="oracle"):
-        verify_transform(pres, cm, [CylPoint((0,), (0,))], budget=4, max_budget=32)
+        verify_transform(pres, [CylPoint((0,), (0,))], budget=4, max_budget=32)
 
 
 @settings(deadline=None, max_examples=40)
@@ -575,7 +575,7 @@ def test_renderings_always_agree(rows1, rows0):
         [[1 << c for c in row] for row in rows1],
         [[1 << c for c in row] for row in rows0],
     )
-    res = effective_hausdorff_transform(pres, cm, 12)
+    res = effective_hausdorff_transform(pres, 12)
     assert list(res.tree.nodes) + [()] == kb_sorted(WfTree(res.tree.nodes).nodes)
     for x in cyl_points(cm, 3):
         direct = res.eval_point(cm, x)
@@ -585,8 +585,8 @@ def test_renderings_always_agree(rows1, rows0):
 
 def test_transform_is_deterministic():
     c3 = CylinderModel(3)
-    one = effective_hausdorff_transform(first_one_presentation(c3), c3, 16)
-    two = effective_hausdorff_transform(first_one_presentation(c3), c3, 16)
+    one = effective_hausdorff_transform(first_one_presentation(c3), 16)
+    two = effective_hausdorff_transform(first_one_presentation(c3), 16)
     assert json.dumps(one.to_json()) == json.dumps(two.to_json())
 
 
@@ -599,20 +599,21 @@ def staged_ll(model, i, j, t):
     return index_visible(i, t) and index_visible(j, t) and model.ll(i, j)
 
 
-def _reference_tree(pres, model, stage_budget, node_cap=50_000, log=None):
+def _reference_tree(pres, stage_budget, node_cap=50_000, log=None):
     """build_alt_tree as it was before child lists were keyed by (last
     pair, type): every unfolded node searches its own children.  With
     `log`, the staged_ll calls of each key's first search are recorded
     under that key, in the order the keys are first reached."""
+    model = pres.model
     stages = stage_ladder(stage_budget)
-    pool = _default_pool(pres, model, stage_budget, stages)
+    pool = _default_pool(pres, stage_budget, stages)
     f_memo = {}
 
     def fvals(m, t):
         if (m, t) not in f_memo:
             f_memo[(m, t)] = (
-                compute_F(m, t, 0, pres, model),
-                compute_F(m, t, 1, pres, model),
+                compute_F(m, t, 0, pres),
+                compute_F(m, t, 1, pres),
             )
         return f_memo[(m, t)]
 
@@ -722,9 +723,9 @@ EQUIVALENCE_CASES = {name: rest for name, *rest in _equivalence_cases()}
 @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
 def test_keyed_transform_matches_the_unkeyed_reference(case):
     model, make, budget = EQUIVALENCE_CASES[case]
-    nodes, frontier, violations = _reference_tree(make(model), model, budget)
+    nodes, frontier, violations = _reference_tree(make(model), budget)
     order, xi, slots = _reference_slots(nodes)
-    res = effective_hausdorff_transform(make(model), model, budget)
+    res = effective_hausdorff_transform(make(model), budget)
     assert res.tree.nodes == nodes
     assert res.tree.frontier == frontier
     assert Counter(res.tree.growth_violations) == Counter(violations)
@@ -761,8 +762,8 @@ def test_tree_matches_the_reference_on_random_poset_models(budget):
     # its types and F values, and that no key finds a child
     sizes = []
     for seed, model, kind, pres in _random_poset_cases():
-        nodes, frontier, violations = _reference_tree(pres, model, budget)
-        tree = build_alt_tree(pres, model, budget)
+        nodes, frontier, violations = _reference_tree(pres, budget)
+        tree = build_alt_tree(pres, budget)
         order = [seq for seq in kb_sorted(WfTree(nodes).nodes) if seq]
         assert list(tree.nodes.items()) == [(seq, nodes[seq]) for seq in order], (seed, kind)
         assert tree.frontier == frontier
@@ -775,9 +776,9 @@ def test_tree_matches_the_reference_on_random_poset_models(budget):
 def test_node_cap_stops_keyed_and_unkeyed_builds_alike(cap):
     c3 = CylinderModel(3)
     with pytest.raises(SearchBudgetExceeded) as want:
-        _reference_tree(first_one_presentation(c3), c3, 128, node_cap=cap)
+        _reference_tree(first_one_presentation(c3), 128, node_cap=cap)
     with pytest.raises(SearchBudgetExceeded) as got:
-        build_alt_tree(first_one_presentation(c3), c3, 128, node_cap=cap)
+        build_alt_tree(first_one_presentation(c3), 128, node_cap=cap)
     assert str(got.value) == str(want.value) == "alternating tree exceeded %d nodes" % cap
 
 
@@ -789,11 +790,11 @@ def test_tree_builds_leave_no_cyclic_garbage():
     gc.disable()
     try:
         try:
-            build_alt_tree(first_one_presentation(c3), c3, 128, node_cap=100)
+            build_alt_tree(first_one_presentation(c3), 128, node_cap=100)
         except SearchBudgetExceeded:
             pass
         capped = gc.collect()
-        tree = build_alt_tree(first_one_presentation(c3), c3, 64)
+        tree = build_alt_tree(first_one_presentation(c3), 64)
         del tree
         built = gc.collect()
     finally:
@@ -803,20 +804,20 @@ def test_tree_builds_leave_no_cyclic_garbage():
 
 def test_node_cap_counts_unfolded_nodes():
     c3 = CylinderModel(3)
-    tree = build_alt_tree(first_one_presentation(c3), c3, 64)
+    tree = build_alt_tree(first_one_presentation(c3), 64)
     size = len(tree)
     # far fewer keys than nodes, so a cap on keys would be too lax
     assert 2 * len({seq[-1] + value[:1] for seq, value in tree.nodes.items()}) < size
-    assert len(build_alt_tree(first_one_presentation(c3), c3, 64, node_cap=size)) == size
+    assert len(build_alt_tree(first_one_presentation(c3), 64, node_cap=size)) == size
     with pytest.raises(SearchBudgetExceeded):
-        build_alt_tree(first_one_presentation(c3), c3, 64, node_cap=size - 1)
+        build_alt_tree(first_one_presentation(c3), 64, node_cap=size - 1)
 
 
 @pytest.mark.parametrize("k, budget", [(2, 256), (3, 128)])
 def test_each_key_searches_its_children_once(monkeypatch, k, budget):
     model = CylinderModel(k)
     log = {}
-    _reference_tree(first_one_presentation(model), model, budget, log=log)
+    _reference_tree(first_one_presentation(model), budget, log=log)
     # the build tests model.ll where the reference tests staged_ll: the
     # same candidates, with the stage implied
     want = [(i, j) for calls in log.values() for i, j, _ in calls]
@@ -839,15 +840,16 @@ def test_each_key_searches_its_children_once(monkeypatch, k, budget):
 
     monkeypatch.setattr(effective_codes, "compute_F", counting_F)
     monkeypatch.setattr(model, "ll", logging_ll)
-    tree = build_alt_tree(first_one_presentation(model), model, budget)
+    tree = build_alt_tree(first_one_presentation(model), budget)
     # keys are searched in another order, but each exactly once
     assert Counter(calls) == Counter(want)
     assert 2 * len(log) < len(tree)
 
 
-def _reference_F(m, t, eps, pres, model):
+def _reference_F(m, t, eps, pres):
     """compute_F as it was before row unions were shared: a fresh row
     and union on every step."""
+    model = pres.model
     p = 0
     while p < t:
         if not staged_ll(model, model.lam(pres.row(eps, p, t)), m, t):
@@ -876,30 +878,16 @@ def test_shared_row_unions_match_the_per_step_F_counter(case):
     row, lam = pres.row, model.lam
     pres.row = lambda eps, n, t: requested.append((eps, n, t)) or row(eps, n, t)
     model.lam = lambda indices: unions.append(indices) or lam(indices)
-    tree = build_alt_tree(pres, model, budget)
+    tree = build_alt_tree(pres, budget)
     # one union per row the build reads, not one per F step
     assert len(unions) == len(set(requested))
     assert len(requested) <= 2 * len(unions)
-    ref_model = make_model()
-    ref_pres = make_pres(ref_model)
+    ref_pres = make_pres(make_model())
     pairs = {seq[-1]: value[1:] for seq, value in tree.nodes.items()}
     assert len(pairs) > 10
     for (m, t), got in pairs.items():
-        want = tuple(_reference_F(m, t, eps, ref_pres, ref_model) for eps in (0, 1))
+        want = tuple(_reference_F(m, t, eps, ref_pres) for eps in (0, 1))
         assert got == want, (m, t)
-
-
-def test_row_unions_are_kept_apart_per_model():
-    # one rows presentation read on two posets, whose opens are listed
-    # differently: each row's union has another index on each
-    pres = rows_presentation(None, [[2, 3]], [[4, 5]])
-    chains, fork = two_chains_model(), fork_model()
-    for eps in (0, 1):
-        row = pres.row(eps, 0, 4)
-        assert chains.lam(row) != fork.lam(row)
-    for m in (chains, fork, chains):
-        for eps in (0, 1):
-            assert pres.union(m, eps, 0, 4) == m.lam(pres.row(eps, 0, 4))
 
 
 # -- the F counter over runs of equal row unions -------------------------------
@@ -910,8 +898,8 @@ def test_a_failing_run_stops_F_before_a_later_passing_run():
     a, b = model.singleton((1,)), model.singleton((2,))
     m = model.singleton((1, 0))  # inside [1], not inside [2]
     pres = rows_presentation(model, [[a], [a], [b], [a]], [[b]])
-    assert pres.union_runs(model, 1, 10) == ((a, 2), (b, 3), (a, 10))
-    assert compute_F(m, 10, 1, pres, model) == 2 == _reference_F(m, 10, 1, pres, model)
+    assert pres.union_runs(1, 10) == ((a, 2), (b, 3), (a, 10))
+    assert compute_F(m, 10, 1, pres) == 2 == _reference_F(m, 10, 1, pres)
 
 
 def test_an_invisible_union_mid_sequence_stops_F():
@@ -921,9 +909,9 @@ def test_an_invisible_union_mid_sequence_stops_F():
     assert model.lam([3, 5]) == 8
     pres = rows_presentation(model, [[4], [3, 5], [4]], [[2]])
     m = 1  # the open {1}, inside every union above
-    assert pres.union_runs(model, 1, 3) == ((4, 1), (8, 2), (4, 3))
-    assert compute_F(m, 3, 1, pres, model) == 1 == _reference_F(m, 3, 1, pres, model)
-    assert compute_F(m, 4, 1, pres, model) == 4 == _reference_F(m, 4, 1, pres, model)
+    assert pres.union_runs(1, 3) == ((4, 1), (8, 2), (4, 3))
+    assert compute_F(m, 3, 1, pres) == 1 == _reference_F(m, 3, 1, pres)
+    assert compute_F(m, 4, 1, pres) == 4 == _reference_F(m, 4, 1, pres)
 
 
 def test_one_run_of_constant_rows_counts_every_stage():
@@ -932,17 +920,8 @@ def test_one_run_of_constant_rows_counts_every_stage():
     pres = rows_presentation(model, [[a]], [[model.singleton((0,))]])
     m = model.singleton((1, 2))  # visible from stage 10
     for t in (10, 11, 31, 64):
-        assert pres.union_runs(model, 1, t) == ((a, t),)
-        assert compute_F(m, t, 1, pres, model) == t == _reference_F(m, t, 1, pres, model)
-
-
-def test_union_runs_are_kept_apart_per_model():
-    pres = rows_presentation(None, [[2, 3]], [[4, 5]])
-    chains, fork = two_chains_model(), fork_model()
-    for m in (chains, fork, chains):
-        for eps in (0, 1):
-            assert pres.union_runs(m, eps, 4) == ((m.lam(pres.row(eps, 0, 4)), 4),)
-    assert pres.union_runs(chains, 1, 4) != pres.union_runs(fork, 1, 4)
+        assert pres.union_runs(1, t) == ((a, t),)
+        assert compute_F(m, t, 1, pres) == t == _reference_F(m, t, 1, pres)
 
 
 # -- first-one rows bounded by the longest visible word -------------------------
@@ -1048,7 +1027,7 @@ class _CountingModel:
 @pytest.mark.parametrize("budget", [16, 64, 256])
 def test_eval_point_matches_reference_on_criterion_8_points(budget):
     c3 = CylinderModel(3)
-    res = effective_hausdorff_transform(first_one_presentation(c3), c3, budget)
+    res = effective_hausdorff_transform(first_one_presentation(c3), budget)
     slots = tuple((s.seq, s.rank, s.eps, s.open_index) for s in res.slots)
     points = cyl_points(c3, 4)
     assert len(points) == 243
@@ -1061,7 +1040,7 @@ def test_eval_point_matches_reference_on_criterion_8_points(budget):
 
 def test_transform_shares_one_leaf_code_per_open():
     c3 = CylinderModel(3)
-    res = effective_hausdorff_transform(first_one_presentation(c3), c3, 64)
+    res = effective_hausdorff_transform(first_one_presentation(c3), 64)
     by_open = {}
     for s, code in zip(res.slots, res.hausdorff.trees):
         assert by_open.setdefault(s.open_index, code) is code
@@ -1071,7 +1050,7 @@ def test_transform_shares_one_leaf_code_per_open():
 @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
 def test_report_is_written_from_the_slots_as_the_codes_would_write_it(case):
     model, make, budget = EQUIVALENCE_CASES[case]
-    res = effective_hausdorff_transform(make(model), model, budget)
+    res = effective_hausdorff_transform(make(model), budget)
     report = res.to_json()
     assert report["xi"] == str(block_start(len(res.tree.nodes) + 1)) == str(res.xi)
     assert [slot["rank"] for slot in report["slots"]] == [str(s.rank) for s in res.slots]
@@ -1095,7 +1074,7 @@ def test_a_transform_builds_ordinals_only_for_xi(monkeypatch):
     per_transform, slots = [], []
     for budget in (16, 64, 256):
         built.clear()
-        res = effective_hausdorff_transform(first_one_presentation(c3), c3, budget)
+        res = effective_hausdorff_transform(first_one_presentation(c3), budget)
         res.to_json()
         per_transform.append(len(built))
         slots.append(len(res.slots))
@@ -1108,6 +1087,6 @@ def test_a_transform_builds_ordinals_only_for_xi(monkeypatch):
     assert len(built) >= slots[-1]
     # verification reads neither code on any of its budgets
     built.clear()
-    rep = verify_transform(first_one_presentation(c3), c3, cyl_points(c3, 3), 4, 64)
+    rep = verify_transform(first_one_presentation(c3), cyl_points(c3, 3), 4, 64)
     rep.result.to_json()
     assert len(rep.budgets) > 1 and len(built) == len(rep.budgets)
