@@ -18,10 +18,14 @@ such pairs with increasing coordinates, shrinking opens, and
 alternating types form a finite tree.  The walk that builds the tree
 lists each node after its children, siblings ascending, which is its
 Kleene-Brouwer order.  That order, with each node spread over an
-(omega+2)-block of slots, yields the code: the only nonempty slot of a
-node's block sits at omega+type, so slot parity tracks the type, and
-least-slot evaluation reads off the type of the deepest-leftmost node
-whose open contains the point.
+(omega+2)-block of slots, is the code, and the tree is all the result
+keeps: the r-th node's only nonempty slot holds its open (the index of
+its last pair) at rank omega*(r+1) + type, and xi = omega*(N+1) + 2 for
+N nodes.  So slot parity tracks the type, and least-slot evaluation
+reads off the type of the deepest-leftmost node whose open contains
+the point.  The tests check the parity and the order against Ordinal
+arithmetic: test_keyed_transform_matches_the_unkeyed_reference and
+test_closed_form_block_offsets_match_ordinal_arithmetic.
 
 Nothing here silently extrapolates: the transform is exact for the
 budget it was given, and verify_transform re-runs it on growing budgets
@@ -34,7 +38,6 @@ from __future__ import annotations
 import bisect
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from hierkit.alt_trees import WfTree
 from hierkit.diff_hierarchy import Budget, DiffCode, embed_co
@@ -544,147 +547,90 @@ def build_alt_tree(pres, stage_budget, node_cap=50_000):
 def block_start(r):
     """Ordinal rank of the first slot of the r-th (omega+2)-block:
     (omega+2)*r, which collapses to omega*r + 2 for r >= 1."""
-    return Ordinal(*_block_offset(r, 0, 0))
-
-
-# the probe offsets 0, 1, omega, omega+1 of a block, each as
-# omega*a + b with the parity its slot must have
-_GAMMA_PROBES = ((0, 0, 0), (0, 1, 1), (1, 0, 0), (1, 1, 1))
-
-
-def _block_offset(r, a, b):
-    """block_start(r) + omega*a + b, for a in {0, 1}, as the pair
-    (omega coefficient, finite part); integer arithmetic only."""
-    if a:
-        return r + a, b
-    return r, (2 if r else 0) + b
-
-
-class Slot(NamedTuple):
-    """The nonempty slot of block `block`: node `seq`, its type `eps`
-    and its open.  It sits at omega + eps in its block, so its rank is
-    omega*(block+1) + eps; the slot keeps the integers and builds the
-    `rank` ordinal only when it is read.  A named tuple: a transform
-    builds one slot per tree node, and a frozen dataclass would set
-    each field through object.__setattr__.  Slots are read only by
-    attribute, never compared, hashed or unpacked, so a tuple's equality
-    and iteration change nothing.  `seq` is the tree's node
-    itself, so a child's slot holds its parent's (index, stage) pair
-    tuples."""
-
-    seq: tuple
-    block: int
-    eps: int
-    open_index: int
-
-    @property
-    def rank(self):
-        return Ordinal(*_block_offset(self.block, 1, self.eps))
+    return Ordinal(r, 2 if r else 0)
 
 
 @dataclass
 class TransformResult:
     """A built difference code plus everything needed to audit it.
 
-    The slots carry their ranks as integers.  `diff_code` and
-    `hausdorff`, validated codes over those slots, are built on first
-    access; `to_json` writes the same rank text and Hausdorff JSON
-    straight from the slots, so a report builds neither."""
+    The code is the tree itself, read in Kleene-Brouwer order.  The r-th
+    node of `tree.nodes` owns block r; the block's only nonempty slot
+    holds the node's open, the index of its last pair, at rank
+    omega*(r+1) + type.  The root owns the last block and no slot, so xi
+    is omega*(N+1) + 2 for N nodes.  A slot's parity is thus its node's
+    type, and the ranks ascend below xi: `DiffCode` checks both whenever
+    `diff_code` is read, and so do the tests
+    test_keyed_transform_matches_the_unkeyed_reference (against the
+    slot loop in Ordinal arithmetic) and
+    test_closed_form_block_offsets_match_ordinal_arithmetic.
+
+    `diff_code` and `hausdorff` are built on first access; `to_json`
+    writes the same rank text and Hausdorff JSON straight from the tree,
+    so a report builds neither."""
 
     tree: StagedTree
     xi: Ordinal
-    slots: tuple  # the nonempty slots, rank-ascending
 
     @functools.cached_property
     def diff_code(self):
-        return DiffCode(self.xi, "D", tuple((s.rank, s.open_index) for s in self.slots))
+        return DiffCode(self.xi, "D", tuple(
+            (Ordinal(r + 1, eps), seq[-1][0])
+            for r, (seq, (eps, _, _)) in enumerate(self.tree.nodes.items())
+        ))
 
     @functools.cached_property
     def hausdorff(self):
-        leaf_codes = {o: BorelCode([(), (o,)]) for o in {s.open_index for s in self.slots}}
-        trees = tuple(leaf_codes[s.open_index] for s in self.slots)
-        parity_set = frozenset(i for i, s in enumerate(self.slots) if s.eps == 1)
-        return HausdorffCode(tuple(range(len(self.slots))), parity_set, trees)
+        nodes = self.tree.nodes
+        leaf_codes = {o: BorelCode([(), (o,)]) for o in {seq[-1][0] for seq in nodes}}
+        trees = tuple(leaf_codes[seq[-1][0]] for seq in nodes)
+        parity_set = frozenset(r for r, (eps, _, _) in enumerate(nodes.values()) if eps == 1)
+        return HausdorffCode(tuple(range(len(nodes))), parity_set, trees)
 
     def eval_point(self, model, x):
         missed = set()  # opens already found not to contain x
-        for s in self.slots:
-            if s.open_index in missed:
+        for seq, (eps, _, _) in self.tree.nodes.items():
+            o = seq[-1][0]
+            if o in missed:
                 continue
-            if model.point_in_basic(x, s.open_index):
-                return s.eps == 1
-            missed.add(s.open_index)
+            if model.point_in_basic(x, o):
+                return eps == 1
+            missed.add(o)
         return False
 
     def to_json(self):
         """The report object.  Each slot's node is its tuple of pairs,
         which JSON writes as lists, and the trees share one leaf code
         object per open, as `hausdorff` does."""
-        slots = self.slots
-        leaf_codes = {o: {"nodes": [[], [o]]} for o in {s.open_index for s in slots}}
+        nodes = self.tree.nodes
+        leaf_codes = {o: {"nodes": [[], [o]]} for o in {seq[-1][0] for seq in nodes}}
         return {
             "xi": str(self.xi),
             "budget": self.tree.budget,
             "nodes": len(self.tree),
             "frontier": len(self.tree.frontier),
             "slots": [
-                {
-                    "node": s.seq,
-                    "rank": text(*_block_offset(s.block, 1, s.eps)),
-                    "type": s.eps,
-                    "open": s.open_index,
-                }
-                for s in slots
+                {"node": seq, "rank": text(r + 1, eps), "type": eps, "open": seq[-1][0]}
+                for r, (seq, (eps, _, _)) in enumerate(nodes.items())
             ],
             # what self.hausdorff.to_json() gives
             "hausdorff": {
-                "order": list(range(len(slots))),
-                "parity_set": [i for i, s in enumerate(slots) if s.eps == 1],
-                "trees": [leaf_codes[s.open_index] for s in slots],
+                "order": list(range(len(nodes))),
+                "parity_set": [r for r, (eps, _, _) in enumerate(nodes.values()) if eps == 1],
+                "trees": [leaf_codes[seq[-1][0]] for seq in nodes],
             },
         }
 
 
 def effective_hausdorff_transform(pres, stage_budget):
-    """Build the alternating tree, take its Kleene-Brouwer order with
-    the root appended last, spread each node over an (omega+2)-block of
-    slots, and emit the difference code whose only nonempty slot per
-    block carries the node's open at offset omega + type.
-
-    Block r starts at omega*r + 2 (0 for r = 0), so ranks are worked
-    out as (omega coefficient, finite part) pairs of integers, and only
-    the code's level xi is built as an ordinal.  Nothing is trusted:
-    the probe offsets 0, 1, omega, omega+1 of every block have the
-    parity they should, every slot rank's parity is its type, and the
-    ranks strictly increase and stay below xi -- the checks `DiffCode`
-    makes, which `TransformResult.diff_code` repeats when it is read.
-    Evaluation of the result is exact for this budget: a point in no
-    slot's open is reported outside, never guessed.
+    """Build the alternating tree, which in Kleene-Brouwer order with
+    the root last is the difference code (see TransformResult); its
+    level xi starts the block after the root's.  Evaluation of the
+    result is exact for this budget: a point in no slot's open is
+    reported outside, never guessed.
     """
     tree = build_alt_tree(pres, stage_budget)
-    order = (*tree.nodes, ())
-    top = _block_offset(len(order), 0, 0)  # xi as a pair
-    slots = []
-    prev = None
-    for r, seq in enumerate(order):
-        for a, b, want in _GAMMA_PROBES:
-            if _block_offset(r, a, b)[1] % 2 != want:
-                raise AssertionError("slot parity drifted in block %d" % r)
-        if seq:
-            eps = tree.nodes[seq][0]
-            rank = _block_offset(r, 1, eps)
-            if rank[1] % 2 != eps:
-                raise AssertionError(
-                    "slot rank %s does not carry type %d" % (text(*rank), eps)
-                )
-            if (prev is not None and rank <= prev) or rank >= top:
-                raise AssertionError(
-                    "slot rank %s does not lie between the last rank and xi"
-                    % text(*rank)
-                )
-            prev = rank
-            slots.append(Slot(seq, r, eps, seq[-1][0]))
-    return TransformResult(tree, block_start(len(order)), tuple(slots))
+    return TransformResult(tree, block_start(len(tree.nodes) + 1))
 
 
 # -- honesty: verification against a membership oracle -----------------------

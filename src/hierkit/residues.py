@@ -37,8 +37,7 @@ def residue_sequence(poset, a_mask):
     comp = poset.carrier & ~a_mask
     F = [poset.carrier]
     while True:
-        k = len(F) - 1
-        F.append(poset.closure((a_mask if k % 2 == 0 else comp) & F[-1]))
+        F.append(poset.closure((a_mask if len(F) % 2 else comp) & F[-1]))
         if len(F) >= 3 and F[-1] == F[-3]:
             stable_from = len(F) - 3
             theta = stable_from if stable_from % 2 == 0 else stable_from + 1

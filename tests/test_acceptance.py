@@ -328,8 +328,10 @@ def _assert_rank_parity(result):
     for r in range(len(result.tree.nodes) + 1):
         for gamma, want in _PROBES:
             assert (block_start(r) + gamma).parity() == want, r
-    for slot in result.slots:
-        assert slot.rank.parity() == slot.eps, slot
+    entries = result.diff_code.entries
+    assert len(entries) == len(result.tree.nodes)
+    for (rank, _), (eps, _, _) in zip(entries, result.tree.nodes.values()):
+        assert rank.parity() == eps, (rank, eps)
 
 
 def _verified(pres, points, budget, max_budget):

@@ -21,13 +21,11 @@ from hypothesis import strategies as st
 from hierkit import effective_codes
 from hierkit.diff_hierarchy import DiffCode, SearchBudgetExceeded, eval_diff
 from hierkit.effective_codes import (
-    _GAMMA_PROBES,
     PI,
     SIGMA,
     BorelCode,
     HausdorffCode,
     StagedPresentation,
-    _block_offset,
     _default_pool,
     block_start,
     build_alt_tree,
@@ -533,9 +531,10 @@ def test_first_one_transform_verifies_to_depth_three():
     assert rep.budgets[0] == 8 and rep.budgets[-1] <= 64
     res = rep.result
     # slot parity carries the type, and ranks strictly ascend
-    for s in res.slots:
-        assert s.rank.parity() == s.eps
-    assert all(a.rank < b.rank for a, b in zip(res.slots, res.slots[1:]))
+    slots = _slots(res)
+    for _, rank, eps, _ in slots:
+        assert rank.parity() == eps
+    assert all(a[1] < b[1] for a, b in zip(slots, slots[1:]))
     # one block per node, the root's last
     assert res.xi == block_start(len(res.tree.nodes) + 1)
     assert claim2_gaps(res, pres, cyl_points(c3, 3)) == []
@@ -692,6 +691,17 @@ def _reference_slots(nodes):
     return tuple(order), block_start(len(order)), tuple(slots)
 
 
+def _slots(res):
+    """((seq, rank, type, open), ...) of a transform, one per tree node
+    in order, read from its tree and its difference code."""
+    entries = res.diff_code.entries
+    assert len(entries) == len(res.tree.nodes)
+    return tuple(
+        (seq, rank, eps, o)
+        for (seq, (eps, _, _)), (rank, o) in zip(res.tree.nodes.items(), entries)
+    )
+
+
 def _reference_eval(slots, model, x):
     for _, _, eps, open_index in slots:
         if model.point_in_basic(x, open_index):
@@ -732,7 +742,7 @@ def test_keyed_transform_matches_the_unkeyed_reference(case):
     # the walk itself lists the nodes in Kleene-Brouwer order
     assert list(res.tree.nodes) + [()] == list(order)
     assert res.xi == xi
-    assert tuple((s.seq, s.rank, s.eps, s.open_index) for s in res.slots) == slots
+    assert _slots(res) == slots
     assert res.diff_code.entries == tuple((rank, o) for _, rank, _, o in slots)
     assert res.hausdorff.trees == tuple(BorelCode([(), (o,)]) for *_, o in slots)
 
@@ -997,19 +1007,18 @@ def test_first_one_rows_encode_only_visible_lengths(k):
 
 
 def test_closed_form_block_offsets_match_ordinal_arithmetic():
-    assert [(Ordinal(a, b), want) for a, b, want in _GAMMA_PROBES] == list(
-        _REFERENCE_PROBES
-    )
+    # block r starts at (omega+2)*r, summed here one block at a time
+    start = Ordinal.from_int(0)
     for r in range(2000):
-        start = block_start(r)
-        for a, b, want in _GAMMA_PROBES:
-            offset = _block_offset(r, a, b)
-            assert Ordinal(*offset) == start + Ordinal(a, b), (r, a, b)
-            assert offset[1] % 2 == want
+        assert block_start(r) == start, r
+        for gamma, want in _REFERENCE_PROBES:
+            assert (start + gamma).parity() == want, (r, gamma)
         for eps in (0, 1):
-            rank = Ordinal(*_block_offset(r, 1, eps))
+            # the closed form TransformResult writes for node r's slot
+            rank = Ordinal(r + 1, eps)
             assert rank == start + OMEGA + Ordinal.from_int(eps), (r, eps)
             assert rank.parity() == eps
+        start = start + OMEGA + Ordinal.from_int(2)
 
 
 class _CountingModel:
@@ -1028,23 +1037,24 @@ class _CountingModel:
 def test_eval_point_matches_reference_on_criterion_8_points(budget):
     c3 = CylinderModel(3)
     res = effective_hausdorff_transform(first_one_presentation(c3), budget)
-    slots = tuple((s.seq, s.rank, s.eps, s.open_index) for s in res.slots)
+    slots = _slots(res)
     points = cyl_points(c3, 4)
     assert len(points) == 243
     counting = _CountingModel(c3)
     for x in points:
         assert res.eval_point(counting, x) == _reference_eval(slots, c3, x), x
     assert len(counting.queries) == len(set(counting.queries))
-    assert len({s.open_index for s in res.slots}) < len(res.slots)
+    assert len({o for *_, o in slots}) < len(slots)
 
 
 def test_transform_shares_one_leaf_code_per_open():
     c3 = CylinderModel(3)
     res = effective_hausdorff_transform(first_one_presentation(c3), 64)
     by_open = {}
-    for s, code in zip(res.slots, res.hausdorff.trees):
-        assert by_open.setdefault(s.open_index, code) is code
-    assert len(by_open) < len(res.slots)
+    assert len(res.hausdorff.trees) == len(res.tree.nodes)
+    for seq, code in zip(res.tree.nodes, res.hausdorff.trees):
+        assert by_open.setdefault(seq[-1][0], code) is code
+    assert len(by_open) < len(res.tree.nodes)
 
 
 @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
@@ -1053,11 +1063,18 @@ def test_report_is_written_from_the_slots_as_the_codes_would_write_it(case):
     res = effective_hausdorff_transform(make(model), budget)
     report = res.to_json()
     assert report["xi"] == str(block_start(len(res.tree.nodes) + 1)) == str(res.xi)
-    assert [slot["rank"] for slot in report["slots"]] == [str(s.rank) for s in res.slots]
+    slots = _slots(res)
+    assert [(s["node"], s["rank"], s["type"], s["open"]) for s in report["slots"]] == [
+        (seq, str(rank), eps, o) for seq, rank, eps, o in slots
+    ]
     assert report["hausdorff"] == res.hausdorff.to_json()
-    # built on demand, the code still passes DiffCode's validation
+    # built on demand, the code still passes DiffCode's validation, and
+    # its ranks are the blocks' offsets omega + type in Ordinal arithmetic
     code = res.diff_code
-    assert code == DiffCode(res.xi, "D", tuple((s.rank, s.open_index) for s in res.slots))
+    assert code == DiffCode(res.xi, "D", tuple(
+        (block_start(r) + OMEGA + Ordinal.from_int(eps), seq[-1][0])
+        for r, (seq, (eps, _, _)) in enumerate(res.tree.nodes.items())
+    ))
     assert res.diff_code is code
 
 
@@ -1077,7 +1094,7 @@ def test_a_transform_builds_ordinals_only_for_xi(monkeypatch):
         res = effective_hausdorff_transform(first_one_presentation(c3), budget)
         res.to_json()
         per_transform.append(len(built))
-        slots.append(len(res.slots))
+        slots.append(len(res.tree.nodes))
     # xi alone, whatever the slot count
     assert per_transform == [1, 1, 1]
     assert slots[0] < slots[1] < slots[2]

@@ -287,3 +287,23 @@ def test_convergence_audit_reports_missing():
     t = Transcript(game=CHOQUET, rounds=[(2, (fm.index_of(0b111),), fm.index_of(0b111))])
     t.outcome, t.witness = NONEMPTY_WINS, 2
     assert audit_convergence(fm, t, [fm.index_of(0b100)]) == [fm.index_of(0b100)]
+
+
+def test_convergence_audit_skips_neighborhoods_off_the_witness():
+    m = CylinderModel(2)
+    s = stationary_from_relation(m)
+    t = play(m, DeepeningEmpty(m, random.Random(7)), s, rounds=10)
+    assert t.outcome == NONEMPTY_WINS
+    # a cylinder that misses the witness: no played open, each holding
+    # the witness, lies inside it, yet it is not the witness's to refine
+    a, b = t.witness.word(2)
+    off = m.singleton((a, 1 - b))
+    assert not m.point_in_basic(t.witness, off)
+    assert not any(m.basic_subset(v, off) for v in t.opens_played())
+    on = m.singleton(t.witness.word(4))
+    assert audit_convergence(m, t, [off, on]) == []
+    # a transcript without a witness has nothing to audit
+    fm = chain3_model()
+    bare = Transcript(game=CHOQUET, rounds=[(2, (fm.index_of(0b111),), fm.index_of(0b111))])
+    assert bare.witness is None
+    assert audit_convergence(fm, bare, [fm.index_of(0b100), fm.index_of(0b110)]) == []

@@ -17,6 +17,9 @@ import random
 import re
 import resource
 import signal
+import time
+
+import pytest
 
 from hierkit.cli import main
 
@@ -138,13 +141,20 @@ def _alarm(signum, frame):
 
 
 def run(argv):
+    """One command line under a RUN_SECONDS alarm.  An alarm already
+    armed, such as the per-test limit of conftest.py, stays in force:
+    the run's alarm fires no later than it, and what is left of it is
+    re-armed when the run ends (at once, if nothing is left)."""
     out = io.StringIO()
-    signal.setitimer(signal.ITIMER_REAL, RUN_SECONDS)
+    outer = signal.getitimer(signal.ITIMER_REAL)[0]
+    started = time.monotonic()
+    signal.setitimer(signal.ITIMER_REAL, min(RUN_SECONDS, outer or RUN_SECONDS))
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = main(list(argv))
     finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
+        left = outer - (time.monotonic() - started)
+        signal.setitimer(signal.ITIMER_REAL, max(left, 1e-3) if outer else 0)
     return code, out.getvalue()
 
 
@@ -212,3 +222,38 @@ def test_mutated_inputs_keep_the_error_contract():
                 problems.append(("accepted a %s %s" % (kind, field), argv))
     assert runs > 500
     assert problems == []
+
+
+def test_a_run_leaves_the_per_test_limit_armed():
+    before = signal.getitimer(signal.ITIMER_REAL)[0]
+    assert before > 0  # the per-test limit of conftest.py
+    handler = signal.getsignal(signal.SIGALRM)
+    with _limits():
+        assert run(VALID_ARGV[0])[0] == 0
+    assert signal.getsignal(signal.SIGALRM) is handler
+    assert 0 < signal.getitimer(signal.ITIMER_REAL)[0] <= before
+
+
+def test_a_run_is_cut_at_an_earlier_outer_alarm(monkeypatch):
+    fired = []
+
+    def alarm(signum, frame):
+        fired.append(time.monotonic())
+        if len(fired) == 1:
+            raise _RunTimeout()
+
+    monkeypatch.setitem(globals(), "main", lambda argv: time.sleep(RUN_SECONDS))
+    old = signal.signal(signal.SIGALRM, alarm)
+    try:
+        started = time.monotonic()
+        signal.setitimer(signal.ITIMER_REAL, 0.2)  # an outer alarm, shorter than a run's
+        with pytest.raises(_RunTimeout):
+            run(("sleep",))
+        # the run was cut at the outer deadline, and the spent outer
+        # alarm, re-armed, fires once more at once
+        time.sleep(0.1)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert len(fired) == 2
+    assert fired[0] - started < RUN_SECONDS / 2
