@@ -149,9 +149,11 @@ class Budget:
 
 def level_bruteforce(poset, target_mask, max_nodes=2_000_000):
     """Least n such that target is D_n of a <=-increasing n-tuple of
-    opens.  Existence is guaranteed at n = height + 1, where the search
-    stops.  Only monotone sequences are searched; that loses no
-    generality because cumulative unions preserve the denotation.
+    opens.  That n is at most the height, where the search stops: the
+    level is the number of points of the longest alternating chain (see
+    `residues`), and no chain has more points than the height.  Only
+    monotone sequences are searched; that loses no generality because
+    cumulative unions preserve the denotation.
 
     The search runs over states (r, U): r slots are left to fill and U
     is the union of the slots filled so far.  A point first covered by
@@ -159,9 +161,9 @@ def level_bruteforce(poset, target_mask, max_nodes=2_000_000):
     iff r is odd, whatever n is, and after the last slot the target
     must lie in U.  So whether a state can finish depends on (r, U)
     alone, not on n or on the path that reached it, and one set of
-    dead states serves every n from 0 to height + 1.  A node is one
+    dead states serves every n from 0 to height.  A node is one
     expanded state, r = 0 leaves included; no state is expanded twice,
-    so a call uses at most (height + 2) * |opens| nodes.
+    so a call uses at most (height + 1) * |opens| nodes.
 
     Candidate opens are tried largest first, so a feasible level
     succeeds on its first branch, while an infeasible one is still
@@ -176,7 +178,7 @@ def level_bruteforce(poset, target_mask, max_nodes=2_000_000):
 
     Raises SearchBudgetExceeded("<max_nodes + 1>") past max_nodes states.
     """
-    cap = poset.height() + 1
+    cap = poset.height()
     dead = [set() for _ in range(cap + 1)]
     # a bare state count, because bench/oracle.py reads it as an integer
     budget = Budget(max_nodes, str(max_nodes + 1))
@@ -184,6 +186,7 @@ def level_bruteforce(poset, target_mask, max_nodes=2_000_000):
     for n in range(cap + 1):
         if _finishes(n, 0, target, poset, dead, budget):
             return n
+    # a tripwire: the level bound above makes this unreachable
     raise RuntimeError(
         "no representation up to cap=%d; this should be impossible on a finite poset"
         % cap

@@ -10,7 +10,6 @@ order.
 from __future__ import annotations
 
 import functools
-import itertools
 import random
 
 from hierkit.jsonin import POSET_POINTS, fields, integer, list_of
@@ -39,10 +38,6 @@ def mask_of(xs):
     for x in xs:
         buf[x >> 3] |= 1 << (x & 7)
     return int.from_bytes(buf, "little")
-
-
-def popcount(mask):
-    return mask.bit_count()
 
 
 class FinitePoset:
@@ -224,26 +219,45 @@ class FinitePoset:
     # -- identity ------------------------------------------------------------
 
     def canon(self):
-        """Canonical form under relabeling: the least adjacency bits over
-        the relabelings that sort the points by (|up|, |down|), taking
-        every order within each class of equal sizes.  Isomorphisms keep
-        both sizes, so this is still a complete invariant.  The cost is
-        the product of the class sizes' factorials (n! on an antichain),
-        so it is only sane for small n."""
+        """(key, poset relabeled) for the least labeling, the one whose
+        strict relation vector, pairs (a, b) row-major with the first
+        pair highest, is least as a number: key.  The relabeled poset
+        is the same for every isomorphic input, so it is a complete
+        invariant, and so is key among posets of one size.
+
+        A least labeling is a reverse linear extension: were a the
+        first label below a larger label b, swapping a and b would keep
+        rows 0..a-1 (no earlier point lies below either) and make row a
+        the strict up-set of b's point, which lacks b.  So labels 0, 1,
+        ... go only to points whose strict up-set is labeled already;
+        row a is then fixed when label a is given, the least row wins,
+        and only the labelings that tie on every row so far are carried
+        on.  The 7-point antichain ties throughout, 5,040 labelings; all
+        2,045 classes of 7 points are generated in about 1 s."""
         n = self.n
-        sizes = [(popcount(u), popcount(d)) for u, d in zip(self.up, self.down)]
-        order = sorted(range(n), key=sizes.__getitem__)
-        classes = [list(g) for _, g in itertools.groupby(order, key=sizes.__getitem__)]
-        pairs = [(i, j) for i in range(n) for j in bits(self.up[i])]
-        best = None
-        for orders in itertools.product(*map(itertools.permutations, classes)):
-            label = [0] * n
-            for k, i in enumerate(itertools.chain.from_iterable(orders)):
-                label[i] = k
-            key = sum(1 << (label[i] * n + label[j]) for i, j in pairs)
-            if best is None or key < best:
-                best = key
-        return (n, best)
+        strict = [u ^ 1 << x for x, u in enumerate(self.up)]
+        below = [d ^ 1 << x for x, d in enumerate(self.down)]
+        # tied: (point order, its mask, each point's row so far)
+        key, tied = 0, [((), 0, [0] * n)]
+        for k in range(n):
+            least, grown = None, []
+            for order, placed, rows in tied:
+                for x in range(n):
+                    if placed >> x & 1 or strict[x] & ~placed:
+                        continue
+                    if least is None or rows[x] < least:
+                        least, grown = rows[x], []
+                    if rows[x] == least:
+                        grown.append((order, placed, rows, x))
+            key, tied, bit = key << n | least, [], 1 << n - 1 - k
+            for order, placed, rows, x in grown:
+                rows = rows.copy()
+                for y in bits(below[x]):
+                    rows[y] |= bit
+                tied.append((order + (x,), placed | 1 << x, rows))
+        label = {x: k for k, x in enumerate(tied[0][0])}
+        pairs = [(label[x], label[y]) for x in range(n) for y in bits(strict[x])]
+        return key, FinitePoset.from_cover(n, pairs)
 
     def __eq__(self, other):
         return isinstance(other, FinitePoset) and self.n == other.n and self.up == other.up
@@ -271,16 +285,16 @@ def random_poset(n, rng_or_seed, edge_prob=0.35):
 
 def all_posets_upto_iso(n):
     """One poset per isomorphism class on n points ([] for n = 0), each
-    in its least labeling and sorted by it: the labeling whose strict
-    relation vector, pairs (a, b) row-major and absent before present,
-    is least.  A scan over every labeled poset in that order meets each
-    class first in that labeling, and the classes in that order.
+    in its least labeling (see canon) and sorted by its key.  A scan
+    over every labeled poset with strict relation vectors in ascending
+    order meets each class first in that labeling, and the classes in
+    that order.
 
     Every poset on n points is one on n-1 points with a fresh minimal
     point below one of its opens (Brinkmann & McKay, "Posets on up to
     16 points", Order 19 (2002)), so the classes grow from the empty
-    poset a point at a time, deduplicated by canon().  The least
-    labeling tries all n! labelings of each class.
+    poset a point at a time, deduplicated by canon()'s key.  All 2,045
+    classes of 7 points take about 1 s.
     """
     if n == 0:
         return []
@@ -289,20 +303,7 @@ def all_posets_upto_iso(n):
         classes = {}
         for p in level:
             for u in p.opens():
-                q = p.adjoin_point_below(u)
-                classes.setdefault(q.canon(), q)
-        level = classes.values()
-    return [p for _, p in sorted(map(_least_labeling, level), key=lambda kp: kp[0])]
-
-
-def _least_labeling(p):
-    """(key, p relabeled) for the least labeling of p, where key reads
-    the relation vector as a number, first pair highest."""
-    n = p.n
-    top = n * n - 1
-    pairs = [(i, j) for i in range(n) for j in bits(p.up[i]) if i != j]
-    key, label = min(
-        (sum(1 << top - label[i] * n - label[j] for i, j in pairs), label)
-        for label in itertools.permutations(range(n))
-    )
-    return key, FinitePoset.from_cover(n, [(label[i], label[j]) for i, j in pairs])
+                key, q = p.adjoin_point_below(u).canon()
+                classes.setdefault(key, q)
+        level = [classes[key] for key in sorted(classes)]
+    return level

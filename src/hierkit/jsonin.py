@@ -19,7 +19,7 @@ POINT_ELEMENT = (0, 65535)  # core elements of a pn, pinf or clauses point
 ROUNDS = (0, 1000)
 BAIRE_BUDGET = (1, 20_000)
 STAGE_BUDGET = (1, 1024)  # transform --budget and --max-budget
-AUDIT_POINTS = (1, 6)  # 7 points: 5,040 labelings of each of 2,045 classes
+AUDIT_POINTS = (1, 6)  # 7 points: about 18 s classifying 284,434 subsets
 AUDIT_DEPTH = (0, 16)
 GEN_COUNT = (0, 1000)
 

@@ -40,9 +40,8 @@ def residue_sequence(poset, a_mask):
         F.append(poset.closure((a_mask if len(F) % 2 else comp) & F[-1]))
         if len(F) >= 3 and F[-1] == F[-3]:
             stable_from = len(F) - 3
+            # theta <= stable_from + 1 < len(F), so F already reaches it
             theta = stable_from if stable_from % 2 == 0 else stable_from + 1
-            while len(F) <= theta:
-                F.append(F[-1])
             if F[theta]:
                 # Cannot happen on a finite poset; kept as a tripwire for
                 # any future carrier that is not one.

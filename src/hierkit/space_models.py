@@ -406,16 +406,13 @@ class PSpaceModel(SpaceModel):
 
     # least searches (the well-order is the integer index order)
 
-    def least_containing(self, x, within=None):
-        """Least basic index i with x in O_i (and O_i inside the union
-        ``within`` when given).
+    def least_containing(self, x, within):
+        """Least basic index i with x in O_i and O_i inside the union
+        ``within``.
 
         Exact without search: a cone inside the union must refine one
         of its members, whose index is then no larger, so the least
-        candidate is the least member containing x; with no union the
-        whole-space cone 0 wins outright."""
-        if within is None:
-            return 0
+        candidate is the least member containing x."""
         best = min((j for j in within if self.point_in_basic(x, j)), default=None)
         if best is None:
             raise ValueError("point lies outside the union")
@@ -521,11 +518,11 @@ class FinitePosetModel(SpaceModel):
             return None
         return next(bits(m))
 
-    def least_containing(self, x, within=None):
+    def least_containing(self, x, within):
         """up[x], with no search: every open around x holds up[x], and
         the opens run smallest first."""
         up = self.poset.up[x]
-        if within is not None and up & ~self.opens[self.lam(within)]:
+        if up & ~self.opens[self.lam(within)]:
             raise ValueError("no basic open contains the point")
         return self._index[up]
 
@@ -674,13 +671,11 @@ class CylinderModel(SpaceModel):
             return None
         return CylPoint(self.words(i)[0], (0,))
 
-    def least_containing(self, x, within=None):
+    def least_containing(self, x, within):
         # among indices that fit, a singleton on a prefix of x is
         # always numerically least, and a prefix that extends a covered
         # one is covered; so the answer is the shortest covered prefix,
         # and the (exponentially sized) index mask is built only once
-        if within is None:
-            return self.singleton(())
         # level d keeps the cover words that follow x's path for d
         # letters, down to the first level that holds the path's own
         # prefix (the shortest cover word on x) or is empty (none is)

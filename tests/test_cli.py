@@ -1237,6 +1237,14 @@ REFUSED_ARGV = {
     "model-json-string": ("play", "--model", json.dumps(PN)),
     # an undeclared field (here a pinf bound on a pn model) was ignored
     "model-undeclared-field": ("play", "--model", '{"kind": "pn", "bound": 16}'),
+    # a missing field, a cover pair of the wrong length and a tail outside
+    # its two values
+    "poset-cover-missing": ("classify", "--poset", '{"n": 3}', "--set", "1"),
+    "poset-cover-pair-long": ("classify", "--poset", '{"n": 3, "cover": [[0, 1, 2]]}', "--set", "1"),
+    "rows-tail-sideways": (
+        "transform", "--model", CHAIN2,
+        "--presentation", '{"kind": "rows", "rows1": [[1]], "rows0": [[0]], "tail": "sideways"}',
+    ),
 }
 
 
@@ -1288,6 +1296,8 @@ REFUSED_MESSAGES = {
     "pn-point-core-huge": "bad point: element must be between 0 and 65535, got %d" % 2**80,
     "poset-borel-leaf-outside": "bad borel code: basis index must be between 0 and 2, got 7",
     "poset-clopen-inside-outside": "bad presentation: basis index must be between 0 and 2, got 9",
+    "poset-cover-missing": "bad poset: poset needs a 'cover' field",
+    "poset-cover-pair-long": "bad poset: cover pair must have 2 entries, got 3",
     "poset-dense-outside": "bad dense: basis index must be between 0 and 2, got 5",
     "poset-diff-handle-outside": "bad diff code: basis index must be between 0 and 2, got 3",
     "poset-edge-bool": "bad poset: cover pair endpoint must be an integer, got True",
@@ -1305,6 +1315,7 @@ REFUSED_MESSAGES = {
     "presentation-not-an-object": "bad presentation: unknown presentation kind in [1]",
     "rows-entry-string": "bad presentation: basis index must be an integer, got 'a'",
     "rows-row-string": "bad presentation: row must be a list, got 'a'",
+    "rows-tail-sideways": "bad presentation: tail must be 'repeat' or 'empty'",
     "seed-underscore": "argument --seed: invalid int value: '1_0'",
     "set-arabic-indic-digit": "set elements must be integers, got '\u0661'",
     "set-underscore": "set elements must be integers, got '1_0'",

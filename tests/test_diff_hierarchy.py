@@ -217,16 +217,15 @@ def test_level_matches_oracle_exhaustive(n):
 @pytest.mark.parametrize("density", [0.2, 0.35, 0.5])
 def test_level_search_expands_each_state_once(density):
     # a 16-point poset as the benchmark builds them: a random DAG on a
-    # shuffled labelling, closed transitively.  There are (cap + 1) *
+    # shuffled labelling, closed transitively.  There are (height + 1) *
     # |opens| states (slots left, union), so a search that expands none
     # twice stays within that budget; without the dead-state memo the
     # search passes it on most subsets at densities 0.35 and 0.5.
     rng = random.Random("16 points at %s" % density)
     p = random_poset(16, rng, edge_prob=density)
-    cap = p.height() + 1
     for _ in range(32):
         mask = rng.randrange(1 << p.n)
-        level_bruteforce(p, mask, max_nodes=(cap + 1) * len(p.opens()))
+        level_bruteforce(p, mask, max_nodes=(p.height() + 1) * len(p.opens()))
 
 
 def test_level_search_budget():
@@ -415,5 +414,5 @@ def test_level_within_height_bound(n, seed):
     p = random_poset(n, rng)
     mask = rng.randrange(1 << p.n)
     lvl = level_bruteforce(p, mask)
-    assert 0 <= lvl <= p.height() + 1
+    assert 0 <= lvl <= p.height()
     assert (lvl == 0) == (mask == 0)

@@ -13,7 +13,6 @@ from hierkit.finite_space import (
     all_posets_upto_iso,
     bits,
     mask_of,
-    popcount,
     random_poset,
 )
 
@@ -70,8 +69,8 @@ def test_validation_catches_junk():
 
 def test_counts_up_to_iso():
     # Posets up to isomorphism, OEIS A000112.
-    reps = {n: all_posets_upto_iso(n) for n in range(7)}
-    assert [len(reps[n]) for n in range(7)] == [0, 1, 2, 5, 16, 63, 318]
+    reps = {n: all_posets_upto_iso(n) for n in range(8)}
+    assert [len(reps[n]) for n in range(8)] == [0, 1, 2, 5, 16, 63, 318, 2045]
     # Labeled posets, OEIS A001035: each class has n!/|Aut(p)| labelings.
     labeled = [
         sum(
@@ -125,7 +124,7 @@ def test_bits_mask_roundtrip():
 def scan_opens(p):
     """Reference: test every mask, sort by (size, mask)."""
     found = [m for m in range(1 << p.n) if p.is_open(m)]
-    found.sort(key=lambda m: (popcount(m), m))
+    found.sort(key=lambda m: (m.bit_count(), m))
     return found
 
 
@@ -150,18 +149,18 @@ def scan_all_posets(n):
     return out
 
 
-def permutation_canon(p):
-    """Reference: least adjacency bits over all n! relabelings."""
-    best = None
-    for perm in itertools.permutations(range(p.n)):
-        key = 0
-        for i in range(p.n):
-            for j in range(p.n):
-                if p.leq(i, j):
-                    key |= 1 << (perm[i] * p.n + perm[j])
-        if best is None or key < best:
-            best = key
-    return (p.n, best)
+def least_labelings(p):
+    """Reference: the least strict relation vector over all n!
+    labelings, read as a number with the first pair (0, 0) highest, and
+    every labeling that reaches it."""
+    n = p.n
+    pairs = [(i, j) for i in range(n) for j in bits(p.up[i]) if i != j]
+    keys = {
+        label: sum(1 << n * n - 1 - label[i] * n - label[j] for i, j in pairs)
+        for label in itertools.permutations(range(n))
+    }
+    least = min(keys.values())
+    return least, [label for label, key in keys.items() if key == least]
 
 
 def relabel(p, perm):
@@ -291,7 +290,7 @@ def test_all_posets_match_relation_scan_in_order(n):
     # meets, in the order the scan meets them
     first = {}
     for p in scan_all_posets(n):
-        first.setdefault(p.canon(), p)
+        first.setdefault(p.canon()[0], p)
     assert [p.up for p in all_posets_upto_iso(n)] == [p.up for p in first.values()]
 
 
@@ -309,5 +308,34 @@ def test_canon_separates_the_5_point_classes():
     # neither splits nor merges an isomorphism class.
     reps = all_posets_upto_iso(5)
     perms = list(itertools.permutations(range(5)))
-    assert len({relabel(p, perm).canon() for p in reps for perm in perms}) == 63
-    assert len({permutation_canon(p) for p in reps}) == 63
+    assert len({relabel(p, perm).canon()[0] for p in reps for perm in perms}) == 63
+    assert len({least_labelings(p)[0] for p in reps}) == 63
+
+
+def small_classes_relabeled():
+    """Every class of up to 6 points under a seeded random relabeling,
+    then 20 seeded random labeled posets of 7 points."""
+    rng = random.Random("canon")
+    for n in range(7):
+        for p in all_posets_upto_iso(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            yield relabel(p, perm)
+    for _ in range(20):
+        yield random_poset(7, rng, rng.random())
+
+
+def test_canon_matches_the_least_labeling_scan():
+    for p in small_classes_relabeled():
+        key, q = p.canon()
+        want, labelings = least_labelings(p)
+        assert key == want, p
+        assert q == relabel(p, labelings[0]), p
+
+
+def test_least_labelings_are_reverse_linear_extensions():
+    # canon() hands out labels 0, 1, ... top down only because of this
+    for n in range(7):
+        for p in all_posets_upto_iso(n):
+            for label in least_labelings(p)[1]:
+                assert all(label[i] > label[j] for i in range(n) for j in bits(p.up[i]) if i != j)

@@ -28,6 +28,7 @@ from hierkit.space_models import (
     NOT_A_CLAUSE,
     SOLVED,
     UNSOLVED_CLAUSE,
+    ApproxReport,
     BaireResult,
     ClauseSystem,
     CylinderModel,
@@ -555,6 +556,66 @@ def test_conditions_hold_on_all_shipped_models():
     assert check_approx_conditions(cy, sample, rng=rng, chains=10).ok()
 
 
+# Negative controls: the 2-chain 0 < 1 has opens 0 = {}, 1 = {1} and
+# 2 = {0, 1}, and each model below breaks one condition on them.
+
+
+class _LlGrows(FinitePosetModel):
+    """ll(1, 2), though O_2 does not lie inside O_1."""
+
+    def ll(self, i, j):
+        return super().ll(i, j) or (i, j) == (1, 2)
+
+
+class _LlUnstable(FinitePosetModel):
+    """ll(1, 1) but not ll(2, 1), though O_1 lies inside O_2."""
+
+    def ll(self, i, j):
+        return super().ll(i, j) and (i, j) != (2, 1)
+
+
+class _NoSuccessor(FinitePosetModel):
+    """No ll-successor of O_2 around its point 0."""
+
+    def least_ll_above(self, c, x):
+        if c == 2:
+            raise ValueError("no successor")
+        return super().least_ll_above(c, x)
+
+
+class _EmptyLimit(FinitePosetModel):
+    """ll admits the empty open, and every chain runs into it."""
+
+    def ll(self, i, j):
+        return self.basic_subset(j, i)
+
+    def random_ll_successor(self, i, rng):
+        return 0
+
+
+@pytest.mark.parametrize(
+    "model, want",
+    [
+        (_LlGrows, ApproxReport(cond1=[(1, 2)])),
+        (_LlUnstable, ApproxReport(cond2=[(1, 2, 1)])),
+        (_NoSuccessor, ApproxReport(cond3=[(2, 0)])),
+        (_EmptyLimit, ApproxReport()),
+    ],
+)
+def test_each_broken_condition_is_reported_alone(model, want):
+    m = model(FinitePoset.chain(2))
+    assert check_approx_conditions(m, range(3)) == want
+
+
+def test_a_chain_without_a_limit_is_reported():
+    m = _EmptyLimit(FinitePoset.chain(2))
+    report = check_approx_conditions(m, range(3), rng=random.Random(5), chains=8, chain_len=3)
+    # the chains start where the check's own draws do, and skip the empty open
+    replay = random.Random(5)
+    starts = [s for s in (replay.choice(range(3)) for _ in range(8)) if s]
+    assert starts and report == ApproxReport(cond4=[(s, 0, 0) for s in starts])
+
+
 @given(st.integers(0, 3), st.data())
 @settings(max_examples=40, deadline=None)
 def test_random_clause_systems_keep_first_two_conditions(nrows, data):
@@ -796,7 +857,7 @@ def test_cylinder_points_and_searches():
     x = CylPoint((0, 1), (1, 0))
     assert x.word(6) == (0, 1, 1, 0, 1, 0)
     assert m.point_in_basic(x, m.singleton((0, 1, 1)))
-    assert m.least_containing(x) == m.singleton(())
+    assert m.least_containing(x, (m.whole_index(),)) == m.singleton(())
     c = m.singleton((0,))
     assert m.least_ll_above(c, x) == m.singleton((0,))
     y = CylPoint((1,), (0,))
@@ -843,15 +904,13 @@ def test_point_words_match_the_letters(k):
         assert x.starts_with(()) and x.starts_with([])
 
 
-def _least_containing_by_letters(model, x, within=None):
+def _least_containing_by_letters(model, x, within):
     # CylinderModel.least_containing with the prefix built letter by
     # letter at each depth
-    cover = None
-    if within is not None:
-        cover = [w for j in within for w in model.words(j)]
+    cover = [w for j in within for w in model.words(j)]
     for d in range(_MAX_DEPTH + 1):
         w = _letters(x, d)
-        if cover is None or model._covered(w, cover):
+        if model._covered(w, cover):
             return model.singleton(w)
     raise ValueError("point has no small enough neighborhood")
 
@@ -860,7 +919,7 @@ def _least_containing_by_letters(model, x, within=None):
 def test_least_containing_matches_the_letter_loop(k):
     m = CylinderModel(k)
     rng = random.Random(200 + k)
-    covers = [None]
+    covers = [(m.whole_index(),)]
     for _ in range(25):
         words = [
             tuple(rng.randrange(k) for _ in range(rng.randrange(4)))
@@ -1156,14 +1215,14 @@ def test_poset_model_least_searches():
     fm = FinitePosetModel(FinitePoset.from_cover(3, [(0, 1), (1, 2)]))
     # opens ascend by size: empty, {2}, {1,2}, whole
     assert [fm.opens[i] for i in fm.candidate_indices(2)] == [0, 4, 6, 7]
-    assert fm.opens[fm.least_containing(1)] == 0b110
+    assert fm.opens[fm.least_containing(1, (fm.whole_index(),))] == 0b110
     assert fm.opens[fm.least_ll_above(fm.index_of(0b110), 1)] == 0b110
     assert fm.some_point_in(fm.index_of(0)) is None
 
 
-def _scan_least_containing(m, x, within=None):
+def _scan_least_containing(m, x, within):
     """FinitePosetModel.least_containing as a scan of the opens."""
-    w = m.whole_index() if within is None else m.lam(within)
+    w = m.lam(within)
     for i in range(len(m.opens)):
         if m.point_in_basic(x, i) and m.basic_subset(i, w):
             return i
@@ -1177,12 +1236,12 @@ def test_poset_closed_forms_match_the_scans():
         for seed in range(3):
             m = FinitePosetModel(random_poset(n, 600 + 10 * n + seed))
             every = range(len(m.opens))
-            withins = [None] + [(c,) for c in every] + list(itertools.combinations(every, 2))
+            withins = [(c,) for c in every] + list(itertools.combinations(every, 2))
             for x in m.points():
                 for within in withins:
                     want = _outcome(_scan_least_containing, m, x, within)
                     assert _outcome(m.least_containing, x, within) == want, (n, x, within)
-                    if within is not None and len(within) == 1:
+                    if len(within) == 1:
                         assert _outcome(m.least_ll_above, within[0], x) == want
             for draw in range(20):
                 rng, ref = random.Random(draw), random.Random(draw)
