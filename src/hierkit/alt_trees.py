@@ -1,4 +1,4 @@
-"""Well-founded trees, alternating chains, and the audit they power.
+"""Alternating chains, the audit they power, and the Kleene-Brouwer order.
 
 Trees are finite prefix-closed sets of tuples; rank(leaf) = 0 and
 rank(node) = max(rank(child) + 1).  The classification bridge: a subset
@@ -17,51 +17,7 @@ from hierkit.diff_hierarchy import code_from_masks, denote_mask
 from hierkit.finite_space import bits
 
 
-# -- raw trees ----------------------------------------------------------
-
-
-class WfTree:
-    """A finite tree of finite sequences (always contains the root ())."""
-
-    def __init__(self, nodes):
-        nodes = set(tuple(n) for n in nodes)
-        nodes.add(())
-        for node in nodes:
-            if node and node[:-1] not in nodes:
-                raise ValueError("not prefix closed at %r" % (node,))
-        self.nodes = frozenset(nodes)
-
-    def children(self, node):
-        """The children of node, in the order of iteration over nodes."""
-        return list(self._index()[0].get(tuple(node), ()))
-
-    def node_rank(self, node):
-        return self._index()[1][tuple(node)]
-
-    def _index(self):
-        """(child lists, ranks) of every node, built in one pass over
-        the nodes, longest first.  Sorting is stable, so siblings keep
-        their order of iteration over nodes, and every child's rank is
-        final before its parent's is read."""
-        try:
-            return self._kids, self._ranks
-        except AttributeError:
-            pass
-        kids = {m: [] for m in self.nodes}
-        ranks = dict.fromkeys(self.nodes, 0)
-        for m in sorted(self.nodes, key=len, reverse=True):
-            if m:
-                parent = m[:-1]
-                kids[parent].append(m)
-                ranks[parent] = max(ranks[parent], ranks[m] + 1)
-        self._kids, self._ranks = kids, ranks
-        return kids, ranks
-
-    def rank(self):
-        return self.node_rank(())
-
-    def __len__(self):
-        return len(self.nodes)
+# -- Kleene-Brouwer order ------------------------------------------------
 
 
 def kb_less(s, t):
@@ -198,15 +154,11 @@ def classify_by_trees(poset, a_mask):
 
 @dataclass
 class AmbiguityReport:
-    poset: object
-    n_max: int
     levels: dict = field(default_factory=dict)  # mask -> (sigma, pi)
-    equal_at: dict = field(default_factory=dict)  # n -> bool
     violations: dict = field(default_factory=dict)  # n -> [mask, ...]
 
-    def ok(self, ns=None):
-        ns = self.equal_at.keys() if ns is None else ns
-        return all(self.equal_at[n] for n in ns)
+    def ok(self):
+        return not any(self.violations.values())
 
 
 def ambiguity_audit(poset, n_max):
@@ -219,7 +171,7 @@ def ambiguity_audit(poset, n_max):
 
     and the offending masks when not.
     """
-    report = AmbiguityReport(poset, n_max)
+    report = AmbiguityReport()
     for mask in range(1 << poset.n):
         report.levels[mask] = classify_by_trees(poset, mask)
     for n in range(1, n_max + 1):
@@ -229,6 +181,5 @@ def ambiguity_audit(poset, n_max):
             rhs = s < n or p < n
             if lhs != rhs:
                 bad.append(mask)
-        report.equal_at[n] = not bad
         report.violations[n] = bad
     return report

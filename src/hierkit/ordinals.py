@@ -41,11 +41,6 @@ class Ordinal:
     def from_int(n):
         return Ordinal(0, n)
 
-    @staticmethod
-    def omega(coeff=1):
-        """w * coeff: nothing here reaches w^2."""
-        return Ordinal(coeff, 0)
-
     # -- structure ----------------------------------------------------
 
     def is_finite(self):

@@ -82,7 +82,7 @@ class SpaceModel:
     * ``point_to_json``, ``point_from_json`` and ``to_json``.
 
     The methods below are shared; a model overrides those that differ.
-    No model overrides ``check_chain`` or ``chain_limit``.
+    No model overrides ``chain_limit``.
     """
 
     finite = False
@@ -102,16 +102,13 @@ class SpaceModel:
         inside c; ValueError when there is none."""
         return self.least_containing(x, within=(c,))
 
-    def check_chain(self, chain):
-        """Raise ValueError unless the chain is ll-increasing."""
+    def chain_limit(self, chain):
+        """A point of every member of a ll-increasing chain: any point
+        of its last member.  ValueError when the chain is not
+        ll-increasing."""
         for k in range(len(chain) - 1):
             if not self.ll(chain[k], chain[k + 1]):
                 raise ValueError("chain is not ll-increasing at step %d" % k)
-
-    def chain_limit(self, chain):
-        """A point of every member of a ll-increasing chain: any point
-        of its last member."""
-        self.check_chain(chain)
         x = self.some_point_in(chain[-1])
         if x is None:
             raise ValueError("chain ends in the empty open")

@@ -388,17 +388,26 @@ TEST_ONLY_METHODS = {
 }
 
 
+def _attribute_reads(node):
+    """Each attribute name read under node, once per read."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            yield n.attr
+
+
 def unread_public_methods(sources, test_only):
     """'file:line Class.method' for each public method of a public
     module-level class in sources ({file name: text}) whose name no
-    source reads outside the method's own body, and that test_only
-    leaves out; then 'Class.method has a caller' for each test_only
-    entry whose name is read outside its body.  Methods are matched by
-    name alone, as a read of `x.ok` may reach any class's `ok`."""
+    source reads as an attribute outside the method's own body, and
+    that test_only leaves out; then 'Class.method has a caller' for each
+    test_only entry whose name is so read.  A method is reached only as
+    an attribute, so a bare name of the same spelling, such as a local
+    variable, does not count.  Methods are matched by name alone, as a
+    read of `x.ok` may reach any class's `ok`."""
     total, methods = collections.Counter(), []
     for name, text in sources.items():
         tree = ast.parse(text)
-        total.update(_read_names(tree))
+        total.update(_attribute_reads(tree))
         for cls in tree.body:
             if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
                 continue
@@ -406,7 +415,7 @@ def unread_public_methods(sources, test_only):
                 if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     continue
                 if not node.name.startswith("_"):
-                    own = sum(n == node.name for n in _read_names(node))
+                    own = sum(n == node.name for n in _attribute_reads(node))
                     methods.append((name, node.lineno, cls.name + "." + node.name, own))
     read = {qual for _, _, qual, own in methods if total[qual.partition(".")[2]] > own}
     found = [
@@ -427,6 +436,9 @@ def test_every_public_method_has_a_reader_or_a_named_consumer():
     [
         ({"a.py": "class C:\n    def m(self):\n        pass\n"}, ["a.py:2 C.m"]),
         ({"a.py": "class C:\n    def m(self):\n        pass\n", "b.py": "c.m()\n"}, []),
+        # a local name spelled like the method is not a read of it
+        ({"a.py": "class C:\n    def m(self):\n        pass\n\ndef f(x):\n    m = x\n"
+                  "    return m\n"}, ["a.py:2 C.m"]),
         ({"a.py": "class C:\n    def m(self, n):\n        return self.m(n - 1)\n"},
          ["a.py:2 C.m"]),
         ({"a.py": "class C:\n    def m(self):\n        pass\n\n    def k(self):\n"

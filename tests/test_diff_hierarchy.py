@@ -83,7 +83,7 @@ def test_code_validation():
     with pytest.raises(ValueError):
         DiffCode(1, "X", ())
     c = DiffCode(OMEGA + 1, "D", ((OMEGA, 0b1),))
-    assert c.alpha == Ordinal.omega() + 1
+    assert c.alpha == Ordinal(1, 1)
 
 
 def test_level_zero_degenerate():

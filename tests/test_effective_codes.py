@@ -43,7 +43,7 @@ from hierkit.effective_codes import (
     stage_ladder,
     verify_transform,
 )
-from hierkit.alt_trees import WfTree, kb_sorted
+from hierkit.alt_trees import kb_sorted
 from hierkit.finite_space import FinitePoset, random_poset
 from hierkit.ordinals import OMEGA, Ordinal
 from hierkit.space_models import (
@@ -71,6 +71,14 @@ def cyl_points(model, depth, tails=None):
 
 def by_index(model):
     return lambda s, x: model.point_in_basic(x, s)
+
+
+def _rooted(nodes):
+    """The nodes of a transform tree and its root (), which must make a
+    prefix-closed set."""
+    nodes = {*nodes, ()}
+    assert all(seq[:-1] in nodes for seq in nodes if seq)
+    return nodes
 
 
 # -- borel codes: node meanings against direct set computation ---------------
@@ -114,6 +122,10 @@ def test_unpaired_children_are_rejected():
 def test_trees_must_be_prefix_closed():
     with pytest.raises(ValueError, match="prefix closed"):
         BorelCode([(), (0, 1)])
+    # the root is added, no other missing prefix is
+    assert BorelCode([(0,)]) == BorelCode([(), (0,)])
+    with pytest.raises(ValueError, match=r"not prefix closed at \(0, 1\)"):
+        BorelCode([(0, 1)])
 
 
 def test_borel_side_names_are_checked():
@@ -179,6 +191,33 @@ def test_small_codes_match_direct_computation():
             checked += 1
     # every pairing-valid rank-<=2 shape over six labels
     assert checked == 291
+
+
+def test_borel_rank_conventions():
+    assert BorelCode([()]).rank() == 0
+    assert BorelCode([(0,)]).rank() == 1
+    # (0,) pairs its children 0 and 1, the root pairs (0,) with the leaf (1,)
+    code = BorelCode([(0,), (1,), (0, 0), (0, 1), (0, 0, 5)])
+    assert code.rank() == 3
+    assert code.ranks[(0,)] == 2 and code.ranks[(1,)] == 0 and code.ranks[(0, 0)] == 1
+
+
+@given(st.lists(st.lists(st.integers(0, 3), max_size=4), max_size=12))
+def test_borel_kids_and_ranks_match_their_definitions(seqs):
+    # every prefix of each sequence and its label partner c ^ 1, so the
+    # tree is prefix-closed and every node's children come in pairs
+    nodes = {()} | {
+        tuple(s[: k - 1]) + (s[k - 1] ^ flip,)
+        for s in seqs
+        for k in range(1, len(s) + 1)
+        for flip in (0, 1)
+    }
+    code = BorelCode(nodes)
+    assert code.nodes == nodes
+    for node in nodes:
+        want = sorted(n[-1] for n in nodes if len(n) == len(node) + 1 and n[: len(node)] == node)
+        assert code.kids[node] == want
+        assert code.ranks[node] == _direct_rank(nodes, node)
 
 
 # -- hausdorff codes: least-index semantics -----------------------------------
@@ -411,7 +450,8 @@ def test_clopen_tree_is_flat_with_hand_types():
     assert {seq: eps for seq, (eps, _, _) in tree.nodes.items()} == expected
     assert tree.growth_violations == ()
     assert tree.frontier == {((1, 8),), ((2, 8),), ((3, 8),)}
-    assert WfTree(tree.nodes).rank() == 1
+    # every node is a child of the root: a prefix-closed tree of rank 1
+    assert {seq[:-1] for seq in tree.nodes} == {()}
 
 
 def test_empty_set_grows_no_type_one_nodes():
@@ -478,7 +518,7 @@ def test_stage_ladder_shape():
 def test_block_starts_collapse_to_omega_r_plus_two():
     assert block_start(0) == Ordinal.from_int(0)
     assert block_start(1) == OMEGA + Ordinal.from_int(2)
-    assert block_start(3) == Ordinal.omega(3) + Ordinal.from_int(2)
+    assert block_start(3) == Ordinal(3, 0) + Ordinal.from_int(2)
     for r in range(5):
         start = block_start(r)
         assert (start + OMEGA).parity() == 0
@@ -499,7 +539,7 @@ def test_clopen_transform_denotes_the_set():
     m = fork_model()
     pres = clopen_presentation(m, m.index_of(0b100), m.index_of(0b011))
     res = effective_hausdorff_transform(pres, 8)
-    assert res.xi == Ordinal.omega(10) + Ordinal.from_int(2)
+    assert res.xi == Ordinal(10, 0) + Ordinal.from_int(2)
     for x in m.points():
         want = x == 2
         assert res.eval_point(m, x) == want
@@ -575,7 +615,7 @@ def test_renderings_always_agree(rows1, rows0):
         [[1 << c for c in row] for row in rows0],
     )
     res = effective_hausdorff_transform(pres, 12)
-    assert list(res.tree.nodes) + [()] == kb_sorted(WfTree(res.tree.nodes).nodes)
+    assert list(res.tree.nodes) + [()] == kb_sorted(_rooted(res.tree.nodes))
     for x in cyl_points(cm, 3):
         direct = res.eval_point(cm, x)
         assert direct == eval_diff(res.diff_code, x, by_index(cm))
@@ -679,7 +719,7 @@ _REFERENCE_PROBES = (
 def _reference_slots(nodes):
     """The slot loop as it was, in Ordinal arithmetic throughout:
     (kb_order, xi, ((seq, rank, type, open), ...))."""
-    order = kb_sorted(WfTree(nodes.keys()).nodes)
+    order = kb_sorted(_rooted(nodes))
     slots = []
     for r, seq in enumerate(order):
         start = block_start(r)
@@ -774,7 +814,7 @@ def test_tree_matches_the_reference_on_random_poset_models(budget):
     for seed, model, kind, pres in _random_poset_cases():
         nodes, frontier, violations = _reference_tree(pres, budget)
         tree = build_alt_tree(pres, budget)
-        order = [seq for seq in kb_sorted(WfTree(nodes).nodes) if seq]
+        order = [seq for seq in kb_sorted(_rooted(nodes)) if seq]
         assert list(tree.nodes.items()) == [(seq, nodes[seq]) for seq in order], (seed, kind)
         assert tree.frontier == frontier
         assert Counter(tree.growth_violations) == Counter(violations)
