@@ -138,6 +138,13 @@ def _set_arg(text, poset):
     return mask
 
 
+def _poset_set(args):
+    """(poset, set mask, report inputs) of --poset and --set."""
+    poset, pdata = _arg_json(args.poset, "poset", FinitePoset.from_json)
+    mask = _set_arg(args.set, poset)
+    return poset, mask, {"poset": _digest(pdata), "set": sorted(bits(mask))}
+
+
 def _code_arg(model, kind, text):
     """The decoded --borel/--hausdorff/--diff code and its JSON; every
     basis index the code reads must pass `model.check_index`."""
@@ -188,8 +195,7 @@ def _tree_json(chain):
 
 
 def _cmd_classify(args):
-    poset, pdata = _arg_json(args.poset, "poset", FinitePoset.from_json)
-    mask = _set_arg(args.set, poset)
+    poset, mask, inputs = _poset_set(args)
     # one chain DP gives the tree levels and both witness chains
     chains = AltChains(poset, mask)
     methods = {}
@@ -206,7 +212,7 @@ def _cmd_classify(args):
     if len(pairs) != 1:
         raise CliError(VALIDATION, "classifiers disagree: %s" % _canon(methods))
     sigma, pi = pairs.pop()
-    inputs = {"poset": _digest(pdata), "set": sorted(bits(mask)), "method": args.method}
+    inputs["method"] = args.method
     outputs = {
         "sigma": sigma,
         "pi": pi,
@@ -221,11 +227,9 @@ def _cmd_classify(args):
 
 
 def _cmd_residues(args):
-    poset, pdata = _arg_json(args.poset, "poset", FinitePoset.from_json)
-    mask = _set_arg(args.set, poset)
+    poset, mask, inputs = _poset_set(args)
     d = hausdorff_decompose(poset, mask)
     sigma, pi = residue_levels(poset, mask)
-    inputs = {"poset": _digest(pdata), "set": sorted(bits(mask))}
     outputs = {
         "chain": list(d.F),
         "theta": d.theta,
@@ -240,11 +244,9 @@ def _cmd_residues(args):
 
 
 def _cmd_alt(args):
-    poset, pdata = _arg_json(args.poset, "poset", FinitePoset.from_json)
-    mask = _set_arg(args.set, poset)
+    poset, mask, inputs = _poset_set(args)
     chains = AltChains(poset, mask)
     sigma, pi = chains.levels()
-    inputs = {"poset": _digest(pdata), "set": sorted(bits(mask))}
     outputs = {
         "rank_eps1": chains.rank(1),
         "rank_eps0": chains.rank(0),

@@ -88,9 +88,6 @@ class BorelCode:
                     )
         self.nodes, self.kids, self.ranks = nodes, kids, ranks
 
-    def rank(self):
-        return self.ranks[()]
-
     def basis_indices(self):
         """The basis indices the code reads: the last entry of each
         non-root leaf, which covers every child of a rank-1 node.  The
@@ -105,9 +102,6 @@ class BorelCode:
 
     def __repr__(self):
         return "BorelCode(%r)" % (sorted(self.nodes),)
-
-    def to_json(self):
-        return {"nodes": [list(n) for n in sorted(self.nodes)]}
 
     @staticmethod
     def from_json(data):
@@ -163,13 +157,6 @@ class HausdorffCode:
             raise ValueError("order must enumerate one rank per tree")
         if not self.parity_set <= set(self.order):
             raise ValueError("parity set mentions elements outside the order")
-
-    def to_json(self):
-        return {
-            "order": list(self.order),
-            "parity_set": sorted(self.parity_set),
-            "trees": [t.to_json() for t in self.trees],
-        }
 
     @staticmethod
     def from_json(data):
@@ -578,8 +565,8 @@ class TransformResult:
     test_closed_form_block_offsets_match_ordinal_arithmetic.
 
     `diff_code` and `hausdorff` are built on first access; `to_json`
-    writes the same rank text and Hausdorff JSON straight from the tree,
-    so a report builds neither."""
+    writes the slot ranks and the Hausdorff code straight from the
+    tree, so a report builds neither."""
 
     tree: StagedTree
     xi: Ordinal
@@ -615,13 +602,12 @@ class TransformResult:
         which JSON writes as lists, and the trees share one leaf code
         object per open, as `hausdorff` does.
 
-        The Hausdorff part is written here rather than by
-        `hausdorff.to_json()`, which builds the code and then sorts and
-        lists every tree's nodes afresh, one tree per tree node.  At
-        budget 256 on first-one cylinders (median of 7, 2-core Xeon,
-        Python 3.11) that call alone took 13.6 ms for 3 letters and
-        4,200 nodes and 19.0 ms for 2 letters and 6,173 nodes; this
-        whole method took 8.0 ms and 12.6 ms."""
+        This is the only writer of a Hausdorff code: the `hausdorff`
+        object is the code `hausdorff` holds, in the form
+        `HausdorffCode.from_json` reads, so `hier eval-code --hausdorff`
+        takes it as it is.  It is written from the tree without building
+        the code, whose trees would each be sorted and listed afresh,
+        one tree per tree node."""
         nodes = self.tree.nodes
         leaf_codes = {o: {"nodes": [[], [o]]} for o in {seq[-1][0] for seq in nodes}}
         return {
@@ -633,7 +619,7 @@ class TransformResult:
                 {"node": seq, "rank": text(r + 1, eps), "type": eps, "open": seq[-1][0]}
                 for r, (seq, (eps, _, _)) in enumerate(nodes.items())
             ],
-            # what self.hausdorff.to_json() gives
+            # self.hausdorff, as HausdorffCode.from_json reads it
             "hausdorff": {
                 "order": list(range(len(nodes))),
                 "parity_set": [r for r, (eps, _, _) in enumerate(nodes.values()) if eps == 1],

@@ -73,7 +73,6 @@ class StationaryStrategy:
     with x in respond(x, U) <= U whenever x in U."""
 
     respond: object
-    name: str = ""
 
 
 def stationary_from_relation(model):
@@ -88,7 +87,7 @@ def stationary_from_relation(model):
         c = model.least_containing(x, within=u)
         return model.least_ll_above(c, x)
 
-    return StationaryStrategy(respond, name="relation")
+    return StationaryStrategy(respond)
 
 
 def identity_refinement(model):
@@ -100,7 +99,7 @@ def identity_refinement(model):
             raise ValueError("point outside the open")
         return model.least_containing(x, within=u)
 
-    return StationaryStrategy(respond, name="identity")
+    return StationaryStrategy(respond)
 
 
 def relation_from_strategy(tau, model):

@@ -50,31 +50,27 @@ def residue_sequence(poset, a_mask):
 
 
 def trim_code(masks, alpha):
-    """Shrink a monotone mask sequence, preserving the D_alpha denotation.
+    """Shrink a mask sequence, preserving the D_alpha denotation.
 
-    Two sound moves, iterated to a fixed point:
-      * drop a leading empty entry (alpha drops by 1, every slot shifts
-        down; both parities flip together);
-      * drop an adjacent equal pair (alpha drops by 2; nothing's parity
-        moves, and no point can first appear at the removed slots).
+    Two sound moves, each of which only shortens the sequence:
+      * drop an adjacent equal pair (nothing's parity moves, and no
+        point can first appear at the removed slots);
+      * drop a leading empty entry (every slot shifts down; both
+        parities flip together).
+    They reach the same result in whichever order they run, so equal
+    neighbours are cancelled in one pass with a stack, which leaves
+    none, and then at most one leading empty entry is left to drop.
+    Alpha falls by one per removed entry.
     """
-    masks = list(masks)
-    alpha = int(alpha)
-    changed = True
-    while changed:
-        changed = False
-        if masks and masks[0] == 0:
-            masks.pop(0)
-            alpha -= 1
-            changed = True
-            continue
-        for i in range(len(masks) - 1):
-            if masks[i] == masks[i + 1]:
-                del masks[i : i + 2]
-                alpha -= 2
-                changed = True
-                break
-    return masks, alpha
+    out = []
+    for m in masks:
+        if out and out[-1] == m:
+            out.pop()
+        else:
+            out.append(m)
+    if out and out[0] == 0:
+        del out[0]
+    return out, int(alpha) - len(masks) + len(out)
 
 
 @dataclass

@@ -79,7 +79,7 @@ class SpaceModel:
       ``least_ll_above`` and ``random_ll_successor``;
     * ``candidate_indices``, ``whole_index``, ``random_open`` (Empty's
       random opening) and ``check_index``;
-    * ``point_to_json``, ``point_from_json`` and ``to_json``.
+    * ``point_to_json`` and ``point_from_json``.
 
     The methods below are shared; a model overrides those that differ.
     No model overrides ``chain_limit``.
@@ -123,11 +123,6 @@ class SpaceModel:
 
     def point_to_json(self, x):
         return x.to_json()
-
-    def point_from_json(self, data):
-        """Decode with the model's ``point_type`` (``SetPoint`` or
-        ``CylPoint``)."""
-        return self.point_type.from_json(data)
 
 
 # -- symbolic points --------------------------------------------------------
@@ -249,14 +244,6 @@ class ClauseSystem:
                 sets += [alpha | g for g in gammas]
         return min((t & ~c for t in sets if x.includes(t)), default=None)
 
-    def to_json(self):
-        return {
-            "rows": [
-                {"alpha": list(bits(a)), "witnesses": [list(bits(g)) for g in gs]}
-                for a, gs in self.rows
-            ]
-        }
-
     @staticmethod
     def from_json(rows):
         """Decode a clauses model's rows: [{"alpha": [...], "witnesses": [[...]]}]."""
@@ -308,9 +295,6 @@ class PinfSystem:
             js.append(max(nu, x.cofinite_from))
         return 1 << min(js) if js else None
 
-    def to_json(self):
-        return {"bound": self.bound}
-
 
 class PSpaceModel(SpaceModel):
     """A clause-system subspace of P(N).  Basis index i denotes the cone
@@ -320,8 +304,6 @@ class PSpaceModel(SpaceModel):
     closed form up to its bound) answers the clause queries; ``ll`` is
     written over its clause statuses.  Cones are not closed under
     finite unions, so ``lam`` refuses."""
-
-    point_type = SetPoint
 
     def __init__(self, system, kind="clauses"):
         self.system = system
@@ -456,11 +438,8 @@ class PSpaceModel(SpaceModel):
     def random_open(self, rng):
         return mask_of(rng.sample(range(6), rng.randrange(3)))
 
-    def to_json(self):
-        data = {"kind": self.kind}
-        if self.kind != "pn":
-            data.update(self.system.to_json())
-        return data
+    def point_from_json(self, data):
+        return SetPoint.from_json(data)
 
 
 def pn_model():
@@ -552,9 +531,6 @@ class FinitePosetModel(SpaceModel):
 
     def point_from_json(self, data):
         return integer(data, "point", 0, self.poset.n - 1)
-
-    def to_json(self):
-        return {"kind": "poset", "poset": self.poset.to_json()}
 
 
 # -- cylinder model ---------------------------------------------------------
@@ -715,9 +691,6 @@ class CylinderModel(SpaceModel):
 
     def point_from_json(self, data):
         return CylPoint.from_json(data, self.alphabet)
-
-    def to_json(self):
-        return {"kind": "cylinder", "alphabet": self.alphabet}
 
 
 _MODEL_FIELDS = {

@@ -412,7 +412,7 @@ def test_criterion_9_code_evaluators():
                 code = BorelCode(nodes)
             except ValueError:
                 continue
-            if code.rank() > 2:
+            if code.ranks[()] > 2:
                 continue
             want = _node_set(nodes, (), fork)
             for x in fork.points():

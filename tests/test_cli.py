@@ -754,6 +754,20 @@ ALT_DIGESTS = {
     (12, 1, 0.35, "empty"): "d23dc523ac5f974ef9f0916b919bfa5c12d555c4bd6826df6bf45db68e4cbfd8",
 }
 
+# `golden_digest` of `hier residues` on the seeded posets above, recorded
+# while trim_code still cancelled one equal pair per scan; the cases add
+# which set is taken: the seeded one, the empty set or the whole carrier.
+RESIDUES_DIGESTS = {
+    (8, 0, 0.35, "seeded"): "82e888feadc07bcdfa4efafb9222a1db43d2120202bd6c57f5679b7d776f4159",
+    (12, 1, 0.35, "seeded"): "7febc061bba69a47029dcb99ab7ecf52b9451d7a70a42dbc176d20dcb812f2fe",
+    (16, 2, 0.35, "seeded"): "b6b273abc5a07a7fab44904cb9512de21e2faa59ab54559a992fa0ab2aa39aa7",
+    (12, 3, 0.1, "seeded"): "8191ab5c97ee50d81d986057cdc6cbe87174184028f3d87fefd089fcea8cc8d1",
+    (16, 4, 0.1, "seeded"): "1f2047a9c1dddfce064ac1b5bc126df2319b55db5df9990b72e194f51c2f9697",
+    (16, 5, 0.1, "seeded"): "04f1b2f03b08b98ea33b5e549f6d7bace41366f1e690419273a5e205be0a1e99",
+    (12, 1, 0.35, "empty"): "d63e33e8ab05985ff33bbc7af7d49b4b809728b2a0a004e1a4b7a7222b381b4c",
+    (12, 1, 0.35, "all"): "4b5977432a615d1b43dcf27b9aa13a4d0d497529738b10b482ab39f46123e08b",
+}
+
 
 @pytest.mark.parametrize("n", sorted(AUDIT_DIGESTS))
 def test_audit_reports_match_golden_digests(capsys, n):
@@ -778,6 +792,14 @@ def test_alt_reports_match_golden_digests(capsys, n, seed, edge_prob, members):
     assert golden_digest(out) == ALT_DIGESTS[n, seed, edge_prob, members]
 
 
+@pytest.mark.parametrize("n, seed, edge_prob, members", sorted(RESIDUES_DIGESTS))
+def test_residues_reports_match_golden_digests(capsys, n, seed, edge_prob, members):
+    argv = _residues_argv(n, seed, edge_prob, members)
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert golden_digest(out) == RESIDUES_DIGESTS[n, seed, edge_prob, members]
+
+
 def _seeded_poset(n, seed, edge_prob):
     """(poset JSON, member list) of a golden case, as its comment says."""
     rng = random.Random(seed)
@@ -789,6 +811,12 @@ def _seeded_poset(n, seed, edge_prob):
 def _classify_argv(n, seed, edge_prob):
     poset, members = _seeded_poset(n, seed, edge_prob)
     return ["classify", "--poset", poset, "--set", members, "--method", "all"]
+
+
+def _residues_argv(n, seed, edge_prob, members):
+    poset, seeded = _seeded_poset(n, seed, edge_prob)
+    chosen = {"seeded": seeded, "empty": "", "all": ",".join(map(str, range(n)))}[members]
+    return ["residues", "--poset", poset, "--set", chosen]
 
 
 def test_cached_parser_survives_a_usage_error(capsys):
@@ -1022,6 +1050,20 @@ def test_console_entry_point_separates_report_from_timing():
     rep = json.loads(proc.stdout)
     assert rep["outputs"]["sigma"] == 2
     assert "hier classify" in proc.stderr
+
+
+def test_the_hier_script_runs_main(capsys, monkeypatch):
+    # the `hier` script that an install writes calls this entry point
+    # with the command line in sys.argv; every other test calls main or
+    # runs `python -m hierkit.cli`
+    text = (pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    section = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    scripts = dict(line.split(" = ", 1) for line in section.splitlines() if line)
+    module, _, attr = json.loads(scripts["hier"]).partition(":")
+    entry = getattr(importlib.import_module(module), attr)
+    monkeypatch.setattr(sys, "argv", ["hier", "classify", "--poset", CHAIN3, "--set", "1"])
+    assert entry() == 0
+    assert '"sigma":2' in capsys.readouterr().out
 
 
 # one argv per subcommand, each exercising sets, dicts or strings that a

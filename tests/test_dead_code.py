@@ -14,18 +14,30 @@ from one `Budget` rather than keeping a counter of its own.  A fifth
 fails when a public module-level function or class is read by no
 hierkit source outside its own definition, unless `TEST_ONLY` names it
 with the consumer that keeps it, and when a `TEST_ONLY` entry has gained
-a caller in the sources.  A sixth does the same for the public methods
-of public classes, against `TEST_ONLY_METHODS`.
+a caller in the sources.  A sixth runs the argv tables of
+`test_cli.py` in process under `sys.setprofile` and fails when a
+public method or property of a public class is never called, unless
+`TEST_ONLY_METHODS` names it with the consumer that keeps it, and when
+a `TEST_ONLY_METHODS` entry is called.  It matches code objects, not
+names, so a method is not kept alive by another object's method or
+variable of the same name.
 """
 
 import ast
-import collections
+import contextlib
+import functools
 import importlib
+import inspect
+import io
 import pathlib
+import sys
+import types
 
 import pytest
 
 import hierkit
+import hierkit.cli
+import test_cli
 
 SOURCES = sorted(pathlib.Path(hierkit.__file__).parent.glob("*.py"))
 SPANS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -374,11 +386,15 @@ def test_the_unread_public_name_guard_flags_what_it_should(sources, expected):
     assert unread_public_names(sources, {"t": "a test"}) == expected
 
 
-# Public methods of public classes that no hierkit source reads, each
+# Public methods of public classes that no `hier` command calls, each
 # with the consumer that keeps it.
 TEST_ONLY_METHODS = {
     "FinitePosetModel.index_of": "the poset-model tests and acceptance criterion 8",
+    "FinitePosetModel.points": "ROADMAP item 19, through relation_from_strategy",
     "FinitePoset.antichain": "the poset tests",
+    "FinitePoset.chain": "the poset tests",
+    "Ordinal.is_finite": "acceptance criterion 9, through hausdorff_from_diff",
+    "Ordinal.as_int": "acceptance criterion 9, through hausdorff_from_diff",
     "AmbiguityReport.ok": "acceptance criterion 4",
     "ApproxReport.ok": "acceptance criterion 5",
     "VerificationReport.ok": "the transform tests",
@@ -388,73 +404,145 @@ TEST_ONLY_METHODS = {
 }
 
 
-def _attribute_reads(node):
-    """Each attribute name read under node, once per read."""
-    for n in ast.walk(node):
-        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
-            yield n.attr
-
-
-def unread_public_methods(sources, test_only):
-    """'file:line Class.method' for each public method of a public
-    module-level class in sources ({file name: text}) whose name no
-    source reads as an attribute outside the method's own body, and
-    that test_only leaves out; then 'Class.method has a caller' for each
-    test_only entry whose name is so read.  A method is reached only as
-    an attribute, so a bare name of the same spelling, such as a local
-    variable, does not count.  Methods are matched by name alone, as a
-    read of `x.ok` may reach any class's `ok`."""
-    total, methods = collections.Counter(), []
-    for name, text in sources.items():
-        tree = ast.parse(text)
-        total.update(_attribute_reads(tree))
-        for cls in tree.body:
-            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+def public_methods(modules):
+    """{code object: 'Class.method'} for each public method of each
+    public class that one of the modules defines: plain, static and
+    class methods, properties and cached properties."""
+    found = {}
+    for module in modules:
+        for cls in vars(module).values():
+            if not (
+                inspect.isclass(cls)
+                and cls.__module__ == module.__name__
+                and not cls.__name__.startswith("_")
+            ):
                 continue
-            for node in cls.body:
-                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for name, member in vars(cls).items():
+                if name.startswith("_"):
                     continue
-                if not node.name.startswith("_"):
-                    own = sum(n == node.name for n in _attribute_reads(node))
-                    methods.append((name, node.lineno, cls.name + "." + node.name, own))
-    read = {qual for _, _, qual, own in methods if total[qual.partition(".")[2]] > own}
-    found = [
-        "%s:%d %s" % (name, line, qual)
-        for name, line, qual, _ in methods
-        if qual not in read and qual not in test_only
-    ]
-    return found + ["%s has a caller" % qual for qual in sorted(test_only) if qual in read]
+                if isinstance(member, (staticmethod, classmethod)):
+                    member = member.__func__
+                elif isinstance(member, property):
+                    member = member.fget
+                elif isinstance(member, functools.cached_property):
+                    member = member.func
+                if inspect.isfunction(member):
+                    found[member.__code__] = cls.__name__ + "." + name
+    return found
 
 
-def test_every_public_method_has_a_reader_or_a_named_consumer():
-    sources = {path.name: path.read_text() for path in SOURCES}
-    assert unread_public_methods(sources, TEST_ONLY_METHODS) == []
+def calls_made(run):
+    """The code objects of the Python functions called while run() runs."""
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    old = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(old)
+    return called
+
+
+def unreached_methods(methods, called, test_only):
+    """'Class.method' for each method in methods ({code: name}) whose
+    code is not in called and that test_only leaves out; then
+    'Class.method has a caller' for each test_only entry that is."""
+    found = sorted(q for code, q in methods.items() if code not in called and q not in test_only)
+    reached = {q for code, q in methods.items() if code in called}
+    return found + ["%s has a caller" % q for q in sorted(test_only) if q in reached]
+
+
+def command_corpus():
+    """The argvs of the tables in test_cli.py: plays in both games on
+    every model, transforms, the model-surface ops, classify, residues
+    and alt on seeded posets, audits, one argv per subcommand and every
+    refused input.  The 6-point audit is left out: traced, it takes
+    seconds and reaches nothing the smaller ones miss.  One more argv
+    reaches what the tables do not, a classify whose level search meets
+    a slot with more than 10 free points."""
+    t = test_cli
+    for model, rounds, empty, game in sorted(t.PLAY_DIGESTS):
+        yield ["play", "--model", t.PLAY_MODELS[model], "--rounds", str(rounds),
+               "--empty", empty, "--game", game, "--seed", "7"]
+    for case in sorted(t.TRANSFORM_ARGV):
+        yield ["transform", *t.TRANSFORM_ARGV[case]]
+    for table in (t.SURFACE_ARGV, t.CROSS_PROCESS_ARGV, t.REFUSED_ARGV):
+        for case in sorted(table):
+            yield list(table[case])
+    for case in sorted(t.CLASSIFY_DIGESTS):
+        yield t._classify_argv(*case)
+    for case in sorted(t.RESIDUES_DIGESTS):
+        yield t._residues_argv(*case)
+    for n, seed, edge_prob, members in sorted(t.ALT_DIGESTS):
+        poset, seeded = t._seeded_poset(n, seed, edge_prob)
+        yield ["alt", "--poset", poset, "--set", seeded if members == "seeded" else ""]
+    for n in sorted(t.AUDIT_DIGESTS)[:-1]:
+        yield ["audit", "--exhaustive", str(n)]
+    yield ["classify", "--poset", '{"n": 20, "cover": []}', "--set",
+           ",".join(map(str, range(20)))]
+
+
+def _run_commands():
+    for argv in command_corpus():
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            hierkit.cli.main(argv)
+
+
+def test_every_public_method_is_called_by_a_command_or_has_a_named_consumer():
+    modules = [importlib.import_module("hierkit." + path.stem) for path in SOURCES]
+    methods = public_methods(modules)
+    assert "BaireResult.to_json" in methods.values()
+    assert unreached_methods(methods, calls_made(_run_commands), TEST_ONLY_METHODS) == []
+
+
+_GUARD_CASE = """
+class C:
+    def m(self):
+        return self.k()
+
+    def k(self):
+        pass
+
+    def t(self):
+        pass
+
+    @property
+    def p(self):
+        return 1
+
+    @staticmethod
+    def s():
+        pass
+
+    def _m(self):
+        pass
+
+
+class _C:
+    def m(self):
+        pass
+"""
 
 
 @pytest.mark.parametrize(
-    "sources, expected",
+    "run, expected",
     [
-        ({"a.py": "class C:\n    def m(self):\n        pass\n"}, ["a.py:2 C.m"]),
-        ({"a.py": "class C:\n    def m(self):\n        pass\n", "b.py": "c.m()\n"}, []),
-        # a local name spelled like the method is not a read of it
-        ({"a.py": "class C:\n    def m(self):\n        pass\n\ndef f(x):\n    m = x\n"
-                  "    return m\n"}, ["a.py:2 C.m"]),
-        ({"a.py": "class C:\n    def m(self, n):\n        return self.m(n - 1)\n"},
-         ["a.py:2 C.m"]),
-        ({"a.py": "class C:\n    def m(self):\n        pass\n\n    def k(self):\n"
-                  "        return self.m()\n"}, ["a.py:5 C.k"]),
-        ({"a.py": "class C:\n    @property\n    def m(self):\n        pass\n"},
-         ["a.py:3 C.m"]),
-        ({"a.py": "class C:\n    def _m(self):\n        pass\n\n    def __len__(self):\n"
-                  "        return 0\n"}, []),
-        ({"a.py": "class _C:\n    def m(self):\n        pass\n"}, []),
-        ({"a.py": "class C:\n    def t(self):\n        pass\n"}, []),
-        ({"a.py": "class C:\n    def t(self):\n        pass\n\nC().t()\n"},
-         ["C.t has a caller"]),
-        # a read inside another class's method of the same name counts
-        ({"a.py": "class C:\n    def m(self):\n        pass\n\n"
-                  "class D:\n    def m(self):\n        return self.c.m()\n"}, ["a.py:6 D.m"]),
+        ("pass", ["C.k", "C.m", "C.p", "C.s"]),
+        ("C().k(); C.s()", ["C.m", "C.p"]),
+        # a method reached only through another method is reached
+        ("C().m(); C().p; C.s()", []),
+        ("C().m(); C().p; C.s(); C().t()", ["C.t has a caller"]),
+        ("C()._m(); _C().m()", ["C.k", "C.m", "C.p", "C.s"]),
     ],
 )
-def test_the_unread_public_method_guard_flags_what_it_should(sources, expected):
-    assert unread_public_methods(sources, {"C.t": "a test"}) == expected
+def test_the_unreached_method_guard_flags_what_it_should(run, expected):
+    module = types.ModuleType("guard_case")
+    exec(_GUARD_CASE, vars(module))
+    methods = public_methods([module])
+    called = calls_made(lambda: exec(run, vars(module)))
+    assert unreached_methods(methods, called, {"C.t": "a test"}) == expected

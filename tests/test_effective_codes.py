@@ -104,7 +104,7 @@ def test_rank_two_difference_matches_direct_sets():
     m = fork_model()
     # root children (0, 1): meaning is [[(0)]] \ [[(1)]] = O_3 \ O_1
     code = BorelCode([(), (0,), (1,), (0, 3)])
-    assert code.rank() == 2
+    assert code.ranks[()] == 2
     expected = m.opens[3] & ~m.opens[1]
     for x in m.points():
         assert eval_borel(code, m, SIGMA, x) == bool((expected >> x) & 1)
@@ -135,7 +135,7 @@ def test_borel_side_names_are_checked():
 
 def test_borel_json_roundtrip():
     code = BorelCode([(), (0,), (1,), (0, 3)])
-    again = BorelCode.from_json(json.loads(json.dumps(code.to_json())))
+    again = BorelCode.from_json(json.loads('{"nodes": [[], [0], [0, 3], [1]]}'))
     assert again == code and hash(again) == hash(code)
 
 
@@ -181,7 +181,7 @@ def test_small_codes_match_direct_computation():
                 code = BorelCode(nodes)
             except ValueError:
                 continue
-            if code.rank() > 2:
+            if code.ranks[()] > 2:
                 continue
             want = _direct_mask(nodes, (), m.opens)
             for x in m.points():
@@ -194,11 +194,11 @@ def test_small_codes_match_direct_computation():
 
 
 def test_borel_rank_conventions():
-    assert BorelCode([()]).rank() == 0
-    assert BorelCode([(0,)]).rank() == 1
+    assert BorelCode([()]).ranks[()] == 0
+    assert BorelCode([(0,)]).ranks[()] == 1
     # (0,) pairs its children 0 and 1, the root pairs (0,) with the leaf (1,)
     code = BorelCode([(0,), (1,), (0, 0), (0, 1), (0, 0, 5)])
-    assert code.rank() == 3
+    assert code.ranks[()] == 3
     assert code.ranks[(0,)] == 2 and code.ranks[(1,)] == 0 and code.ranks[(0, 0)] == 1
 
 
@@ -263,8 +263,10 @@ def test_hausdorff_json_roundtrip():
     code = HausdorffCode(
         (1, 0), {0}, (BorelCode([(), (2,)]), BorelCode([()]))
     )
-    again = HausdorffCode.from_json(json.loads(json.dumps(code.to_json())))
-    assert again == code
+    again = HausdorffCode.from_json(json.loads(
+        '{"order": [1, 0], "parity_set": [0], "trees": [{"nodes": [[], [2]]}, {"nodes": [[]]}]}'
+    ))
+    assert again == code and hash(again) == hash(code)
     assert again.order.index(1) == 0
 
 
@@ -1107,7 +1109,8 @@ def test_report_is_written_from_the_slots_as_the_codes_would_write_it(case):
     assert [(s["node"], s["rank"], s["type"], s["open"]) for s in report["slots"]] == [
         (seq, str(rank), eps, o) for seq, rank, eps, o in slots
     ]
-    assert report["hausdorff"] == res.hausdorff.to_json()
+    # the form `hier eval-code --hausdorff` reads
+    assert HausdorffCode.from_json(report["hausdorff"]) == res.hausdorff
     # built on demand, the code still passes DiffCode's validation, and
     # its ranks are the blocks' offsets omega + type in Ordinal arithmetic
     code = res.diff_code

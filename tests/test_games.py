@@ -103,7 +103,7 @@ def test_identity_strategy_reads_back_as_approx_relation():
 
 def test_echo_strategy_reads_back_as_approx_relation():
     fm = chain3_model()
-    echo = StationaryStrategy(lambda x, u: u[0], name="echo")
+    echo = StationaryStrategy(lambda x, u: u[0])
     rel = relation_from_strategy(echo, fm)
     _conditions_exhaustive(fm, rel)
 
@@ -174,7 +174,7 @@ def test_never_loses_on_shipped_models():
 
 def test_nonempty_forfeits_on_illegal_response():
     fm = chain3_model()
-    cheat = StationaryStrategy(lambda x, u: fm.index_of(0b111), name="cheat")
+    cheat = StationaryStrategy(lambda x, u: fm.index_of(0b111))
     t = play(
         fm,
         DeepeningEmpty(fm, random.Random(4), first=fm.index_of(0b100)),

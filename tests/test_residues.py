@@ -70,6 +70,30 @@ def test_trim_moves():
     assert trim_code([0, 0, 0b1, 0b111, 0b111], 5) == ([0b1], 1)
 
 
+def _trim_by_scans(masks, alpha):
+    """The rewriting trim_code does, one move per scan: a leading empty
+    entry first, else the first adjacent equal pair."""
+    masks = list(masks)
+    while True:
+        if masks and masks[0] == 0:
+            masks.pop(0)
+            alpha -= 1
+            continue
+        pair = next((i for i in range(len(masks) - 1) if masks[i] == masks[i + 1]), None)
+        if pair is None:
+            return masks, alpha
+        del masks[pair : pair + 2]
+        alpha -= 2
+
+
+# few distinct values, so that equal neighbours and empty entries are
+# common; the sequences need not be monotone
+@given(st.lists(st.integers(0, 3), max_size=12), st.integers(0, 20))
+@settings(max_examples=300, deadline=None)
+def test_trim_in_one_pass_matches_the_scans(masks, alpha):
+    assert trim_code(masks, alpha) == _trim_by_scans(masks, alpha)
+
+
 def test_clopen_lands_on_co_side():
     # {0} in the 2-antichain is clopen; the decomposition of either side
     # ends with the carrier and the embedded co-level is the exact pi.
