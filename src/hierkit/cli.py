@@ -38,7 +38,7 @@ from hierkit.effective_codes import (
     SIGMA,
     BorelCode,
     HausdorffCode,
-    effective_hausdorff_transform,
+    build_alt_tree,
     eval_borel,
     eval_hausdorff_code,
     presentation_from_json,
@@ -362,8 +362,8 @@ def _cmd_transform(args):
         "max_budget": None,
     }
     if args.points is None:
-        result = effective_hausdorff_transform(pres, args.budget)
-        return inputs, {"result": result.to_json(), "verification": None}
+        tree = build_alt_tree(pres, args.budget)
+        return inputs, {"result": tree.to_json(), "verification": None}
 
     points, _ = _arg_json(
         args.points, "points", lambda data: jsonin.list_of(data, "points", model.point_from_json)

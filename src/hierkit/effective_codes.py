@@ -18,13 +18,14 @@ such pairs with increasing coordinates, shrinking opens, and
 alternating types form a finite tree.  The walk that builds the tree
 lists each node after its children, siblings ascending, which is its
 Kleene-Brouwer order.  That order, with each node spread over an
-(omega+2)-block of slots, is the code, and the tree is all the result
-keeps: the r-th node's only nonempty slot holds its open (the index of
-its last pair) at rank omega*(r+1) + type, and xi = omega*(N+1) + 2 for
-N nodes.  So slot parity tracks the type, and least-slot evaluation
-reads off the type of the deepest-leftmost node whose open contains
-the point.  The tests check the parity and the order against Ordinal
-arithmetic: test_keyed_transform_matches_the_unkeyed_reference and
+(omega+2)-block of slots, is the code, so the StagedTree that
+build_alt_tree returns is the transform's result: the r-th node's only
+nonempty slot holds its open (the index of its last pair) at rank
+omega*(r+1) + type, and xi = omega*(N+1) + 2 for N nodes.  So slot
+parity tracks the type, and least-slot evaluation reads off the type
+of the deepest-leftmost node whose open contains the point.  The tests
+check the parity and the order against Ordinal arithmetic:
+test_keyed_transform_matches_the_unkeyed_reference and
 test_closed_form_block_offsets_match_ordinal_arithmetic.
 
 Nothing here silently extrapolates: the transform is exact for the
@@ -433,29 +434,100 @@ def _default_pool(pres, budget, stages):
     )
 
 
+def block_start(r):
+    """Ordinal rank of the first slot of the r-th (omega+2)-block:
+    (omega+2)*r, which collapses to omega*r + 2 for r >= 1."""
+    return Ordinal(r, 2 if r else 0)
+
+
 @dataclass
 class StagedTree:
     """The alternating tree over (index, stage) pairs, with per-node
-    type and counter values.  `nodes` lists every node but the root in
-    Kleene-Brouwer order: each node after its children, siblings
-    ascending."""
+    type and counter values, and the difference code it is.  `nodes`
+    lists every node but the root in Kleene-Brouwer order: each node
+    after its children, siblings ascending.
+
+    The code is the tree read in that order.  The r-th node owns block
+    r; the block's only nonempty slot holds the node's open, the index
+    of its last pair, at rank omega*(r+1) + type.  The root owns the
+    last block and no slot, so xi is omega*(N+1) + 2 for N nodes.  A
+    slot's parity is thus its node's type, and the ranks ascend below
+    xi: `DiffCode` checks both whenever `diff_code` is read, and so do
+    the tests test_keyed_transform_matches_the_unkeyed_reference
+    (against the slot loop in Ordinal arithmetic) and
+    test_closed_form_block_offsets_match_ordinal_arithmetic.
+
+    `diff_code` is built on first access; `to_json` writes the slot
+    ranks and the Hausdorff code straight from the nodes, so a report
+    builds neither.  Evaluation is exact for the budget: a point in no
+    slot's open is reported outside, never guessed."""
 
     nodes: dict  # sequence -> (type, F0, F1), Kleene-Brouwer ascending
-    stages: tuple
     pool: tuple
     budget: int
     frontier: frozenset  # leaves at the last stage: cut off by the budget
     growth_violations: tuple
 
-    def __len__(self):
-        return len(self.nodes)
+    @property
+    def xi(self):
+        """The level: the block after the root's."""
+        return block_start(len(self.nodes) + 1)
+
+    @functools.cached_property
+    def diff_code(self):
+        return DiffCode(self.xi, "D", tuple(
+            (Ordinal(r + 1, eps), seq[-1][0])
+            for r, (seq, (eps, _, _)) in enumerate(self.nodes.items())
+        ))
+
+    def eval_point(self, model, x):
+        missed = set()  # opens already found not to contain x
+        for seq, (eps, _, _) in self.nodes.items():
+            o = seq[-1][0]
+            if o in missed:
+                continue
+            if model.point_in_basic(x, o):
+                return eps == 1
+            missed.add(o)
+        return False
+
+    def to_json(self):
+        """The report object.  Each slot's node is its tuple of pairs,
+        which JSON writes as lists.
+
+        This is the only writer of a Hausdorff code.  The `hausdorff`
+        object lists one tree per node, in node order: the leaf code of
+        the node's open, one object per open, shared.  Its parity set
+        holds the type-1 nodes.  It is the form `HausdorffCode.from_json`
+        reads, so `hier eval-code --hausdorff` takes it as it is.  It is
+        written from the nodes without building the code, whose trees
+        would each be sorted and listed afresh, one tree per tree node."""
+        nodes = self.nodes
+        leaf_codes = {o: {"nodes": [[], [o]]} for o in {seq[-1][0] for seq in nodes}}
+        return {
+            "xi": str(self.xi),
+            "budget": self.budget,
+            "nodes": len(nodes),
+            "frontier": len(self.frontier),
+            "slots": [
+                {"node": seq, "rank": text(r + 1, eps), "type": eps, "open": seq[-1][0]}
+                for r, (seq, (eps, _, _)) in enumerate(nodes.items())
+            ],
+            "hausdorff": {
+                "order": list(range(len(nodes))),
+                "parity_set": [r for r, (eps, _, _) in enumerate(nodes.values()) if eps == 1],
+                "trees": [leaf_codes[seq[-1][0]] for seq in nodes],
+            },
+        }
 
 
 def build_alt_tree(pres, stage_budget, node_cap=50_000):
-    """All sequences ((m_0,t_0),...,(m_k,t_k)) with strictly increasing
-    m's and t's, each open nonempty-refining its predecessor at the
-    later pair's stage, and the two F counters disagreeing at every
-    pair with the winning side alternating along the sequence.
+    """The transform: the alternating tree, which is the difference
+    code (see StagedTree).  Its nodes are all sequences
+    ((m_0,t_0),...,(m_k,t_k)) with strictly increasing m's and t's, each
+    open nonempty-refining its predecessor at the later pair's stage,
+    and the two F counters disagreeing at every pair with the winning
+    side alternating along the sequence.
 
     Leaves sitting at the final stage are flagged as frontier: they
     could not gain children inside the budget but might beyond it.  The
@@ -537,106 +609,7 @@ def build_alt_tree(pres, stage_budget, node_cap=50_000):
     for seq, (eps, f0, f1) in nodes.items():
         if (f1 if eps else f0) < (len(seq) - 1) // 2:
             violations.append(seq)
-    return StagedTree(nodes, tuple(stages), tuple(pool), stage_budget, frontier, tuple(violations))
-
-
-# -- block ranks and the transform -------------------------------------------
-
-
-def block_start(r):
-    """Ordinal rank of the first slot of the r-th (omega+2)-block:
-    (omega+2)*r, which collapses to omega*r + 2 for r >= 1."""
-    return Ordinal(r, 2 if r else 0)
-
-
-@dataclass
-class TransformResult:
-    """A built difference code plus everything needed to audit it.
-
-    The code is the tree itself, read in Kleene-Brouwer order.  The r-th
-    node of `tree.nodes` owns block r; the block's only nonempty slot
-    holds the node's open, the index of its last pair, at rank
-    omega*(r+1) + type.  The root owns the last block and no slot, so xi
-    is omega*(N+1) + 2 for N nodes.  A slot's parity is thus its node's
-    type, and the ranks ascend below xi: `DiffCode` checks both whenever
-    `diff_code` is read, and so do the tests
-    test_keyed_transform_matches_the_unkeyed_reference (against the
-    slot loop in Ordinal arithmetic) and
-    test_closed_form_block_offsets_match_ordinal_arithmetic.
-
-    `diff_code` and `hausdorff` are built on first access; `to_json`
-    writes the slot ranks and the Hausdorff code straight from the
-    tree, so a report builds neither."""
-
-    tree: StagedTree
-    xi: Ordinal
-
-    @functools.cached_property
-    def diff_code(self):
-        return DiffCode(self.xi, "D", tuple(
-            (Ordinal(r + 1, eps), seq[-1][0])
-            for r, (seq, (eps, _, _)) in enumerate(self.tree.nodes.items())
-        ))
-
-    @functools.cached_property
-    def hausdorff(self):
-        nodes = self.tree.nodes
-        leaf_codes = {o: BorelCode([(), (o,)]) for o in {seq[-1][0] for seq in nodes}}
-        trees = tuple(leaf_codes[seq[-1][0]] for seq in nodes)
-        parity_set = frozenset(r for r, (eps, _, _) in enumerate(nodes.values()) if eps == 1)
-        return HausdorffCode(tuple(range(len(nodes))), parity_set, trees)
-
-    def eval_point(self, model, x):
-        missed = set()  # opens already found not to contain x
-        for seq, (eps, _, _) in self.tree.nodes.items():
-            o = seq[-1][0]
-            if o in missed:
-                continue
-            if model.point_in_basic(x, o):
-                return eps == 1
-            missed.add(o)
-        return False
-
-    def to_json(self):
-        """The report object.  Each slot's node is its tuple of pairs,
-        which JSON writes as lists, and the trees share one leaf code
-        object per open, as `hausdorff` does.
-
-        This is the only writer of a Hausdorff code: the `hausdorff`
-        object is the code `hausdorff` holds, in the form
-        `HausdorffCode.from_json` reads, so `hier eval-code --hausdorff`
-        takes it as it is.  It is written from the tree without building
-        the code, whose trees would each be sorted and listed afresh,
-        one tree per tree node."""
-        nodes = self.tree.nodes
-        leaf_codes = {o: {"nodes": [[], [o]]} for o in {seq[-1][0] for seq in nodes}}
-        return {
-            "xi": str(self.xi),
-            "budget": self.tree.budget,
-            "nodes": len(self.tree),
-            "frontier": len(self.tree.frontier),
-            "slots": [
-                {"node": seq, "rank": text(r + 1, eps), "type": eps, "open": seq[-1][0]}
-                for r, (seq, (eps, _, _)) in enumerate(nodes.items())
-            ],
-            # self.hausdorff, as HausdorffCode.from_json reads it
-            "hausdorff": {
-                "order": list(range(len(nodes))),
-                "parity_set": [r for r, (eps, _, _) in enumerate(nodes.values()) if eps == 1],
-                "trees": [leaf_codes[seq[-1][0]] for seq in nodes],
-            },
-        }
-
-
-def effective_hausdorff_transform(pres, stage_budget):
-    """Build the alternating tree, which in Kleene-Brouwer order with
-    the root last is the difference code (see TransformResult); its
-    level xi starts the block after the root's.  Evaluation of the
-    result is exact for this budget: a point in no slot's open is
-    reported outside, never guessed.
-    """
-    tree = build_alt_tree(pres, stage_budget)
-    return TransformResult(tree, block_start(len(tree.nodes) + 1))
+    return StagedTree(nodes, pool, stage_budget, frontier, tuple(violations))
 
 
 # -- honesty: verification against a membership oracle -----------------------
@@ -645,7 +618,7 @@ def effective_hausdorff_transform(pres, stage_budget):
 @dataclass
 class VerificationReport:
     status: str  # "COMPLETE" | "INCOMPLETE"
-    result: TransformResult
+    result: StagedTree
     budgets: tuple
     mismatches: tuple  # points still wrong at the last budget tried
     first_change: int | None  # smallest budget increase that moved any answer
@@ -670,7 +643,7 @@ def verify_transform(pres, points, budget, max_budget):
     result = None
     b = budget
     while True:
-        result = effective_hausdorff_transform(pres, b)
+        result = build_alt_tree(pres, b)
         budgets.append(b)
         answers.append([result.eval_point(pres.model, x) for x in points])
         if answers[-1] == truth or b >= max_budget:
@@ -691,14 +664,13 @@ def verify_transform(pres, points, budget, max_budget):
     )
 
 
-def claim2_gaps(result, pres, points):
+def claim2_gaps(tree, pres, points):
     """Saturation check against the presentation's membership oracle:
     every node typed against a point's side and containing the point
     must have a child whose open still contains it.  Frontier nodes are
     exempt -- their children were cut off by the budget, which the
-    result already reports."""
+    tree already reports."""
     model, member = pres.model, pres.member
-    tree = result.tree
     kids = {}
     for seq in tree.nodes:
         kids.setdefault(seq[:-1], []).append(seq)

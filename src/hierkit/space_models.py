@@ -189,11 +189,10 @@ class CylPoint:
         return {"prefix": list(self.prefix), "cycle": list(self.cycle)}
 
     @staticmethod
-    def from_json(data, alphabet=None):
+    def from_json(data, alphabet):
         """Decode {"prefix": [...], "cycle": [...]}, letters below `alphabet`."""
         prefix, cycle = fields(data, "point", ("prefix",), {"cycle": [0]})
-        hi = None if alphabet is None else alphabet - 1
-        letter = functools.partial(integer, what="letter", hi=hi)
+        letter = functools.partial(integer, what="letter", hi=alphabet - 1)
         return CylPoint(list_of(prefix, "prefix", letter), list_of(cycle, "cycle", letter))
 
 

@@ -325,12 +325,12 @@ _PROBES = ((Ordinal.from_int(0), 0), (ONE, 1), (OMEGA, 0), (OMEGA + ONE, 1))
 
 
 def _assert_rank_parity(result):
-    for r in range(len(result.tree.nodes) + 1):
+    for r in range(len(result.nodes) + 1):
         for gamma, want in _PROBES:
             assert (block_start(r) + gamma).parity() == want, r
     entries = result.diff_code.entries
-    assert len(entries) == len(result.tree.nodes)
-    for (rank, _), (eps, _, _) in zip(entries, result.tree.nodes.values()):
+    assert len(entries) == len(result.nodes)
+    for (rank, _), (eps, _, _) in zip(entries, result.nodes.values()):
         assert rank.parity() == eps, (rank, eps)
 
 

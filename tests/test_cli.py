@@ -444,7 +444,7 @@ def test_brute_force_budget_error_is_the_bare_state_count(capsys, monkeypatch):
 
 def test_tree_node_budget_error_names_the_cap(capsys, monkeypatch):
     monkeypatch.setattr(
-        hierkit.effective_codes, "build_alt_tree",
+        hierkit.cli, "build_alt_tree",
         functools.partial(hierkit.effective_codes.build_alt_tree, node_cap=3),
     )
     code, rep = run_cli(
@@ -537,6 +537,38 @@ def test_transform_inputs_name_the_verification_cap(capsys):
     # without the flag the cap is 8 times the start budget
     assert [rep["inputs"]["max_budget"] for rep in reports] == [64, 16]
     assert reports[0]["inputs"] != reports[1]["inputs"]
+
+
+ROUND_TRIP_ARGV = {
+    "first-one-2-64": TRANSFORM_ARGV["first-one-2-64"],
+    # the criterion-8 ladder on 81 points rather than 243, to keep the
+    # eval-code calls few
+    "first-one-3-ladder": (
+        "--model", '{"kind": "cylinder", "alphabet": 3}', "--presentation", FIRST_ONE,
+        "--budget", "16", "--max-budget", "256", "--points", _cylinder_points(3, 3),
+    ),
+    "poset-clopen": TRANSFORM_ARGV["poset-clopen"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROUND_TRIP_ARGV))
+def test_eval_code_reads_each_point_as_the_transform_table_does(capsys, case):
+    # the report's Hausdorff code, passed back to `eval-code` under the
+    # same model, gives each point the table's `transform` verdict: the
+    # code the report writes is the code the transform evaluated
+    argv = ROUND_TRIP_ARGV[case]
+    model = argv[argv.index("--model") + 1]
+    code, rep = run_cli(capsys, "transform", *argv)
+    assert code == 0
+    hausdorff = json.dumps(rep["outputs"]["result"]["hausdorff"])
+    table = rep["outputs"]["verification"]["table"]
+    assert {row["transform"] for row in table} == {False, True}
+    for row in table:
+        code, got = run_cli(
+            capsys, "eval-code", "--model", model, "--hausdorff", hausdorff,
+            "--point", json.dumps(row["point"]),
+        )
+        assert (code, got["outputs"]["value"]) == (0, row["transform"]), row["point"]
 
 
 def test_the_bench_oracle_accepts_every_transform_op(capsys, monkeypatch):

@@ -20,7 +20,11 @@ public method or property of a public class is never called, unless
 `TEST_ONLY_METHODS` names it with the consumer that keeps it, and when
 a `TEST_ONLY_METHODS` entry is called.  It matches code objects, not
 names, so a method is not kept alive by another object's method or
-variable of the same name.
+variable of the same name.  A seventh fails when a field of a public
+dataclass is read as an attribute by no hierkit source, unless
+`TEST_ONLY_FIELDS` names it with the consumer that keeps it, and when a
+`TEST_ONLY_FIELDS` entry gains a reader.  It matches by name, as the
+fifth does.
 """
 
 import ast
@@ -399,8 +403,7 @@ TEST_ONLY_METHODS = {
     "ApproxReport.ok": "acceptance criterion 5",
     "VerificationReport.ok": "the transform tests",
     "StagedPresentation.check_points": "the presentation tests",
-    "TransformResult.diff_code": "the transform tests",
-    "TransformResult.hausdorff": "the transform tests",
+    "StagedTree.diff_code": "the transform tests",
 }
 
 
@@ -546,3 +549,93 @@ def test_the_unreached_method_guard_flags_what_it_should(run, expected):
     methods = public_methods([module])
     called = calls_made(lambda: exec(run, vars(module)))
     assert unreached_methods(methods, called, {"C.t": "a test"}) == expected
+
+
+# Fields of public dataclasses that no hierkit source reads, each with
+# the consumer that keeps it.
+TEST_ONLY_FIELDS = {
+    "StagedTree.pool": "the benchmark's span hook for build_alt_tree",
+    "StagedTree.growth_violations": "the transform tests",
+}
+
+
+def _is_dataclass_decorator(node):
+    if isinstance(node, ast.Call):
+        node = node.func
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+    return name == "dataclass"
+
+
+def _dataclass_fields(tree):
+    """(line, 'Class.field') for each public annotated field of each
+    public module-level class that a dataclass decorator marks."""
+    for node in tree.body:
+        if (
+            isinstance(node, ast.ClassDef)
+            and not node.name.startswith("_")
+            and any(map(_is_dataclass_decorator, node.decorator_list))
+        ):
+            for item in node.body:
+                if (
+                    isinstance(item, ast.AnnAssign)
+                    and isinstance(item.target, ast.Name)
+                    and not item.target.id.startswith("_")
+                ):
+                    yield item.lineno, node.name + "." + item.target.id
+
+
+def unread_fields(sources, test_only):
+    """'file:line Class.field' for each public dataclass field in
+    sources ({file name: text}) that no source reads as an attribute
+    and that test_only leaves out; then 'Class.field has a reader' for
+    each test_only entry whose field some source reads."""
+    defined, read = [], set()
+    for name, text in sources.items():
+        tree = ast.parse(text)
+        defined += [(name, line, q) for line, q in _dataclass_fields(tree)]
+        read |= {
+            n.attr
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+        }
+    found = [
+        "%s:%d %s" % (name, line, q)
+        for name, line, q in defined
+        if q.partition(".")[2] not in read and q not in test_only
+    ]
+    return found + [
+        "%s has a reader" % q for q in sorted(test_only) if q.partition(".")[2] in read
+    ]
+
+
+def test_every_dataclass_field_has_a_reader_or_a_named_consumer():
+    sources = {path.name: path.read_text() for path in SOURCES}
+    fields = [q for text in sources.values() for _, q in _dataclass_fields(ast.parse(text))]
+    assert "VerificationReport.budgets" in fields and "StagedTree.nodes" in fields
+    assert unread_fields(sources, TEST_ONLY_FIELDS) == []
+
+
+_FIELD_CASE = "@dataclass\nclass C:\n    f: int\n    t: int = 0\n"
+
+
+@pytest.mark.parametrize(
+    "sources, expected",
+    [
+        ({"a.py": _FIELD_CASE}, ["a.py:3 C.f"]),
+        ({"a.py": _FIELD_CASE, "b.py": "def g(c):\n    return c.f\n"}, []),
+        ({"a.py": _FIELD_CASE.replace("@dataclass", "@dataclass(frozen=True)")},
+         ["a.py:3 C.f"]),
+        ({"a.py": _FIELD_CASE.replace("@dataclass", "@dataclasses.dataclass")},
+         ["a.py:3 C.f"]),
+        # a method of the class reading its own field is a reader
+        ({"a.py": _FIELD_CASE + "\n    def m(self):\n        return self.f\n"}, []),
+        # a store, or a bare name spelled like the field, is not
+        ({"a.py": _FIELD_CASE, "b.py": "c.f = 1\nf = 2\nprint(f)\n"}, ["a.py:3 C.f"]),
+        ({"a.py": _FIELD_CASE.replace("@dataclass\n", "")}, []),
+        ({"a.py": _FIELD_CASE.replace("class C", "class _C")}, []),
+        ({"a.py": _FIELD_CASE.replace("f: int", "_f: int")}, []),
+        ({"a.py": _FIELD_CASE, "b.py": "c.f + c.t\n"}, ["C.t has a reader"]),
+    ],
+)
+def test_the_unread_field_guard_flags_what_it_should(sources, expected):
+    assert unread_fields(sources, {"C.t": "a test"}) == expected

@@ -32,7 +32,6 @@ from hierkit.effective_codes import (
     claim2_gaps,
     clopen_presentation,
     compute_F,
-    effective_hausdorff_transform,
     empty_presentation,
     eval_borel,
     eval_hausdorff_code,
@@ -441,7 +440,7 @@ def test_clopen_tree_is_flat_with_hand_types():
     m = fork_model()
     pres = clopen_presentation(m, m.index_of(0b100), m.index_of(0b011))
     tree = build_alt_tree(pres, 8)
-    assert tree.stages == (1, 2, 4, 8)
+    assert {seq[-1][1] for seq in tree.nodes} <= set(stage_ladder(8))
     # {1} and {0,1} sit inside the complement, {2} inside the set;
     # {1,2} and the whole space straddle both, so they never type
     expected = {}
@@ -540,28 +539,28 @@ def test_kb_order_on_pair_sequences():
 def test_clopen_transform_denotes_the_set():
     m = fork_model()
     pres = clopen_presentation(m, m.index_of(0b100), m.index_of(0b011))
-    res = effective_hausdorff_transform(pres, 8)
+    res = build_alt_tree(pres, 8)
     assert res.xi == Ordinal(10, 0) + Ordinal.from_int(2)
     for x in m.points():
         want = x == 2
         assert res.eval_point(m, x) == want
         assert eval_diff(res.diff_code, x, by_index(m)) == want
-        assert eval_hausdorff_code(res.hausdorff, m, x) == want
+        assert eval_hausdorff_code(_hausdorff(res), m, x) == want
     assert claim2_gaps(res, pres, m.points()) == []
 
 
 def test_empty_transform_denotes_nothing():
     cm = CylinderModel(2)
-    res = effective_hausdorff_transform(empty_presentation(cm), 8)
+    res = build_alt_tree(empty_presentation(cm), 8)
     pts = [CylPoint((), (0,)), CylPoint((1,), (0,)), CylPoint((0, 1), (1,))]
     assert all(not res.eval_point(cm, x) for x in pts)
-    assert all(not eval_hausdorff_code(res.hausdorff, cm, x) for x in pts)
+    assert all(not eval_hausdorff_code(_hausdorff(res), cm, x) for x in pts)
 
 
 def test_whole_space_transform_denotes_everything():
     m = fork_model()
     pres = clopen_presentation(m, m.whole_index(), 0)
-    res = effective_hausdorff_transform(pres, 8)
+    res = build_alt_tree(pres, 8)
     assert all(res.eval_point(m, x) for x in m.points())
 
 
@@ -578,7 +577,7 @@ def test_first_one_transform_verifies_to_depth_three():
         assert rank.parity() == eps
     assert all(a[1] < b[1] for a, b in zip(slots, slots[1:]))
     # one block per node, the root's last
-    assert res.xi == block_start(len(res.tree.nodes) + 1)
+    assert res.xi == block_start(len(res.nodes) + 1)
     assert claim2_gaps(res, pres, cyl_points(c3, 3)) == []
 
 
@@ -616,18 +615,18 @@ def test_renderings_always_agree(rows1, rows0):
         [[1 << c for c in row] for row in rows1],
         [[1 << c for c in row] for row in rows0],
     )
-    res = effective_hausdorff_transform(pres, 12)
-    assert list(res.tree.nodes) + [()] == kb_sorted(_rooted(res.tree.nodes))
+    res = build_alt_tree(pres, 12)
+    assert list(res.nodes) + [()] == kb_sorted(_rooted(res.nodes))
     for x in cyl_points(cm, 3):
         direct = res.eval_point(cm, x)
         assert direct == eval_diff(res.diff_code, x, by_index(cm))
-        assert direct == eval_hausdorff_code(res.hausdorff, cm, x)
+        assert direct == eval_hausdorff_code(_hausdorff(res), cm, x)
 
 
 def test_transform_is_deterministic():
     c3 = CylinderModel(3)
-    one = effective_hausdorff_transform(first_one_presentation(c3), 16)
-    two = effective_hausdorff_transform(first_one_presentation(c3), 16)
+    one = build_alt_tree(first_one_presentation(c3), 16)
+    two = build_alt_tree(first_one_presentation(c3), 16)
     assert json.dumps(one.to_json()) == json.dumps(two.to_json())
 
 
@@ -733,14 +732,19 @@ def _reference_slots(nodes):
     return tuple(order), block_start(len(order)), tuple(slots)
 
 
+def _hausdorff(res):
+    """The Hausdorff code of a transform, as its report writes it."""
+    return HausdorffCode.from_json(res.to_json()["hausdorff"])
+
+
 def _slots(res):
     """((seq, rank, type, open), ...) of a transform, one per tree node
     in order, read from its tree and its difference code."""
     entries = res.diff_code.entries
-    assert len(entries) == len(res.tree.nodes)
+    assert len(entries) == len(res.nodes)
     return tuple(
         (seq, rank, eps, o)
-        for (seq, (eps, _, _)), (rank, o) in zip(res.tree.nodes.items(), entries)
+        for (seq, (eps, _, _)), (rank, o) in zip(res.nodes.items(), entries)
     )
 
 
@@ -777,16 +781,16 @@ def test_keyed_transform_matches_the_unkeyed_reference(case):
     model, make, budget = EQUIVALENCE_CASES[case]
     nodes, frontier, violations = _reference_tree(make(model), budget)
     order, xi, slots = _reference_slots(nodes)
-    res = effective_hausdorff_transform(make(model), budget)
-    assert res.tree.nodes == nodes
-    assert res.tree.frontier == frontier
-    assert Counter(res.tree.growth_violations) == Counter(violations)
+    res = build_alt_tree(make(model), budget)
+    assert res.nodes == nodes
+    assert res.frontier == frontier
+    assert Counter(res.growth_violations) == Counter(violations)
     # the walk itself lists the nodes in Kleene-Brouwer order
-    assert list(res.tree.nodes) + [()] == list(order)
+    assert list(res.nodes) + [()] == list(order)
     assert res.xi == xi
     assert _slots(res) == slots
     assert res.diff_code.entries == tuple((rank, o) for _, rank, _, o in slots)
-    assert res.hausdorff.trees == tuple(BorelCode([(), (o,)]) for *_, o in slots)
+    assert _hausdorff(res).trees == tuple(BorelCode([(), (o,)]) for *_, o in slots)
 
 
 def _random_poset_cases():
@@ -820,7 +824,7 @@ def test_tree_matches_the_reference_on_random_poset_models(budget):
         assert list(tree.nodes.items()) == [(seq, nodes[seq]) for seq in order], (seed, kind)
         assert tree.frontier == frontier
         assert Counter(tree.growth_violations) == Counter(violations)
-        sizes.append(len(tree))
+        sizes.append(len(tree.nodes))
     assert sum(map(bool, sizes)) >= 10
 
 
@@ -857,10 +861,10 @@ def test_tree_builds_leave_no_cyclic_garbage():
 def test_node_cap_counts_unfolded_nodes():
     c3 = CylinderModel(3)
     tree = build_alt_tree(first_one_presentation(c3), 64)
-    size = len(tree)
+    size = len(tree.nodes)
     # far fewer keys than nodes, so a cap on keys would be too lax
     assert 2 * len({seq[-1] + value[:1] for seq, value in tree.nodes.items()}) < size
-    assert len(build_alt_tree(first_one_presentation(c3), 64, node_cap=size)) == size
+    assert len(build_alt_tree(first_one_presentation(c3), 64, node_cap=size).nodes) == size
     with pytest.raises(SearchBudgetExceeded):
         build_alt_tree(first_one_presentation(c3), 64, node_cap=size - 1)
 
@@ -895,7 +899,7 @@ def test_each_key_searches_its_children_once(monkeypatch, k, budget):
     tree = build_alt_tree(first_one_presentation(model), budget)
     # keys are searched in another order, but each exactly once
     assert Counter(calls) == Counter(want)
-    assert 2 * len(log) < len(tree)
+    assert 2 * len(log) < len(tree.nodes)
 
 
 def _reference_F(m, t, eps, pres):
@@ -1056,7 +1060,7 @@ def test_closed_form_block_offsets_match_ordinal_arithmetic():
         for gamma, want in _REFERENCE_PROBES:
             assert (start + gamma).parity() == want, (r, gamma)
         for eps in (0, 1):
-            # the closed form TransformResult writes for node r's slot
+            # the closed form StagedTree writes for node r's slot
             rank = Ordinal(r + 1, eps)
             assert rank == start + OMEGA + Ordinal.from_int(eps), (r, eps)
             assert rank.parity() == eps
@@ -1078,7 +1082,7 @@ class _CountingModel:
 @pytest.mark.parametrize("budget", [16, 64, 256])
 def test_eval_point_matches_reference_on_criterion_8_points(budget):
     c3 = CylinderModel(3)
-    res = effective_hausdorff_transform(first_one_presentation(c3), budget)
+    res = build_alt_tree(first_one_presentation(c3), budget)
     slots = _slots(res)
     points = cyl_points(c3, 4)
     assert len(points) == 243
@@ -1091,32 +1095,38 @@ def test_eval_point_matches_reference_on_criterion_8_points(budget):
 
 def test_transform_shares_one_leaf_code_per_open():
     c3 = CylinderModel(3)
-    res = effective_hausdorff_transform(first_one_presentation(c3), 64)
+    res = build_alt_tree(first_one_presentation(c3), 64)
+    trees = res.to_json()["hausdorff"]["trees"]
     by_open = {}
-    assert len(res.hausdorff.trees) == len(res.tree.nodes)
-    for seq, code in zip(res.tree.nodes, res.hausdorff.trees):
+    assert len(trees) == len(res.nodes)
+    for seq, code in zip(res.nodes, trees):
         assert by_open.setdefault(seq[-1][0], code) is code
-    assert len(by_open) < len(res.tree.nodes)
+    assert len(by_open) < len(res.nodes)
 
 
 @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
 def test_report_is_written_from_the_slots_as_the_codes_would_write_it(case):
     model, make, budget = EQUIVALENCE_CASES[case]
-    res = effective_hausdorff_transform(make(model), budget)
+    res = build_alt_tree(make(model), budget)
     report = res.to_json()
-    assert report["xi"] == str(block_start(len(res.tree.nodes) + 1)) == str(res.xi)
+    assert report["xi"] == str(block_start(len(res.nodes) + 1)) == str(res.xi)
     slots = _slots(res)
     assert [(s["node"], s["rank"], s["type"], s["open"]) for s in report["slots"]] == [
         (seq, str(rank), eps, o) for seq, rank, eps, o in slots
     ]
-    # the form `hier eval-code --hausdorff` reads
-    assert HausdorffCode.from_json(report["hausdorff"]) == res.hausdorff
+    # the form `hier eval-code --hausdorff` reads, of the code the
+    # slots spell: one leaf tree per slot, type-1 slots in the parity set
+    assert HausdorffCode.from_json(report["hausdorff"]) == HausdorffCode(
+        range(len(slots)),
+        {r for r, (_, _, eps, _) in enumerate(slots) if eps == 1},
+        [BorelCode([(), (o,)]) for *_, o in slots],
+    )
     # built on demand, the code still passes DiffCode's validation, and
     # its ranks are the blocks' offsets omega + type in Ordinal arithmetic
     code = res.diff_code
     assert code == DiffCode(res.xi, "D", tuple(
         (block_start(r) + OMEGA + Ordinal.from_int(eps), seq[-1][0])
-        for r, (seq, (eps, _, _)) in enumerate(res.tree.nodes.items())
+        for r, (seq, (eps, _, _)) in enumerate(res.nodes.items())
     ))
     assert res.diff_code is code
 
@@ -1131,22 +1141,26 @@ def test_a_transform_builds_ordinals_only_for_xi(monkeypatch):
 
     monkeypatch.setattr(Ordinal, "__init__", counting_init)
     c3 = CylinderModel(3)
-    per_transform, slots = [], []
+    per_build, per_report, slots = [], [], []
     for budget in (16, 64, 256):
         built.clear()
-        res = effective_hausdorff_transform(first_one_presentation(c3), budget)
+        res = build_alt_tree(first_one_presentation(c3), budget)
+        per_build.append(len(built))
         res.to_json()
-        per_transform.append(len(built))
-        slots.append(len(res.tree.nodes))
-    # xi alone, whatever the slot count
-    assert per_transform == [1, 1, 1]
+        res.to_json()
+        per_report.append(len(built) - per_build[-1])
+        slots.append(len(res.nodes))
+    # none for the build, and xi alone for each report, whatever the
+    # slot count
+    assert per_build == [0, 0, 0]
+    assert per_report == [2, 2, 2]
     assert slots[0] < slots[1] < slots[2]
     # the codes, when read, build one rank per slot
     built.clear()
     res.diff_code
     assert len(built) >= slots[-1]
-    # verification reads neither code on any of its budgets
+    # verification reads neither code nor xi on any of its budgets
     built.clear()
     rep = verify_transform(first_one_presentation(c3), cyl_points(c3, 3), 4, 64)
     rep.result.to_json()
-    assert len(rep.budgets) > 1 and len(built) == len(rep.budgets)
+    assert len(rep.budgets) > 1 and len(built) == 1

@@ -1183,7 +1183,7 @@ def test_cyl_point_requires_tail():
     with pytest.raises(ValueError):
         CylPoint((0,), ())
     x = CylPoint((), (1, 0))
-    assert CylPoint.from_json(x.to_json()) == x
+    assert CylPoint.from_json(x.to_json(), 2) == x
 
 
 def test_model_json_roundtrip():
