@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 from dataclasses import dataclass
 
 from hierkit.diff_hierarchy import Budget, DiffCode, embed_co
@@ -538,18 +539,18 @@ def build_alt_tree(pres, stage_budget, node_cap=50_000):
     such key's child list is searched once and the tree is the unfolding
     of that keyed DAG; each unfolded node spends one unit of a `node_cap`
     budget, and the node past it raises SearchBudgetExceeded.  The typed
-    pairs are kept in one ascending list per type.  A key's children
-    come from the list of the other type, past the pairs whose index is
-    at most its own (found by bisection); the root's children are both
-    lists merged, as no pair has two types.  The staged relation is
-    tested as plain `ll` of the presentation's model: every typed pair is visible at its own
-    stage, the key's index was visible at its stage, which is below the
-    child's, and visibility is monotone in the stage, so both indices
-    are visible at the child's stage.  Child lists are in ascending
-    (index, stage) order and the walk adds each node after its children,
-    so `nodes` comes out in Kleene-Brouwer order.  The child lists and F
-    values are kept only for the call: the recursive walk is released on
-    return, so no reference cycle holds them for the garbage collector.
+    pairs are kept in one ascending list per type, grouped by index.  A
+    key (m, t, type) below the last stage takes the pairs above stage t
+    from the other type's groups past m (found by bisection) whose index
+    m' has ll(m, m'), asked once per (m, type); the root's children are
+    both lists merged, as no pair has two types.  `ll` is the staged
+    relation: each pair is visible at its stage, the key's index at its
+    own, below the child's, and visibility is monotone in the stage.
+    Child lists are in ascending (index, stage) order and the walk adds
+    each node after its children, so `nodes` comes out in Kleene-Brouwer
+    order.  The child lists and F values are kept only for the call: the
+    recursive walk is released on return, so no reference cycle holds
+    them for the garbage collector.
     """
     stages = stage_ladder(stage_budget)
     pool = _default_pool(pres, stage_budget, stages)
@@ -566,20 +567,25 @@ def build_alt_tree(pres, stage_budget, node_cap=50_000):
                 sides[eps].append(((m, t), (eps, f0, f1), (m, t, eps)))
     for side in sides:
         side.sort()
-    side_m = tuple([pair[0] for pair, _, _ in side] for side in sides)
+    # per type: (index, its pairs, stages ascending), indices ascending
+    groups = [[(m, list(g)) for m, g in itertools.groupby(side, lambda kid: kid[0][0])]
+              for side in sides]
+    group_m = [[m for m, _ in side] for side in groups]
     ll = pres.model.ll
 
     # children of any node whose last pair and type form the key, as
     # (pair, node value, the child's own key), pairs ascending
     kid_memo = {(None, None, None): sorted(sides[0] + sides[1])}
+    reach = {}  # (index, type) -> the other type's groups it ll-refines
 
     def kids(key):
-        last_m, last_t, last_eps = key
-        other = sides[1 - last_eps]
-        start = bisect.bisect_right(side_m[1 - last_eps], last_m)
-        out = kid_memo[key] = [
-            kid for kid in other[start:] if kid[0][1] > last_t and ll(last_m, kid[0][0])
-        ]
+        m, t, eps = key
+        if t == stages[-1]:  # no later stage, so no child
+            return ()
+        if (m, eps) not in reach:
+            start = bisect.bisect_right(group_m[1 - eps], m)
+            reach[m, eps] = [run for n, run in groups[1 - eps][start:] if ll(m, n)]
+        out = kid_memo[key] = [kid for run in reach[m, eps] for kid in run if kid[0][1] > t]
         return out
 
     nodes = {}
@@ -600,11 +606,7 @@ def build_alt_tree(pres, stage_budget, node_cap=50_000):
     finally:
         extend = None  # the closure refers to itself: break the cycle
 
-    frontier = frozenset(
-        seq
-        for seq, value in nodes.items()
-        if seq[-1][1] == stages[-1] and not kid_memo[seq[-1] + value[:1]]
-    )
+    frontier = frozenset(seq for seq in nodes if seq[-1][1] == stages[-1])
     violations = []
     for seq, (eps, f0, f1) in nodes.items():
         if (f1 if eps else f0) < (len(seq) - 1) // 2:

@@ -25,7 +25,8 @@ forms of points; its docstring lists every member):
 
 * ``CylinderModel``: infinite words over a finite alphabet; a basic
   open is a finite union of cylinders, indexed by a bitmask over word
-  codes, and ll(U, V) = V nonempty and V <= U (sound by compactness).
+  codes, and ll(U, V) = V nonempty and V <= U (sound by compactness);
+  containment is decided by arithmetic on those codes alone.
 
 Points carry only finite data plus a tail rule, which keeps membership
 in any single basic open decidable; that is all the algorithms here
@@ -37,6 +38,7 @@ a complete candidate cone (see the per-model ``least_containing``).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -542,36 +544,29 @@ _MAX_DEPTH = 36
 class CylinderModel(SpaceModel):
     """Infinite words over {0..k-1}; basic opens are finite unions of
     cylinders [w], indexed by a bitmask over word codes.  A word's code
-    is its shortlex rank (length first, then lexicographic); `word_code`
-    and `code_word` are the only code arithmetic.  The relation ll(U, V)
-    = "V nonempty and V <= U" is an approximation relation by
-    compactness of the product space.
+    is its shortlex rank (length first, then lexicographic), so the root
+    has code 0, the parent of code c is (c - 1) // k and its children
+    are c*k + 1 + a.  ll(U, V) = "V nonempty and V <= U" is an
+    approximation relation by compactness of the product space.
 
-    Containment is covering-aware, and `_covered` decides it by one
-    recursion down the prefixes of the cover words: [w] lies in a union
-    when a cover word is a prefix of w, and otherwise when some cover
-    word extends w and each one-letter extension of w is covered by the
-    cover words that extend w.  The recursion is never deeper than the
-    longest cover word, and it visits only prefixes of cover words.
+    One kernel, `_covers(c, j)`, decides containment on the index bits:
+    [c] lies in the union of j's cylinders when some prefix of c is a
+    word of j, and otherwise when each child of c is covered in turn.  A
+    child can be covered only if j has a word at or below it; the codes
+    d letters below a word are k**d consecutive ones, so that test is
+    one shift and mask per depth, down to j's bit length.  `basic_subset`
+    asks the kernel for each word of i, `least_containing` for the
+    children off x's path on its way back up.  Word-code arithmetic
+    lives in `word_code`, `code_word`, the kernel and that path.
 
-    Each instance memoizes the covering test `basic_subset(i, j)`, which
-    `ll`, `union_subset` and every caller of those go through, keyed by
-    the ordered pair (i, j), and the decoding `words(i)`, kept as a
-    tuple, shortest words first, so that no caller can change a cached
-    value.  Three readers take their words from it and decode nothing:
-    `least_containing` (its descent down x's path), `some_point_in` (the
-    first word) and `random_ll_successor` (one draw).  Both memos are
-    plain dicts that live as long as the model and are never evicted.
-    Both pay (2-core Xeon VM, Python 3.11): without the subset memo the
-    seed-201 `cylinder-transform` ops of the benchmark ran 20-35% slower
-    and its `baire` ops 40-45% slower; without the words memo a
-    budget-1024 3-letter first-one transform took 4.4 s, not 2.6-3.3 s."""
+    The decoding `words(i)` is memoized per instance in a dict that is
+    never evicted, as a tuple, shortest words first, so that no caller
+    can change a cached value; membership and point building read it."""
 
     def __init__(self, alphabet=2):
         self.alphabet = alphabet
         self.kind = "cylinder"
         self._words_memo = {}
-        self._subset_memo = {}
 
     def word_code(self, word):
         """The shortlex code: the number of shorter words plus the
@@ -606,28 +601,32 @@ class CylinderModel(SpaceModel):
     def point_in_basic(self, x, i):
         return any(x.starts_with(w) for w in self.words(i))
 
-    def _covered(self, word, cover_words):
-        """[word] inside the union of the cover's cylinders."""
-        if any(word[: len(v)] == v for v in cover_words):
+    def _covers(self, c, j):
+        """[c] inside the union of the cylinders of j's words."""
+        k, p = self.alphabet, c
+        while p and not j >> p & 1:
+            p = (p - 1) // k
+        if j >> p & 1:
             return True
-        # no cover word is a prefix, so these are the strictly longer
-        # words that extend this one
-        n = len(word)
-        longer = [v for v in cover_words if v[:n] == word]
-        # each one-letter extension needs one of them; asking that of
-        # every extension before recursing fails fast down a narrow cover
-        if len({v[n] for v in longer}) < self.alphabet:
-            return False
-        return all(self._covered(word + (a,), longer) for a in range(self.alphabet))
+        # no prefix of c is a word of j; asking every child for a word
+        # at or below it before recursing fails fast down a narrow cover
+        n, kids = j.bit_length(), range(c * k + 1, c * k + k + 1)
+        for lo in kids:
+            width = 1
+            while lo < n and not (j >> lo) & ((1 << width) - 1):
+                lo, width = lo * k + 1, width * k
+            if lo >= n:
+                return False
+        return all(self._covers(kid, j) for kid in kids)
 
     def basic_subset(self, i, j):
-        inside = self._subset_memo.get((i, j))
-        if inside is None:
-            cover = self.words(j)
-            inside = self._subset_memo[i, j] = all(
-                self._covered(w, cover) for w in self.words(i)
-            )
-        return inside
+        # `bits`, inlined: `ll` calls this too often to start a generator
+        while i:
+            low = i & -i
+            if not self._covers(low.bit_length() - 1, j):
+                return False
+            i ^= low
+        return True
 
     def basic_nonempty(self, i):
         return i != 0
@@ -648,27 +647,25 @@ class CylinderModel(SpaceModel):
         # always numerically least, and a prefix that extends a covered
         # one is covered; so the answer is the shortest covered prefix,
         # and the (exponentially sized) index mask is built only once
-        # level d keeps the cover words that follow x's path for d
-        # letters, down to the first level that holds the path's own
-        # prefix (the shortest cover word on x) or is empty (none is)
-        cover = [w for j in within for w in self.words(j)]
-        path = x.word(max(map(len, cover), default=0))
-        levels, d = [cover], 0
-        while levels[d] and path[:d] not in levels[d]:
-            levels.append([v for v in levels[d] if v[d] == path[d]])
-            d += 1
-        # with an empty level no prefix is covered; otherwise, going back
-        # up, the prefix of length d - 1 is covered iff its one-letter
-        # extensions off the path are, the path's one being covered
-        # already; level d - 1 holds the cover words that extend them
-        if levels[d]:
-            while d and self._covered(
-                path[: d - 1], [v for v in levels[d - 1] if v[d - 1] != path[d - 1]] + [path[:d]]
-            ):
-                d -= 1
-        if not levels[d] or d > _MAX_DEPTH:
+        k, j = self.alphabet, self.lam(within)
+        # the codes of x's prefixes, down to j's longest word
+        word = x.word(len(self.code_word(max(j.bit_length() - 1, 0))))
+        path = list(itertools.accumulate(word, lambda c, a: c * k + 1 + a, initial=0))
+        # descending, the first prefix that is a word of j is the
+        # shortest cover word on x; with none, x is outside the union,
+        # and so is every neighborhood of it.  Going back up, the prefix
+        # of length d - 1 is covered iff its children off the path are,
+        # the path's one being covered already
+        d = next((d for d, c in enumerate(path) if j >> c & 1), None)
+        while d and all(
+            self._covers(c, j)
+            for c in range(path[d - 1] * k + 1, path[d - 1] * k + k + 1)
+            if c != path[d]
+        ):
+            d -= 1
+        if d is None or d > _MAX_DEPTH:
             raise ValueError("point has no small enough neighborhood")
-        return self.singleton(path[:d])
+        return 1 << path[d]
 
     def random_ll_successor(self, i, rng):
         # one letter per step: word codes grow exponentially with

@@ -478,6 +478,14 @@ TRANSFORM_ARGV = {
         "--model", '{"kind": "cylinder", "alphabet": 3}', "--presentation", FIRST_ONE,
         "--budget", "16", "--max-budget", "256", "--points", _cylinder_points(3, 4),
     ),
+    # the top of the budget range, with no points to verify
+    **{
+        "first-one-%d-1024" % k: (
+            "--model", '{"kind": "cylinder", "alphabet": %d}' % k, "--presentation", FIRST_ONE,
+            "--budget", "1024",
+        )
+        for k in (3, 8)
+    },
     # opens 3 and 5 are the two components {0, 1} and {2, 3}
     "poset-clopen": (
         "--model", TWO_CHAINS, "--presentation", '{"kind": "clopen", "inside": 3, "outside": 5}',
@@ -509,12 +517,17 @@ TRANSFORM_ARGV = {
 # changed.  At budget 16 the binary word 0001 is not yet visible, so
 # that report is an honest budget exit, which carries no `inputs`.
 # poset-empty and poset-rows-empty-tail were recorded before the staged
-# presentation held its own model.
+# presentation held its own model, and first-one-3-1024 and
+# first-one-8-1024 before cylinder covering was decided on the word
+# codes (the 3-letter report is 8,149,464 bytes, raw SHA-256
+# c5eaaa9d3b1a...).
 TRANSFORM_DIGESTS = {
     "first-one-2-16": (2, "f9dab883b3462e1418603941f7b64af7e76cf19af6bd0ac19fedbd935e94a0ca"),
     "first-one-2-64": (0, "be68cb5d8b2a14a770fa26eb872140bc450584188c8db6769493f60ab26a019a"),
     "first-one-2-256": (0, "d797a79159c2c88754a1d96ecc40a87c8d7dec9eef489cd5c6537cad519491e5"),
     "first-one-3-ladder": (0, "589c1029ad928b58be135d9524bfb3726cbb0dcaee8cda281c3d094988fe1545"),
+    "first-one-3-1024": (0, "5da6cfa00d44d61b9d545094d48d87193809be19d96ec002c9347c5cda282771"),
+    "first-one-8-1024": (0, "943374d2c0a98cb9ce68610ae62531f613a265dace57950eea534e79164a6836"),
     "poset-clopen": (0, "fd05a8f4f213ea4e6283a240d4b21e7b60dd0d209ad3ec18fc02cff91a18b5a0"),
     "poset-rows": (0, "e93b62065b2868209f7628df4dcd33a2ca828c3393969b5513304b1350f621dd"),
     "poset-empty": (0, "b71b8858b811bc5ac0379fcf798810ef009fd56c80e1480a03e0d0a8250e03ec"),

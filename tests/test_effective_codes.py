@@ -639,11 +639,9 @@ def staged_ll(model, i, j, t):
     return index_visible(i, t) and index_visible(j, t) and model.ll(i, j)
 
 
-def _reference_tree(pres, stage_budget, node_cap=50_000, log=None):
+def _reference_tree(pres, stage_budget, node_cap=50_000):
     """build_alt_tree as it was before child lists were keyed by (last
-    pair, type): every unfolded node searches its own children.  With
-    `log`, the staged_ll calls of each key's first search are recorded
-    under that key, in the order the keys are first reached."""
+    pair, type): every unfolded node searches its own children."""
     model = pres.model
     stages = stage_ladder(stage_budget)
     pool = _default_pool(pres, stage_budget, stages)
@@ -671,10 +669,6 @@ def _reference_tree(pres, stage_budget, node_cap=50_000, log=None):
     nodes = {}
 
     def extend(prefix, last_m, last_t, last_eps):
-        key = (last_m, last_t, last_eps)
-        calls = None
-        if log is not None and key not in log:
-            calls = log[key] = []
         for t in stages:
             if last_t is not None and t <= last_t:
                 continue
@@ -682,8 +676,6 @@ def _reference_tree(pres, stage_budget, node_cap=50_000, log=None):
                 if last_m is not None:
                     if m <= last_m or eps == last_eps:
                         continue
-                    if calls is not None:
-                        calls.append((last_m, m, t))
                     if not staged_ll(model, last_m, m, t):
                         continue
                 if len(nodes) >= node_cap:
@@ -872,12 +864,6 @@ def test_node_cap_counts_unfolded_nodes():
 @pytest.mark.parametrize("k, budget", [(2, 256), (3, 128)])
 def test_each_key_searches_its_children_once(monkeypatch, k, budget):
     model = CylinderModel(k)
-    log = {}
-    _reference_tree(first_one_presentation(model), budget, log=log)
-    # the build tests model.ll where the reference tests staged_ll: the
-    # same candidates, with the stage implied
-    want = [(i, j) for calls in log.values() for i, j, _ in calls]
-
     calls, in_f = [], []
 
     def counting_F(*args):
@@ -897,9 +883,17 @@ def test_each_key_searches_its_children_once(monkeypatch, k, budget):
     monkeypatch.setattr(effective_codes, "compute_F", counting_F)
     monkeypatch.setattr(model, "ll", logging_ll)
     tree = build_alt_tree(first_one_presentation(model), budget)
-    # keys are searched in another order, but each exactly once
+    # every typed pair is a child of the root; every node below the last
+    # stage is a key, and its index and type ask ll once of each larger
+    # index of the other type, whatever the key's stage
+    typed = {(seq[0][0], value[0]) for seq, value in tree.nodes.items() if len(seq) == 1}
+    keys = {(seq[-1][0], value[0]) for seq, value in tree.nodes.items() if seq[-1][1] < budget}
+    want = [(m, n) for m, eps in keys for n in {n for n, e in typed if e != eps and n > m}]
     assert Counter(calls) == Counter(want)
-    assert 2 * len(log) < len(tree.nodes)
+    # keys that differ only in stage share their tests, and keys are
+    # fewer than nodes
+    pair_keys = {seq[-1] + value[:1] for seq, value in tree.nodes.items()}
+    assert len(keys) < len(pair_keys) and 2 * len(pair_keys) < len(tree.nodes)
 
 
 def _reference_F(m, t, eps, pres):

@@ -662,8 +662,9 @@ def test_cylinder_covering_awareness():
     assert not three.basic_subset(three.singleton(()), both)
 
 
-# Reference copies of the covering code as it stood before the model
-# memoized it: every call decodes both indices and re-runs the test.
+# A reference covering test that shares no code with the model: every
+# call decodes both indices into words and, unless the leaf count rules
+# it out, checks every extension down to the deepest cover word.
 
 
 def _ref_words(k, i):
@@ -716,18 +717,19 @@ def _ask(model, query):
 
 
 def _cylinder_indices(k, rng, count):
-    """Indices of up to 256 bits: sparse and dense masks, whole levels
-    (covers of the root found only by the leaf count), levels with one
-    word missing, and bitwise subsets of earlier indices."""
+    """Indices of up to 1024 bits, the widths the stage budgets reach:
+    sparse and dense masks, whole levels (covers of the root found only
+    by the leaf count), levels with one word missing, and bitwise subsets
+    of earlier indices."""
     levels, start = [], 0
-    while start + k ** len(levels) <= 256:
+    while start + k ** len(levels) <= 1024:
         size = k ** len(levels)
         levels.append(((1 << size) - 1) << start)
         start += size
     out = [0, 1]
     while len(out) < count:
         shape = rng.randrange(5)
-        width = rng.randint(1, 256)
+        width = rng.randint(1, 1024)
         if shape == 0:
             i = functools.reduce(
                 operator.or_, (1 << rng.randrange(width) for _ in range(rng.randint(1, 4)))
@@ -746,8 +748,8 @@ def _cylinder_indices(k, rng, count):
     return out
 
 
-@pytest.mark.parametrize("k", [2, 3])
-def test_cylinder_memo_matches_uncached_covering(k):
+@pytest.mark.parametrize("k", [2, 3, 8])
+def test_cylinder_queries_match_a_fresh_model_and_the_reference(k):
     rng = random.Random(k)
     pool = _cylinder_indices(k, rng, 40)
     memo = CylinderModel(k)
@@ -825,30 +827,31 @@ def test_deep_cylinder_covers_match_the_reference(k):
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_least_containing_descends_the_cover_once(k):
-    # The answer matches the letter loop, which asks `_covered` from the
-    # cover's root at every depth.  The search itself walks down the
-    # point once: with a word missing it asks `_covered` at most once
-    # per depth for a point along that word or its sibling, and on a
-    # whole cover at most once per prefix of a cover word and per depth.
+    # The answer matches the letter loop, which asks the reference
+    # covering from the cover's root at every depth.  The search itself
+    # walks down the point once: with a word missing it asks the kernel
+    # `_covers` at most once per depth for a point along that word or its
+    # sibling, and on a whole cover at most once per prefix of a cover
+    # word and per depth, counting the kernel's calls of itself.
     rng = random.Random(600 + k)
     for depth, words, chosen in _deep_covers(k, rng):
         m = CylinderModel(k)
         half = len(words) // 2
         parts = tuple(m.lam(map(m.singleton, ws)) for ws in (words[:half], words[half:]))
-        covered, calls = m._covered, []
+        covers, calls = m._covers, []
 
-        def counted(word, cover_words):
-            calls.append(word)
-            return covered(word, cover_words)
+        def counted(c, j):
+            calls.append(c)
+            return covers(c, j)
 
         whole = chosen in words
         bound = len({w[:n] for w in words for n in range(len(w) + 1)}) + depth if whole else depth
         sibling = chosen[:-1] + ((chosen[-1] + 1) % k,)
         for x in (CylPoint(chosen), CylPoint(sibling, (1,))):
             outcome = _outcome(_least_containing_by_letters, m, x, parts)
-            m._covered, calls[:] = counted, []
+            m._covers, calls[:] = counted, []
             assert _outcome(m.least_containing, x, parts) == outcome, (depth, x)
-            del m._covered
+            del m._covers
             assert len(calls) <= bound, (depth, x, len(calls))
 
 
@@ -906,11 +909,11 @@ def test_point_words_match_the_letters(k):
 
 def _least_containing_by_letters(model, x, within):
     # CylinderModel.least_containing with the prefix built letter by
-    # letter at each depth
-    cover = [w for j in within for w in model.words(j)]
+    # letter at each depth and the reference covering asked afresh
+    cover = [w for j in within for w in _ref_words(model.alphabet, j)]
     for d in range(_MAX_DEPTH + 1):
         w = _letters(x, d)
-        if model._covered(w, cover):
+        if _ref_covered(model.alphabet, w, cover):
             return model.singleton(w)
     raise ValueError("point has no small enough neighborhood")
 
