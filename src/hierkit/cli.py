@@ -9,8 +9,10 @@ against each other, and generate seeded random inputs.
 Every successful run prints exactly one JSON report to stdout (and, with
 --json-out, the same bytes to a file): one line of canonical JSON, with
 sorted keys, no whitespace and ASCII escapes, the form the input digests
-hash.  Reports are deterministic: identical inputs, seed and budget
-produce byte-identical output, so wall-clock timing goes to stderr only.
+hash.  A transform's result comes as text already in that form, which
+`_canon` copies into the report as it is.  Reports are deterministic:
+identical inputs, seed and budget produce byte-identical output, so
+wall-clock timing goes to stderr only.
 Failures also emit JSON, to stdout: validation problems exit 1,
 exhausted search budgets exit 2.
 
@@ -114,11 +116,51 @@ def _int_in(limits):
     return parse
 
 
+class _Encoded:
+    """Text already in canonical JSON form, such as a transform's
+    result, for `_canon` to copy into the text of the object holding it."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text):
+        self.text = text
+
+
+# What json writes in place of an `_Encoded` value, and the same string
+# as json quotes it: lone surrogates, so every character is an escape
+_MARK = "\udc80text\udc80"
+_QUOTED_MARK = '"\\udc80text\\udc80"'
+
+
 def _canon(obj):
     """The canonical JSON text of obj, the one form this module writes:
     sorted keys, no whitespace, ASCII escapes.  Reports and the digests
-    of their inputs both use it."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    of their inputs both use it.
+
+    `_Encoded` text in obj goes in as it is, never parsed: json writes
+    the quoted `_MARK` in its place, and the text is split at those
+    marks and joined once with the kept texts in between.  Quotes inside
+    a string are escaped, so a quoted mark can appear elsewhere only at
+    the end of a string whose own escaped text ends in the mark's; obj
+    would then split into more pieces than it has texts, and is refused."""
+    texts = []
+
+    def embed(value):
+        if not isinstance(value, _Encoded):
+            raise TypeError("Object of type %s is not JSON serializable" % type(value).__name__)
+        texts.append(value.text)
+        return _MARK
+
+    out = json.dumps(obj, sort_keys=True, separators=(",", ":"), default=embed)
+    if not texts:
+        return out
+    pieces = out.split(_QUOTED_MARK)
+    if len(pieces) != len(texts) + 1:
+        raise ValueError("a string in the report ends in the text of the embedding mark")
+    parts = [pieces[0]]
+    for text, piece in zip(texts, pieces[1:]):
+        parts += (text, piece)
+    return "".join(parts)
 
 
 def _digest(obj):
@@ -363,7 +405,7 @@ def _cmd_transform(args):
     }
     if args.points is None:
         tree = build_alt_tree(pres, args.budget)
-        return inputs, {"result": tree.to_json(), "verification": None}
+        return inputs, {"result": _Encoded(tree.report_text()), "verification": None}
 
     points, _ = _arg_json(
         args.points, "points", lambda data: jsonin.list_of(data, "points", model.point_from_json)
@@ -378,7 +420,7 @@ def _cmd_transform(args):
         for x, got, want in zip(points, report.answers, report.truth)
     ]
     outputs = {
-        "result": report.result.to_json(),
+        "result": _Encoded(report.result.report_text()),
         "verification": {
             "status": report.status,
             "budgets": list(report.budgets),
@@ -597,19 +639,21 @@ def main(argv=None):
             raise
         except (KeyError, ValueError) as e:
             raise CliError(VALIDATION, str(e))
-        report = {
+        text = _canon({
             "command": args.command,
             "seed": args.seed,
             "inputs": inputs,
             "outputs": outputs,
-        }
-        text = _canon(report) + "\n"
+        })
+        # the text holds a copy of any result text: let the result go
+        # before the text is written and copied once more
+        del outputs
         if args.json_out:
             # the file is written first, so a path that cannot be
             # written gives an error report instead of the success report
             try:
                 with open(args.json_out, "w") as fh:
-                    fh.write(text)
+                    fh.writelines((text, "\n"))
             except OSError as e:
                 raise CliError(VALIDATION, "cannot write report file: %s" % e)
     except CliError as e:
@@ -620,9 +664,10 @@ def main(argv=None):
             }
         }
         payload.update(e.extra)
-        sys.stdout.write(_canon(payload) + "\n")
+        sys.stdout.writelines((_canon(payload), "\n"))
         return e.code
-    sys.stdout.write(text)
+    # the newline goes out on its own, so a report is never copied to add it
+    sys.stdout.writelines((text, "\n"))
     sys.stderr.write("hier %s: %.3fs\n" % (args.command, time.monotonic() - started))
     return 0
 

@@ -26,7 +26,9 @@ parity tracks the type, and least-slot evaluation reads off the type
 of the deepest-leftmost node whose open contains the point.  The tests
 check the parity and the order against Ordinal arithmetic:
 test_keyed_transform_matches_the_unkeyed_reference and
-test_closed_form_block_offsets_match_ordinal_arithmetic.
+test_closed_form_block_offsets_match_ordinal_arithmetic.  The tree
+writes its own report as canonical JSON text, each distinct index
+printed once (StagedTree.report_text).
 
 Nothing here silently extrapolates: the transform is exact for the
 budget it was given, and verify_transform re-runs it on growing budgets
@@ -458,10 +460,12 @@ class StagedTree:
     (against the slot loop in Ordinal arithmetic) and
     test_closed_form_block_offsets_match_ordinal_arithmetic.
 
-    `diff_code` is built on first access; `to_json` writes the slot
-    ranks and the Hausdorff code straight from the nodes, so a report
-    builds neither.  Evaluation is exact for the budget: a point in no
-    slot's open is reported outside, never guessed."""
+    `diff_code` is built on first access.  `report_text` writes the
+    report, slot ranks and Hausdorff code included, as canonical JSON
+    text straight from the nodes, so a report builds neither code nor a
+    dict per slot, and the CLI embeds the text as it is.  Evaluation is
+    exact for the budget: a point in no slot's open is reported outside,
+    never guessed."""
 
     nodes: dict  # sequence -> (type, F0, F1), Kleene-Brouwer ascending
     pool: tuple
@@ -492,34 +496,56 @@ class StagedTree:
             missed.add(o)
         return False
 
-    def to_json(self):
-        """The report object.  Each slot's node is its tuple of pairs,
-        which JSON writes as lists.
+    def report_text(self):
+        """The report object as canonical JSON text: sorted keys, no
+        whitespace, the form the CLI writes every report in.  `slots`
+        lists one object per node, its `node` the node's pairs.
 
         This is the only writer of a Hausdorff code.  The `hausdorff`
         object lists one tree per node, in node order: the leaf code of
-        the node's open, one object per open, shared.  Its parity set
-        holds the type-1 nodes.  It is the form `HausdorffCode.from_json`
-        reads, so `hier eval-code --hausdorff` takes it as it is.  It is
-        written from the nodes without building the code, whose trees
-        would each be sorted and listed afresh, one tree per tree node."""
+        the node's open.  Its parity set holds the type-1 nodes.  It is
+        the form `HausdorffCode.from_json` reads, so `hier eval-code
+        --hausdorff` takes it as it is.
+
+        The text is written from the nodes without the code or a dict
+        per slot.  Every pair of a node is the last pair of a node, its
+        prefix; so one pass over the last pairs makes each distinct
+        index's decimal text and each pair's text once, and the leaf
+        texts are made once per open.  The slots are then listed as
+        pieces, most of them those shared texts, and joined once.  Ranks
+        are ints here: only xi is an Ordinal."""
         nodes = self.nodes
-        leaf_codes = {o: {"nodes": [[], [o]]} for o in {seq[-1][0] for seq in nodes}}
-        return {
-            "xi": str(self.xi),
-            "budget": self.budget,
-            "nodes": len(nodes),
-            "frontier": len(self.frontier),
-            "slots": [
-                {"node": seq, "rank": text(r + 1, eps), "type": eps, "open": seq[-1][0]}
-                for r, (seq, (eps, _, _)) in enumerate(nodes.items())
-            ],
-            "hausdorff": {
-                "order": list(range(len(nodes))),
-                "parity_set": [r for r, (eps, _, _) in enumerate(nodes.values()) if eps == 1],
-                "trees": [leaf_codes[seq[-1][0]] for seq in nodes],
-            },
-        }
+        index_text, pair_text = {}, {}
+        for seq in nodes:
+            pair = seq[-1]
+            if pair not in pair_text:
+                o = pair[0]
+                if o not in index_text:
+                    index_text[o] = str(o)
+                pair_text[pair] = "[%s,%d]" % (index_text[o], pair[1])
+        leaf_text = {o: '{"nodes":[[],[%s]]}' % t for o, t in index_text.items()}
+        parts = [
+            '{"budget":%d,"frontier":%d,"hausdorff":{"order":['
+            % (self.budget, len(self.frontier)),
+            ",".join(map(str, range(len(nodes)))),
+            '],"parity_set":[',
+            ",".join([str(r) for r, (eps, _, _) in enumerate(nodes.values()) if eps == 1]),
+            '],"trees":[',
+            ",".join([leaf_text[seq[-1][0]] for seq in nodes]),
+            ']},"nodes":%d,"slots":[' % len(nodes),
+        ]
+        ends = ('","type":0}', '","type":1}')
+        sep = '{"node":['
+        for r, (seq, (eps, _, _)) in enumerate(nodes.items()):
+            parts.append(sep)
+            for pair in seq[:-1]:
+                parts += (pair_text[pair], ",")
+            pair = seq[-1]
+            parts += (pair_text[pair], '],"open":', index_text[pair[0]], ',"rank":"',
+                      text(r + 1, eps), ends[eps])
+            sep = ',{"node":['
+        parts.append('],"xi":"%s"}' % self.xi)
+        return "".join(parts)
 
 
 def build_alt_tree(pres, stage_budget, node_cap=50_000):

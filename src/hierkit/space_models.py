@@ -38,7 +38,6 @@ a complete candidate cone (see the per-model ``least_containing``).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -183,9 +182,6 @@ class CylPoint:
             return prefix[:n]
         q, r = divmod(n - len(prefix), len(self.cycle))
         return prefix + self.cycle * q + self.cycle[:r]
-
-    def starts_with(self, word):
-        return self.word(len(word)) == tuple(word)
 
     def to_json(self):
         return {"prefix": list(self.prefix), "cycle": list(self.cycle)}
@@ -556,12 +552,15 @@ class CylinderModel(SpaceModel):
     d letters below a word are k**d consecutive ones, so that test is
     one shift and mask per depth, down to j's bit length.  `basic_subset`
     asks the kernel for each word of i, `least_containing` for the
-    children off x's path on its way back up.  Word-code arithmetic
-    lives in `word_code`, `code_word`, the kernel and that path.
+    children off x's path on its way back up.  A point's path is the
+    codes of its prefixes (`_path`): x lies in i's union when one of
+    them is a bit of i, which `point_in_basic` tests without decoding a
+    word.  Word-code arithmetic lives in `word_code`, `code_word`, the
+    kernel and the path.
 
     The decoding `words(i)` is memoized per instance in a dict that is
     never evicted, as a tuple, shortest words first, so that no caller
-    can change a cached value; membership and point building read it."""
+    can change a cached value; point building reads it."""
 
     def __init__(self, alphabet=2):
         self.alphabet = alphabet
@@ -598,8 +597,24 @@ class CylinderModel(SpaceModel):
     def singleton(self, word):
         return 1 << self.word_code(word)
 
+    def _path(self, x, n):
+        """The codes below n of x's prefixes, shortest first: 0 for the
+        empty word, then c*k + 1 + a for the next letter a.  A prefix of
+        d letters has a code of at least 2**d - 1, so n's bit length in
+        letters takes the path past n."""
+        k, c = self.alphabet, 0
+        for a in x.word(n.bit_length()):
+            if c >= n:
+                return
+            yield c
+            c = c * k + 1 + a
+
     def point_in_basic(self, x, i):
-        return any(x.starts_with(w) for w in self.words(i))
+        # x lies in [w] for a word w of i when w's code is on x's path
+        for c in self._path(x, i.bit_length()):
+            if i >> c & 1:
+                return True
+        return False
 
     def _covers(self, c, j):
         """[c] inside the union of the cylinders of j's words."""
@@ -649,8 +664,7 @@ class CylinderModel(SpaceModel):
         # and the (exponentially sized) index mask is built only once
         k, j = self.alphabet, self.lam(within)
         # the codes of x's prefixes, down to j's longest word
-        word = x.word(len(self.code_word(max(j.bit_length() - 1, 0))))
-        path = list(itertools.accumulate(word, lambda c, a: c * k + 1 + a, initial=0))
+        path = list(self._path(x, j.bit_length()))
         # descending, the first prefix that is a word of j is the
         # shortest cover word on x; with none, x is outside the union,
         # and so is every neighborhood of it.  Going back up, the prefix

@@ -543,6 +543,21 @@ def test_transform_reports_match_golden_digests(capsys, case):
     assert (code, golden_digest(out)) == TRANSFORM_DIGESTS[case]
 
 
+@pytest.mark.parametrize("case", sorted(TRANSFORM_ARGV))
+def test_transform_stdout_is_the_canonical_text_of_its_value(capsys, case):
+    # the result goes into the report as text already written, on
+    # success and in the budget exit's report alike
+    code = main(["transform", *TRANSFORM_ARGV[case]])
+    out = capsys.readouterr().out
+    assert code == TRANSFORM_DIGESTS[case][0]
+    value = json.loads(out)
+    # a boolean: pytest's diff of two 8 MB reports would take minutes
+    canonical = hierkit.cli._canon(value) + "\n" == out
+    assert canonical
+    result = value["outputs" if code == 0 else "report"]["result"]
+    assert len(result["slots"]) == result["nodes"] > 0
+
+
 def test_transform_inputs_name_the_verification_cap(capsys):
     argv = ("transform", "--model", TWO_CHAINS, "--presentation",
             '{"kind": "clopen", "inside": 3, "outside": 5}', "--budget", "8", "--points", "[0, 3]")
@@ -965,13 +980,17 @@ def test_gen_models_parse(capsys):
 
 
 def test_reports_are_byte_identical_across_runs_and_sinks(tmp_path, capsys):
-    argv = ["gen", "--kind", "poset", "--n", "5", "--count", "4", "--seed", "42"]
-    assert main(argv) == 0
-    first = capsys.readouterr().out
     path = tmp_path / "report.json"
-    assert main(argv + ["--json-out", str(path)]) == 0
-    second = capsys.readouterr().out
-    assert first == second == path.read_text()
+    for argv in (
+        ["gen", "--kind", "poset", "--n", "5", "--count", "4", "--seed", "42"],
+        # a transform's result goes into its report as text already written
+        ["transform", *TRANSFORM_ARGV["first-one-2-64"]],
+    ):
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert main(argv + ["--json-out", str(path)]) == 0
+        second = capsys.readouterr().out
+        assert first == second == path.read_text()
 
 
 def test_an_unwritable_json_out_path_is_a_validation_error(tmp_path, capsys):
@@ -993,6 +1012,20 @@ def test_report_text_keeps_the_integer_digit_limit():
     for obj in (10**4400, {"index": [1, -(10**4400)]}, {"a": [shared, shared], "b": shared}):
         with pytest.raises(ValueError, match="4300"):
             hierkit.cli._canon(obj)
+
+
+def test_canon_embeds_written_text_and_refuses_a_report_holding_the_mark():
+    cli = hierkit.cli
+    text = cli._Encoded('{"a":[1]}')
+    assert cli._canon({"z": [text, "x"], "r": text}) == '{"r":{"a":[1]},"z":[{"a":[1]},"x"]}'
+    assert cli._canon(cli._MARK) == cli._QUOTED_MARK
+    for clash in (cli._MARK, 'a"' + cli._MARK):
+        # without embedded text the mark is a string like any other
+        assert cli._canon({"s": clash}) == json.dumps({"s": clash}, separators=(",", ":"))
+        with pytest.raises(ValueError, match="embedding mark"):
+            cli._canon({"r": text, "s": clash})
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        cli._canon({"r": object()})
 
 
 def test_no_indented_json_dumps_in_the_sources():

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hierkit import effective_codes
+from hierkit import cli, effective_codes
 from hierkit.diff_hierarchy import DiffCode, SearchBudgetExceeded, eval_diff
 from hierkit.effective_codes import (
     PI,
@@ -44,7 +44,7 @@ from hierkit.effective_codes import (
 )
 from hierkit.alt_trees import kb_sorted
 from hierkit.finite_space import FinitePoset, random_poset
-from hierkit.ordinals import OMEGA, Ordinal
+from hierkit.ordinals import OMEGA, Ordinal, text
 from hierkit.space_models import (
     CylinderModel,
     CylPoint,
@@ -627,7 +627,7 @@ def test_transform_is_deterministic():
     c3 = CylinderModel(3)
     one = build_alt_tree(first_one_presentation(c3), 16)
     two = build_alt_tree(first_one_presentation(c3), 16)
-    assert json.dumps(one.to_json()) == json.dumps(two.to_json())
+    assert one.report_text() == two.report_text()
 
 
 # -- keyed tree build and closed-form ranks, against the unkeyed code -------------
@@ -726,7 +726,30 @@ def _reference_slots(nodes):
 
 def _hausdorff(res):
     """The Hausdorff code of a transform, as its report writes it."""
-    return HausdorffCode.from_json(res.to_json()["hausdorff"])
+    return HausdorffCode.from_json(json.loads(res.report_text())["hausdorff"])
+
+
+def _reference_report(res):
+    """The report object of a transform, built as a dict the way
+    StagedTree built it before it wrote its report as text, with each
+    node's pairs as lists, the form JSON reads them back in."""
+    nodes = res.nodes
+    return {
+        "xi": str(res.xi),
+        "budget": res.budget,
+        "nodes": len(nodes),
+        "frontier": len(res.frontier),
+        "slots": [
+            {"node": [list(p) for p in seq], "rank": text(r + 1, eps), "type": eps,
+             "open": seq[-1][0]}
+            for r, (seq, (eps, _, _)) in enumerate(nodes.items())
+        ],
+        "hausdorff": {
+            "order": list(range(len(nodes))),
+            "parity_set": [r for r, (eps, _, _) in enumerate(nodes.values()) if eps == 1],
+            "trees": [{"nodes": [[], [seq[-1][0]]]} for seq in nodes],
+        },
+    }
 
 
 def _slots(res):
@@ -1087,26 +1110,37 @@ def test_eval_point_matches_reference_on_criterion_8_points(budget):
     assert len({o for *_, o in slots}) < len(slots)
 
 
-def test_transform_shares_one_leaf_code_per_open():
+def test_transform_shares_one_leaf_code_per_open(monkeypatch):
+    # the report lists the leaf code of each node's open, and the writer
+    # prints each open's decimal text once, for all its pair and leaf
+    # texts; its only other decimal texts are the node numbers of the
+    # order and of the parity set
+    printed = Counter()
+
+    def counting_str(value):
+        printed[value] += 1
+        return str(value)
+
     c3 = CylinderModel(3)
     res = build_alt_tree(first_one_presentation(c3), 64)
-    trees = res.to_json()["hausdorff"]["trees"]
-    by_open = {}
-    assert len(trees) == len(res.nodes)
-    for seq, code in zip(res.nodes, trees):
-        assert by_open.setdefault(seq[-1][0], code) is code
-    assert len(by_open) < len(res.nodes)
+    monkeypatch.setattr(effective_codes, "str", counting_str, raising=False)
+    trees = json.loads(res.report_text())["hausdorff"]["trees"]
+    assert trees == [{"nodes": [[], [seq[-1][0]]]} for seq in res.nodes]
+    opens = {seq[-1][0] for seq in res.nodes}
+    parity = [r for r, (eps, _, _) in enumerate(res.nodes.values()) if eps == 1]
+    assert printed == Counter(opens) + Counter(range(len(res.nodes))) + Counter(parity)
+    assert len(opens) < len(res.nodes)
 
 
 @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
 def test_report_is_written_from_the_slots_as_the_codes_would_write_it(case):
     model, make, budget = EQUIVALENCE_CASES[case]
     res = build_alt_tree(make(model), budget)
-    report = res.to_json()
+    report = json.loads(res.report_text())
     assert report["xi"] == str(block_start(len(res.nodes) + 1)) == str(res.xi)
     slots = _slots(res)
     assert [(s["node"], s["rank"], s["type"], s["open"]) for s in report["slots"]] == [
-        (seq, str(rank), eps, o) for seq, rank, eps, o in slots
+        ([list(p) for p in seq], str(rank), eps, o) for seq, rank, eps, o in slots
     ]
     # the form `hier eval-code --hausdorff` reads, of the code the
     # slots spell: one leaf tree per slot, type-1 slots in the parity set
@@ -1125,6 +1159,47 @@ def test_report_is_written_from_the_slots_as_the_codes_would_write_it(case):
     assert res.diff_code is code
 
 
+def _report_law_cases():
+    """(name, presentation, budget) of the transforms whose report text
+    the law below checks: the equivalence cases, 60 seeded rows
+    presentations on random posets, and first-one on 2 to 8 letters at
+    budgets from 1 to 64."""
+    for name in sorted(EQUIVALENCE_CASES):
+        model, make, budget = EQUIVALENCE_CASES[name]
+        yield name, make(model), budget
+    for seed in range(60):
+        rng = random.Random("report rows:%d" % seed)
+        model = FinitePosetModel(random_poset(rng.randint(3, 7), rng))
+        rows = [
+            [[rng.randrange(len(model.opens)) for _ in range(rng.randrange(3))]
+             for _ in range(rng.randrange(1, 4))]
+            for _ in range(2)
+        ]
+        tail = rng.choice(("repeat", "empty"))
+        yield "rows-%d" % seed, rows_presentation(model, *rows, tail=tail), rng.choice((4, 8, 16))
+    for k in range(2, 9):
+        for budget in (1, 2, 3, 4, 7, 8, 16, 31, 32, 64):
+            yield "first-one-%d-%d" % (k, budget), first_one_presentation(CylinderModel(k)), budget
+
+
+def test_report_text_is_the_canonical_text_of_the_reference_report():
+    # the text reads back as the dict report, and it is that dict's
+    # canonical text byte for byte: key order, separators, rank texts.
+    # The outcomes are asserted as booleans, as pytest's diff of two
+    # reports of a megabyte would take minutes
+    rows_nodes, depth = 0, 0
+    for name, pres, budget in _report_law_cases():
+        res = build_alt_tree(pres, budget)
+        report, want = res.report_text(), _reference_report(res)
+        reads_back = json.loads(report) == want
+        canonical = report == cli._canon(want)
+        assert reads_back and canonical, (name, reads_back, canonical)
+        if name.startswith("rows"):
+            rows_nodes += len(res.nodes)
+        depth = max([depth, *map(len, res.nodes)])
+    assert rows_nodes >= 100 and depth >= 2
+
+
 def test_a_transform_builds_ordinals_only_for_xi(monkeypatch):
     built = []
     init = Ordinal.__init__
@@ -1140,8 +1215,8 @@ def test_a_transform_builds_ordinals_only_for_xi(monkeypatch):
         built.clear()
         res = build_alt_tree(first_one_presentation(c3), budget)
         per_build.append(len(built))
-        res.to_json()
-        res.to_json()
+        res.report_text()
+        res.report_text()
         per_report.append(len(built) - per_build[-1])
         slots.append(len(res.nodes))
     # none for the build, and xi alone for each report, whatever the
@@ -1156,5 +1231,5 @@ def test_a_transform_builds_ordinals_only_for_xi(monkeypatch):
     # verification reads neither code nor xi on any of its budgets
     built.clear()
     rep = verify_transform(first_one_presentation(c3), cyl_points(c3, 3), 4, 64)
-    rep.result.to_json()
+    rep.result.report_text()
     assert len(rep.budgets) > 1 and len(built) == 1

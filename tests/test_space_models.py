@@ -14,6 +14,7 @@ import operator
 import pathlib
 import random
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 import pytest
@@ -889,22 +890,38 @@ def _seeded_cyl_points(k, seed, count):
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_point_words_match_the_letters(k):
-    rng = random.Random(k)
     for x in _seeded_cyl_points(k, 100 + k, 60):
         for n in range(len(x.prefix) + 3 * len(x.cycle) + 1):
             word = _letters(x, n)
             assert x.word(n) == word
             assert type(x.word(n)) is tuple
-            assert x.starts_with(word) and x.starts_with(list(word))
-            # one changed letter, or one letter too many at a mismatch
-            if n:
-                i = rng.randrange(n)
-                bad = word[:i] + ((word[i] + 1) % k,) + word[i + 1:]
-                assert not x.starts_with(bad) and not x.starts_with(list(bad))
-            other = word + ((_letter(x, n) + 1) % k,)
-            assert not x.starts_with(other)
-            assert x.starts_with(word + (_letter(x, n),))
-        assert x.starts_with(()) and x.starts_with([])
+
+
+@pytest.mark.parametrize("k", [2, 3, 8])
+def test_point_membership_matches_the_reference_words(k):
+    # point_in_basic reads i's bits at the codes of x's prefixes; the
+    # reference decodes every word of i and compares it with x's letters
+    rng = random.Random(700 + k)
+    pool = _cylinder_indices(k, rng, 40)
+    points = list(_seeded_cyl_points(k, 700 + k, 20)) + [
+        CylPoint([rng.randrange(k) for _ in range(rng.randrange(13))],
+                 [rng.randrange(k) for _ in range(rng.randint(1, 3))])
+        for _ in range(20)
+    ]
+    ref_words = functools.cache(lambda i: _ref_words(k, i))
+    m = CylinderModel(k)
+    seen = Counter()
+    for x in points:
+        # the codes below 1024 of x's prefixes, each put into an index
+        # of the pool and taken out of one
+        on_path = [c for c in map(m.word_code, map(x.word, range(11))) if c < 1024]
+        extra = [rng.choice(pool) | 1 << c for c in on_path]
+        extra += [rng.choice(pool) & ~(1 << c) for c in on_path]
+        for i in pool + extra:
+            want = any(_letters(x, len(w)) == w for w in ref_words(i))
+            assert m.point_in_basic(x, i) == want, (x, i)
+            seen[want, i.bit_length() > 512] += 1
+    assert min(seen[key] for key in itertools.product((False, True), repeat=2)) >= 50
 
 
 def _least_containing_by_letters(model, x, within):
