@@ -317,19 +317,30 @@ def first_one_presentation(model):
     is visible at stage t iff code(w) < t, and codes order words by
     length first, so no word is longer than the one with code t - 1;
     skipping longer words leaves every filtered row unchanged.
+
+    Each singleton is built once: [0^d], [0^d 1] and the [0^d j], j >= 2,
+    are kept by depth d (the last flat, k - 2 per depth), and the longest
+    visible length by stage, so a row is sliced from those lists.
     """
     if model.kind != "cylinder":
         raise ValueError("the first-one presentation lives on a cylinder model")
     k = model.alphabet
+    zeros, ones, others = [], [], []  # by depth
+    longest_at = {}  # stage -> the longest visible word's length
 
     def rows(eps, n, t):
-        longest = len(model.code_word(t - 1))
+        longest = longest_at.get(t)
+        if longest is None:
+            longest = longest_at[t] = len(model.code_word(t - 1))
+            while len(zeros) <= longest:
+                stem = (0,) * len(zeros)
+                zeros.append(model.singleton(stem))
+                ones.append(model.singleton(stem + (1,)))
+                others.extend(model.singleton(stem + (j,)) for j in range(2, k))
         if eps == 1:
-            return [model.singleton((0,) * d + (1,)) for d in range(longest)]
-        out = [model.singleton((0,) * n)] if n <= longest else []
-        for d in range(min(n, longest)):
-            out += [model.singleton((0,) * d + (j,)) for j in range(2, k)]
-        return out
+            return ones[:longest]
+        out = [zeros[n]] if n <= longest else []
+        return out + others[:min(n, longest) * (k - 2)]
 
     def member(x):
         word = x.word(len(x.prefix) + len(x.cycle))
@@ -463,9 +474,13 @@ class StagedTree:
     `diff_code` is built on first access.  `report_text` writes the
     report, slot ranks and Hausdorff code included, as canonical JSON
     text straight from the nodes, so a report builds neither code nor a
-    dict per slot, and the CLI embeds the text as it is.  Evaluation is
-    exact for the budget: a point in no slot's open is reported outside,
-    never guessed."""
+    dict per slot, and the CLI embeds the text as it is.
+
+    Evaluation lists each distinct open once, in node order, with the
+    type of its first node, and asks the point's `point_test` (made by
+    the caller, for any width of at least the budget: every open is
+    visible at the budget) of each in turn.  It is exact for the budget:
+    a point in no slot's open is reported outside, never guessed."""
 
     nodes: dict  # sequence -> (type, F0, F1), Kleene-Brouwer ascending
     pool: tuple
@@ -485,15 +500,22 @@ class StagedTree:
             for r, (seq, (eps, _, _)) in enumerate(self.nodes.items())
         ))
 
-    def eval_point(self, model, x):
-        missed = set()  # opens already found not to contain x
+    @functools.cached_property
+    def _first_opens(self):
+        """Each distinct open once, in node order, with whether its
+        first node has type 1: a later node with the same open is never
+        the first to hold a point."""
+        first = {}
         for seq, (eps, _, _) in self.nodes.items():
-            o = seq[-1][0]
-            if o in missed:
-                continue
-            if model.point_in_basic(x, o):
-                return eps == 1
-            missed.add(o)
+            first.setdefault(seq[-1][0], eps == 1)
+        return tuple(first.items())
+
+    def eval_point(self, test):
+        """The point's verdict, from its `point_test`: the type of the
+        first node whose open holds it, else outside."""
+        for o, inside in self._first_opens:
+            if test(o):
+                return inside
         return False
 
     def report_text(self):
@@ -667,13 +689,17 @@ def verify_transform(pres, points, budget, max_budget):
         raise ValueError("verification needs a membership oracle")
     points = tuple(points)
     truth = [bool(pres.member(x)) for x in points]
+    # one test per point serves every build: each tree's opens are
+    # visible at its budget, which is at most this width
+    width = max(budget, max_budget)
+    tests = [pres.model.point_test(x, width) for x in points]
     budgets, answers = [], []
     result = None
     b = budget
     while True:
         result = build_alt_tree(pres, b)
         budgets.append(b)
-        answers.append([result.eval_point(pres.model, x) for x in points])
+        answers.append([result.eval_point(test) for test in tests])
         if answers[-1] == truth or b >= max_budget:
             break
         b = min(b * 2, max_budget)
@@ -705,13 +731,12 @@ def claim2_gaps(tree, pres, points):
     gaps = []
     for x in points:
         side = 1 if member(x) else 0
+        test = model.point_test(x, tree.budget)
         for seq, (eps, _, _) in tree.nodes.items():
             if eps == side or seq in tree.frontier:
                 continue
-            if not model.point_in_basic(x, seq[-1][0]):
+            if not test(seq[-1][0]):
                 continue
-            if not any(
-                model.point_in_basic(x, c[-1][0]) for c in kids.get(seq, ())
-            ):
+            if not any(test(c[-1][0]) for c in kids.get(seq, ())):
                 gaps.append((x, seq))
     return gaps

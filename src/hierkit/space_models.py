@@ -73,9 +73,10 @@ class SpaceModel:
 
     * ``kind``, its JSON tag, and ``finite``, True only on a finite
       carrier (where a bounded play has an exact verdict);
-    * ``point_in_basic``, ``point_in_union``, ``basic_subset``,
-      ``union_subset``, ``basic_nonempty``, ``ll``, and ``lam``, the
-      index of a finite union (ValueError where there is none);
+    * ``point_in_basic``, ``point_test``, ``point_in_union``,
+      ``basic_subset``, ``union_subset``, ``basic_nonempty``, ``ll``,
+      and ``lam``, the index of a finite union (ValueError where there
+      is none);
     * ``some_point_in``, ``chain_limit``, ``least_containing``,
       ``least_ll_above`` and ``random_ll_successor``;
     * ``candidate_indices``, ``whole_index``, ``random_open`` (Empty's
@@ -87,6 +88,13 @@ class SpaceModel:
     """
 
     finite = False
+
+    def point_test(self, x, width):
+        """A function of an index i, true exactly when x lies in O_i,
+        for every i of bit length at most `width`.  It is made once per
+        point, so a model can do there the work that all of x's queries
+        share."""
+        return functools.partial(self.point_in_basic, x)
 
     def point_in_union(self, x, indices):
         return any(self.point_in_basic(x, i) for i in indices)
@@ -555,8 +563,11 @@ class CylinderModel(SpaceModel):
     children off x's path on its way back up.  A point's path is the
     codes of its prefixes (`_path`): x lies in i's union when one of
     them is a bit of i, which `point_in_basic` tests without decoding a
-    word.  Word-code arithmetic lives in `word_code`, `code_word`, the
-    kernel and the path.
+    word.  `point_test(x, width)` walks that path once, down to the codes
+    below `width`, and ORs it into a path mask: an index of at most
+    `width` bits holds x exactly when it shares a bit with the mask.
+    Word-code arithmetic lives in `word_code`, `code_word`, the kernel
+    and the path.
 
     The decoding `words(i)` is memoized per instance in a dict that is
     never evicted, as a tuple, shortest words first, so that no caller
@@ -615,6 +626,12 @@ class CylinderModel(SpaceModel):
             if i >> c & 1:
                 return True
         return False
+
+    def point_test(self, x, width):
+        mask = 0
+        for c in self._path(x, width):
+            mask |= 1 << c
+        return mask.__and__
 
     def _covers(self, c, j):
         """[c] inside the union of the cylinders of j's words."""

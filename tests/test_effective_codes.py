@@ -543,7 +543,7 @@ def test_clopen_transform_denotes_the_set():
     assert res.xi == Ordinal(10, 0) + Ordinal.from_int(2)
     for x in m.points():
         want = x == 2
-        assert res.eval_point(m, x) == want
+        assert res.eval_point(m.point_test(x, 8)) == want
         assert eval_diff(res.diff_code, x, by_index(m)) == want
         assert eval_hausdorff_code(_hausdorff(res), m, x) == want
     assert claim2_gaps(res, pres, m.points()) == []
@@ -553,7 +553,7 @@ def test_empty_transform_denotes_nothing():
     cm = CylinderModel(2)
     res = build_alt_tree(empty_presentation(cm), 8)
     pts = [CylPoint((), (0,)), CylPoint((1,), (0,)), CylPoint((0, 1), (1,))]
-    assert all(not res.eval_point(cm, x) for x in pts)
+    assert all(not res.eval_point(cm.point_test(x, 8)) for x in pts)
     assert all(not eval_hausdorff_code(_hausdorff(res), cm, x) for x in pts)
 
 
@@ -561,7 +561,7 @@ def test_whole_space_transform_denotes_everything():
     m = fork_model()
     pres = clopen_presentation(m, m.whole_index(), 0)
     res = build_alt_tree(pres, 8)
-    assert all(res.eval_point(m, x) for x in m.points())
+    assert all(res.eval_point(m.point_test(x, 8)) for x in m.points())
 
 
 def test_first_one_transform_verifies_to_depth_three():
@@ -618,7 +618,7 @@ def test_renderings_always_agree(rows1, rows0):
     res = build_alt_tree(pres, 12)
     assert list(res.nodes) + [()] == kb_sorted(_rooted(res.nodes))
     for x in cyl_points(cm, 3):
-        direct = res.eval_point(cm, x)
+        direct = res.eval_point(cm.point_test(x, 12))
         assert direct == eval_diff(res.diff_code, x, by_index(cm))
         assert direct == eval_hausdorff_code(_hausdorff(res), cm, x)
 
@@ -1069,6 +1069,41 @@ def test_first_one_rows_encode_only_visible_lengths(k):
         assert all(len(word) <= longest + 1 for word in calls)
 
 
+def _bounded_reference_rows(model):
+    """first_one_presentation's rows as they were while every call
+    decoded the longest visible length and encoded each singleton
+    afresh."""
+    k = model.alphabet
+
+    def rows(eps, n, t):
+        longest = len(model.code_word(t - 1))
+        if eps == 1:
+            return [model.singleton((0,) * d + (1,)) for d in range(longest)]
+        out = [model.singleton((0,) * n)] if n <= longest else []
+        for d in range(min(n, longest)):
+            out += [model.singleton((0,) * d + (j,)) for j in range(2, k)]
+        return out
+
+    return rows
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_first_one_rows_match_the_per_call_rows(k):
+    # the same values in the same order, on every stage the transform
+    # reaches; the filtered, sorted rows the presentation hands out stay
+    # those the reference gives
+    model = CylinderModel(k)
+    pres = first_one_presentation(model)
+    ref = _bounded_reference_rows(CylinderModel(k))
+    for t in stage_ladder(1024):
+        for eps in (0, 1):
+            for n in range(t + 1):
+                want = ref(eps, n, t)
+                assert pres._rows(eps, n, t) == want, (eps, n, t)
+                visible = tuple(sorted({i for i in want if index_visible(i, t)}))
+                assert pres.row(eps, n, t) == visible, (eps, n, t)
+
+
 def test_closed_form_block_offsets_match_ordinal_arithmetic():
     # block r starts at (omega+2)*r, summed here one block at a time
     start = Ordinal.from_int(0)
@@ -1085,19 +1120,32 @@ def test_closed_form_block_offsets_match_ordinal_arithmetic():
 
 
 class _CountingModel:
-    """A model proxy that records every point_in_basic query."""
+    """A model proxy that records every point test it makes and every
+    index each test is asked; the rest of the surface is the model's."""
 
     def __init__(self, model):
         self.model = model
+        self.tests = []
         self.queries = []
 
-    def point_in_basic(self, x, i):
-        self.queries.append((x, i))
-        return self.model.point_in_basic(x, i)
+    def __getattr__(self, name):
+        return getattr(self.model, name)
+
+    def point_test(self, x, width):
+        self.tests.append((x, width))
+        test = self.model.point_test(x, width)
+
+        def counted(i):
+            self.queries.append((x, i))
+            return test(i)
+
+        return counted
 
 
 @pytest.mark.parametrize("budget", [16, 64, 256])
 def test_eval_point_matches_reference_on_criterion_8_points(budget):
+    # one test per point, and no open asked twice of it, though opens
+    # repeat across the nodes
     c3 = CylinderModel(3)
     res = build_alt_tree(first_one_presentation(c3), budget)
     slots = _slots(res)
@@ -1105,9 +1153,24 @@ def test_eval_point_matches_reference_on_criterion_8_points(budget):
     assert len(points) == 243
     counting = _CountingModel(c3)
     for x in points:
-        assert res.eval_point(counting, x) == _reference_eval(slots, c3, x), x
+        got = res.eval_point(counting.point_test(x, budget))
+        assert got == _reference_eval(slots, c3, x), x
+    assert len(counting.tests) == len(points)
     assert len(counting.queries) == len(set(counting.queries))
     assert len({o for *_, o in slots}) < len(slots)
+
+
+def test_verification_makes_one_point_test_per_point():
+    # the criterion-8 ladder builds at four budgets from one test per
+    # point, each as wide as the last budget allowed
+    c3 = CylinderModel(3)
+    counting = _CountingModel(c3)
+    pres = first_one_presentation(c3)
+    pres.model = counting
+    points = cyl_points(c3, 4)
+    report = verify_transform(pres, points, budget=16, max_budget=256)
+    assert report.ok() and report.budgets == (16, 32, 64, 128)
+    assert counting.tests == [(x, 256) for x in points]
 
 
 def test_transform_shares_one_leaf_code_per_open(monkeypatch):

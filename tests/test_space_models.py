@@ -924,6 +924,66 @@ def test_point_membership_matches_the_reference_words(k):
     assert min(seen[key] for key in itertools.product((False, True), repeat=2)) >= 50
 
 
+def _point_test_cases():
+    """(model, points, pool, widths): pn, pinf at two bounds, seeded
+    clause systems and random posets, then 2-, 3- and 8-letter cylinders
+    with indices of up to 1024 bits.  On a cylinder each point's path
+    codes below 1024 are put into pooled indices and taken out of them,
+    and each code c gives the width c + 1, where it is the top bit."""
+    rng = random.Random(38)
+
+    def set_points(count):
+        return [SetPoint(rng.getrandbits(rng.randint(0, 14)),
+                         cofinite_from=rng.choice([None, rng.randrange(16)]))
+                for _ in range(count)]
+
+    set_models = [pn_model(), pinf_model(16), pinf_model(64)]
+    for _ in range(6):
+        rows = [
+            (rng.sample(range(6), rng.randrange(3)),
+             [rng.sample(range(9), rng.randint(1, 2)) for _ in range(rng.randrange(4))])
+            for _ in range(rng.randint(1, 4))
+        ]
+        set_models.append(PSpaceModel(ClauseSystem(rows)))
+    for m in set_models:
+        pool = [0] + [rng.getrandbits(rng.randint(1, 16)) for _ in range(60)]
+        yield m, set_points(20), pool, (0, 1, 5, 12, 16)
+    for n in range(1, 8):
+        m = FinitePosetModel(random_poset(n, rng))
+        yield m, list(m.points()), list(range(len(m.opens))), (len(m.opens).bit_length(),)
+    for k in (2, 3, 8):
+        m = CylinderModel(k)
+        points = list(_seeded_cyl_points(k, 38 + k, 15)) + [
+            CylPoint([rng.randrange(k) for _ in range(rng.randrange(13))],
+                     [rng.randrange(k) for _ in range(rng.randint(1, 3))])
+            for _ in range(15)
+        ]
+        for x in points:
+            base = _cylinder_indices(k, rng, 20)
+            on_path = [c for c in map(m.word_code, map(x.word, range(11))) if c < 1024]
+            pool = base + [rng.choice(base) | 1 << c for c in on_path]
+            pool += [rng.choice(base) & ~(1 << c) for c in on_path]
+            widths = {1, rng.randint(1, 1024), 1024} | {c + 1 for c in on_path}
+            yield m, [x], pool, sorted(widths)
+
+
+def test_point_test_answers_as_point_in_basic_does():
+    # each pooled index is cut down to the width's bits, which leaves it
+    # whole where its bit length fits
+    seen = Counter()
+    for m, points, pool, widths in _point_test_cases():
+        for x in points:
+            for w in widths:
+                test = m.point_test(x, w)
+                cut = (1 << w) - 1
+                for i in {i & cut for i in pool}:
+                    want = m.point_in_basic(x, i)
+                    assert bool(test(i)) == want, (m.kind, x, w, i)
+                    seen[m.kind, want] += 1
+    kinds = ("pn", "pinf", "clauses", "poset", "cylinder")
+    assert min(seen[key] for key in itertools.product(kinds, (False, True))) >= 100
+
+
 def _least_containing_by_letters(model, x, within):
     # CylinderModel.least_containing with the prefix built letter by
     # letter at each depth and the reference covering asked afresh
