@@ -70,7 +70,6 @@ class FinitePoset:
                 down[j] |= 1 << i
         self.down = tuple(down)
         self.carrier = full
-        self._opens = None
 
     @staticmethod
     def from_cover(n, cover_pairs):
@@ -115,12 +114,11 @@ class FinitePoset:
         return m
 
     def opens(self):
-        """All open sets, `opens_between(0, carrier)` sorted by (size, mask).  Cached."""
-        if self._opens is None:
-            self._opens = found = self.opens_between(0, self.carrier)
-            found.sort()
-            found.sort(key=int.bit_count)
-        return self._opens
+        """All open sets, `opens_between(0, carrier)` sorted by (size, mask)."""
+        found = self.opens_between(0, self.carrier)
+        found.sort()
+        found.sort(key=int.bit_count)
+        return found
 
     def opens_between(self, lo, hi):
         """The opens u with lo <= u <= hi, for an open lo, unsorted but

@@ -108,17 +108,17 @@ def relation_from_strategy(tau, model):
     C <= tau(x, D).  Returns the set of index pairs."""
     if not model.finite:
         raise TypeError("strategy-to-relation reading needs a finite carrier")
-    idx = list(model.candidate_indices(model.whole_index() + 1))
+    idx = model.candidate_indices(model.whole_index() + 1)
     rel = set()
     for b in idx:
         for c in idx:
-            if _witnessed(tau, model, b, c):
+            if _witnessed(tau, model, idx, b, c):
                 rel.add((b, c))
     return frozenset(rel)
 
 
-def _witnessed(tau, model, b, c):
-    for d in model.candidate_indices(model.whole_index() + 1):
+def _witnessed(tau, model, idx, b, c):
+    for d in idx:
         if not model.basic_nonempty(d) or not model.basic_subset(d, b):
             continue
         for x in model.points():

@@ -79,8 +79,10 @@ class SpaceModel:
       is none);
     * ``some_point_in``, ``chain_limit``, ``least_containing``,
       ``least_ll_above`` and ``random_ll_successor``;
-    * ``candidate_indices``, ``whole_index``, ``random_open`` (Empty's
-      random opening) and ``check_index``;
+    * ``candidate_indices(limit)``, the first ``limit`` indices in the
+      model's search order (all of them on a smaller basis),
+      ``whole_index``, ``random_open`` (Empty's random opening) and
+      ``check_index``;
     * ``point_to_json`` and ``point_from_json``.
 
     The methods below are shared; a model overrides those that differ.
@@ -518,8 +520,7 @@ class FinitePosetModel(SpaceModel):
         return self._index[sub]
 
     def candidate_indices(self, limit):
-        """Every index, whatever the limit: the basis is finite."""
-        return range(len(self.opens))
+        return range(min(limit, len(self.opens)))
 
     def whole_index(self):
         return len(self.opens) - 1

@@ -465,6 +465,8 @@ def _cylinder_points(k, length):
 
 FIRST_ONE = '{"kind": "first-one"}'
 TWO_CHAINS = '{"kind": "poset", "poset": {"n": 4, "cover": [[0, 1], [2, 3]]}}'
+TWO_3_CHAINS = '{"kind": "poset", "poset": {"n": 6, "cover": [[0, 1], [1, 2], [3, 4], [4, 5]]}}'
+ANTICHAIN_14 = '{"kind": "poset", "poset": {"n": 14, "cover": []}}'
 TRANSFORM_ARGV = {
     **{
         "first-one-2-%d" % b: (
@@ -490,6 +492,19 @@ TRANSFORM_ARGV = {
     "poset-clopen": (
         "--model", TWO_CHAINS, "--presentation", '{"kind": "clopen", "inside": 3, "outside": 5}',
         "--budget", "8", "--max-budget", "64", "--points", "[0, 1, 2, 3]",
+    ),
+    # 16 opens, more than the first budget: opens 6 and 9 are the two
+    # components {0, 1, 2} and {3, 4, 5}
+    "poset-3-chains-clopen": (
+        "--model", TWO_3_CHAINS,
+        "--presentation", '{"kind": "clopen", "inside": 6, "outside": 9}',
+        "--budget", "4", "--max-budget", "64", "--points", "[0, 1, 2, 3, 4, 5]",
+    ),
+    # 16,384 opens at the top of the budget range: the transform's pool
+    # takes the first 1,024 candidates, not every visible open
+    "poset-antichain-14": (
+        "--model", ANTICHAIN_14, "--presentation", '{"kind": "empty"}',
+        "--budget", "1024", "--max-budget", "1024", "--points", "[0, 1, 2]",
     ),
     "poset-rows": (
         "--model", TWO_CHAINS,
@@ -529,6 +544,10 @@ TRANSFORM_DIGESTS = {
     "first-one-3-1024": (0, "5da6cfa00d44d61b9d545094d48d87193809be19d96ec002c9347c5cda282771"),
     "first-one-8-1024": (0, "943374d2c0a98cb9ce68610ae62531f613a265dace57950eea534e79164a6836"),
     "poset-clopen": (0, "fd05a8f4f213ea4e6283a240d4b21e7b60dd0d209ad3ec18fc02cff91a18b5a0"),
+    "poset-3-chains-clopen":
+        (0, "17eab1a6753f3eb5aea858c4b110c756d5dfd800cc259e4c865787a65e5d1c43"),
+    "poset-antichain-14":
+        (0, "f52de8f9b3823ad4bb344529c8d06ac756e4de7229020e71e450082ef8de9b49"),
     "poset-rows": (0, "e93b62065b2868209f7628df4dcd33a2ca828c3393969b5513304b1350f621dd"),
     "poset-empty": (0, "b71b8858b811bc5ac0379fcf798810ef009fd56c80e1480a03e0d0a8250e03ec"),
     "poset-rows-empty-tail":

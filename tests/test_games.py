@@ -122,6 +122,19 @@ def test_roundtrip_relation_satisfies_conditions():
         _conditions_exhaustive(fm, rel)
 
 
+def test_three_chain_roundtrip_reads_back_ll_with_the_whole_space():
+    # the reading runs over every index up to the whole space's; a
+    # shorter candidate list drops (whole, whole)
+    fm = chain3_model()
+    rel = relation_from_strategy(stationary_from_relation(fm), fm)
+    whole = fm.whole_index()
+    assert (whole, whole) in rel
+    assert sorted((fm.opens[b], fm.opens[c]) for b, c in rel) == [
+        (0b100, 0b100), (0b110, 0b100), (0b110, 0b110),
+        (0b111, 0b100), (0b111, 0b110), (0b111, 0b111),
+    ]
+
+
 def test_relation_reading_requires_finite_carrier():
     with pytest.raises(TypeError):
         relation_from_strategy(identity_refinement(pn_model()), pn_model())

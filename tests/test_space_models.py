@@ -984,6 +984,22 @@ def test_point_test_answers_as_point_in_basic_does():
     assert min(seen[key] for key in itertools.product(kinds, (False, True))) >= 100
 
 
+def test_candidate_indices_are_the_first_limit_indices_on_every_model():
+    # one contract on every model kind: `candidate_indices(k)` lists k
+    # valid indices, or the whole basis where that is smaller, and
+    # raising the limit only appends
+    models = {id(m): m for m, *_ in _point_test_cases()}.values()
+    for m in models:
+        size = len(m.opens) if m.kind == "poset" else None
+        top = 40 if size is None else size + 3
+        for k in range(top):
+            got = list(m.candidate_indices(k))
+            assert len(got) == (k if size is None else min(k, size)), (m.kind, k)
+            assert list(m.candidate_indices(k + 1))[:k] == got, (m.kind, k)
+            assert [m.check_index(i) for i in got] == got
+    assert {m.kind for m in models} == {"pn", "pinf", "clauses", "cylinder", "poset"}
+
+
 def _least_containing_by_letters(model, x, within):
     # CylinderModel.least_containing with the prefix built letter by
     # letter at each depth and the reference covering asked afresh
@@ -1283,8 +1299,10 @@ def test_model_json_roundtrip():
 
 def test_poset_model_least_searches():
     fm = FinitePosetModel(FinitePoset.from_cover(3, [(0, 1), (1, 2)]))
-    # opens ascend by size: empty, {2}, {1,2}, whole
-    assert [fm.opens[i] for i in fm.candidate_indices(2)] == [0, 4, 6, 7]
+    # opens ascend by size: empty, {2}, {1,2}, whole; the first two are
+    # candidates at limit 2, and a limit past the basis size lists them all
+    assert [fm.opens[i] for i in fm.candidate_indices(2)] == [0, 4]
+    assert [fm.opens[i] for i in fm.candidate_indices(9)] == [0, 4, 6, 7]
     assert fm.opens[fm.least_containing(1, (fm.whole_index(),))] == 0b110
     assert fm.opens[fm.least_ll_above(fm.index_of(0b110), 1)] == 0b110
     assert fm.some_point_in(fm.index_of(0)) is None
