@@ -15,20 +15,12 @@ below omega^2.  The counter F_eps(m,t) measures how many leading rows
 of side eps approximate O_m from above at stage t; pairs (m,t) whose
 two counters disagree get the type of the larger side, and sequences of
 such pairs with increasing coordinates, shrinking opens, and
-alternating types form a finite tree.  The walk that builds the tree
-lists each node after its children, siblings ascending, which is its
-Kleene-Brouwer order.  That order, with each node spread over an
-(omega+2)-block of slots, is the code, so the StagedTree that
-build_alt_tree returns is the transform's result: the r-th node's only
-nonempty slot holds its open (the index of its last pair) at rank
-omega*(r+1) + type, and xi = omega*(N+1) + 2 for N nodes.  So slot
-parity tracks the type, and least-slot evaluation reads off the type
-of the deepest-leftmost node whose open contains the point.  The tests
-check the parity and the order against Ordinal arithmetic:
-test_keyed_transform_matches_the_unkeyed_reference and
-test_closed_form_block_offsets_match_ordinal_arithmetic.  The tree
-writes its own report as canonical JSON text, each distinct index
-printed once (StagedTree.report_text).
+alternating types form a finite tree, held as the DAG of its nodes'
+keys (StagedTree).  Unfolded in Kleene-Brouwer order, each node over
+an (omega+2)-block of slots, the tree is the code, so least-slot
+evaluation reads off the type of the deepest-leftmost node whose open
+contains the point.  The tree writes its own report as canonical JSON
+text in one walk over the DAG (StagedTree.report_text).
 
 Nothing here silently extrapolates: the transform is exact for the
 budget it was given, and verify_transform re-runs it on growing budgets
@@ -454,44 +446,75 @@ def block_start(r):
     return Ordinal(r, 2 if r else 0)
 
 
+_ROOT = (None, None, None)  # the root's key: no pair, no type
+
+
+def _unfold(kids, key, prefix, nodes):
+    """Fill `nodes` with the subtree below `key` at `prefix`, sequence ->
+    (type, F0, F1), in Kleene-Brouwer order."""
+    for pair, value, child in kids[key]:
+        _unfold(kids, child, prefix + (pair,), nodes)
+        nodes[prefix + (pair,)] = value
+    return nodes
+
+
+def _first_types(kids, key, first, seen):
+    """Fill `first` with each open below `key` that it lacks, in node
+    order, -> whether its first node has type 1.  A key is expanded
+    once: its later nodes repeat its first node's opens and types."""
+    for (o, _), (eps, _, _), child in kids[key]:
+        if child not in seen:
+            seen.add(child)
+            _first_types(kids, child, first, seen)
+        first.setdefault(o, eps == 1)
+    return first
+
+
 @dataclass
 class StagedTree:
-    """The alternating tree over (index, stage) pairs, with per-node
-    type and counter values, and the difference code it is.  `nodes`
-    lists every node but the root in Kleene-Brouwer order: each node
-    after its children, siblings ascending.
+    """The alternating tree over (index, stage) pairs, held as its keyed
+    DAG, and the difference code it is.  A node's key is its last pair
+    and type; its open, counter values and subtree depend on the key
+    alone.  `kids` maps each key, `_ROOT` included, to its children as
+    (pair, (type, F0, F1), child key), pairs ascending; `size` counts
+    the nodes but the root, and the budget is the last stage.
 
-    The code is the tree read in that order.  The r-th node owns block
-    r; the block's only nonempty slot holds the node's open, the index
-    of its last pair, at rank omega*(r+1) + type.  The root owns the
-    last block and no slot, so xi is omega*(N+1) + 2 for N nodes.  A
-    slot's parity is thus its node's type, and the ranks ascend below
-    xi: `DiffCode` checks both whenever `diff_code` is read, and so do
-    the tests test_keyed_transform_matches_the_unkeyed_reference
-    (against the slot loop in Ordinal arithmetic) and
+    The code is the DAG unfolded in Kleene-Brouwer order: each node
+    after its children, siblings ascending.  The r-th node owns block r;
+    the block's only nonempty slot holds the node's open, the index of
+    its last pair, at rank omega*(r+1) + type.  The root owns the last
+    block and no slot, so xi is omega*(N+1) + 2 for N nodes.  A slot's
+    parity is thus its node's type, and the ranks ascend below xi:
+    `DiffCode` checks both whenever `diff_code` is read, and so do
+    test_keyed_transform_matches_the_unkeyed_reference and
     test_closed_form_block_offsets_match_ordinal_arithmetic.
 
-    `diff_code` is built on first access.  `report_text` writes the
-    report, slot ranks and Hausdorff code included, as canonical JSON
-    text straight from the nodes, so a report builds neither code nor a
-    dict per slot, and the CLI embeds the text as it is.
+    `report_text` and `eval_point` read the DAG.  `nodes` (sequence ->
+    (type, F0, F1)), `frontier`, `growth_violations` and `diff_code`
+    unfold it when first read, which no `hier` command does."""
 
-    Evaluation lists each distinct open once, in node order, with the
-    type of its first node, and asks the point's `point_test` (made by
-    the caller, for any width of at least the budget: every open is
-    visible at the budget) of each in turn.  It is exact for the budget:
-    a point in no slot's open is reported outside, never guessed."""
-
-    nodes: dict  # sequence -> (type, F0, F1), Kleene-Brouwer ascending
+    kids: dict
     pool: tuple
     budget: int
-    frontier: frozenset  # leaves at the last stage: cut off by the budget
-    growth_violations: tuple
+    size: int
 
     @property
     def xi(self):
         """The level: the block after the root's."""
-        return block_start(len(self.nodes) + 1)
+        return block_start(self.size + 1)
+
+    @functools.cached_property
+    def nodes(self):
+        return _unfold(self.kids, _ROOT, (), {})
+
+    @functools.cached_property
+    def frontier(self):  # the leaves at the last stage, cut off by the budget
+        return frozenset(seq for seq in self.nodes if seq[-1][1] == self.budget)
+
+    @functools.cached_property
+    def growth_violations(self):  # F_type(m_l, t_l) >= l // 2 re-checked, not trusted
+        return tuple(seq for seq, (eps, f0, f1) in self.nodes.items()
+                     if (f1 if eps else f0) < (len(seq) - 1) // 2)
 
     @functools.cached_property
     def diff_code(self):
@@ -505,14 +528,13 @@ class StagedTree:
         """Each distinct open once, in node order, with whether its
         first node has type 1: a later node with the same open is never
         the first to hold a point."""
-        first = {}
-        for seq, (eps, _, _) in self.nodes.items():
-            first.setdefault(seq[-1][0], eps == 1)
-        return tuple(first.items())
+        return tuple(_first_types(self.kids, _ROOT, {}, set()).items())
 
     def eval_point(self, test):
-        """The point's verdict, from its `point_test`: the type of the
-        first node whose open holds it, else outside."""
+        """The point's verdict, from its `point_test` made for any width
+        of at least the budget (every open is visible at the budget):
+        the type of the first node whose open holds it, else outside.
+        It is exact for the budget, never guessed."""
         for o, inside in self._first_opens:
             if test(o):
                 return inside
@@ -529,45 +551,52 @@ class StagedTree:
         the form `HausdorffCode.from_json` reads, so `hier eval-code
         --hausdorff` takes it as it is.
 
-        The text is written from the nodes without the code or a dict
-        per slot.  Every pair of a node is the last pair of a node, its
-        prefix; so one pass over the last pairs makes each distinct
-        index's decimal text and each pair's text once, and the leaf
-        texts are made once per open.  The slots are then listed as
-        pieces, most of them those shared texts, and joined once.  Ranks
-        are ints here: only xi is an Ordinal."""
-        nodes = self.nodes
-        index_text, pair_text = {}, {}
-        for seq in nodes:
-            pair = seq[-1]
-            if pair not in pair_text:
-                o = pair[0]
-                if o not in index_text:
-                    index_text[o] = str(o)
-                pair_text[pair] = "[%s,%d]" % (index_text[o], pair[1])
-        leaf_text = {o: '{"nodes":[[],[%s]]}' % t for o, t in index_text.items()}
-        parts = [
-            '{"budget":%d,"frontier":%d,"hausdorff":{"order":['
-            % (self.budget, len(self.frontier)),
-            ",".join(map(str, range(len(nodes)))),
-            '],"parity_set":[',
-            ",".join([str(r) for r, (eps, _, _) in enumerate(nodes.values()) if eps == 1]),
-            '],"trees":[',
-            ",".join([leaf_text[seq[-1][0]] for seq in nodes]),
-            ']},"nodes":%d,"slots":[' % len(nodes),
-        ]
+        Every pair is a child of the root, so one pass over its children
+        makes each index's decimal text and leaf code once, and each
+        pair's slot tail, from its `[o,t]` up to the rank, once.  One
+        post-order walk over the DAG, carrying each slot's opening text
+        down to the node's children, lists the slots as pieces, counts
+        the frontier and collects the parity set; the pieces are joined
+        once.  Ranks are ints here: only xi is an Ordinal."""
+        kids, last = self.kids, self.budget
+        index_text, leaves, texts = {}, {}, {}
+        for (o, t), _, key in kids[_ROOT]:
+            if o not in index_text:
+                index_text[o] = str(o)
+                leaves[o] = '{"nodes":[[],[%s]]}' % index_text[o]
+            texts[key] = ('[%s,%d]],"open":%s,"rank":"' % (index_text[o], t, index_text[o]),
+                          leaves[o], t == last)
+        slots, parity, trees = [None], [], []  # slots[0]: the head, written last
         ends = ('","type":0}', '","type":1}')
-        sep = '{"node":['
-        for r, (seq, (eps, _, _)) in enumerate(nodes.items()):
-            parts.append(sep)
-            for pair in seq[:-1]:
-                parts += (pair_text[pair], ",")
-            pair = seq[-1]
-            parts += (pair_text[pair], '],"open":', index_text[pair[0]], ',"rank":"',
-                      text(r + 1, eps), ends[eps])
-            sep = ',{"node":['
-        parts.append('],"xi":"%s"}' % self.xi)
-        return "".join(parts)
+        frontier = 0
+
+        def walk(opening, key):
+            nonlocal frontier
+            for (o, t), (eps, _, _), child in kids[key]:
+                tail, leaf, at_last = texts[child]
+                if kids[child]:
+                    walk("%s[%s,%d]," % (opening, index_text[o], t), child)
+                r = len(trees)
+                if eps:
+                    parity.append(r)
+                frontier += at_last
+                slots.extend((opening, tail, text(r + 1, eps), ends[eps]))
+                trees.append(leaf)
+
+        try:
+            walk(',{"node":[', _ROOT)
+        finally:
+            walk = None  # the closure refers to itself: break the cycle
+        if trees:
+            slots[1] = slots[1][1:]  # no comma before the first slot
+        slots[:1] = [
+            '{"budget":%d,"frontier":%d,"hausdorff":{"order":[' % (last, frontier),
+            ",".join(map(str, range(len(trees)))), '],"parity_set":[',
+            ",".join([str(r) for r in parity]), '],"trees":[', ",".join(trees),
+            ']},"nodes":%d,"slots":[' % len(trees),
+        ]
+        slots.append('],"xi":"%s"}' % self.xi)
+        return "".join(slots)
 
 
 def build_alt_tree(pres, stage_budget, node_cap=50_000):
@@ -578,27 +607,22 @@ def build_alt_tree(pres, stage_budget, node_cap=50_000):
     and the two F counters disagreeing at every pair with the winning
     side alternating along the sequence.
 
-    Leaves sitting at the final stage are flagged as frontier: they
-    could not gain children inside the budget but might beyond it.  The
-    counter-growth bound F_type(m_l, t_l) >= l // 2 is re-checked on
-    every node rather than trusted.
-
-    A node's children depend only on its last pair and type, so each
-    such key's child list is searched once and the tree is the unfolding
-    of that keyed DAG; each unfolded node spends one unit of a `node_cap`
-    budget, and the node past it raises SearchBudgetExceeded.  The typed
+    Every typed pair is a child of the root, and a node's children
+    depend only on its key, its last pair and type, so each key's child
+    list is searched once and the tree is that keyed DAG.  The typed
     pairs are kept in one ascending list per type, grouped by index.  A
     key (m, t, type) below the last stage takes the pairs above stage t
     from the other type's groups past m (found by bisection) whose index
-    m' has ll(m, m'), asked once per (m, type); the root's children are
-    both lists merged, as no pair has two types.  `ll` is the staged
+    m' has ll(m, m'), asked once per (m, type).  `ll` is the staged
     relation: each pair is visible at its stage, the key's index at its
     own, below the child's, and visibility is monotone in the stage.
-    Child lists are in ascending (index, stage) order and the walk adds
-    each node after its children, so `nodes` comes out in Kleene-Brouwer
-    order.  The child lists and F values are kept only for the call: the
-    recursive walk is released on return, so no reference cycle holds
-    them for the garbage collector.
+
+    Keys are searched from the largest index down, so each key's
+    unfolded subtree size is summed from its children's.  Each key's
+    node under the root spends its subtree's size, itself included, from
+    a `node_cap` budget, so the nodes are counted once and a tree past
+    the cap raises SearchBudgetExceeded before anything is unfolded or
+    written.
     """
     stages = stage_ladder(stage_budget)
     pool = _default_pool(pres, stage_budget, stages)
@@ -623,43 +647,21 @@ def build_alt_tree(pres, stage_budget, node_cap=50_000):
 
     # children of any node whose last pair and type form the key, as
     # (pair, node value, the child's own key), pairs ascending
-    kid_memo = {(None, None, None): sorted(sides[0] + sides[1])}
+    kids = {_ROOT: sorted(sides[0] + sides[1])}
     reach = {}  # (index, type) -> the other type's groups it ll-refines
-
-    def kids(key):
-        m, t, eps = key
-        if t == stages[-1]:  # no later stage, so no child
-            return ()
-        if (m, eps) not in reach:
-            start = bisect.bisect_right(group_m[1 - eps], m)
-            reach[m, eps] = [run for n, run in groups[1 - eps][start:] if ll(m, n)]
-        out = kid_memo[key] = [kid for run in reach[m, eps] for kid in run if kid[0][1] > t]
-        return out
-
-    nodes = {}
+    sizes = {}  # key -> its unfolded subtree's node count, itself left out
     budget = Budget(node_cap, "alternating tree exceeded %d nodes" % node_cap)
-
-    def extend(prefix, key):
-        out = kid_memo.get(key)
-        if out is None:
-            out = kids(key)
-        for pair, value, child in out:
-            budget.spend()
-            seq = prefix + (pair,)
-            extend(seq, child)
-            nodes[seq] = value
-
-    try:
-        extend((), (None, None, None))
-    finally:
-        extend = None  # the closure refers to itself: break the cycle
-
-    frontier = frozenset(seq for seq in nodes if seq[-1][1] == stages[-1])
-    violations = []
-    for seq, (eps, f0, f1) in nodes.items():
-        if (f1 if eps else f0) < (len(seq) - 1) // 2:
-            violations.append(seq)
-    return StagedTree(nodes, pool, stage_budget, frontier, tuple(violations))
+    for _, _, key in reversed(kids[_ROOT]):
+        m, t, eps = key
+        out = kids[key] = []
+        if t < stages[-1]:  # a later stage may hold a child
+            if (m, eps) not in reach:
+                start = bisect.bisect_right(group_m[1 - eps], m)
+                reach[m, eps] = [run for n, run in groups[1 - eps][start:] if ll(m, n)]
+            out += [kid for run in reach[m, eps] for kid in run if kid[0][1] > t]
+        sizes[key] = len(out) + sum([sizes[child] for _, _, child in out])
+        budget.spend(1 + sizes[key])  # the key's node under the root, and its subtree
+    return StagedTree(kids, pool, stage_budget, budget.used)
 
 
 # -- honesty: verification against a membership oracle -----------------------
@@ -725,18 +727,14 @@ def claim2_gaps(tree, pres, points):
     exempt -- their children were cut off by the budget, which the
     tree already reports."""
     model, member = pres.model, pres.member
-    kids = {}
-    for seq in tree.nodes:
-        kids.setdefault(seq[:-1], []).append(seq)
     gaps = []
     for x in points:
         side = 1 if member(x) else 0
         test = model.point_test(x, tree.budget)
         for seq, (eps, _, _) in tree.nodes.items():
-            if eps == side or seq in tree.frontier:
-                continue
-            if not test(seq[-1][0]):
-                continue
-            if not any(test(c[-1][0]) for c in kids.get(seq, ())):
+            m, t = seq[-1]
+            if eps != side and t != tree.budget and test(m) and not any(
+                test(n) for (n, _), _, _ in tree.kids[m, t, eps]
+            ):
                 gaps.append((x, seq))
     return gaps

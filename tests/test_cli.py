@@ -486,7 +486,7 @@ TRANSFORM_ARGV = {
             "--model", '{"kind": "cylinder", "alphabet": %d}' % k, "--presentation", FIRST_ONE,
             "--budget", "1024",
         )
-        for k in (3, 8)
+        for k in (2, 3, 8)
     },
     # opens 3 and 5 are the two components {0, 1} and {2, 3}
     "poset-clopen": (
@@ -535,11 +535,15 @@ TRANSFORM_ARGV = {
 # presentation held its own model, and first-one-3-1024 and
 # first-one-8-1024 before cylinder covering was decided on the word
 # codes (the 3-letter report is 8,149,464 bytes, raw SHA-256
-# c5eaaa9d3b1a...).
+# c5eaaa9d3b1a...).  first-one-2-1024, the largest first-one tree
+# (33,725 nodes from 2,084 keys, a 13,599,575-byte report, raw SHA-256
+# 4c0ef19b71c6...), was recorded while the tree was still unfolded into
+# a dict of node paths before its report was written.
 TRANSFORM_DIGESTS = {
     "first-one-2-16": (2, "f9dab883b3462e1418603941f7b64af7e76cf19af6bd0ac19fedbd935e94a0ca"),
     "first-one-2-64": (0, "be68cb5d8b2a14a770fa26eb872140bc450584188c8db6769493f60ab26a019a"),
     "first-one-2-256": (0, "d797a79159c2c88754a1d96ecc40a87c8d7dec9eef489cd5c6537cad519491e5"),
+    "first-one-2-1024": (0, "a9b92a0364b9d55488bf8746b5ec0fae712e252aa2f4cc8ffef49fe09daabe55"),
     "first-one-3-ladder": (0, "589c1029ad928b58be135d9524bfb3726cbb0dcaee8cda281c3d094988fe1545"),
     "first-one-3-1024": (0, "5da6cfa00d44d61b9d545094d48d87193809be19d96ec002c9347c5cda282771"),
     "first-one-8-1024": (0, "943374d2c0a98cb9ce68610ae62531f613a265dace57950eea534e79164a6836"),
@@ -557,6 +561,20 @@ TRANSFORM_DIGESTS = {
 
 @pytest.mark.parametrize("case", sorted(TRANSFORM_DIGESTS))
 def test_transform_reports_match_golden_digests(capsys, case):
+    code = main(["transform", *TRANSFORM_ARGV[case]])
+    out = capsys.readouterr().out
+    assert (code, golden_digest(out)) == TRANSFORM_DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", ["first-one-2-256", "first-one-3-ladder"])
+def test_transform_never_unfolds_its_tree(capsys, monkeypatch, case):
+    # `hier transform` builds, evaluates and writes from the keyed DAG:
+    # the unfolded node dict, which the frontier, the growth check and
+    # the difference code read too, is never built
+    def refuse(tree):
+        raise AssertionError("the tree was unfolded")
+
+    monkeypatch.setattr(hierkit.effective_codes.StagedTree, "nodes", property(refuse))
     code = main(["transform", *TRANSFORM_ARGV[case]])
     out = capsys.readouterr().out
     assert (code, golden_digest(out)) == TRANSFORM_DIGESTS[case]

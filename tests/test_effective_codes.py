@@ -868,9 +868,16 @@ def test_tree_builds_leave_no_cyclic_garbage():
         tree = build_alt_tree(first_one_presentation(c3), 64)
         del tree
         built = gc.collect()
+        # nor do the report, the evaluation and the unfolded readers
+        tree = build_alt_tree(first_one_presentation(c3), 64)
+        tree.report_text()
+        tree.eval_point(c3.point_test(CylPoint((0, 1), (0,)), 64))
+        tree.frontier, tree.growth_violations, tree.diff_code
+        del tree
+        read = gc.collect()
     finally:
         gc.enable()
-    assert (capped, built) == (0, 0)
+    assert (capped, built, read) == (0, 0, 0)
 
 
 def test_node_cap_counts_unfolded_nodes():
@@ -1158,6 +1165,62 @@ def test_eval_point_matches_reference_on_criterion_8_points(budget):
     assert len(counting.tests) == len(points)
     assert len(counting.queries) == len(set(counting.queries))
     assert len({o for *_, o in slots}) < len(slots)
+
+
+@pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+def test_first_opens_from_one_expansion_per_key_match_the_unfolded_tree(case):
+    # the keyed walk skips a key's later nodes; the unfolded tree lists
+    # every node, and the first node of each open gives the same list
+    model, make, budget = EQUIVALENCE_CASES[case]
+    res = build_alt_tree(make(model), budget)
+    first = {}
+    for seq, (eps, _, _) in res.nodes.items():
+        first.setdefault(seq[-1][0], eps == 1)
+    assert res._first_opens == tuple(first.items())
+
+
+def _descend(tree, test):
+    """Greedy descent: from the root, step to the first child in sibling
+    order whose open holds the point, until no child's does.  The
+    verdict is the type of the node it stops at, outside at the root."""
+    key, inside = effective_codes._ROOT, False
+    while True:
+        for (o, _), (eps, _, _), child in tree.kids[key]:
+            if test(o):
+                key, inside = child, eps == 1
+                break
+        else:
+            return inside
+
+
+def _seeded_points(k, count, seed):
+    rng = random.Random("descent:%d:%d" % (k, seed))
+    return [
+        CylPoint(tuple(rng.randrange(k) for _ in range(rng.randrange(12))),
+                 tuple(rng.randrange(k) for _ in range(1 + rng.randrange(3))))
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("k, budgets, points", [
+    (3, (16, 32, 64, 128, 256), lambda model: cyl_points(model, 4)),
+    (2, (16, 32, 64, 128, 256, 512, 1024), lambda model: _seeded_points(2, 300, 1)),
+])
+def test_greedy_descent_is_the_least_slot_verdict(k, budgets, points):
+    # every child's open lies inside its parent's, so the first node in
+    # Kleene-Brouwer order whose open holds a point is the end of this
+    # descent: asserted here, not trusted
+    model = CylinderModel(k)
+    points = points(model)
+    verdicts = set()
+    for budget in budgets:
+        res = build_alt_tree(first_one_presentation(model), budget)
+        for x in points:
+            test = model.point_test(x, budget)
+            got = res.eval_point(test)
+            assert _descend(res, test) == got, (budget, x)
+            verdicts.add(got)
+    assert verdicts == {False, True}
 
 
 def test_verification_makes_one_point_test_per_point():
