@@ -46,7 +46,7 @@ from hierkit.effective_codes import (
     presentation_from_json,
     verify_transform,
 )
-from hierkit.finite_space import FinitePoset, all_posets_upto_iso, bits, random_poset
+from hierkit.finite_space import FinitePoset, bits, posets_by_size, random_poset
 from hierkit.games import (
     BANACH_MAZUR,
     CHOQUET,
@@ -439,22 +439,32 @@ def _cmd_transform(args):
 
 
 def _cmd_audit(args):
+    """Every subset of every poset class of 1 to --exhaustive points,
+    classified three ways, and the ambiguity identities up to --nmax.
+
+    The classes of each size are grown once, from the size before.  A
+    set's (sigma, pi) is by definition its complement's reversed, so the
+    residues and the brute force classify each complementary pair once,
+    at its lower mask, and the upper mask takes that pair reversed.  The
+    trees classify every subset on their own, in `ambiguity_audit`."""
     depth = args.nmax
     disagreements = []
     ambiguity_violations = []
     no_least_inequalities = []
     posets = sets = 0
-    for k in range(1, args.exhaustive + 1):
-        for poset in all_posets_upto_iso(k):
+    for level in posets_by_size(args.exhaustive):
+        for poset in level:
             posets += 1
             cover = poset.cover_pairs()
             has_least = poset.least_element() is not None
             report = ambiguity_audit(poset, depth)
-            for mask in range(1 << poset.n):
+            half = 1 << poset.n - 1
+            found = [(residue_levels(poset, m), sigma_pi_levels(poset, m)) for m in range(half)]
+            # mask half + i is the complement of mask half - 1 - i
+            found += [(b[::-1], c[::-1]) for b, c in reversed(found)]
+            for mask, (b, c) in enumerate(found):
                 sets += 1
                 a = report.levels[mask]
-                b = residue_levels(poset, mask)
-                c = sigma_pi_levels(poset, mask)
                 if not (a == b == c):
                     disagreements.append(
                         {

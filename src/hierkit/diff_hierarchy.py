@@ -172,9 +172,13 @@ def level_bruteforce(poset, target_mask, max_nodes=2_000_000):
     would turn the search into the greedy residue chain, and this
     classifier would stop being an independent check on `residues`.
     Each state generates just the opens its slot allows
-    (`opens_between`), and tries the largest, the interior of the union
-    and the points the slot may add, first; a slot with many free points
-    finds that one alone and lists the rest only if it fails.
+    (`opens_between`, which looks only at the slot's free points: those
+    of the side the slot covers not yet in the union), and tries the
+    largest, the interior of the union and the points the slot may add,
+    first; a slot with many free points finds that one alone and lists
+    the rest only if it fails.  `sigma_pi_levels` runs this search on a
+    set and on its complement, and `hier audit` calls it once per
+    complementary pair, so that the search runs once on each subset.
 
     Raises SearchBudgetExceeded("<max_nodes + 1>") past max_nodes states.
     """
@@ -197,6 +201,11 @@ def level_bruteforce(poset, target_mask, max_nodes=2_000_000):
 # takes about k steps to find alone.  On 8-16-point posets the largest
 # seldom finishes, and finding it first cost more than it saved, so a
 # slot with at most this many free points lists its candidates at once.
+# Re-timed once a listing skipped the points outside the slot: the brute
+# force on the 600 subsets of the seed-201 `posets` bench workload, 12
+# interleaved runs per value on a shared 2-core host with Python 3.11.7,
+# took a median 0.1160 s at 9, 0.1111 s at 10, 0.1120 s at 11 and
+# 0.1115 s at 12; 10 stays.
 _FREE_POINTS_LISTED = 10
 
 

@@ -123,15 +123,15 @@ class FinitePoset:
     def opens_between(self, lo, hi):
         """The opens u with lo <= u <= hi, for an open lo, unsorted but
         for the largest, which comes last.  They grow from lo a point at
-        a time, `tops_first`: a point x outside lo whose up-set lies
-        inside hi joins exactly the up-sets found so far that hold
+        a time, `tops_first`: a free point x, in hi - lo, whose up-set
+        lies inside hi joins exactly the up-sets found so far that hold
         up[x] - {x}.  So each is built once, and the last found holds
-        every point that joined."""
-        up, out = self.up, ~hi
+        every point that joined.  Each point's masks are worked out once
+        per poset (`_growth`), and a point outside hi - lo costs one AND."""
+        out, free = ~hi, hi & ~lo
         found = [] if lo & out else [lo]
-        for x in self.tops_first:
-            if not (lo >> x & 1 or up[x] & out):
-                bit, above = 1 << x, up[x] ^ 1 << x
+        for bit, up, above in self._growth:
+            if bit & free and not up & out:
                 found += [u | bit for u in found if u & above == above]
         return found
 
@@ -148,6 +148,11 @@ class FinitePoset:
     def tops_first(self):
         """The points by ascending |up|, a reverse linear extension."""
         return sorted(range(self.n), key=[u.bit_count() for u in self.up].__getitem__)
+
+    @functools.cached_property
+    def _growth(self):
+        """(bit, up-set, strict up-set) of each point, `tops_first`."""
+        return [(1 << x, self.up[x], self.up[x] ^ 1 << x) for x in self.tops_first]
 
     def least_element(self):
         for i in range(self.n):
@@ -281,21 +286,17 @@ def random_poset(n, rng_or_seed, edge_prob=0.35):
     return FinitePoset.from_cover(n, pairs)
 
 
-def all_posets_upto_iso(n):
-    """One poset per isomorphism class on n points ([] for n = 0), each
-    in its least labeling (see canon) and sorted by its key.  A scan
-    over every labeled poset with strict relation vectors in ascending
-    order meets each class first in that labeling, and the classes in
-    that order.
+def posets_by_size(n):
+    """Yield `all_posets_upto_iso(k)` for k = 1, ..., n in turn, each
+    grown from the one before, so a caller that walks every size grows
+    each once.
 
-    Every poset on n points is one on n-1 points with a fresh minimal
+    Every poset on k points is one on k-1 points with a fresh minimal
     point below one of its opens (Brinkmann & McKay, "Posets on up to
     16 points", Order 19 (2002)), so the classes grow from the empty
     poset a point at a time, deduplicated by canon()'s key.  All 2,045
     classes of 7 points take about 1 s.
     """
-    if n == 0:
-        return []
     level = [FinitePoset(0, [])]
     for _ in range(n):
         classes = {}
@@ -304,4 +305,16 @@ def all_posets_upto_iso(n):
                 key, q = p.adjoin_point_below(u).canon()
                 classes.setdefault(key, q)
         level = [classes[key] for key in sorted(classes)]
+        yield level
+
+
+def all_posets_upto_iso(n):
+    """One poset per isomorphism class on n points ([] for n = 0), each
+    in its least labeling (see canon) and sorted by its key.  A scan
+    over every labeled poset with strict relation vectors in ascending
+    order meets each class first in that labeling, and the classes in
+    that order.  They are the last list `posets_by_size(n)` yields."""
+    level = []
+    for level in posets_by_size(n):
+        pass
     return level

@@ -806,12 +806,58 @@ def test_audit_is_clean_and_counts(capsys):
     assert out["no_least_element_inequalities"]
 
 
+# the 3-chain 2 < 1 < 0 as the audit labels it, a set on it whose mask is
+# the lower of its complementary pair, and that pair's correct levels
+PLANTED_POSET = FinitePoset.from_cover(3, [(2, 1), (1, 0)])
+PLANTED_SET, PLANTED_LEVELS = 0b010, (2, 3)
+
+
+@pytest.mark.parametrize("planted", [PLANTED_SET, PLANTED_POSET.carrier ^ PLANTED_SET])
+@pytest.mark.parametrize("classifier", ["trees", "residues", "brute"])
+def test_audit_lists_a_classifier_wrong_on_one_subset(capsys, monkeypatch, classifier, planted):
+    # a wrong pair planted on one subset of one poset must be listed with
+    # the classifier's own answer.  The trees classify each subset alone;
+    # the residues and the brute force answer for a set's complement with
+    # the set's pair reversed, by definition, so a fault planted on either
+    # side of the pair is their wrong pair there and its reverse on the
+    # other side, and the audit lists both subsets
+    right = PLANTED_LEVELS if planted == PLANTED_SET else PLANTED_LEVELS[::-1]
+    wrong = (right[0] + 1, right[1])
+    name, owner = {
+        "trees": ("classify_by_trees", hierkit.alt_trees),
+        "residues": ("residue_levels", hierkit.cli),
+        "brute": ("sigma_pi_levels", hierkit.cli),
+    }[classifier]
+    listed = {planted: wrong}
+    if classifier != "trees":
+        listed[PLANTED_POSET.carrier ^ planted] = wrong[::-1]
+    honest = getattr(owner, name)
+
+    def faulty(poset, mask):
+        if poset == PLANTED_POSET and mask in listed:
+            return listed[mask]
+        return honest(poset, mask)
+
+    monkeypatch.setattr(owner, name, faulty)
+    code, rep = run_cli(capsys, "audit", "--exhaustive", "3")
+    assert code == 1
+    expected = []
+    for mask in sorted(listed):
+        levels = list(PLANTED_LEVELS if mask == PLANTED_SET else PLANTED_LEVELS[::-1])
+        entry = {"poset": PLANTED_POSET.to_json(), "set": mask}
+        entry.update({c: levels for c in ("trees", "residues", "brute")})
+        entry[classifier] = list(listed[mask])
+        expected.append(entry)
+    assert rep["report"]["classifier_disagreements"] == expected
+    assert rep["report"]["sets_checked"] == 50
+
+
 @pytest.mark.parametrize("size", ["0", "7"])
 def test_audit_rejects_sizes_outside_the_limit(capsys, monkeypatch, size):
     def refuse(k):
         raise AssertionError("enumerated posets on %d points" % k)
 
-    monkeypatch.setattr(hierkit.cli, "all_posets_upto_iso", refuse)
+    monkeypatch.setattr(hierkit.cli, "posets_by_size", refuse)
     code, rep = run_cli(capsys, "audit", "--exhaustive", size)
     assert code == 1
     assert rep["error"]["kind"] == "validation"

@@ -326,6 +326,7 @@ TEST_ONLY = {
     "relation_from_strategy": "ROADMAP item 19, hier approx",
     "identity_refinement": "ROADMAP item 19, hier approx",
     "audit_convergence": "ROADMAP item 8",
+    "all_posets_upto_iso": "the tests that run over every poset class of one size",
 }
 
 

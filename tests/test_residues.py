@@ -134,6 +134,25 @@ def test_levels_agree_with_bruteforce_exhaustive_small():
                 )
 
 
+def assert_complement_reverses_levels(p, mask):
+    comp = p.carrier & ~mask
+    assert sigma_pi_levels(p, comp) == sigma_pi_levels(p, mask)[::-1], (p.to_json(), mask)
+    assert residue_levels(p, comp) == residue_levels(p, mask)[::-1], (p.to_json(), mask)
+
+
+def test_a_complement_has_the_levels_reversed():
+    # `hier audit` classifies each complementary pair once and gives the
+    # upper mask the lower one's pair reversed; this is the law it uses
+    for n in range(1, 5):
+        for p in all_posets_upto_iso(n):
+            for mask in range(1 << p.n):
+                assert_complement_reverses_levels(p, mask)
+    rng = random.Random("complement law")
+    for _ in range(40):
+        p = random_poset(rng.randint(8, 12), rng, rng.uniform(0.1, 0.5))
+        assert_complement_reverses_levels(p, rng.randrange(1 << p.n))
+
+
 @given(st.integers(4, 6), st.integers(0, 10**6))
 @settings(max_examples=60, deadline=None)
 def test_levels_agree_with_bruteforce_random(n, seed):
