@@ -69,40 +69,36 @@ def check_alternating_chain(poset, member_mask, chain, eps):
 def _chain_dp(poset, a_mask):
     """m[v] = number of nodes in the longest strictly increasing
     membership-alternating chain starting at v."""
-    # tops first: every strict successor of v comes before v
+    # tops first: every strict successor of v comes before v, and the
+    # ones that count are those of up[v] on the other side of a
+    outside = poset.carrier & ~a_mask
     m = [1] * poset.n
     for v in poset.tops_first:
-        chi_v = (a_mask >> v) & 1
+        other = outside if (a_mask >> v) & 1 else a_mask
         best = 0
-        for y in bits(poset.up[v]):
-            if y != v and ((a_mask >> y) & 1) != chi_v:
-                best = max(best, m[y])
+        for y in bits(poset.up[v] & other):
+            if m[y] > best:
+                best = m[y]
         m[v] = 1 + best
     return m
 
 
 class AltChains:
     """The chain DP of a subset a of a finite poset, run once, and what
-    is read off it: the largest tree ranks, the levels, one longest
-    alternating chain per side and difference codes."""
+    is read off it: the levels, one longest alternating chain per side
+    and difference codes.  sides[eps] is the mask of the eps side of a."""
 
     def __init__(self, poset, a_mask):
         self.poset, self.a_mask = poset, a_mask
+        self.sides = (poset.carrier & ~a_mask, a_mask)
         self.m = _chain_dp(poset, a_mask)
-
-    def _side(self, eps):
-        a = self.a_mask
-        return [v for v in range(self.poset.n) if bool((a >> v) & 1) == bool(eps)]
-
-    def rank(self, eps):
-        """Largest rank of an (a, eps)-alternating increasing tree, the
-        largest m[v] - 1 over the eps side, or None when that is empty."""
-        return max((self.m[v] - 1 for v in self._side(eps)), default=None)
 
     def levels(self):
         """(sigma, pi): the most nodes of a chain starting on each side,
-        0 when the side is empty."""
-        return tuple(max((self.m[v] for v in self._side(e)), default=0) for e in (1, 0))
+        0 when the side is empty.  The largest rank of an (a, eps)-
+        alternating increasing tree is the eps level minus one."""
+        get = self.m.__getitem__
+        return tuple(max(map(get, bits(self.sides[e])), default=0) for e in (1, 0))
 
     def witness(self, eps):
         """One longest (a, eps)-alternating increasing chain (v0, ..., vk),
@@ -110,18 +106,17 @@ class AltChains:
         the first eps-side point with the largest m[v], then takes each
         time the least strict successor of opposite membership whose m
         is one less.  None when the eps side is empty."""
-        poset, a_mask, m = self.poset, self.a_mask, self.m
-        v = max(self._side(eps), key=m.__getitem__, default=None)
+        poset, sides, m = self.poset, self.sides, self.m
+        v = max(bits(sides[eps]), key=m.__getitem__, default=None)
         if v is None:
             return None
-        chain = [v]
+        chain, side = [v], eps
         while m[v] > 1:
-            chi_v = (a_mask >> v) & 1
-            v = next(y for y in bits(poset.up[v])
-                     if y != v and ((a_mask >> y) & 1) != chi_v and m[y] == m[v] - 1)
+            side ^= 1
+            v = next(y for y in bits(poset.up[v] & sides[side]) if m[y] == m[v] - 1)
             chain.append(v)
         chain = tuple(chain)
-        check_alternating_chain(poset, a_mask, chain, eps)
+        check_alternating_chain(poset, self.a_mask, chain, eps)
         return chain
 
     def code(self, alpha):
@@ -134,7 +129,7 @@ class AltChains:
         masks = []
         for beta in range(alpha):
             acc = 0
-            for c in self._side((beta % 2) != (alpha % 2)):
+            for c in bits(self.sides[(beta % 2) != (alpha % 2)]):
                 if self.m[c] - 1 <= beta:
                     acc |= self.poset.up[c]
             masks.append(acc)

@@ -289,9 +289,10 @@ def _cmd_alt(args):
     poset, mask, inputs = _poset_set(args)
     chains = AltChains(poset, mask)
     sigma, pi = chains.levels()
+    # the largest tree rank on a side is its level minus one
     outputs = {
-        "rank_eps1": chains.rank(1),
-        "rank_eps0": chains.rank(0),
+        "rank_eps1": sigma - 1 if sigma else None,
+        "rank_eps0": pi - 1 if pi else None,
         "sigma": sigma,
         "pi": pi,
         "witness_eps1": _tree_json(chains.witness(1)),

@@ -194,18 +194,11 @@ class FinitePoset:
     # -- interchange -------------------------------------------------------
 
     def cover_pairs(self):
-        """Hasse diagram edges (i covered-by j)."""
-        out = []
-        for i in range(self.n):
-            for j in bits(self.up[i]):
-                if j == i:
-                    continue
-                between = [
-                    k for k in bits(self.up[i] & self.down[j]) if k not in (i, j)
-                ]
-                if not between:
-                    out.append((i, j))
-        return out
+        """Hasse diagram edges (i covered-by j): j above i and no point
+        strictly between, so up[i] & down[j] holds only i and j."""
+        up, down = self.up, self.down
+        return [(i, j) for i in range(self.n) for j in bits(up[i] & ~(1 << i))
+                if not up[i] & down[j] & ~(1 << i | 1 << j)]
 
     def to_json(self):
         return {"n": self.n, "cover": [list(p) for p in self.cover_pairs()]}

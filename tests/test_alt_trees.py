@@ -13,7 +13,13 @@ from hierkit.alt_trees import (
     kb_sorted,
 )
 from hierkit.diff_hierarchy import denote_mask, sigma_pi_levels
-from hierkit.finite_space import FinitePoset, all_posets_upto_iso, random_poset
+from hierkit.finite_space import (
+    FinitePoset,
+    all_posets_upto_iso,
+    bits,
+    posets_by_size,
+    random_poset,
+)
 from hierkit.residues import residue_levels
 
 
@@ -35,6 +41,13 @@ def oracle_max_rank(poset, a_mask, eps):
         if bool((a_mask >> v) & 1) == bool(eps):
             extend([v])
     return best
+
+
+def oracle_levels(poset, a_mask):
+    """(sigma, pi) from the oracle: each side's largest tree rank plus
+    one, 0 when the side is empty."""
+    ranks = (oracle_max_rank(poset, a_mask, eps) for eps in (1, 0))
+    return tuple(0 if r is None else r + 1 for r in ranks)
 
 
 # -- Kleene-Brouwer order -----------------------------------------------------
@@ -97,15 +110,17 @@ def test_alternating_chain_check_refuses(mask, chain, eps, message):
     assert str(exc.value) == message
 
 
-# -- rank computation vs oracle ----------------------------------------------
+# -- levels vs oracle ---------------------------------------------------------
 
 
 def test_chain_examples():
+    # on 0 < 1 < 2 each level counts the nodes of the longest chain
+    # from its side, one more than the largest tree rank there
     p = FinitePoset.chain(3)
-    assert AltChains(p, 0b010).rank(1) == 1
-    assert AltChains(p, 0b101).rank(1) == 2
-    assert AltChains(p, 0).rank(1) is None
-    assert AltChains(p, p.carrier).rank(0) is None
+    assert AltChains(p, 0b010).levels() == (2, 3)
+    assert AltChains(p, 0b101).levels() == (3, 2)
+    assert AltChains(p, 0).levels() == (0, 1)
+    assert AltChains(p, p.carrier).levels() == (1, 0)
 
 
 def test_classification_contract():
@@ -113,7 +128,7 @@ def test_classification_contract():
     p = FinitePoset.chain(3)
     a = 0b010
     sigma, _ = sigma_pi_levels(p, a)
-    r = AltChains(p, a).rank(1)
+    r = AltChains(p, a).levels()[0] - 1
     for n in range(5):
         assert (sigma <= n) == (r < n)
 
@@ -124,8 +139,7 @@ def test_rank_matches_oracle(n, seed):
     rng = random.Random(seed)
     p = random_poset(n, rng)
     mask = rng.randrange(1 << p.n)
-    for eps in (0, 1):
-        assert AltChains(p, mask).rank(eps) == oracle_max_rank(p, mask, eps)
+    assert AltChains(p, mask).levels() == oracle_levels(p, mask)
 
 
 def test_classify_agrees_with_bruteforce_exhaustive():
@@ -141,14 +155,68 @@ def test_witness_tree_attains_rank(n, seed):
     rng = random.Random(seed)
     p = random_poset(n, rng)
     mask = rng.randrange(1 << p.n)
-    for eps in (0, 1):
-        chains = AltChains(p, mask)
-        r, chain = chains.rank(eps), chains.witness(eps)
-        if r is None:
+    chains = AltChains(p, mask)
+    for eps, level in zip((1, 0), chains.levels()):
+        chain = chains.witness(eps)
+        if level == 0:
             assert chain is None
         else:
-            assert len(chain) - 1 == r
+            assert len(chain) - 1 == level - 1 == oracle_max_rank(p, mask, eps)
             check_alternating_chain(p, mask, chain, eps)
+
+
+# -- reference: the chain DP and its witness walk, point by point -------------
+
+
+def reference_chain_dp(poset, a_mask):
+    # every point of up[v] in turn, with its membership tested
+    m = [1] * poset.n
+    for v in poset.tops_first:
+        chi_v = (a_mask >> v) & 1
+        best = 0
+        for y in bits(poset.up[v]):
+            if y != v and ((a_mask >> y) & 1) != chi_v:
+                best = max(best, m[y])
+        m[v] = 1 + best
+    return m
+
+
+def reference_witness(poset, a_mask, m, eps):
+    side = [v for v in range(poset.n) if bool((a_mask >> v) & 1) == bool(eps)]
+    v = max(side, key=m.__getitem__, default=None)
+    if v is None:
+        return None
+    chain = [v]
+    while m[v] > 1:
+        chi_v = (a_mask >> v) & 1
+        v = next(y for y in bits(poset.up[v])
+                 if y != v and ((a_mask >> y) & 1) != chi_v and m[y] == m[v] - 1)
+        chain.append(v)
+    return tuple(chain)
+
+
+def assert_matches_reference(p, mask):
+    chains = AltChains(p, mask)
+    m = reference_chain_dp(p, mask)
+    assert chains.m == m, (p.up, mask)
+    for eps in (1, 0):
+        assert chains.witness(eps) == reference_witness(p, mask, m, eps), (p.up, mask, eps)
+
+
+def test_chain_dp_and_witnesses_match_the_reference_on_small_posets():
+    for level in posets_by_size(5):
+        for p in level:
+            for mask in range(1 << p.n):
+                assert_matches_reference(p, mask)
+
+
+def test_chain_dp_and_witnesses_match_the_reference_on_random_posets():
+    rng = random.Random("chain dp reference")
+    for _ in range(400):
+        p = random_poset(rng.randint(8, 16), rng, rng.uniform(0.05, 0.6))
+        mask = rng.randrange(1 << p.n)
+        assert_matches_reference(p, mask)
+        assert_matches_reference(p, p.carrier & ~mask)
 
 
 def test_witnesses_are_longest_chains_on_random_posets():

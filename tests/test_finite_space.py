@@ -13,6 +13,7 @@ from hierkit.finite_space import (
     all_posets_upto_iso,
     bits,
     mask_of,
+    posets_by_size,
     random_poset,
 )
 
@@ -47,6 +48,24 @@ def test_cover_roundtrip():
     p = random_poset(7, 1234)
     q = FinitePoset.from_json(p.to_json())
     assert q == p
+
+
+def reference_cover_pairs(p):
+    """(i, j) with j above i and nothing strictly between, by definition."""
+    return [
+        (i, j)
+        for i in range(p.n)
+        for j in range(p.n)
+        if p.lt(i, j) and not any(p.lt(i, k) and p.lt(k, j) for k in range(p.n))
+    ]
+
+
+def test_cover_pairs_match_the_definition():
+    rng = random.Random("cover pairs")
+    small = [p for level in posets_by_size(6) for p in level]
+    seeded = [random_poset(rng.randint(8, 20), rng, rng.uniform(0.1, 0.6)) for _ in range(300)]
+    for p in small + seeded:
+        assert p.cover_pairs() == reference_cover_pairs(p), p.up
 
 
 def test_adjoin_point_below():
